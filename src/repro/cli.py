@@ -97,7 +97,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -910,30 +909,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "worker": _cmd_worker,
     }[args.command]
     return handler(args)
-
-
-_DEPRECATED_VIEWS = {
-    "PARTITIONERS": registries.PARTITIONERS,
-    "EXPERIMENTS": registries.EXPERIMENTS,
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shims: the old module-level dicts as registry views.
-
-    ``cli.PARTITIONERS`` / ``cli.EXPERIMENTS`` remain importable for
-    external tooling and the benchmark harness, but are now live
-    read-only views over :mod:`repro.pipeline.registries`.
-    """
-    if name in _DEPRECATED_VIEWS:
-        warnings.warn(
-            f"repro.cli.{name} is deprecated; use "
-            f"repro.pipeline.registries.{name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED_VIEWS[name].as_view()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,7 @@ import numpy as np
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
 
-__all__ = ["EBVPartitioner", "SORT_ORDERS", "edge_processing_order"]
+__all__ = ["EBVCore", "EBVPartitioner", "SORT_ORDERS", "edge_processing_order"]
 
 SORT_ORDERS = ("ascending", "descending", "random", "input")
 
@@ -55,6 +55,172 @@ def edge_processing_order(
     if sort_order == "descending":
         order = order[::-1]
     return order.astype(np.int64)
+
+
+class EBVCore:
+    """Replica state and the one per-edge Eq. 2 loop every EBV variant drives.
+
+    State is the replica bitmap ``member`` (``member[v, i]`` iff
+    ``v ∈ keep[i]``; rows grow on demand via :meth:`grow`) and the int64
+    per-part ``ecount``/``vcount``.  :meth:`assign` is Algorithm 1's
+    loop: score an edge against every part, ``arg min`` (ties to the
+    lowest id), commit.  The offline, streaming and sharded partitioners
+    are fronts that choose the processing order and own whatever else is
+    theirs (degree estimates, epoch snapshots); none of them scores.
+
+    Normalization: pass the exact ``num_edges``/``num_vertices`` to
+    divide by ``|E|/p`` and ``|V|/p`` as Eq. 2 is written; leave them
+    ``None`` to divide by the *running* totals instead (floored at one
+    edge/vertex per part so the first edges never divide by zero) —
+    the same greedy score, computable mid-stream.
+
+    Balance policy (internal; the fronts choose, users never do): the
+    ``α·ecount/(|E|/p) + β·vcount/(|V|/p)`` term is either *maintained*
+    (a float vector bumped by one unit per commit) or *derived* from the
+    integer counts before every edge.  The two round differently in the
+    last ulp and a single flipped tie cascades through the whole
+    assignment, so each front keeps the policy its published numbers
+    were produced with.  Maintained needs fixed units and state that is
+    never rewritten from outside (offline EBV); running totals
+    (streaming), :meth:`seed` and rolled-back snapshots (sharded) all
+    need derived.
+    """
+
+    def __init__(
+        self,
+        num_parts: int,
+        alpha: float,
+        beta: float,
+        num_edges: Optional[int] = None,
+        num_vertices: Optional[int] = None,
+        maintained: bool = False,
+    ):
+        if num_parts < 1:
+            raise ValueError("num_parts must be >= 1")
+        self.num_parts = p = int(num_parts)
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.member = np.zeros((int(num_vertices or 0), p), dtype=bool)
+        self.ecount = np.zeros(p, dtype=np.int64)
+        self.vcount = np.zeros(p, dtype=np.int64)
+        self._units: Optional[Tuple[float, float]] = None
+        if num_edges is not None and num_vertices is not None:
+            self._units = (
+                self.alpha / max(num_edges / p, 1e-12),
+                self.beta / max(num_vertices / p, 1e-12),
+            )
+        self._balance = np.zeros(p, dtype=np.float64) if maintained else None
+
+    @property
+    def edges_assigned(self) -> int:
+        return int(self.ecount.sum())
+
+    @property
+    def vertices_covered(self) -> int:
+        """``Σ_i |V_i|`` — (vertex, part) incidences."""
+        return int(self.vcount.sum())
+
+    @property
+    def vertices_seen(self) -> int:
+        """Distinct vertices holding at least one replica."""
+        return int(np.count_nonzero(self.member.any(axis=1)))
+
+    def replication_factor(self, num_vertices: Optional[int] = None) -> float:
+        """``Σ_i |V_i| / |V|`` so far (1.0 before any edge).
+
+        ``num_vertices`` is the metrics convention of
+        :func:`repro.partition.replication_factor`, which also counts
+        isolated vertices; without it the denominator is the distinct
+        vertices seen, all that is known mid-stream.
+        """
+        denom = self.vertices_seen if num_vertices is None else int(num_vertices)
+        if denom <= 0:
+            return 1.0
+        return self.vertices_covered / denom
+
+    def grow(self, num_vertices: int) -> None:
+        """Make room for vertex ids below ``num_vertices`` (amortized O(1))."""
+        have = self.member.shape[0]
+        if num_vertices > have:
+            grown = np.zeros((max(num_vertices, 2 * have), self.num_parts), dtype=bool)
+            grown[:have] = self.member
+            self.member = grown
+
+    def seed(self, src: np.ndarray, dst: np.ndarray, parts: np.ndarray) -> None:
+        """Add edges already assigned elsewhere: ``(src[j], dst[j]) → parts[j]``.
+
+        Writes straight into the bitmap and re-derives ``vcount`` from
+        it, so calls add up (one per spilled shard, say).  Derived
+        cores only: a maintained balance vector cannot be rebuilt.
+        """
+        self.member[src, parts] = True
+        self.member[dst, parts] = True
+        self.ecount += np.bincount(parts, minlength=self.num_parts)
+        self.vcount[:] = np.count_nonzero(self.member, axis=0)
+
+    def assign(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        order: np.ndarray,
+        out: np.ndarray,
+        trace: Optional[np.ndarray] = None,
+    ) -> None:
+        """Assign edges ``(src[j], dst[j])`` for ``j`` in ``order``, in order.
+
+        Writes the chosen part to ``out[j]`` and, when given,
+        ``Σ_i |V_i|`` after the ``t``-th step to ``trace[t]``.  Vertex
+        ids must be below ``member.shape[0]`` (see :meth:`grow`).
+        """
+        p = self.num_parts
+        member, ecount, vcount, balance = self.member, self.ecount, self.vcount, self._balance
+        alpha, beta = self.alpha, self.beta
+        running = self._units is None
+        if not running:
+            edge_unit, vertex_unit = self._units
+        assigned, covered = self.edges_assigned, self.vertices_covered
+        eva = np.empty(p, dtype=np.float64)
+        term = np.empty(p, dtype=np.float64)
+        for t, j in enumerate(order.tolist()):
+            in_u = member[src[j]]
+            in_v = member[dst[j]]
+            # eva[i] = balance[i] + 2 - I(u ∈ keep[i]) - I(v ∈ keep[i])
+            if balance is not None:
+                np.add(balance, 2.0, out=eva)
+            else:
+                if running:
+                    edge_unit = alpha / max(assigned / p, 1.0 / p)
+                    vertex_unit = beta / max(covered / p, 1.0 / p)
+                np.multiply(ecount, edge_unit, out=eva)
+                np.multiply(vcount, vertex_unit, out=term)
+                eva += term
+                eva += 2.0
+            eva -= in_u
+            eva -= in_v
+            i = int(np.argmin(eva))
+            out[j] = i
+            ecount[i] += 1
+            assigned += 1
+            # a self loop's two rows are one view: the second test sees the first write
+            gained = 0
+            if not in_u[i]:
+                in_u[i] = True
+                gained = 1
+            if not in_v[i]:
+                in_v[i] = True
+                gained += 1
+            if gained:
+                vcount[i] += gained
+                covered += gained
+            if balance is not None:
+                # one addition per unit, in commit order: this is the rounding
+                # the maintained policy exists to preserve
+                bumped = balance[i] + edge_unit
+                for _ in range(gained):
+                    bumped += vertex_unit
+                balance[i] = bumped
+            if trace is not None:
+                trace[t] = covered
 
 
 class EBVPartitioner(Partitioner):
@@ -102,7 +268,15 @@ class EBVPartitioner(Partitioner):
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:
         """Run Algorithm 1 and return the vertex-cut partition."""
-        edge_parts, trace = self._run(graph, num_parts)
+        m = graph.num_edges
+        edge_parts = np.full(m, -1, dtype=np.int64)
+        trace = np.zeros(m, dtype=np.int64) if self.track_growth else None
+        # Exact totals and no rollback: the maintained balance policy.
+        core = EBVCore(
+            num_parts, self.alpha, self.beta, m, graph.num_vertices, maintained=True
+        )
+        order = edge_processing_order(graph, self.sort_order, self.seed)
+        core.assign(graph.src, graph.dst, order, edge_parts, trace)
         self.last_trace = trace
         suffix = "-sort" if self.sort_order == "ascending" else (
             "-unsort" if self.sort_order == "input" else f"-{self.sort_order}"
@@ -114,74 +288,6 @@ class EBVPartitioner(Partitioner):
             kind=VERTEX_CUT,
             method=f"{self.name}{suffix}" if suffix != "-sort" else self.name,
         )
-
-    # ------------------------------------------------------------------
-    # Core loop
-    # ------------------------------------------------------------------
-
-    def _run(
-        self, graph: Graph, num_parts: int
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
-        m = graph.num_edges
-        n = graph.num_vertices
-        order = edge_processing_order(graph, self.sort_order, self.seed)
-        edge_parts = np.full(m, -1, dtype=np.int64)
-        if num_parts == 1:
-            edge_parts[:] = 0
-            trace = None
-            if self.track_growth and m:
-                # With one part, V_1 grows as distinct endpoints appear.
-                seen = np.zeros(n, dtype=bool)
-                trace = np.zeros(m, dtype=np.int64)
-                count = 0
-                for t, e in enumerate(order.tolist()):
-                    for w in (int(graph.src[e]), int(graph.dst[e])):
-                        if not seen[w]:
-                            seen[w] = True
-                            count += 1
-                    trace[t] = count
-            return edge_parts, trace
-
-        # Per-part balance term, updated incrementally:
-        #   balance[i] = α·ecount[i]/(|E|/p) + β·vcount[i]/(|V|/p)
-        balance = np.zeros(num_parts, dtype=np.float64)
-        edge_unit = self.alpha / (m / num_parts) if m else 0.0
-        vertex_unit = self.beta / (n / num_parts)
-        # parts_of[v]: list of part ids whose keep-set contains v.
-        parts_of = [[] for _ in range(n)]
-        trace = np.zeros(m, dtype=np.int64) if self.track_growth else None
-        covered = 0
-
-        src = graph.src
-        dst = graph.dst
-        eva = np.empty(num_parts, dtype=np.float64)
-        for t, e in enumerate(order.tolist()):
-            u = int(src[e])
-            v = int(dst[e])
-            pu = parts_of[u]
-            pv = parts_of[v]
-            # Eva[i] = balance[i] + 2 - I(u∈keep[i]) - I(v∈keep[i])
-            np.add(balance, 2.0, out=eva)
-            if pu:
-                eva[pu] -= 1.0
-            if pv:
-                eva[pv] -= 1.0
-            i = int(np.argmin(eva))
-            edge_parts[e] = i
-            balance[i] += edge_unit
-            if i not in pu:
-                pu.append(i)
-                balance[i] += vertex_unit
-                covered += 1
-            if u != v and i not in pv:
-                pv.append(i)
-                balance[i] += vertex_unit
-                covered += 1
-            if trace is not None:
-                trace[t] = covered
-        return edge_parts, trace
 
     # ------------------------------------------------------------------
     # Figure 5 support

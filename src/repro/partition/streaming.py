@@ -2,55 +2,75 @@
 
 Section VII: "EBV is a sequential and offline partition algorithm.  We
 might need to extend it to the distributed and streaming environment to
-handle larger graphs."  This module provides both extensions:
+handle larger graphs."  This module provides both extensions, and
+neither contains a scoring loop: **one core, three fronts**.
+:class:`~repro.partition.ebv.EBVCore` holds the replica bitmap, the
+per-part counts and the only per-edge Eq. 2 loop in the package; the
+offline :class:`~repro.partition.ebv.EBVPartitioner` and the two
+assigners below differ only in the order they hand it edges and in the
+state that is genuinely their own.
 
-* :class:`StreamingEBVPartitioner` — a one-pass variant that never sees
-  the whole edge list.  Edges arrive in chunks; degrees are *estimated
-  online* from the prefix seen so far, each chunk is sorted by the
-  estimated degree sum (a windowed approximation of the offline sorting
-  preprocessing, in the spirit of ADWISE's bounded look-ahead), and the
-  EBV evaluation function assigns the chunk.  Exact |E| and |V| are not
-  known mid-stream, so the balance terms normalize by the *running*
-  counts instead — the same greedy score, computable online.
+* :class:`StreamingEBVAssigner` (front of
+  :class:`StreamingEBVPartitioner`) — a one-pass variant that never sees
+  the whole edge list.  Its own state is the *online degree estimate*:
+  each window is stably sorted by the estimated end-vertex degree sum (a
+  windowed approximation of the offline sorting preprocessing, in the
+  spirit of ADWISE's bounded look-ahead) and handed to the core.  Exact
+  |E| and |V| are unknown mid-stream, so the core normalizes by the
+  *running* totals.  :meth:`StreamingEBVAssigner.seed` warm-starts it
+  from an existing assignment, which is how :mod:`repro.mutate` and
+  :func:`repro.stream.patch_spilled_partition` re-assign only a
+  batch's inserted edges.
 
-* :class:`ShardedEBVPartitioner` — a simulated distributed EBV: ``k``
-  partitioner workers each own a shard of the edge stream and run EBV
-  against a private snapshot of the global state (``keep``/``ecount``/
-  ``vcount``), merging snapshots every ``sync_interval`` edges.  Larger
-  intervals mean staler state and a higher replication factor; the
-  ablation bench quantifies that staleness cost.
+* :class:`ShardedEBVAssigner` (front of :class:`ShardedEBVPartitioner`)
+  — a simulated distributed EBV: ``k`` workers each own a shard of the
+  edge stream and score against a private snapshot of the global state,
+  merging every ``sync_interval`` edges.  Its own logic is the epoch:
+  snapshot the touched bitmap rows and the counts, run each shard's
+  sub-queue through the plain core, roll back, and merge at the
+  barrier.  Larger intervals mean staler state and a higher replication
+  factor; the ablation bench quantifies that staleness cost.
 
-Both algorithms are backed by *assigner* cores
-(:class:`StreamingEBVAssigner`, :class:`ShardedEBVAssigner`) that
-consume bare ``(src, dst)`` edge chunks and never touch a
+**Maintained vs derived balance.**  The core can keep Eq. 2's balance
+term as a float vector bumped per commit (*maintained*) or recompute it
+from the integer counts before every edge (*derived*).  They agree
+mathematically but not in the last ulp, and one flipped tie cascades
+through the rest of the assignment.  The rule: maintained only when the
+totals are exact and nothing rewrites the state from outside — offline
+EBV; derived otherwise — running totals and seeding (streaming),
+rolled-back snapshots (sharded).  The fronts make that choice; it is
+not an option.
+
+The assigners consume bare ``(src, dst)`` edge chunks and never touch a
 :class:`~repro.graph.Graph`.  The classic :meth:`Partitioner.partition`
-entry points feed the cores from the in-memory edge arrays; the
-out-of-core driver in :mod:`repro.stream` feeds them from disk — both
-paths produce byte-identical assignments (enforced by
+entry points feed them from the in-memory edge arrays; the out-of-core
+driver in :mod:`repro.stream` feeds them from disk — both paths produce
+byte-identical assignments (enforced by
 ``tests/stream/test_stream_equivalence.py``).
 
 The assigner contract (what :func:`repro.stream.stream_partition`
 relies on):
 
-* ``window`` — the number of edges per :meth:`assign` call the core
+* ``window`` — the number of edges per :meth:`assign` call the assigner
   expects; the driver re-buffers arbitrary reader chunks into windows
   of exactly this size (the final window may be short), so assignment
   results are independent of the on-disk chunking.
 * ``assign(src, dst)`` — assign one window, returning the part id of
   every edge *in input order*.
 * ``replication_factor()`` — current replication factor of the
-  assignment so far, computable from the core's own state without any
-  graph.
+  assignment so far, computable from the assigner's own state without
+  any graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
+from .ebv import EBVCore, edge_processing_order
 
 __all__ = [
     "StreamingEBVPartitioner",
@@ -60,43 +80,34 @@ __all__ = [
 ]
 
 
-class StreamingEBVAssigner:
-    """Chunk-consuming core of :class:`StreamingEBVPartitioner`.
+def _edge_arrays(*arrays) -> tuple:
+    return tuple(np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
 
-    Holds the full streaming state — online degree estimates, per-vertex
-    replica sets, per-part balance scores — in O(vertices seen) memory,
-    growing lazily as new vertex ids appear, so it can be driven either
-    from in-memory arrays or from an on-disk stream of unknown extent.
+
+class StreamingEBVAssigner:
+    """Streaming front of :class:`EBVCore`: online degrees + window sort.
+
+    Holds O(vertices seen) state — the degree estimates here, the
+    replica bitmap in the core — growing lazily as new vertex ids
+    appear, so it can be driven either from in-memory arrays or from an
+    on-disk stream of unknown extent.
     """
 
     def __init__(self, num_parts: int, chunk_size: int, alpha: float, beta: float):
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
-        self.num_parts = int(num_parts)
+        # Running totals: the derived balance policy.
+        self._core = EBVCore(num_parts, alpha, beta)
+        self.num_parts = self._core.num_parts
         self.window = int(chunk_size)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self._seen_degree = np.zeros(0, dtype=np.int64)
-        self._parts_of: List[List[int]] = []
-        self._ecount = np.zeros(self.num_parts, dtype=np.float64)
-        self._vcount = np.zeros(self.num_parts, dtype=np.float64)
-        self._eva = np.empty(self.num_parts, dtype=np.float64)
-        self.edges_assigned = 0
-        #: (vertex, part) incidences — Σ_v |parts_of[v]|
-        self.vertices_covered = 0
-        #: distinct vertices holding at least one replica
-        self.vertices_seen = 0
 
     def _grow(self, needed: int) -> None:
-        if needed > len(self._parts_of):
-            self._parts_of.extend([] for _ in range(needed - len(self._parts_of)))
-        if needed > self._seen_degree.shape[0]:
-            # capacity doubles so repeated growth stays amortized O(1)
-            grown = np.zeros(
-                max(needed, 2 * self._seen_degree.shape[0]), dtype=np.int64
+        # follow the bitmap's capacity, so one (doubling) policy sizes both
+        self._core.grow(needed)
+        short = self._core.member.shape[0] - self._seen_degree.shape[0]
+        if short:
+            self._seen_degree = np.concatenate(
+                [self._seen_degree, np.zeros(short, dtype=np.int64)]
             )
-            grown[: self._seen_degree.shape[0]] = self._seen_degree
-            self._seen_degree = grown
 
     def seed(
         self,
@@ -105,89 +116,34 @@ class StreamingEBVAssigner:
         parts: np.ndarray,
         num_vertices: Optional[int] = None,
     ) -> None:
-        """Warm-start the core from an existing edge assignment.
+        """Warm-start from an existing edge assignment (additive).
 
-        Rebuilds the whole streaming state — degree estimates, replica
-        sets, balance counters — as if every ``(src[i], dst[i])`` edge
-        had already been assigned to ``parts[i]``, in O(|E|) vectorized
-        work.  Subsequent :meth:`assign` calls then score *new* edges
-        against the live partition instead of an empty one, which is
-        what lets :func:`repro.mutate.apply_mutations` re-assign only
-        the inserted edges of a mutation batch.
+        Afterwards the state — degree estimates, replica bitmap,
+        per-part counts — is as if every ``(src[j], dst[j])`` edge had
+        already been assigned to ``parts[j]``, in O(|E|) vectorized
+        work; subsequent :meth:`assign` calls score *new* edges against
+        the live partition instead of an empty one.  Calls add up, so an
+        assignment held shard by shard is seeded one shard at a time.
 
-        The seeded state is equivalent for all future scoring (replica
-        membership and per-part counters), not a byte replay of the
-        original assignment history.  Only a fresh assigner may be
-        seeded.
+        The seeded state is equivalent for all future scoring, not a
+        byte replay of the original assignment history.
         """
-        if self.edges_assigned or self.vertices_covered:
-            raise ValueError("seed() requires a fresh assigner (no edges assigned yet)")
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        parts = np.ascontiguousarray(parts, dtype=np.int64)
+        src, dst, parts = _edge_arrays(src, dst, parts)
         if not (src.shape == dst.shape == parts.shape):
             raise ValueError("src, dst and parts must have identical shapes")
-        if parts.shape[0] and (parts.min() < 0 or parts.max() >= self.num_parts):
+        m = src.shape[0]
+        if m and (parts.min() < 0 or parts.max() >= self.num_parts):
             raise ValueError(
                 f"seed parts must lie in [0, {self.num_parts}); "
                 f"got range [{int(parts.min())}, {int(parts.max())}]"
             )
-        m = src.shape[0]
         n = int(num_vertices) if num_vertices is not None else 0
         if m:
             n = max(n, int(max(src.max(), dst.max())) + 1)
-        if m == 0:
-            if n:
-                self._grow(n)
-            return
-        seen_degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-        # Distinct (vertex, part) incidences; self-loops collapse to one.
-        pair_keys = np.unique(
-            np.concatenate([src, dst]) * self.num_parts + np.tile(parts, 2)
-        )
-        self.seed_state(
-            seen_degree,
-            pair_keys // self.num_parts,
-            pair_keys % self.num_parts,
-            np.bincount(parts, minlength=self.num_parts),
-            m,
-        )
-
-    def seed_state(
-        self,
-        seen_degree: np.ndarray,
-        pair_vertex: np.ndarray,
-        pair_part: np.ndarray,
-        edge_counts: np.ndarray,
-        num_edges: int,
-    ) -> None:
-        """Warm-start from precomputed aggregates (out-of-core seeding).
-
-        The aggregate form of :meth:`seed`, for callers that stream the
-        existing assignment shard by shard and cannot hold full edge
-        arrays: per-vertex degrees, the distinct ``(vertex, part)``
-        incidence pairs, per-part edge counts and the total edge count.
-        ``pair_vertex``/``pair_part`` must be parallel and deduplicated.
-        """
-        if self.edges_assigned or self.vertices_covered:
-            raise ValueError("seed_state() requires a fresh assigner")
-        seen_degree = np.ascontiguousarray(seen_degree, dtype=np.int64)
-        pair_vertex = np.ascontiguousarray(pair_vertex, dtype=np.int64)
-        pair_part = np.ascontiguousarray(pair_part, dtype=np.int64)
-        n = seen_degree.shape[0]
-        needed = max(n, int(pair_vertex.max()) + 1 if pair_vertex.shape[0] else 0)
-        if needed:
-            self._grow(needed)
-        if n:
-            self._seen_degree[:n] = seen_degree
-        parts_of = self._parts_of
-        for v, i in zip(pair_vertex.tolist(), pair_part.tolist()):
-            parts_of[v].append(i)
-        self._ecount[:] = np.asarray(edge_counts, dtype=np.float64)
-        self._vcount[:] = np.bincount(pair_part, minlength=self.num_parts)
-        self.edges_assigned = int(num_edges)
-        self.vertices_covered = int(pair_vertex.shape[0])
-        self.vertices_seen = int(np.unique(pair_vertex).shape[0])
+        self._grow(n)
+        cap = self._seen_degree.shape[0]
+        self._seen_degree += np.bincount(src, minlength=cap) + np.bincount(dst, minlength=cap)
+        self._core.seed(src, dst, parts)
 
     def assign(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Assign one window of edges; returns part ids in input order.
@@ -196,8 +152,7 @@ class StreamingEBVAssigner:
         with the whole window first, then edges are assigned ascending
         by estimated end-vertex degree sum.
         """
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        src, dst = _edge_arrays(src, dst)
         out = np.empty(src.shape[0], dtype=np.int64)
         if src.shape[0] == 0:
             return out
@@ -206,56 +161,7 @@ class StreamingEBVAssigner:
         np.add.at(seen_degree, src, 1)
         np.add.at(seen_degree, dst, 1)
         key = seen_degree[src] + seen_degree[dst]
-        order = np.argsort(key, kind="stable")
-
-        num_parts = self.num_parts
-        parts_of = self._parts_of
-        ecount = self._ecount
-        vcount = self._vcount
-        eva = self._eva
-        for pos in order.tolist():
-            u, v = int(src[pos]), int(dst[pos])
-            pu, pv = parts_of[u], parts_of[v]
-            # Online normalization: the offline evaluation function
-            # divides the per-part counts by |E|/p and |V|/p; here the
-            # running totals stand in for the unknown |E| and |V| and
-            # the balance terms are recomputed from the *current*
-            # counts every step, so early units never persist as the
-            # stream grows.  The divisors floor at one edge/vertex per
-            # part (1/p): on the very first chunk, while p > |E seen|
-            # (and before any vertex is covered), the raw running
-            # average is zero and the unguarded quotient would divide
-            # by zero.
-            edge_unit = self.alpha / max(
-                self.edges_assigned / num_parts, 1.0 / num_parts
-            )
-            vertex_unit = self.beta / max(
-                self.vertices_covered / num_parts, 1.0 / num_parts
-            )
-            np.copyto(eva, ecount)
-            eva *= edge_unit
-            eva += vcount * vertex_unit
-            eva += 2.0
-            if pu:
-                eva[pu] -= 1.0
-            if pv:
-                eva[pv] -= 1.0
-            i = int(np.argmin(eva))
-            out[pos] = i
-            self.edges_assigned += 1
-            ecount[i] += 1.0
-            if i not in pu:
-                if not pu:
-                    self.vertices_seen += 1
-                pu.append(i)
-                self.vertices_covered += 1
-                vcount[i] += 1.0
-            if u != v and i not in pv:
-                if not pv:
-                    self.vertices_seen += 1
-                pv.append(i)
-                self.vertices_covered += 1
-                vcount[i] += 1.0
+        self._core.assign(src, dst, np.argsort(key, kind="stable"), out)
         return out
 
     def replication_factor(self, num_vertices: Optional[int] = None) -> float:
@@ -268,14 +174,11 @@ class StreamingEBVAssigner:
         :func:`repro.partition.replication_factor`, which also counts
         isolated vertices.
         """
-        denom = self.vertices_seen if num_vertices is None else int(num_vertices)
-        if denom <= 0:
-            return 1.0
-        return self.vertices_covered / denom
+        return self._core.replication_factor(num_vertices)
 
 
 class ShardedEBVAssigner:
-    """Chunk-consuming core of :class:`ShardedEBVPartitioner`.
+    """Sharded front of :class:`EBVCore`: epochs of stale-snapshot scoring.
 
     One :meth:`assign` call processes one *epoch span* of
     ``num_shards * sync_interval`` consecutive edges: the span is dealt
@@ -301,89 +204,58 @@ class ShardedEBVAssigner:
         num_edges: int,
         num_vertices: int,
     ):
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
-        self.num_parts = int(num_parts)
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        if sync_interval < 1:
+            raise ValueError("sync_interval must be >= 1")
+        # Exact totals, but every shard rolls the state back: derived.
+        self._core = EBVCore(num_parts, alpha, beta, num_edges, num_vertices)
+        self.num_parts = self._core.num_parts
         self.num_shards = int(num_shards)
         self.window = self.num_shards * int(sync_interval)
         self.num_vertices = int(num_vertices)
-        self._committed_masks = [0] * self.num_vertices
-        self._committed_ecount = np.zeros(self.num_parts, dtype=np.int64)
-        self._committed_vcount = np.zeros(self.num_parts, dtype=np.int64)
-        self._edge_unit = float(alpha) / max(num_edges / self.num_parts, 1e-12)
-        self._vertex_unit = float(beta) / max(num_vertices / self.num_parts, 1e-12)
-        self._eva = np.empty(self.num_parts, dtype=np.float64)
 
     def assign(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Run one epoch over a span of ``window`` edges (last may be short)."""
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        src, dst = _edge_arrays(src, dst)
         span = src.shape[0]
         out = np.empty(span, dtype=np.int64)
         if span == 0:
             return out
-        num_parts = self.num_parts
-        committed_masks = self._committed_masks
-        eva = self._eva
-        epoch_masks: List[Dict[int, int]] = []
-        epoch_ecount = np.zeros(num_parts, dtype=np.int64)
+        top = int(max(src.max(), dst.max()))
+        if top >= self.num_vertices:
+            raise ValueError(
+                f"edge references vertex id {top} but the assigner was "
+                f"declared with num_vertices={self.num_vertices}"
+            )
+        core = self._core
+        touched = np.unique(np.concatenate([src, dst]))
+        committed = core.member[touched]
+        ecount, vcount = core.ecount.copy(), core.vcount.copy()
+        merged = committed.copy()
         for s in range(self.num_shards):
-            local_masks: Dict[int, int] = {}
-            local_ecount = self._committed_ecount.astype(np.float64).copy()
-            local_vcount = self._committed_vcount.astype(np.float64).copy()
-            for pos in range(s, span, self.num_shards):
-                u, v = int(src[pos]), int(dst[pos])
-                mask_u = local_masks.get(u, committed_masks[u])
-                mask_v = local_masks.get(v, committed_masks[v])
-                np.copyto(eva, local_ecount)
-                eva *= self._edge_unit
-                eva += local_vcount * self._vertex_unit
-                eva += 2.0
-                for i in range(num_parts):
-                    bit = 1 << i
-                    if mask_u & bit:
-                        eva[i] -= 1.0
-                    if mask_v & bit:
-                        eva[i] -= 1.0
-                i = int(np.argmin(eva))
-                out[pos] = i
-                local_ecount[i] += 1
-                bit = 1 << i
-                if not mask_u & bit:
-                    local_masks[u] = mask_u | bit
-                    local_vcount[i] += 1
-                if u != v:
-                    mask_v = local_masks.get(v, committed_masks[v])
-                    if not mask_v & bit:
-                        local_masks[v] = mask_v | bit
-                        local_vcount[i] += 1
-            epoch_masks.append(local_masks)
-            epoch_ecount += (local_ecount - self._committed_ecount).astype(np.int64)
-        # Synchronization barrier: merge every worker's deltas.
-        for local_masks in epoch_masks:
-            for vertex, mask in local_masks.items():
-                committed_masks[vertex] |= mask
-        self._committed_ecount += epoch_ecount
-        # vcount must be recounted from the merged masks: two workers
-        # may both have replicated the same vertex into a part.
-        vcount = np.zeros(num_parts, dtype=np.int64)
-        for mask in committed_masks:
-            while mask:
-                vcount[(mask & -mask).bit_length() - 1] += 1
-                mask &= mask - 1
-        self._committed_vcount = vcount
+            core.assign(src, dst, np.arange(s, span, self.num_shards), out)
+            merged |= core.member[touched]
+            core.member[touched] = committed
+            core.ecount[:] = ecount
+            core.vcount[:] = vcount
+        # Synchronization barrier: merge every worker's deltas.  vcount
+        # is recounted from the merged rows, not summed: two workers may
+        # both have replicated the same vertex into a part.
+        core.member[touched] = merged
+        core.ecount += np.bincount(out, minlength=self.num_parts)
+        core.vcount += np.count_nonzero(merged, axis=0) - np.count_nonzero(committed, axis=0)
         return out
 
     def replication_factor(self, num_vertices: Optional[int] = None) -> float:
         """Committed replicas per vertex (see :class:`StreamingEBVAssigner`).
 
-        The sharded core knows the exact |V| up front, so the metrics
+        The sharded front knows the exact |V| up front, so the metrics
         convention (``Σ|V_i| / |V|``) is the default denominator.
         """
-        denom = self.num_vertices if num_vertices is None else int(num_vertices)
-        if denom <= 0:
-            return 1.0
-        return int(self._committed_vcount.sum()) / denom
+        return self._core.replication_factor(
+            self.num_vertices if num_vertices is None else num_vertices
+        )
 
 
 class StreamingEBVPartitioner(Partitioner):
@@ -434,16 +306,8 @@ class StreamingEBVPartitioner(Partitioner):
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:
         """Stream the edge list in input order, chunk by chunk."""
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
         m = graph.num_edges
         edge_parts = np.full(m, -1, dtype=np.int64)
-        if num_parts == 1:
-            edge_parts[:] = 0
-            return PartitionResult(
-                graph, num_parts, edge_parts=edge_parts, kind=VERTEX_CUT,
-                method=self.name,
-            )
         assigner = self.streamer(num_parts)
         src, dst = graph.src, graph.dst
         for start in range(0, m, self.chunk_size):
@@ -529,10 +393,6 @@ class ShardedEBVPartitioner(Partitioner):
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:
         """Run the sharded simulation; one epoch = sync_interval edges/shard."""
-        from .ebv import edge_processing_order
-
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
         m = graph.num_edges
         edge_parts = np.full(m, -1, dtype=np.int64)
         order = edge_processing_order(

@@ -24,7 +24,6 @@ from .registry import (
     DuplicateComponentError,
     Registry,
     RegistryError,
-    RegistryView,
     UnknownComponentError,
     format_spec,
     parse_spec,
@@ -43,7 +42,6 @@ __all__ = [
     "STREAMS",
     "PARTITIONERS",
     "Registry",
-    "RegistryView",
     "RegistryError",
     "DuplicateComponentError",
     "UnknownComponentError",

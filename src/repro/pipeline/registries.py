@@ -22,9 +22,9 @@
   :class:`~repro.experiments.ExperimentConfig` and return report text.
 
 These registries are the single source of truth for what exists: CLI
-``choices``, spec validation and deprecation shims are all views over
-them, so the available components can never drift from what the help
-text and error messages advertise.
+``choices`` and spec validation are views over them, so the available
+components can never drift from what the help text and error messages
+advertise.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "Registry",
-    "RegistryView",
     "RegistryError",
     "DuplicateComponentError",
     "UnknownComponentError",
@@ -247,33 +246,5 @@ class Registry:
             rows.append((name, text))
         return rows
 
-    def as_view(self) -> "RegistryView":
-        """A live, read-only mapping over the canonical factories.
-
-        Used by deprecation shims (e.g. ``repro.cli.PARTITIONERS``) so
-        legacy dict-style consumers keep working without freezing a copy
-        that could drift from the registry.
-        """
-        return RegistryView(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry(kind={self.kind!r}, names={list(self.names())})"
-
-
-class RegistryView(Mapping):
-    """Read-only ``Mapping`` facade over a :class:`Registry`."""
-
-    def __init__(self, registry: Registry):
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> Callable[..., Any]:
-        try:
-            return self._registry.get(name)
-        except UnknownComponentError as exc:
-            raise KeyError(name) from exc
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        return len(self._registry)

@@ -10,14 +10,13 @@
    the in-memory path.
 2. **Patch** — each shard drops its removed rows and re-densifies the
    surviving edge ids (a delete shifts every later id down); while
-   streaming the shards the pass accumulates the warm-seed aggregates
-   (degrees, distinct ``(vertex, part)`` incidences, per-part counts).
-   With no deletes the remap is the identity and untouched shards are
-   not rewritten at all — inserts become pure appends.
-3. **Assign + append** — a :class:`StreamingEBVAssigner` is warm-started
-   from the aggregates (:meth:`seed_state`) and the inserted edges run
-   through :func:`windows` exactly like a live stream; each insert is
-   appended to its target shard with a tail edge id.
+   streaming the shards the pass warm-seeds a
+   :class:`StreamingEBVAssigner` one shard at a time (:meth:`seed` is
+   additive).  With no deletes the remap is the identity and untouched
+   shards are not rewritten at all — inserts become pure appends.
+3. **Assign + append** — the inserted edges run through the seeded
+   assigner via :func:`windows` exactly like a live stream; each insert
+   is appended to its target shard with a tail edge id.
 
 Peak memory is O(largest shard + vertex state + |E| part ids) — the
 ``edge_parts.bin`` rewrite holds the id array, matching what
@@ -175,15 +174,13 @@ def patch_spilled_partition(
     # ---- incremental patch -------------------------------------------
     removed = resolved.removed_ids  # sorted ascending
     assigner = partitioner.streamer(num_parts)
-    if not hasattr(assigner, "seed_state"):
+    if not hasattr(assigner, "seed"):
         raise MutationError(
             f"partitioner {getattr(partitioner, 'name', type(partitioner).__name__)!r} "
             "has no warm-seedable assigner; incremental maintenance needs "
             "the streaming EBV core (ebv-stream)"
         )
 
-    degrees = np.zeros(n_new, dtype=np.int64)
-    pair_key_chunks: List[np.ndarray] = []
     edge_counts = np.zeros(num_parts, dtype=np.int64)
     # shard -> (eids, src, dst, w) of surviving rows needing a rewrite
     rewrites: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
@@ -196,26 +193,8 @@ def patch_spilled_partition(
             if w is not None:
                 w = w[keep]
             rewrites[part] = (eids, src, dst, w)
-        if src.shape[0]:
-            degrees += np.bincount(src, minlength=n_new) + np.bincount(
-                dst, minlength=n_new
-            )
-            pair_key_chunks.append(
-                np.unique(np.concatenate([src, dst])) * num_parts + part
-            )
-            edge_counts[part] = src.shape[0]
-    pair_keys = (
-        np.unique(np.concatenate(pair_key_chunks))
-        if pair_key_chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    assigner.seed_state(
-        degrees,
-        pair_keys // num_parts,
-        pair_keys % num_parts,
-        edge_counts,
-        m_surviving,
-    )
+        assigner.seed(src, dst, np.full(src.shape[0], part), num_vertices=n_new)
+        edge_counts[part] = src.shape[0]
 
     insert_parts = [
         assigner.assign(s, d)

@@ -12,6 +12,7 @@ from repro.partition import (
     replication_factor,
     vertex_imbalance_factor,
 )
+from repro.partition.streaming import ShardedEBVAssigner
 
 
 class TestStreamingEBV:
@@ -148,6 +149,25 @@ class TestAssignerContract:
             part.streamer(4)
         assigner = part.streamer(4, num_edges=100, num_vertices=50)
         assert assigner.window == part.num_shards * part.sync_interval
+
+    def test_sharded_assigner_validates_its_own_arguments(self):
+        """The assigner is public: built directly it must not accept what
+        the partitioner's constructor rejects (``num_shards=0`` used to
+        hand back an uninitialised ``np.empty`` array)."""
+        with pytest.raises(ValueError, match="num_shards"):
+            ShardedEBVAssigner(4, 0, 8, 1.0, 1.0, num_edges=10, num_vertices=10)
+        with pytest.raises(ValueError, match="sync_interval"):
+            ShardedEBVAssigner(4, 2, 0, 1.0, 1.0, num_edges=10, num_vertices=10)
+
+    def test_sharded_assigner_names_an_out_of_range_vertex(self):
+        """An id past the declared |V| used to die mid-epoch with a bare
+        ``IndexError: list index out of range``."""
+        assigner = ShardedEBVAssigner(4, 2, 8, 1.0, 1.0, num_edges=3, num_vertices=10)
+        with pytest.raises(ValueError, match=r"vertex id 10 .*num_vertices=10"):
+            assigner.assign(np.array([0, 3, 9]), np.array([1, 10, 2]))
+        # nothing was committed by the rejected window
+        assert assigner.replication_factor() == 0.0
+        assert assigner.assign(np.array([0, 3]), np.array([1, 9])).shape == (2,)
 
     def test_sorted_sharded_cannot_stream(self):
         with pytest.raises(ValueError, match="sort_edges"):

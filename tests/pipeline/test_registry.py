@@ -121,18 +121,6 @@ class TestRegistry:
         assert reg.names() == ("alpha", "beta")
         assert reg.create("beta?y=2") == ("beta", {"y": 2})
 
-    def test_view_is_live_and_read_only(self):
-        reg = self.make()
-        view = reg.as_view()
-        assert set(view) == {"alpha"}
-        reg.register("beta", lambda: "b")
-        assert set(view) == {"alpha", "beta"}
-        assert view["beta"]() == "b"
-        with pytest.raises(KeyError):
-            view["bogus"]
-        with pytest.raises(TypeError):
-            view["gamma"] = lambda: None
-
 
 class TestConcreteRegistries:
     def test_partitioners_cover_cli_names(self):

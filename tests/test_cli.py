@@ -334,30 +334,6 @@ class TestPipeline:
         assert "partition stage failed" in capsys.readouterr().err
 
 
-class TestDeprecationShims:
-    def test_partitioners_view_warns_and_works(self):
-        import repro.cli as cli
-
-        with pytest.warns(DeprecationWarning, match="PARTITIONERS"):
-            view = cli.PARTITIONERS
-        assert "ebv" in view
-        assert callable(view["ebv"])
-        assert sorted(view)  # iterable like the old dict
-
-    def test_experiments_view_warns_and_works(self):
-        import repro.cli as cli
-
-        with pytest.warns(DeprecationWarning, match="EXPERIMENTS"):
-            view = cli.EXPERIMENTS
-        assert "table1" in view and "all" in view
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.cli as cli
-
-        with pytest.raises(AttributeError):
-            cli.NOT_A_THING
-
-
 class TestExperiment:
     def test_table1(self, capsys):
         assert main(["experiment", "table1", "--scale", "0.1"]) == 0
