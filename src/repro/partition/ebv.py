@@ -21,6 +21,7 @@ descending, random, and raw input order.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,6 +32,10 @@ from .base import VERTEX_CUT, Partitioner, PartitionResult
 __all__ = ["EBVCore", "EBVPartitioner", "SORT_ORDERS", "edge_processing_order"]
 
 SORT_ORDERS = ("ascending", "descending", "random", "input")
+
+#: edges whose endpoints are packed into Python ints at once; bounds the
+#: scalar working set of :meth:`EBVCore.assign` whatever the call's length
+_BLOCK = 4096
 
 
 def edge_processing_order(
@@ -63,10 +68,10 @@ class EBVCore:
     State is the replica bitmap ``member`` (``member[v, i]`` iff
     ``v ∈ keep[i]``; rows grow on demand via :meth:`grow`) and the int64
     per-part ``ecount``/``vcount``.  :meth:`assign` is Algorithm 1's
-    loop: score an edge against every part, ``arg min`` (ties to the
-    lowest id), commit.  The offline, streaming and sharded partitioners
-    are fronts that choose the processing order and own whatever else is
-    theirs (degree estimates, epoch snapshots); none of them scores.
+    loop: ``arg min`` of Eq. 2 over the parts (ties to the lowest id),
+    commit.  The offline, streaming and sharded partitioners are fronts
+    that choose the processing order and own whatever else is theirs
+    (degree estimates, epoch snapshots); none of them scores.
 
     Normalization: pass the exact ``num_edges``/``num_vertices`` to
     divide by ``|E|/p`` and ``|V|/p`` as Eq. 2 is written; leave them
@@ -84,6 +89,21 @@ class EBVCore:
     never rewritten from outside (offline EBV); running totals
     (streaming), :meth:`seed` and rolled-back snapshots (sharded) all
     need derived.
+
+    Candidate classes: Eq. 2 is two integer replica terms plus a balance
+    term, so with ``score(i) = balance(i) + 2`` every part of class
+    ``k = I(u ∈ keep[i]) + I(v ∈ keep[i])`` has ``eva(i) = score(i) - k``
+    — bit for bit, since ``x - 1.0`` is exact for a double ``2 ≤ x <
+    2**53``.  :meth:`assign` therefore scores only the highest non-empty
+    class (the parts holding both endpoints, else either) and takes its
+    least score when that beats a lower bound on every part's score by
+    more than one class; otherwise (:attr:`full_scans` counts these) it
+    evaluates Eq. 2 on all ``p`` parts.  The class is read off packed
+    replica masks: per block of ``_BLOCK`` edges the touched rows of
+    ``member`` become one Python int per vertex, and the counts and the
+    balance vector become Python lists for the call.  The arrays above
+    stay the canonical state between calls — rows are written back
+    after every block, counts and balance at the end of the call.
     """
 
     def __init__(
@@ -110,6 +130,8 @@ class EBVCore:
                 self.beta / max(num_vertices / p, 1e-12),
             )
         self._balance = np.zeros(p, dtype=np.float64) if maintained else None
+        #: edges whose arg min needed Eq. 2 on every part (see :meth:`assign`)
+        self.full_scans = 0
 
     @property
     def edges_assigned(self) -> int:
@@ -153,6 +175,11 @@ class EBVCore:
         it, so calls add up (one per spilled shard, say).  Derived
         cores only: a maintained balance vector cannot be rebuilt.
         """
+        if self._balance is not None:
+            raise ValueError(
+                "seed() needs a derived core: the maintained balance vector "
+                "cannot be rebuilt from counts"
+            )
         self.member[src, parts] = True
         self.member[dst, parts] = True
         self.ecount += np.bincount(parts, minlength=self.num_parts)
@@ -170,57 +197,130 @@ class EBVCore:
 
         Writes the chosen part to ``out[j]`` and, when given,
         ``Σ_i |V_i|`` after the ``t``-th step to ``trace[t]``.  Vertex
-        ids must be below ``member.shape[0]`` (see :meth:`grow`).
+        ids must lie in ``[0, member.shape[0])`` (see :meth:`grow`).
         """
         p = self.num_parts
-        member, ecount, vcount, balance = self.member, self.ecount, self.vcount, self._balance
+        member, balance = self.member, self._balance
+        maintained = balance is not None
         alpha, beta = self.alpha, self.beta
         running = self._units is None
         if not running:
             edge_unit, vertex_unit = self._units
-        assigned, covered = self.edges_assigned, self.vertices_covered
-        eva = np.empty(p, dtype=np.float64)
-        term = np.empty(p, dtype=np.float64)
-        for t, j in enumerate(order.tolist()):
-            in_u = member[src[j]]
-            in_v = member[dst[j]]
-            # eva[i] = balance[i] + 2 - I(u ∈ keep[i]) - I(v ∈ keep[i])
-            if balance is not None:
-                np.add(balance, 2.0, out=eva)
-            else:
+        ec, vc = self.ecount.tolist(), self.vcount.tolist()
+        bal = balance.tolist() if maintained else None
+        assigned, covered = sum(ec), sum(vc)
+        # ``floor`` bounds every part's score from below: the score of
+        # min(bal), or of min(ec) and min(vc) together.  All three only
+        # grow inside a call, so a stale minimum stays a bound; it is
+        # refreshed when the guard below fails.
+        low_ec = low_vc = 0
+        floor = 2.0
+        for start in range(0, order.shape[0], _BLOCK):
+            block = order[start : start + _BLOCK]
+            size = block.shape[0]
+            verts, local = np.unique(
+                np.concatenate([src[block], dst[block]]), return_inverse=True
+            )
+            masks = _pack_rows(member[verts])
+            local = local.tolist()
+            chosen = []
+            gains = []  # (step, local vertex, part) of every new replica
+            covered_before = covered
+            for a, b in zip(local[:size], local[size:]):
+                mask_u = masks[a]
+                mask_v = masks[b]
+                # score(i) = balance(i) + 2, so that eva(i) = score(i) - k
+                # for the parts of class k = I(u ∈ keep[i]) + I(v ∈ keep[i])
                 if running:
                     edge_unit = alpha / max(assigned / p, 1.0 / p)
                     vertex_unit = beta / max(covered / p, 1.0 / p)
-                np.multiply(ecount, edge_unit, out=eva)
-                np.multiply(vcount, vertex_unit, out=term)
-                eva += term
-                eva += 2.0
-            eva -= in_u
-            eva -= in_v
-            i = int(np.argmin(eva))
-            out[j] = i
-            ecount[i] += 1
-            assigned += 1
-            # a self loop's two rows are one view: the second test sees the first write
-            gained = 0
-            if not in_u[i]:
-                in_u[i] = True
-                gained = 1
-            if not in_v[i]:
-                in_v[i] = True
-                gained += 1
-            if gained:
-                vcount[i] += gained
-                covered += gained
-            if balance is not None:
-                # one addition per unit, in commit order: this is the rounding
-                # the maintained policy exists to preserve
-                bumped = balance[i] + edge_unit
-                for _ in range(gained):
-                    bumped += vertex_unit
-                balance[i] = bumped
+                    floor = low_ec * edge_unit + low_vc * vertex_unit + 2.0
+                # least score in the highest non-empty class, lowest id first
+                rest = mask_u & mask_v or mask_u | mask_v
+                best = inf
+                while rest:
+                    low = rest & -rest
+                    i = low.bit_length() - 1
+                    score = (
+                        bal[i] + 2.0
+                        if maintained
+                        else ec[i] * edge_unit + vc[i] * vertex_unit + 2.0
+                    )
+                    if score < best:
+                        best = score
+                        w = i
+                    rest ^= low
+                # Every part outside the class sits at least one class lower
+                # and scores at least ``floor``: the class winner is the
+                # arg min iff it beats ``floor`` by more than that one.
+                if not best - 1.0 < floor:
+                    if maintained:
+                        floor = min(bal) + 2.0
+                    else:
+                        low_ec, low_vc = min(ec), min(vc)
+                        floor = low_ec * edge_unit + low_vc * vertex_unit + 2.0
+                    if not best - 1.0 < floor:
+                        # Eq. 2 over all parts, as Algorithm 1 writes it
+                        self.full_scans += 1
+                        if maintained:
+                            eva = [x + 2.0 for x in bal]
+                        else:
+                            eva = [
+                                e * edge_unit + v * vertex_unit + 2.0
+                                for e, v in zip(ec, vc)
+                            ]
+                        eva = [
+                            x - (mask_u >> i & 1) - (mask_v >> i & 1)
+                            for i, x in enumerate(eva)
+                        ]
+                        w = eva.index(min(eva))
+                ec[w] += 1
+                assigned += 1
+                bit = 1 << w
+                gained = 0
+                if not mask_u & bit:
+                    masks[a] = mask_u | bit
+                    gains.append((len(chosen), a, w))
+                    gained = 1
+                if a != b and not mask_v & bit:
+                    masks[b] = mask_v | bit
+                    gains.append((len(chosen), b, w))
+                    gained += 1
+                if gained:
+                    vc[w] += gained
+                    covered += gained
+                chosen.append(w)
+                if maintained:
+                    # one addition per unit, in commit order: this is the
+                    # rounding the maintained policy exists to preserve
+                    bumped = bal[w] + edge_unit
+                    for _ in range(gained):
+                        bumped += vertex_unit
+                    bal[w] = bumped
+            out[block] = chosen
+            steps, rows, parts = np.array(gains, dtype=np.int64).reshape(-1, 3).T
+            member[verts[rows], parts] = True
             if trace is not None:
-                trace[t] = covered
+                trace[start : start + size] = covered_before + np.cumsum(
+                    np.bincount(steps, minlength=size)
+                )
+        self.ecount[:] = ec
+        self.vcount[:] = vc
+        if maintained:
+            balance[:] = bal
+
+
+def _pack_rows(rows: np.ndarray) -> list:
+    """One Python int per row of a bool matrix; bit ``i`` is column ``i``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    count, nbytes = packed.shape
+    words = np.zeros((count, -(-nbytes // 8)), dtype="<u8")
+    words.view(np.uint8)[:, :nbytes] = packed
+    masks = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        high = words[:, k].tolist()
+        masks = [m | (h << 64 * k) for m, h in zip(masks, high)]
+    return masks
 
 
 class EBVPartitioner(Partitioner):

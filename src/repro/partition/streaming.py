@@ -84,6 +84,18 @@ def _edge_arrays(*arrays) -> tuple:
     return tuple(np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
 
 
+def _top_vertex(src: np.ndarray, dst: np.ndarray) -> int:
+    """Highest vertex id of a non-empty window; rejects negative ids.
+
+    A negative id would index the replica bitmap from the end and score
+    against some other vertex's row.
+    """
+    low = int(min(src.min(), dst.min()))
+    if low < 0:
+        raise ValueError(f"edge references negative vertex id {low}")
+    return int(max(src.max(), dst.max()))
+
+
 class StreamingEBVAssigner:
     """Streaming front of :class:`EBVCore`: online degrees + window sort.
 
@@ -139,7 +151,7 @@ class StreamingEBVAssigner:
             )
         n = int(num_vertices) if num_vertices is not None else 0
         if m:
-            n = max(n, int(max(src.max(), dst.max())) + 1)
+            n = max(n, _top_vertex(src, dst) + 1)
         self._grow(n)
         cap = self._seen_degree.shape[0]
         self._seen_degree += np.bincount(src, minlength=cap) + np.bincount(dst, minlength=cap)
@@ -156,7 +168,7 @@ class StreamingEBVAssigner:
         out = np.empty(src.shape[0], dtype=np.int64)
         if src.shape[0] == 0:
             return out
-        self._grow(int(max(src.max(), dst.max())) + 1)
+        self._grow(_top_vertex(src, dst) + 1)
         seen_degree = self._seen_degree
         np.add.at(seen_degree, src, 1)
         np.add.at(seen_degree, dst, 1)
@@ -222,7 +234,7 @@ class ShardedEBVAssigner:
         out = np.empty(span, dtype=np.int64)
         if span == 0:
             return out
-        top = int(max(src.max(), dst.max()))
+        top = _top_vertex(src, dst)
         if top >= self.num_vertices:
             raise ValueError(
                 f"edge references vertex id {top} but the assigner was "

@@ -14,6 +14,11 @@ core's three fronts to reproduce them byte for byte:
 The fourth, :func:`algorithm1_exact`, is the paper's Algorithm 1 in
 exact integer arithmetic: no floats, so ties always break to the lowest
 subgraph id.
+
+The fifth, :class:`OracleCore`, is ``EBVCore`` as it stood at commit
+7aeb7a2 — Eq. 2 evaluated on all ``p`` parts for every edge — kept so
+the candidate-class ``EBVCore.assign`` can be compared with it call by
+call, state included.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graph import Graph
-from repro.partition.ebv import edge_processing_order
+from repro.partition.ebv import EBVCore, edge_processing_order
 
 
 class OracleEBV:
@@ -432,6 +437,174 @@ class OracleShardedAssigner:
         if denom <= 0:
             return 1.0
         return int(self._committed_vcount.sum()) / denom
+
+
+class OracleCore:
+    """Parent ``EBVCore`` (commit 7aeb7a2), verbatim: Eq. 2 on all parts per edge.
+
+    The loop ``EBVCore.assign`` scored every edge with before it learned
+    to score only the candidate class — one ``np.argmin`` over a
+    length-``p`` vector per edge, in all three balance modes
+    (maintained; derived with exact totals; derived with running
+    totals).  State layout is the core's own, so a test can compare
+    ``member``/``ecount``/``vcount``/``_balance`` after every call.
+    """
+
+    def __init__(
+        self,
+        num_parts: int,
+        alpha: float,
+        beta: float,
+        num_edges: Optional[int] = None,
+        num_vertices: Optional[int] = None,
+        maintained: bool = False,
+    ):
+        if num_parts < 1:
+            raise ValueError("num_parts must be >= 1")
+        self.num_parts = p = int(num_parts)
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.member = np.zeros((int(num_vertices or 0), p), dtype=bool)
+        self.ecount = np.zeros(p, dtype=np.int64)
+        self.vcount = np.zeros(p, dtype=np.int64)
+        self._units: Optional[Tuple[float, float]] = None
+        if num_edges is not None and num_vertices is not None:
+            self._units = (
+                self.alpha / max(num_edges / p, 1e-12),
+                self.beta / max(num_vertices / p, 1e-12),
+            )
+        self._balance = np.zeros(p, dtype=np.float64) if maintained else None
+
+    @property
+    def edges_assigned(self) -> int:
+        return int(self.ecount.sum())
+
+    @property
+    def vertices_covered(self) -> int:
+        return int(self.vcount.sum())
+
+    def grow(self, num_vertices: int) -> None:
+        """Make room for vertex ids below ``num_vertices`` (amortized O(1))."""
+        have = self.member.shape[0]
+        if num_vertices > have:
+            grown = np.zeros((max(num_vertices, 2 * have), self.num_parts), dtype=bool)
+            grown[:have] = self.member
+            self.member = grown
+
+    def seed(self, src: np.ndarray, dst: np.ndarray, parts: np.ndarray) -> None:
+        """Add edges already assigned elsewhere: ``(src[j], dst[j]) → parts[j]``.
+
+        Writes straight into the bitmap and re-derives ``vcount`` from
+        it, so calls add up (one per spilled shard, say).  Derived
+        cores only: a maintained balance vector cannot be rebuilt.
+        """
+        self.member[src, parts] = True
+        self.member[dst, parts] = True
+        self.ecount += np.bincount(parts, minlength=self.num_parts)
+        self.vcount[:] = np.count_nonzero(self.member, axis=0)
+
+    def assign(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        order: np.ndarray,
+        out: np.ndarray,
+        trace: Optional[np.ndarray] = None,
+    ) -> None:
+        """Assign edges ``(src[j], dst[j])`` for ``j`` in ``order``, in order.
+
+        Writes the chosen part to ``out[j]`` and, when given,
+        ``Σ_i |V_i|`` after the ``t``-th step to ``trace[t]``.  Vertex
+        ids must be below ``member.shape[0]`` (see :meth:`grow`).
+        """
+        p = self.num_parts
+        member, ecount, vcount, balance = self.member, self.ecount, self.vcount, self._balance
+        alpha, beta = self.alpha, self.beta
+        running = self._units is None
+        if not running:
+            edge_unit, vertex_unit = self._units
+        assigned, covered = self.edges_assigned, self.vertices_covered
+        eva = np.empty(p, dtype=np.float64)
+        term = np.empty(p, dtype=np.float64)
+        for t, j in enumerate(order.tolist()):
+            in_u = member[src[j]]
+            in_v = member[dst[j]]
+            # eva[i] = balance[i] + 2 - I(u ∈ keep[i]) - I(v ∈ keep[i])
+            if balance is not None:
+                np.add(balance, 2.0, out=eva)
+            else:
+                if running:
+                    edge_unit = alpha / max(assigned / p, 1.0 / p)
+                    vertex_unit = beta / max(covered / p, 1.0 / p)
+                np.multiply(ecount, edge_unit, out=eva)
+                np.multiply(vcount, vertex_unit, out=term)
+                eva += term
+                eva += 2.0
+            eva -= in_u
+            eva -= in_v
+            i = int(np.argmin(eva))
+            out[j] = i
+            ecount[i] += 1
+            assigned += 1
+            # a self loop's two rows are one view: the second test sees the first write
+            gained = 0
+            if not in_u[i]:
+                in_u[i] = True
+                gained = 1
+            if not in_v[i]:
+                in_v[i] = True
+                gained += 1
+            if gained:
+                vcount[i] += gained
+                covered += gained
+            if balance is not None:
+                # one addition per unit, in commit order: this is the rounding
+                # the maintained policy exists to preserve
+                bumped = balance[i] + edge_unit
+                for _ in range(gained):
+                    bumped += vertex_unit
+                balance[i] = bumped
+            if trace is not None:
+                trace[t] = covered
+
+
+#: ``EBVCore`` balance modes as ``(maintained, exact totals)``: the
+#: offline, sharded and streaming fronts' respectively
+CORE_MODES = {"maintained": (True, True), "derived": (False, True), "running": (False, False)}
+
+
+def core_pair(mode: str, num_parts: int, alpha: float, beta: float,
+              num_edges: int, num_vertices: int) -> list:
+    """``[EBVCore, OracleCore]`` built alike, with room for every vertex."""
+    maintained, exact = CORE_MODES[mode]
+    totals = (num_edges, num_vertices) if exact else ()
+    pair = [
+        cls(num_parts, alpha, beta, *totals, maintained=maintained)
+        for cls in (EBVCore, OracleCore)
+    ]
+    for core in pair:
+        core.grow(num_vertices)
+    return pair
+
+
+def assert_same_state(core, oracle) -> None:
+    assert core.member.tobytes() == oracle.member.tobytes()
+    assert core.ecount.tobytes() == oracle.ecount.tobytes()
+    assert core.vcount.tobytes() == oracle.vcount.tobytes()
+    if oracle._balance is not None:
+        assert core._balance.tobytes() == oracle._balance.tobytes()
+
+
+def assert_same_assignment(core, oracle, src, dst, order) -> np.ndarray:
+    """Run one ``assign`` on both; parts, growth trace and state must match."""
+    out, want = (np.full(src.shape[0], -1, dtype=np.int64) for _ in range(2))
+    trace, want_trace = (np.zeros(order.shape[0], dtype=np.int64) for _ in range(2))
+    core.assign(src, dst, order, out, trace)
+    oracle.assign(src, dst, order, want, want_trace)
+    assert out.tobytes() == want.tobytes()
+    assert trace.tobytes() == want_trace.tobytes()
+    assert_same_state(core, oracle)
+    return out
 
 
 def oracle_stream_partition(

@@ -1,14 +1,17 @@
-"""Property test: ``EBVCore``'s counters always agree with its bitmap.
+"""Property tests: ``EBVCore`` under random ``seed``/``assign`` interleavings.
 
-Random interleavings of ``seed`` and ``assign`` over random edge
-windows, in both normalization modes of the derived policy.  After
-every call the redundant state (per-part counts, the derived counters)
-must equal what the replica bitmap and the assignment history say.
+After every call the redundant state (per-part counts, the derived
+counters) must equal what the replica bitmap and the assignment history
+say, and — for random balance weights — the assignment and the whole
+state must equal ``oracles.OracleCore``'s, which evaluates Eq. 2 on
+every part for every edge.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import CORE_MODES, assert_same_assignment, assert_same_state, core_pair
 from repro.graph import Graph
 from repro.partition import VERTEX_CUT, PartitionResult, replication_factor
 from repro.partition.ebv import EBVCore
@@ -68,3 +71,40 @@ def test_counters_match_bitmap_after_every_call(steps, p, exact_totals):
                 kind=VERTEX_CUT,
             )
             assert core.replication_factor(NUM_VERTICES) == replication_factor(assembled)
+
+
+weights = st.floats(min_value=1e-9, max_value=1e3)
+
+
+@given(
+    steps=steps,
+    p=st.sampled_from([1, 2, 3, 5, 8, 9, 65]),
+    alpha=weights,
+    beta=weights,
+    mode=st.sampled_from(sorted(CORE_MODES)),
+)
+@settings(max_examples=200, deadline=None)
+def test_assignment_and_state_match_the_all_parts_oracle(steps, p, alpha, beta, mode):
+    """Candidate-class scoring is exact, not approximate: for any α, β in
+    [1e-9, 1e3] every call leaves the same bytes behind as the oracle."""
+    total_edges = sum(len(edges) for _, edges, _ in steps)
+    core, oracle = core_pair(mode, p, alpha, beta, total_edges, NUM_VERTICES)
+    for is_seed, edges, entropy in steps:
+        src, dst = (np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+        rng = np.random.default_rng(entropy)
+        if not is_seed:
+            assert_same_assignment(core, oracle, src, dst, rng.permutation(src.shape[0]))
+        elif mode != "maintained":  # a maintained core cannot be seeded
+            parts = rng.integers(0, p, size=src.shape[0])
+            core.seed(src, dst, parts)
+            oracle.seed(src, dst, parts)
+            assert_same_state(core, oracle)
+
+
+def test_a_maintained_core_refuses_seeding():
+    """``seed`` rewrites the counts; the maintained balance vector would
+    silently keep scoring with the old ones."""
+    core = EBVCore(4, 1.0, 1.0, 10, 6, maintained=True)
+    with pytest.raises(ValueError, match="derived core"):
+        core.seed(np.array([0]), np.array([1]), np.array([2]))
+    assert core.edges_assigned == 0 and not core.member.any()

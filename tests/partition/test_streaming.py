@@ -12,7 +12,7 @@ from repro.partition import (
     replication_factor,
     vertex_imbalance_factor,
 )
-from repro.partition.streaming import ShardedEBVAssigner
+from repro.partition.streaming import ShardedEBVAssigner, StreamingEBVAssigner
 
 
 class TestStreamingEBV:
@@ -168,6 +168,24 @@ class TestAssignerContract:
         # nothing was committed by the rejected window
         assert assigner.replication_factor() == 0.0
         assert assigner.assign(np.array([0, 3]), np.array([1, 9])).shape == (2,)
+
+    def test_assigners_reject_a_negative_vertex_id(self):
+        """Row ``-1`` of the replica bitmap is the *last* vertex's: a
+        negative id used to be scored against it and return parts."""
+        src, dst = np.array([0, 1, -1]), np.array([1, 2, 2])
+        streaming = StreamingEBVAssigner(4, 16, 1.0, 1.0)
+        sharded = ShardedEBVAssigner(4, 2, 8, 1.0, 1.0, num_edges=3, num_vertices=10)
+        for assigner in (streaming, sharded):
+            fresh = assigner.replication_factor()
+            with pytest.raises(ValueError, match="negative vertex id -1"):
+                assigner.assign(src, dst)
+            # nothing was committed by the rejected window
+            assert assigner.replication_factor() == fresh
+            assert assigner.assign(src[:2], dst[:2]).shape == (2,)
+        before = streaming.replication_factor(10)
+        with pytest.raises(ValueError, match="negative vertex id -3"):
+            streaming.seed(np.array([0, 4]), np.array([-3, 2]), np.array([0, 1]))
+        assert streaming.replication_factor(10) == before
 
     def test_sorted_sharded_cannot_stream(self):
         with pytest.raises(ValueError, match="sort_edges"):
