@@ -5,7 +5,6 @@ from .distributed import (
     DistributedGraph,
     LocalSubgraph,
     build_distributed_graph,
-    build_distributed_graph_legacy,
 )
 from .engine import BSPEngine, BSPRun, SuperstepStats
 from .program import ACCUMULATE, MINIMIZE, ComputeResult, SubgraphProgram
@@ -15,7 +14,6 @@ __all__ = [
     "DistributedGraph",
     "LocalSubgraph",
     "build_distributed_graph",
-    "build_distributed_graph_legacy",
     "BSPEngine",
     "BSPRun",
     "SuperstepStats",

@@ -1,7 +1,8 @@
 """``repro.runtime`` — pluggable parallel execution for the BSP engine.
 
 The paper's engine (DRONE, Section IV-B) runs subgraph workers on a
-real cluster; this package is the shared-memory analogue.  It executes
+real cluster; this package is its single-host (and, over TCP,
+multi-host) analogue.  It executes
 *both* stages of every :class:`~repro.bsp.program.SubgraphProgram`
 superstep — computation *and* replica exchange — genuinely in parallel,
 while the :class:`~repro.bsp.engine.BSPEngine` keeps owning the
@@ -15,7 +16,8 @@ The session exposes the per-worker state arrays (values / active /
 changed / partials) and two operations:
 
 ``compute_stage(superstep)``
-    Runs :func:`repro.runtime.worker.superstep_compute` for every
+    Runs :meth:`WorkerShard.compute` (the
+    :func:`~repro.runtime.worker.superstep_compute` kernel) for every
     worker and blocks until all of them finish (the first barrier of
     the superstep).
 
@@ -26,34 +28,52 @@ changed / partials) and two operations:
     (:func:`~repro.runtime.worker.superstep_exchange_up`), all workers
     barrier, then every worker pulls its inbound master→mirror
     broadcasts (:func:`~repro.runtime.worker.superstep_exchange_down`).
-    Masters and mirrors trade values through shared memory, never
-    through per-superstep serialization; exact sent/received message
-    tallies return through the stage barrier as an
-    :class:`~repro.runtime.base.ExchangeResult`.
+    Exact sent/received message tallies return through the stage
+    barrier as an :class:`~repro.runtime.base.ExchangeResult`.
 
-Four backends ship:
+One shard, four places to put it
+--------------------------------
+Every backend executes the same object — a
+:class:`~repro.runtime.shard.WorkerShard`, which holds one worker's
+subgraph, program, inbound routes and ``p``-length lists of the state
+arrays, and is the *only* caller of the three kernels in
+:mod:`repro.runtime.worker` (``compute`` / ``exchange_up`` /
+``exchange_down``, each returning ``(value, t0_ns, t1_ns)``).  Backends
+differ only in where the shards live, what carries commands to them
+(the **link**) and where the state arrays are (the **state plane**):
 
-``serial``
-    The reference and bit-identity oracle: workers run sequentially in
-    the calling process, up phase before down phase.
-``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`;
-    workers share the engine's heap arrays, parallelism comes from
-    numpy releasing the GIL inside bulk kernels.
-``process``
-    A persistent ``multiprocessing`` pool.  Each child receives its
-    :class:`~repro.bsp.distributed.LocalSubgraph`, program and inbound
-    route slices once, at session start, and holds them for the whole
-    run.
-``socket``
-    Workers as fully independent processes behind framed TCP
-    (:mod:`repro.runtime.socket`) — spawned locally by the session or
-    launched standalone on other machines via ``repro worker``.  Each
-    worker allocates and owns its shard's state for the whole run; the
-    coordinator never holds O(|V|·p) state, exchanges move
-    change-compacted route slices over the wire, and dead workers
-    surface as :class:`~repro.runtime.base.WorkerLostError` with a
-    checkpoint-restore recovery path in the engine.
+===========  ======================  ====================  =======================  ==========
+backend      shards live in          link                  state plane              recovery
+===========  ======================  ====================  =======================  ==========
+``serial``   the calling process,    a method call         session's heap arrays    —
+             run one after another
+``thread``   the calling process,    ``pool.submit`` of    session's heap arrays    —
+             on a persistent         the bound method
+             ``ThreadPoolExecutor``
+``process``  one daemon child each   ``multiprocessing``   shared memory: parent    no
+                                     pipe + ``Process``    allocates, every child
+                                                           maps every block
+``socket``   one ``repro worker``    framed TCP            wire: each worker owns   spawned-
+             process each (spawned   (:mod:`.wire`) +      its arrays; exchange     local
+             locally or launched     ``Popen`` / external  is collect → reroute →   only
+             on another machine)     endpoint              apply; state access is
+                                                           a command
+===========  ======================  ====================  =======================  ==========
+
+``serial`` is the reference and bit-identity oracle.  ``process`` and
+``socket`` are one session class
+(:class:`~repro.runtime.protocol.CommandSession`: spawn → ``init`` →
+``ready``, one command per stage phase, collecting replies is the
+barrier, stage timeouts, typed :class:`WorkerLostError`, the failed
+latch, one teardown escalation) and one worker loop
+(:func:`~repro.runtime.protocol.serve`); :mod:`~repro.runtime.process`
+and :mod:`~repro.runtime.socket` supply only their link, spawner and
+plane.  On the wire plane sibling slots of a shard hold index-compacted
+stand-ins rebuilt from what the siblings sent (see
+:mod:`repro.runtime.shard` for why that is exact), the coordinator
+never holds O(|V|·p) state, and a lost coordinator-spawned worker can
+be replaced from the last checkpoint
+(``BSPEngine(max_recoveries=...)``).
 
 Shared-memory layout (process backend)
 --------------------------------------
@@ -123,8 +143,9 @@ from .base import (
     finish_exchange_stage,
 )
 from .process import ProcessBackend
-from .protocol import DEFAULT_STAGE_TIMEOUT, CommandSession
+from .protocol import DEFAULT_STAGE_TIMEOUT, CommandSession, serve
 from .serial import SerialBackend
+from .shard import WorkerShard
 from .socket import SocketBackend, serve_worker
 from .threads import ThreadBackend
 from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
@@ -136,8 +157,10 @@ __all__ = [
     "CommandSession",
     "DEFAULT_STAGE_TIMEOUT",
     "WorkerLostError",
+    "serve",
     "serve_worker",
     "SharedArraySession",
+    "WorkerShard",
     "WorkerState",
     "ExchangeScratch",
     "ComputeStageResult",

@@ -16,7 +16,9 @@ backend-agnostic: it only ever
    convergence check, the final gather, and checkpoint save/restore.
 
 Both stages execute however the backend sees fit — sequentially, on a
-thread pool, or on a persistent process pool over shared memory.
+thread pool, on a persistent process pool over shared memory, or in TCP
+workers; what executes is always a
+:class:`~repro.runtime.shard.WorkerShard` per worker.
 
 The correctness contract is: after ``compute_stage`` returns,
 ``state.values``/``state.active``/``state.changed`` (and
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from time import monotonic_ns
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,7 @@ import numpy as np
 from ..bsp.distributed import DistributedGraph, _Route
 from ..bsp.program import ACCUMULATE, MINIMIZE, SubgraphProgram
 from ..obs import NULL_RECORDER
-from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
+from .shard import TimedResult, WorkerShard
 
 __all__ = [
     "BackendError",
@@ -256,15 +257,6 @@ def assemble_exchange(
     for d in deltas:
         delta += float(d)
     return ExchangeResult(sent=sent, received=received, delta=delta)
-
-
-#: one worker's timed phase result: ``(value, t0_ns, t1_ns)`` with the
-#: monotonic-clock readings bracketing the kernel call.  The serial and
-#: thread sessions produce these from the timed thunks below; the
-#: process backend's children produce the identical triple and ship it
-#: back on the existing per-superstep pipe reply — no new
-#: synchronization, the reply *is* the barrier.
-TimedResult = Tuple[object, int, int]
 
 
 def _record_worker_phase(
@@ -584,70 +576,20 @@ def allocate_local_scratch(
 class SharedArraySession(BackendSession):
     """Base for in-process sessions whose workers share the heap arrays.
 
-    Owns the state, the scratch, and the once-per-run :class:`RoutePlan`,
-    and provides the per-worker stage thunks the serial backend calls
-    inline and the thread backend submits to its pool.  Subclasses
-    decide only *how* the thunks run; *what* they run is the shared
-    kernels in :mod:`repro.runtime.worker`, which is what keeps every
-    backend bit-identical.
+    Owns the state, the exchange scratch and one
+    :class:`~repro.runtime.shard.WorkerShard` per worker over them (the
+    :class:`RoutePlan` is built once, here).  Subclasses decide only
+    *how* the shards' ``compute`` / ``exchange_up`` / ``exchange_down``
+    run — inline or on a pool; *what* they run is the shard, which is
+    what keeps every backend bit-identical.
     """
 
     def __init__(self, dgraph: DistributedGraph, program: SubgraphProgram):
-        self._dgraph = dgraph
-        self._program = program
         self.state = allocate_state(dgraph, program)
-        self._scratch = allocate_scratch(dgraph, program, self.state)
-        self._plan = build_route_plan(dgraph)
-
-    # -- per-worker stage thunks ---------------------------------------
-    #
-    # Each thunk brackets the pure kernel call with monotonic-clock
-    # readings and returns ``(value, t0_ns, t1_ns)``.  The kernels in
-    # :mod:`repro.runtime.worker` stay observability-free — timing and
-    # recording happen out here, in the session (the worker-purity lint
-    # rule enforces that worker.py never imports repro.obs).
-
-    def _compute_one(self, w: int, superstep: int) -> TimedResult:
-        state = self.state
-        t0 = monotonic_ns()
-        work = superstep_compute(
-            self._program,
-            self._dgraph.locals[w],
-            state.values[w],
-            state.active[w] if state.active is not None else None,
-            state.changed[w],
-            state.partials[w] if state.partials is not None else None,
-            superstep,
-        )
-        return work, t0, monotonic_ns()
-
-    def _exchange_up_one(self, w: int) -> TimedResult:
-        state, scratch = self.state, self._scratch
-        t0 = monotonic_ns()
-        result = superstep_exchange_up(
-            self._program,
-            self._dgraph.locals[w],
-            w,
-            self._plan.inbound_up[w],
-            state.values,
-            state.changed,
-            state.active[w] if state.active is not None else None,
-            scratch.dirty[w] if scratch.dirty is not None else None,
-            state.partials,
-            scratch.sums[w] if scratch.sums is not None else None,
-        )
-        return result, t0, monotonic_ns()
-
-    def _exchange_down_one(self, w: int) -> TimedResult:
-        state, scratch = self.state, self._scratch
-        t0 = monotonic_ns()
-        counts = superstep_exchange_down(
-            self._program,
-            self._dgraph.locals[w],
-            w,
-            self._plan.inbound_down[w],
-            state.values,
-            state.active[w] if state.active is not None else None,
-            scratch.dirty,
-        )
-        return counts, t0, monotonic_ns()
+        scratch = allocate_scratch(dgraph, program, self.state)
+        plan = build_route_plan(dgraph)
+        slots = {**vars(self.state), **vars(scratch)}
+        self._shards = [
+            WorkerShard(w, local, program, plan.inbound_up[w], plan.inbound_down[w], slots)
+            for w, local in enumerate(dgraph.locals)
+        ]

@@ -1,329 +1,159 @@
-"""Process-pool backend: persistent workers over shared memory.
+"""Process backend: pipe links, shards over shared memory.
 
-The real-parallelism backend.  Each BSP worker is one long-lived
-``multiprocessing`` child that receives its
-:class:`LocalSubgraph`, program and inbound route slices exactly once
-(pickled through its command pipe at session start) and holds them for
-the whole run.  The per-worker value, active, changed, partial and
-exchange-scratch arrays live in ``multiprocessing.shared_memory``
-blocks mapped by *both* sides and by *every* child, so both superstep
-stages run in the children with zero per-superstep pickling: children
-mutate their own arrays in place during compute, pull their inbound
-replica updates straight out of the other workers' arrays during the
-exchange phases, and the only per-superstep pipe traffic is one small
-command → result round trip per worker per stage phase — the BSP
-barriers ("compute" → work units, "exchange_up" → pull tallies + delta,
-"exchange_down" → pull tallies).
+The real-parallelism backend on one host.  It contributes exactly three
+things to the shared :class:`~repro.runtime.protocol.CommandSession`:
 
-Crash containment: a child that raises ships its formatted traceback
-back through the pipe and the parent raises :class:`BackendError`; a
-child that dies outright surfaces as ``EOFError`` on the pipe, raised
-as :class:`WorkerLostError` with its exit code.  Stage replies are
-awaited with the shared :class:`~repro.runtime.protocol.CommandSession`
-timeout-and-latch semantics (a hung child raises instead of blocking
-forever; a failed session refuses further stage calls).  Session
-teardown (and a ``weakref.finalize`` safety net) stops the pool —
-joining survivors under a shared deadline and escalating to
-``terminate()`` then ``kill()`` for stragglers — and unlinks every
-shared block even when only a subset of workers died.
+*Its link* — :class:`_PipeLink`, a ``multiprocessing`` pipe to a
+long-lived daemon ``Process`` running :func:`_worker_main`.
+
+*Its state plane* — :class:`ShmPlane`.  The parent allocates every
+worker's value / active / changed / partial arrays *and* the exchange
+scratch in ``multiprocessing.shared_memory`` blocks
+(:func:`~repro.runtime.base.allocate_state` with a shared allocator);
+each child maps **every** worker's blocks and builds its
+:class:`~repro.runtime.shard.WorkerShard` over them, so every slot is a
+sibling's real array.  Both superstep stages therefore run in the
+children with zero per-superstep pickling: an exchange is two
+broadcasts (``exchange_up``, then — after every reply is in, the
+mandatory barrier — ``exchange_down``), and the only per-superstep pipe
+traffic is one small command → ``(result, t0, t1)`` round trip per
+worker per phase.  The coordinator reads convergence, the final gather
+and checkpoints straight out of its own views of the same blocks, and a
+checkpoint restore written through those views is seen by every child.
+
+*Its worker entry point* — :func:`_worker_main`: the shared
+:func:`~repro.runtime.protocol.serve` loop over the child's pipe end,
+closing the child's mappings on the way out.
+
+Crash containment, stage timeouts, the failed latch, typed worker loss
+and teardown are the session's (see :mod:`repro.runtime.protocol`);
+the plane's ``release`` unlinks every block after the last child is
+gone, even when only a subset of workers died or allocation failed half
+way.  Lost workers are not replaced (``supports_recovery`` is false).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import traceback
-import weakref
+from functools import partial
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from multiprocessing.shared_memory import SharedMemory
-from time import monotonic, monotonic_ns
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import (
-    Backend,
-    BackendSession,
-    ComputeStageResult,
-    ExchangeResult,
-    WorkerLostError,
-    WorkerState,
-    allocate_scratch,
-    allocate_state,
-    build_route_plan,
-    finish_compute_stage,
-    finish_exchange_stage,
-)
-from .protocol import CommandSession, ReplyTimeout
+from .base import Backend, BackendSession, allocate_scratch, allocate_state
+from .protocol import CommandSession, ReplyTimeout, StatePlane, positive_timeout, serve
+from .shard import WorkerShard
 from .shm import SharedArraySpec, attach_shared_array, create_shared_array, destroy_shared_array
-from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
 
-__all__ = ["ProcessBackend"]
-
-#: seconds to wait for each child's startup handshake.
-_INIT_TIMEOUT = 120.0
-#: seconds to wait for children to exit after a "stop" command.
-_JOIN_TIMEOUT = 5.0
+__all__ = ["ProcessBackend", "ShmPlane"]
 
 
-def _worker_main(conn) -> None:
-    """Child entry point: map shared arrays, then serve stage commands."""
-    shms = []
+class _PipeLink:
+    """A ``multiprocessing`` pipe to one child ``Process``."""
+
+    def __init__(self, conn: Connection, proc: BaseProcess):
+        self._conn = conn
+        self._proc = proc
+
+    def send(self, message) -> None:
+        self._conn.send(message)
+
+    def recv(self, timeout: Optional[float] = None):
+        if timeout is not None and not self._conn.poll(timeout):
+            raise ReplyTimeout()
+        return self._conn.recv()  # EOFError once the child is gone
+
+    def alive(self) -> bool:
+        return self._proc.is_alive()
+
+    def exit_code(self) -> Optional[int]:
+        return self._proc.exitcode
+
+    def wait(self, timeout: float) -> None:
+        self._proc.join(timeout)
+
+    def terminate(self) -> None:
+        self._proc.terminate()
+
+    def kill(self) -> None:
+        self._proc.kill()
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+def _attach_shard(mappings: List[SharedMemory], payload) -> WorkerShard:
+    """Map every worker's blocks and build this child's shard over them."""
+    worker_id, local, program, inbound_up, inbound_down, spec_table = payload
+    slots: Dict[str, List[np.ndarray]] = {}
+    for specs in spec_table:  # in worker order
+        for kind, spec in specs.items():
+            shm, array = attach_shared_array(spec)
+            mappings.append(shm)
+            slots.setdefault(kind, []).append(array)
+    return WorkerShard(worker_id, local, program, inbound_up, inbound_down, slots)
+
+
+def _worker_main(conn: Connection) -> None:
+    """Child entry point: serve the session's commands, then unmap."""
+    mappings: List[SharedMemory] = []
     try:
-        cmd, payload = conn.recv()
-        if cmd != "init":  # pragma: no cover - protocol guard
-            conn.send(("error", f"expected 'init', got {cmd!r}"))
-            return
-        worker_id, local, program, inbound_up, inbound_down, spec_table = payload
-        # Map every worker's blocks: the exchange phases read the other
-        # workers' values/changed/partials/dirty arrays directly.
-        tables: List[Dict[str, np.ndarray]] = []
-        for specs in spec_table:
-            arrays: Dict[str, np.ndarray] = {}
-            for kind, spec in specs.items():
-                shm, arr = attach_shared_array(spec)
-                shms.append(shm)
-                arrays[kind] = arr
-            tables.append(arrays)
-        values = [t["values"] for t in tables]
-        changed = [t["changed"] for t in tables]
-        partials = [t["partials"] for t in tables] if "partials" in tables[0] else None
-        dirty = [t["dirty"] for t in tables] if "dirty" in tables[0] else None
-        own = tables[worker_id]
-        active = own.get("active")
-        sums = own.get("sums")
-        conn.send(("ready", None))
-        while True:
-            cmd, payload = conn.recv()
-            if cmd == "stop":
-                break
-            try:
-                # Kernel walls are measured here, in the child, with the
-                # system-wide monotonic clock (CLOCK_MONOTONIC is shared
-                # across processes on Linux), so the parent can merge
-                # them with its own spans.  The timestamps ride back on
-                # the existing per-phase pipe reply — no extra traffic.
-                t0 = monotonic_ns()
-                if cmd == "compute":
-                    result = superstep_compute(
-                        program,
-                        local,
-                        values[worker_id],
-                        active,
-                        changed[worker_id],
-                        partials[worker_id] if partials is not None else None,
-                        int(payload),
-                    )
-                elif cmd == "exchange_up":
-                    result = superstep_exchange_up(
-                        program,
-                        local,
-                        worker_id,
-                        inbound_up,
-                        values,
-                        changed,
-                        active,
-                        dirty[worker_id] if dirty is not None else None,
-                        partials,
-                        sums,
-                    )
-                elif cmd == "exchange_down":
-                    result = superstep_exchange_down(
-                        program, local, worker_id, inbound_down, values, active, dirty
-                    )
-                else:  # pragma: no cover - protocol guard
-                    conn.send(("error", f"unknown command {cmd!r}"))
-                    continue
-            except BaseException:
-                conn.send(("error", traceback.format_exc()))
-            else:
-                conn.send(("ok", (result, t0, monotonic_ns())))
-    except (EOFError, OSError, KeyboardInterrupt):  # parent went away
+        serve(conn, partial(_attach_shard, mappings))
+    except KeyboardInterrupt:  # the terminal's ^C reaches the whole group
         pass
     finally:
-        for shm in shms:
-            try:
-                shm.close()
-            except Exception:
-                pass
-        try:
-            conn.close()
-        except Exception:
-            pass
+        for shm in mappings:
+            shm.close()
 
 
-def _join_all(processes, budget: float) -> None:
-    """Join every live child under one *shared* deadline.
-
-    The historical per-process ``join(timeout=...)`` serialized the
-    waits: with ``p`` hung children teardown took ``p * timeout``.  A
-    shared deadline bounds the whole phase regardless of how many
-    workers are wedged or already dead.
-    """
-    deadline = monotonic() + budget
-    for proc in processes:
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            break
-        if proc.is_alive():
-            proc.join(timeout=remaining)
+def _spawn(ctx: multiprocessing.context.BaseContext, w: int) -> _PipeLink:
+    parent_conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(
+        target=_worker_main, args=(child_conn,), name=f"repro-bsp-{w}", daemon=True
+    )
+    proc.start()
+    child_conn.close()
+    return _PipeLink(parent_conn, proc)
 
 
-def _cleanup(processes, conns, shm_blocks) -> None:
-    """Tear the pool down; safe to call twice, from a finalizer, and
-    when only a subset of workers is still alive.
+class ShmPlane(StatePlane):
+    """State and exchange scratch in parent-owned shared-memory blocks."""
 
-    Escalation is uniform for every straggler: "stop" command → join
-    (shared deadline) → ``terminate()`` → join → ``kill()`` → join.
-    Shared blocks are unlinked last, after every child that could map
-    them is gone, so the resource tracker never reports leaked
-    ``shared_memory`` blocks for a partially-dead pool.
-    """
-    for conn in conns:
-        try:
-            conn.send(("stop", None))
-        except Exception:
-            pass
-    _join_all(processes, _JOIN_TIMEOUT)
-    for escalate in ("terminate", "kill"):
-        stragglers = [proc for proc in processes if proc.is_alive()]
-        if not stragglers:
-            break
-        for proc in stragglers:
-            try:
-                getattr(proc, escalate)()
-            except Exception:
-                pass
-        _join_all(stragglers, _JOIN_TIMEOUT)
-    for conn in conns:
-        try:
-            conn.close()
-        except Exception:
-            pass
-    for shm in shm_blocks:
-        destroy_shared_array(shm)
-    processes.clear()
-    conns.clear()
-    shm_blocks.clear()
+    def __init__(self) -> None:
+        self._blocks: List[SharedMemory] = []
 
-
-class _ProcessSession(CommandSession):
-    backend_name = "process"
-
-    def __init__(
-        self,
-        dgraph: DistributedGraph,
-        program: SubgraphProgram,
-        ctx: multiprocessing.context.BaseContext,
-        stage_timeout: Optional[float] = None,
-    ):
-        p = dgraph.num_workers
-        super().__init__(p, stage_timeout)
-        self._shm_blocks: List[SharedMemory] = []
-        self._specs: List[Dict[str, SharedArraySpec]] = [{} for _ in range(p)]
-        self._processes: List[BaseProcess] = []
-        self._conns: List[Connection] = []
-        # Registered before any allocation so blocks created by a
-        # partially-failed allocate_state still get unlinked.
-        self._finalizer = weakref.finalize(
-            self, _cleanup, self._processes, self._conns, self._shm_blocks
-        )
+    def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
+        specs: List[Dict[str, SharedArraySpec]] = [{} for _ in dgraph.locals]
 
         def shared_alloc(worker_id: int, kind: str, template: np.ndarray) -> np.ndarray:
             shm, array, spec = create_shared_array(template)
-            self._shm_blocks.append(shm)
-            self._specs[worker_id][kind] = spec
+            self._blocks.append(shm)
+            specs[worker_id][kind] = spec
             return array
 
-        try:
-            self.state: WorkerState = allocate_state(dgraph, program, shared_alloc)
-            # Exchange scratch shares the same blocks: the minimize-mode
-            # dirty masks are read across children during the down phase.
-            self._scratch = allocate_scratch(dgraph, program, self.state, shared_alloc)
-            plan = build_route_plan(dgraph)
-            for w in range(p):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn,),
-                    name=f"repro-bsp-{w}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._processes.append(proc)
-                self._conns.append(parent_conn)
-                # Everything a child holds for the whole run travels in
-                # this one message: its subgraph, the program, its slice
-                # of the route plan, and the full shared-array table.
-                parent_conn.send(
-                    (
-                        "init",
-                        (
-                            w,
-                            dgraph.locals[w],
-                            program,
-                            plan.inbound_up[w],
-                            plan.inbound_down[w],
-                            self._specs,
-                        ),
-                    )
-                )
-            for w in range(p):
-                self._expect(w, "ready", timeout=_INIT_TIMEOUT)
-        except BaseException:
-            self.close()
-            raise
+        self.state = allocate_state(dgraph, program, shared_alloc)
+        # The scratch shares the blocks: minimize-mode dirty masks are
+        # read across children during the down phase.
+        allocate_scratch(dgraph, program, self.state, shared_alloc)
+        return [specs] * len(specs)
 
-    # -- CommandSession transport hooks --------------------------------
+    def exchange(self, session: CommandSession, superstep: int):
+        session.broadcast("exchange_up")
+        # Collecting every up reply before any down command is the
+        # mandatory mid-exchange barrier: the down phase reads master
+        # values and dirty masks the up phase writes in *other* children.
+        ups = session.results()
+        session.broadcast("exchange_down")
+        return ups, session.results()
 
-    def _send_to(self, w: int, message) -> None:
-        self._conns[w].send(message)
-
-    def _recv_from(self, w: int, timeout: Optional[float]):
-        conn = self._conns[w]
-        if timeout is not None and not conn.poll(timeout):
-            raise ReplyTimeout()
-        try:
-            return conn.recv()
-        except EOFError:
-            code = self._processes[w].exitcode
-            raise WorkerLostError(
-                w, f"worker {w} died unexpectedly (exit code {code})"
-            ) from None
-
-    def _worker_alive(self, w: int) -> bool:
-        return self._processes[w].is_alive()
-
-    def _is_closed(self) -> bool:
-        return not self._finalizer.alive
-
-    # ------------------------------------------------------------------
-
-    def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
-        p = len(self._conns)
-        self._broadcast("compute", superstep)
-        return finish_compute_stage(
-            self.recorder, superstep, [self._expect(w, "ok") for w in range(p)]
-        )
-
-    def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
-        p = len(self._conns)
-        self._broadcast("exchange_up", superstep)
-        # Collecting every up reply before sending any down command is
-        # the mandatory mid-exchange barrier: the down phase reads
-        # master values and dirty masks the up phase writes in *other*
-        # children.
-        ups = [self._expect(w, "ok") for w in range(p)]
-        self._broadcast("exchange_down", superstep)
-        downs = [self._expect(w, "ok") for w in range(p)]
-        return finish_exchange_stage(self.recorder, superstep, ups, downs)
-
-    def close(self) -> None:
-        if self._finalizer.alive:
-            self._finalizer()
+    def release(self) -> None:
+        while self._blocks:
+            destroy_shared_array(self._blocks.pop())
 
 
 class ProcessBackend(Backend):
@@ -359,10 +189,12 @@ class ProcessBackend(Backend):
                 f"choose from {available}"
             )
         self.start_method = start_method
-        self.stage_timeout = stage_timeout
+        self.stage_timeout = positive_timeout("stage_timeout", stage_timeout)
 
     def session(
         self, dgraph: DistributedGraph, program: SubgraphProgram
     ) -> BackendSession:
         ctx = multiprocessing.get_context(self.start_method)
-        return _ProcessSession(dgraph, program, ctx, stage_timeout=self.stage_timeout)
+        return CommandSession(
+            self.name, dgraph, program, partial(_spawn, ctx), ShmPlane(), self.stage_timeout
+        )

@@ -28,17 +28,15 @@ class _SerialSession(SharedArraySession):
     backend_name = "serial"
 
     def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
-        p = self._dgraph.num_workers
         return finish_compute_stage(
-            self.recorder, superstep, [self._compute_one(w, superstep) for w in range(p)]
+            self.recorder, superstep, [shard.compute(superstep) for shard in self._shards]
         )
 
     def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
-        p = self._dgraph.num_workers
-        ups = [self._exchange_up_one(w) for w in range(p)]
+        ups = [shard.exchange_up() for shard in self._shards]
         # The sequential loop is itself the up/down barrier: every
         # worker's up phase has run before the first down phase starts.
-        downs = [self._exchange_down_one(w) for w in range(p)]
+        downs = [shard.exchange_down() for shard in self._shards]
         return finish_exchange_stage(self.recorder, superstep, ups, downs)
 
 

@@ -1,68 +1,54 @@
-"""Socket backend: workers behind TCP, state owned worker-side.
+"""Socket backend: TCP links, shards that own their state.
 
 The multi-node analogue of the process backend.  Each BSP worker is an
-independent OS process reachable over one TCP connection — spawned on
-127.0.0.1 by the session itself for tests and single-host runs, or
-launched standalone on another machine via ``repro worker --listen
-host:port`` and named in the backend spec
-(``socket?workers=hostA:7001+hostB:7001``).  Messages are
-length-prefixed pickle frames over the small versioned protocol in
-:mod:`repro.runtime.wire`; the conversation shape (one command per
-stage phase, one reply per worker, collecting replies is the barrier)
-and its failure semantics (stage timeouts, the failed latch) are the
-shared :class:`~repro.runtime.protocol.CommandSession` layer, identical
-to the process backend.
+independent OS process behind one TCP connection — spawned on 127.0.0.1
+by the session itself for tests and single-host runs, or launched
+standalone on another machine via ``repro worker --listen host:port``
+and named in the backend spec
+(``socket?workers=hostA:7001+hostB:7001``).  It contributes to the
+shared :class:`~repro.runtime.protocol.CommandSession`:
 
-Each worker receives its :class:`~repro.bsp.distributed.LocalSubgraph`
-shard, the program, and its route-plan slices exactly once at session
-start, allocates its own state arrays locally
-(:func:`~repro.runtime.base.allocate_local_state` — the same
-initialization every backend runs), and owns them for the whole run.
-The coordinator never holds O(|V|·p) state: it sees full arrays only
-when the engine explicitly gathers them (checkpoint boundaries, the
-final gather) through ``pull_state``.
+*Its link* — :class:`_TcpLink`: length-prefixed pickle frames over the
+small versioned protocol in :mod:`repro.runtime.wire`, plus the
+``Popen`` handle when the coordinator launched the worker itself
+and nothing but the connection when it dialled an endpoint somebody
+else started (:func:`_connect_worker` does either).
 
-Exchange over the wire
-----------------------
-The shared kernels in :mod:`repro.runtime.worker` read *sibling*
-workers' arrays through route index slices — storage the process
-backend gets for free from shared memory.  Over TCP each exchange phase
-becomes two round trips:
+*Its state plane* — :class:`WirePlane`.  Each worker builds its
+:class:`~repro.runtime.shard.WorkerShard` over arrays it allocates
+itself (:func:`standalone_shard` — the same
+:func:`~repro.runtime.base.allocate_local_state` initialization every
+backend runs) and owns them for the whole run.  The coordinator never
+holds O(|V|·p) state: it sees full arrays only when the engine gathers
+them (checkpoint boundaries, the final gather) through the ``owned`` /
+``restore`` commands, and tracks convergence from the has-active flag
+every reply carries.  Each exchange phase is two round trips —
+**collect** (every shard slices its *outbound* routes) and **apply**
+(the coordinator reroutes the slices by destination and every shard
+runs the unchanged kernel over stand-ins; see
+:mod:`repro.runtime.shard` for why that is exact).  Only changed
+selections travel: per-superstep traffic is proportional to the paper's
+message tallies, not to |V|.
 
-1. **collect** — every worker slices its *outbound* routes
-   (``changed``/``dirty`` selection masks plus the selected
-   values/partials) and ships them to the coordinator;
-2. **apply** — the coordinator forwards each worker its inbound
-   payloads, and the worker runs the *unchanged* kernel against
-   reconstructed stand-in arrays over index-compacted routes
-   (``src_index = arange(len(route))``).
+*Recovery* — :meth:`WirePlane.recover_workers`.  A worker death
+surfaces as :class:`~repro.runtime.base.WorkerLostError`; for
+coordinator-spawned workers the plane resyncs survivors against an echo
+nonce (draining stale replies of the aborted stage), relaunches the
+dead shards, and the engine pushes the last fingerprint-valid snapshot
+into the whole pool and replays
+(``BSPEngine(..., max_recoveries=...)``).  Sessions over external
+endpoints refuse — the coordinator cannot respawn a process on another
+machine.
 
-Compaction commutes with the kernels' ``route.src_index[sel]``
-selections, per-destination route order is preserved, and routes whose
-selection mask is empty are skipped on both sides exactly like the
-kernel's own ``continue`` — so results, message tallies and
-floating-point accumulation stay bit-identical to the serial reference.
-Only changed selections travel: per-superstep traffic is proportional
-to the paper's message tallies, not to |V|.
+*The worker program* — :func:`serve_worker` (the ``repro worker``
+verb): listen, handshake, then the shared
+:func:`~repro.runtime.protocol.serve` loop per accepted connection.
 
-Fault tolerance
----------------
-A worker death surfaces as :class:`~repro.runtime.base.WorkerLostError`
-carrying the dead worker id.  For coordinator-spawned workers the
-session can recover: :meth:`recover_workers` respawns the dead shard's
-process, resyncs survivors against an echo nonce (draining any stale
-replies from the aborted stage), and clears the failed latch; the
-engine then pushes the last fingerprint-valid checkpoint snapshot into
-the fresh pool via ``push_state`` and replays forward (see
-``BSPEngine(..., max_recoveries=...)``).  Sessions over externally
-launched workers refuse recovery — the coordinator cannot respawn a
-process on another machine.
-
-Timing caveat: per-worker kernel walls are measured with each worker's
-own ``CLOCK_MONOTONIC``.  On one host (spawned workers) that clock is
-shared and traces merge exactly like the process backend's; across
-machines the clocks are unrelated, so traced barrier/wall spans of a
-genuinely multi-node run are approximate (results are unaffected).
+Timing caveat: kernel walls are measured with each worker's own
+``CLOCK_MONOTONIC``.  On one host that clock is shared and traces merge
+exactly like the process backend's; across machines the clocks are
+unrelated, so traced barrier/wall spans of a genuinely multi-node run
+are approximate (results are unaffected).
 """
 
 from __future__ import annotations
@@ -72,41 +58,88 @@ import select
 import socket
 import subprocess
 import sys
-import traceback
-import weakref
+from functools import partial
 from time import monotonic, monotonic_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..bsp.distributed import DistributedGraph, _Route
-from ..bsp.program import MINIMIZE, SubgraphProgram
+from ..bsp.program import SubgraphProgram
 from . import wire
 from .base import (
     Backend,
     BackendError,
     BackendSession,
-    ComputeStageResult,
-    ExchangeResult,
-    WorkerLostError,
     WorkerState,
     allocate_local_scratch,
     allocate_local_state,
-    build_route_plan,
-    finish_compute_stage,
-    finish_exchange_stage,
 )
-from .protocol import CommandSession, ReplyTimeout
-from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
+from .protocol import (
+    INIT_TIMEOUT,
+    JOIN_TIMEOUT,
+    CommandSession,
+    Link,
+    ReplyTimeout,
+    StatePlane,
+    positive_timeout,
+    serve,
+)
+from .shard import WorkerShard, compact_routes
 
-__all__ = ["SocketBackend", "serve_worker"]
+__all__ = ["SocketBackend", "WirePlane", "serve_worker", "standalone_shard"]
 
-#: seconds to wait for each worker's handshake + init acknowledgement.
-_INIT_TIMEOUT = 120.0
-#: seconds for workers to exit after "stop" before terminate/kill.
-_JOIN_TIMEOUT = 5.0
 #: stdout marker a listening worker prints (parsed by the spawner).
 _ANNOUNCE = "REPRO-WORKER listening"
+
+
+class _TcpLink:
+    """Framed TCP to one worker, plus its ``Popen`` if we launched it."""
+
+    def __init__(self, sock: socket.socket, proc: Optional[subprocess.Popen] = None):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._proc = proc
+
+    def send(self, message) -> None:
+        try:
+            wire.send_msg(self._sock, message)
+        except wire.WireError as exc:
+            raise OSError(str(exc)) from exc
+
+    def recv(self, timeout: Optional[float] = None):
+        try:
+            return wire.recv_msg(self._sock, timeout=timeout)
+        except wire.WireTimeout:
+            raise ReplyTimeout() from None
+        except wire.WireError as exc:
+            raise EOFError(str(exc)) from None
+
+    def alive(self) -> bool:
+        if self._proc is None:
+            return self._sock.fileno() >= 0
+        return self._proc.poll() is None
+
+    def exit_code(self) -> Optional[int]:
+        return None if self._proc is None else self._proc.poll()
+
+    def wait(self, timeout: float) -> None:
+        if self._proc is not None:
+            try:
+                self._proc.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                pass
+
+    def terminate(self) -> None:
+        if self._proc is not None:
+            self._proc.terminate()
+
+    def kill(self) -> None:
+        if self._proc is not None:
+            self._proc.kill()
+
+    def close(self) -> None:
+        self._sock.close()
+        if self._proc is not None and self._proc.stdout is not None:
+            self._proc.stdout.close()
 
 
 # ----------------------------------------------------------------------
@@ -114,248 +147,25 @@ _ANNOUNCE = "REPRO-WORKER listening"
 # ----------------------------------------------------------------------
 
 
-def _compact_inbound(inbound) -> List[Tuple[int, _Route, int]]:
-    """Index-compact one worker's inbound routes for over-the-wire apply.
-
-    For a route of length ``n`` the sender transmits data *already
-    sliced* by ``route.src_index``, so the receiving kernel indexes it
-    with ``arange(n)`` instead; ``dst_index`` is unchanged.  Route order
-    is preserved — it is what keeps accumulation bit-identical.
-    """
-    compact = []
-    for src, route in inbound:
-        n = int(route.src_index.shape[0])
-        compact.append(
-            (src, _Route(src_index=np.arange(n, dtype=np.int64),
-                         dst_index=route.dst_index), n)
-        )
-    return compact
-
-
-class _WorkerShard:
-    """One worker's whole world: shard, program, routes, state arrays."""
-
-    def __init__(self, payload):
-        (
-            self.worker_id,
-            self.num_workers,
-            self.local,
-            self.program,
-            inbound_up,
-            inbound_down,
-            self.outbound_up,
-            self.outbound_down,
-        ) = payload
-        self.minimize = self.program.mode == MINIMIZE
-        arrays = allocate_local_state(self.local, self.program, self.worker_id)
-        self.values = arrays["values"]
-        self.changed = arrays["changed"]
-        self.active = arrays.get("active")
-        self.partials = arrays.get("partials")
-        scratch = allocate_local_scratch(
-            self.local, self.program, self.values, self.worker_id
-        )
-        self.dirty = scratch.get("dirty")
-        self.sums = scratch.get("sums")
-        self.compact_up = _compact_inbound(inbound_up)
-        self.compact_down = _compact_inbound(inbound_down)
-
-    def active_any(self) -> bool:
-        return self.active is not None and bool(self.active.any())
-
-    # -- command handlers ----------------------------------------------
-
-    def handle(self, cmd: str, payload):
-        handler = {
-            "compute": self._compute,
-            "collect_up": self._collect_up,
-            "apply_up": self._apply_up,
-            "collect_down": self._collect_down,
-            "apply_down": self._apply_down,
-            "pull_state": self._pull_state,
-            "push_state": self._push_state,
-        }.get(cmd)
-        if handler is None:
-            return "error", f"unknown command {cmd!r}"
-        return handler(payload)
-
-    def _compute(self, superstep):
-        t0 = monotonic_ns()
-        work = superstep_compute(
-            self.program,
-            self.local,
-            self.values,
-            self.active,
-            self.changed,
-            self.partials,
-            int(superstep),
-        )
-        return "ok", (work, t0, monotonic_ns(), self.active_any())
-
-    def _collect_up(self, _superstep):
-        # Minimize mode ships changed mirror values; accumulate mode
-        # ships changed partials — exactly what the kernel would read
-        # out of the sibling array, already selected.
-        source = self.values if self.minimize else self.partials
-        t0 = monotonic_ns()
-        outbox = {}
-        for dst, route in self.outbound_up:
-            sel = self.changed[route.src_index]
-            if sel.any():
-                outbox[dst] = (sel, source[route.src_index[sel]])
-        return "ok", (outbox, t0, monotonic_ns())
-
-    def _apply_up(self, inbox):
-        p = self.num_workers
-        w = self.worker_id
-        t0 = monotonic_ns()
-        values: List[Optional[np.ndarray]] = [None] * p
-        changed: List[Optional[np.ndarray]] = [None] * p
-        values[w] = self.values
-        changed[w] = self.changed
-        partials: Optional[List[Optional[np.ndarray]]] = None
-        if not self.minimize:
-            partials = [None] * p
-            partials[w] = self.partials
-        template = self.values if self.minimize else self.partials
-        inbound = []
-        for src, croute, n in self.compact_up:
-            data = inbox.get(src)
-            if data is None:
-                continue  # empty selection: the kernel would skip it too
-            sel, vals = data
-            changed[src] = sel
-            full = np.zeros((n,) + template.shape[1:], dtype=template.dtype)
-            full[sel] = vals
-            if self.minimize:
-                values[src] = full
-            else:
-                partials[src] = full
-            inbound.append((src, croute))
-        counts, delta = superstep_exchange_up(
-            self.program,
-            self.local,
-            w,
-            inbound,
-            values,
-            changed,
-            self.active,
-            self.dirty,
-            partials,
-            self.sums,
-        )
-        return "ok", ((counts, delta), t0, monotonic_ns(), self.active_any())
-
-    def _collect_down(self, _superstep):
-        t0 = monotonic_ns()
-        outbox = {}
-        if self.minimize:
-            for dst, route in self.outbound_down:
-                sel = self.dirty[route.src_index]
-                if sel.any():
-                    outbox[dst] = (sel, self.values[route.src_index[sel]])
-        else:
-            # Accumulate mode broadcasts every master value, unselected.
-            for dst, route in self.outbound_down:
-                outbox[dst] = self.values[route.src_index]
-        return "ok", (outbox, t0, monotonic_ns())
-
-    def _apply_down(self, inbox):
-        p = self.num_workers
-        w = self.worker_id
-        t0 = monotonic_ns()
-        values: List[Optional[np.ndarray]] = [None] * p
-        values[w] = self.values
-        dirty: Optional[List[Optional[np.ndarray]]] = None
-        inbound = []
-        if self.minimize:
-            dirty = [None] * p
-            dirty[w] = self.dirty
-            for src, croute, n in self.compact_down:
-                data = inbox.get(src)
-                if data is None:
-                    continue
-                sel, vals = data
-                dirty[src] = sel
-                full = np.zeros(
-                    (n,) + self.values.shape[1:], dtype=self.values.dtype
-                )
-                full[sel] = vals
-                values[src] = full
-                inbound.append((src, croute))
-        else:
-            for src, croute, _n in self.compact_down:
-                vals = inbox.get(src)
-                if vals is None:
-                    continue
-                values[src] = vals
-                inbound.append((src, croute))
-        counts = superstep_exchange_down(
-            self.program, self.local, w, inbound, values, self.active, dirty
-        )
-        return "ok", (counts, t0, monotonic_ns(), self.active_any())
-
-    def _pull_state(self, _payload):
-        shard = {"values": self.values, "changed": self.changed}
-        if self.active is not None:
-            shard["active"] = self.active
-        if self.partials is not None:
-            shard["partials"] = self.partials
-        return "ok", shard
-
-    def _push_state(self, shard):
-        own = {"values": self.values, "changed": self.changed}
-        if self.active is not None:
-            own["active"] = self.active
-        if self.partials is not None:
-            own["partials"] = self.partials
-        if set(shard) != set(own):
-            raise ValueError(
-                f"snapshot shard holds {sorted(shard)}, worker allocates "
-                f"{sorted(own)} (program mode mismatch?)"
-            )
-        for kind in sorted(own):
-            src, dst = shard[kind], own[kind]
-            if src.shape != dst.shape or src.dtype != dst.dtype:
-                raise ValueError(
-                    f"snapshot array {kind!r} is {src.dtype}{src.shape}, "
-                    f"worker expects {dst.dtype}{dst.shape}"
-                )
-        for kind in sorted(own):
-            own[kind][...] = shard[kind]
-        return "ok", self.active_any()
-
-
-def _serve_connection(conn: socket.socket) -> None:
-    """Serve one coordinator session on an accepted connection."""
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    # The worker speaks first so a mismatched coordinator can read this
-    # side's version and report the mismatch locally; then it validates
-    # the coordinator's hello itself.
-    wire.send_hello(conn, "worker")
-    wire.expect_hello(conn, "coordinator", timeout=_INIT_TIMEOUT)
-    shard: Optional[_WorkerShard] = None
-    while True:
-        try:
-            cmd, payload = wire.recv_msg(conn)
-        except (wire.WireError, OSError, ValueError, TypeError):
-            return  # coordinator went away or the stream desynced
-        if cmd == "stop":
-            return
-        if cmd == "echo":
-            wire.send_msg(conn, ("echo", payload))
-            continue
-        try:
-            if cmd == "init":
-                shard = _WorkerShard(payload)
-                reply = ("ready", shard.active_any())
-            elif shard is None:
-                reply = ("error", f"command {cmd!r} before init")
-            else:
-                reply = shard.handle(cmd, payload)
-        except BaseException:
-            reply = ("error", traceback.format_exc())
-        wire.send_msg(conn, reply)
+def standalone_shard(payload) -> WorkerShard:
+    """Build a shard that owns its arrays; sibling slots start empty."""
+    worker_id, local, program, inbound_up, inbound_down, extra = payload
+    num_workers, outbound_up, outbound_down = extra
+    own = allocate_local_state(local, program, worker_id)
+    own.update(allocate_local_scratch(local, program, own["values"], worker_id))
+    slots: dict = {kind: [None] * num_workers for kind in own}
+    for kind, array in own.items():
+        slots[kind][worker_id] = array
+    return WorkerShard(
+        worker_id,
+        local,
+        program,
+        compact_routes(inbound_up),
+        compact_routes(inbound_down),
+        slots,
+        outbound_up,
+        outbound_down,
+    )
 
 
 def serve_worker(listen: str, sessions: int = 1) -> int:
@@ -378,17 +188,20 @@ def serve_worker(listen: str, sessions: int = 1) -> int:
         while sessions == 0 or served < sessions:
             conn, _addr = lsock.accept()
             try:
-                _serve_connection(conn)
+                link = _TcpLink(conn)
+                # The worker speaks first so a mismatched coordinator can
+                # read this side's version and report the mismatch
+                # locally; then it validates the coordinator's hello.
+                wire.send_hello(conn, "worker")
+                wire.expect_hello(conn, "coordinator", timeout=INIT_TIMEOUT)
+                serve(link, standalone_shard)
                 served += 1
             except wire.WireError as exc:
                 # Handshake failure: report, drop the connection, keep
                 # listening — a misdialed peer must not kill the worker.
                 print(f"repro worker: rejected connection: {exc}", file=sys.stderr)
             finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                conn.close()
     finally:
         lsock.close()
     return 0
@@ -399,20 +212,63 @@ def serve_worker(listen: str, sessions: int = 1) -> int:
 # ----------------------------------------------------------------------
 
 
-def _outbound_routes(dgraph: DistributedGraph):
-    """Per-source route slices: what each worker ships in collect phases."""
-    p = dgraph.num_workers
-    outbound_up: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
-    outbound_down: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
-    for (w, mw), route in dgraph.up_routes.items():
-        outbound_up[w].append((mw, route))
-    for (mw, w), route in dgraph.down_routes.items():
-        outbound_down[mw].append((w, route))
-    return outbound_up, outbound_down
+def _dial(
+    w: int, endpoint: Tuple[str, int], timeout: float, proc: Optional[subprocess.Popen] = None
+) -> _TcpLink:
+    """Connect to worker ``w``'s endpoint and trade version hellos."""
+    host, port = endpoint
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as exc:
+        raise BackendError(
+            f"cannot connect to worker at {host}:{port}: {exc} "
+            f"(is `repro worker --listen {host}:{port}` running?)"
+        ) from exc
+    link = _TcpLink(sock, proc)
+    try:
+        wire.expect_hello(sock, "worker", timeout=timeout)
+        wire.send_hello(sock, "coordinator")
+    except wire.WireError as exc:
+        sock.close()
+        raise BackendError(f"worker {w} handshake failed: {exc}") from exc
+    return link
 
 
-def _spawn_local_worker(index: int, timeout: float):
-    """Start one ``repro worker`` child on 127.0.0.1; parse its port."""
+def _read_announce(proc: subprocess.Popen, w: int, timeout: float) -> Tuple[str, int]:
+    """Parse the ``host:port`` a freshly spawned worker prints on stdout."""
+    deadline = monotonic() + timeout
+    line = b""
+    while not line.endswith(b"\n"):
+        remaining = deadline - monotonic()
+        if remaining <= 0 or proc.poll() is not None:
+            raise BackendError(
+                f"spawned worker {w} did not announce a port within "
+                f"{timeout:.0f}s (exit code {proc.poll()})"
+            )
+        ready, _, _ = select.select([proc.stdout], [], [], min(remaining, 0.5))
+        if ready:
+            chunk = proc.stdout.readline()
+            if not chunk:
+                raise BackendError(
+                    f"spawned worker {w} closed stdout before "
+                    f"announcing a port (exit code {proc.poll()})"
+                )
+            line += chunk
+    text = line.decode("utf-8", "replace").strip()
+    if not text.startswith(_ANNOUNCE):
+        raise BackendError(
+            f"spawned worker {w} printed {text!r} instead of the {_ANNOUNCE!r} marker"
+        )
+    return wire.parse_hostport(text[len(_ANNOUNCE):].strip())
+
+
+def _connect_worker(
+    endpoints: Optional[Sequence[Tuple[str, int]]], timeout: float, w: int
+) -> _TcpLink:
+    """Worker ``w``'s link: dial its endpoint, or first start a local
+    ``repro worker`` child on 127.0.0.1 when there are no endpoints."""
+    if endpoints is not None:
+        return _dial(w, endpoints[w], timeout)
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -422,238 +278,51 @@ def _spawn_local_worker(index: int, timeout: float):
         stdout=subprocess.PIPE,
         env=env,
     )
-    deadline = monotonic() + timeout
-    line = b""
     try:
-        while not line.endswith(b"\n"):
-            remaining = deadline - monotonic()
-            if remaining <= 0 or proc.poll() is not None:
-                raise BackendError(
-                    f"spawned worker {index} did not announce a port within "
-                    f"{timeout:.0f}s (exit code {proc.poll()})"
-                )
-            ready, _, _ = select.select([proc.stdout], [], [], min(remaining, 0.5))
-            if ready:
-                chunk = proc.stdout.readline()
-                if not chunk:
-                    raise BackendError(
-                        f"spawned worker {index} closed stdout before "
-                        f"announcing a port (exit code {proc.poll()})"
-                    )
-                line += chunk
+        return _dial(w, _read_announce(proc, w, timeout), timeout, proc)
     except BaseException:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
         raise
-    text = line.decode("utf-8", "replace").strip()
-    if not text.startswith(_ANNOUNCE):
-        proc.kill()
-        proc.wait()
-        raise BackendError(f"spawned worker {index} printed {text!r} instead of "
-                           f"the {_ANNOUNCE!r} marker")
-    host, port = wire.parse_hostport(text[len(_ANNOUNCE):].strip())
-    return proc, host, port
 
 
-def _connect(host: str, port: int, timeout: float) -> socket.socket:
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        raise BackendError(
-            f"cannot connect to worker at {host}:{port}: {exc} "
-            f"(is `repro worker --listen {host}:{port}` running?)"
-        ) from exc
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
+class WirePlane(StatePlane):
+    """State owned by the workers; updates rerouted through the coordinator."""
 
-
-def _socket_cleanup(socks, procs) -> None:
-    """Tear the pool down; safe to call twice and from a finalizer."""
-    for sock in socks:
-        if sock is None:
-            continue
-        try:
-            wire.send_msg(sock, ("stop", None))
-        except Exception:
-            pass
-        try:
-            sock.close()
-        except Exception:
-            pass
-    deadline = monotonic() + _JOIN_TIMEOUT
-    for escalate in (None, "terminate", "kill"):
-        stragglers = [p for p in procs if p is not None and p.poll() is None]
-        if not stragglers:
-            break
-        if escalate is not None:
-            for proc in stragglers:
-                try:
-                    getattr(proc, escalate)()
-                except Exception:
-                    pass
-            deadline = monotonic() + _JOIN_TIMEOUT
-        for proc in stragglers:
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                break
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                pass
-    for proc in procs:
-        if proc is not None and proc.stdout is not None:
-            try:
-                proc.stdout.close()
-            except Exception:
-                pass
-    socks.clear()
-    procs.clear()
-
-
-class _SocketSession(CommandSession):
-    backend_name = "socket"
-
-    def __init__(
-        self,
-        dgraph: DistributedGraph,
-        program: SubgraphProgram,
-        endpoints: Optional[Sequence[Tuple[str, int]]] = None,
-        stage_timeout: Optional[float] = None,
-        connect_timeout: float = 30.0,
-    ):
-        p = dgraph.num_workers
-        super().__init__(p, stage_timeout)
-        self._dgraph = dgraph
-        self._program = program
-        self._minimize = program.mode == MINIMIZE
-        self._connect_timeout = float(connect_timeout)
-        self._spawned = endpoints is None
-        self._socks: List[Optional[socket.socket]] = []
-        self._procs: List[Optional[subprocess.Popen]] = []
-        self._active = [False] * p
+    def __init__(self, spawned: bool):
+        #: dead workers can be replaced only if we launched them.
+        self.supports_recovery = spawned
         self._nonce = 0
-        # Registered before any spawn/connect so a partially-constructed
-        # session still tears down whatever it started.
-        self._finalizer = weakref.finalize(
-            self, _socket_cleanup, self._socks, self._procs
-        )
-        self._plan = build_route_plan(dgraph)
-        self._outbound_up, self._outbound_down = _outbound_routes(dgraph)
-        try:
-            if endpoints is None:
-                for w in range(p):
-                    proc, host, port = _spawn_local_worker(w, self._connect_timeout)
-                    self._procs.append(proc)
-                    self._socks.append(_connect(host, port, self._connect_timeout))
-            else:
-                if len(endpoints) != p:
-                    raise BackendError(
-                        f"backend spec names {len(endpoints)} workers but the "
-                        f"graph is partitioned for p={p}"
-                    )
-                for host, port in endpoints:
-                    self._procs.append(None)
-                    self._socks.append(_connect(host, port, self._connect_timeout))
-            for w in range(p):
-                self._handshake(w)
-            for w in range(p):
-                self._post(w, "init", self._init_payload(w))
-            for w in range(p):
-                self._active[w] = bool(self._expect(w, "ready", timeout=_INIT_TIMEOUT))
-        except BaseException:
-            self.close()
-            raise
 
-    def _handshake(self, w: int) -> None:
-        sock = self._socks[w]
-        try:
-            wire.expect_hello(sock, "worker", timeout=self._connect_timeout)
-            wire.send_hello(sock, "coordinator")
-        except wire.WireError as exc:
-            raise BackendError(f"worker {w} handshake failed: {exc}") from exc
+    def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
+        # Nothing to allocate here; each worker is told the pool size and
+        # its per-source route slices — what it ships when collecting.
+        p = dgraph.num_workers
+        outbound_up: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
+        outbound_down: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
+        for (w, mw), route in dgraph.up_routes.items():
+            outbound_up[w].append((mw, route))
+        for (mw, w), route in dgraph.down_routes.items():
+            outbound_down[mw].append((w, route))
+        return [(p, outbound_up[w], outbound_down[w]) for w in range(p)]
 
-    def _init_payload(self, w: int):
-        return (
-            w,
-            self._num_workers,
-            self._dgraph.locals[w],
-            self._program,
-            self._plan.inbound_up[w],
-            self._plan.inbound_down[w],
-            self._outbound_up[w],
-            self._outbound_down[w],
-        )
+    def exchange(self, session: CommandSession, superstep: int):
+        return self._phase(session, "up", superstep), self._phase(session, "down", superstep)
 
-    # -- CommandSession transport hooks --------------------------------
-
-    def _send_to(self, w: int, message) -> None:
-        sock = self._socks[w]
-        if sock is None:
-            raise BrokenPipeError(f"worker {w} has no connection")
-        try:
-            wire.send_msg(sock, message)
-        except wire.WireError as exc:
-            raise OSError(str(exc)) from exc
-
-    def _recv_from(self, w: int, timeout: Optional[float]):
-        sock = self._socks[w]
-        if sock is None:
-            raise WorkerLostError(w, f"worker {w} died unexpectedly (no connection)")
-        try:
-            return wire.recv_msg(sock, timeout=timeout)
-        except wire.WireTimeout:
-            raise ReplyTimeout() from None
-        except (wire.WireError, OSError) as exc:
-            code = self._exit_code(w)
-            detail = f"exit code {code}" if code is not None else str(exc)
-            raise WorkerLostError(
-                w, f"worker {w} died unexpectedly ({detail})"
-            ) from None
-
-    def _worker_alive(self, w: int) -> bool:
-        if self._socks[w] is None:
-            return False
-        proc = self._procs[w]
-        return proc is None or proc.poll() is None
-
-    def _is_closed(self) -> bool:
-        return not self._finalizer.alive
-
-    def _exit_code(self, w: int) -> Optional[int]:
-        proc = self._procs[w]
-        return None if proc is None else proc.poll()
-
-    # -- stages ---------------------------------------------------------
-
-    def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
-        self._broadcast("compute", superstep)
-        timed = []
-        for w in range(self._num_workers):
-            work, t0, t1, active_any = self._expect(w, "ok")
-            self._active[w] = bool(active_any)
-            timed.append((work, t0, t1))
-        return finish_compute_stage(self.recorder, superstep, timed)
-
-    def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
-        ups = self._exchange_phase("up", superstep)
-        downs = self._exchange_phase("down", superstep)
-        return finish_exchange_stage(self.recorder, superstep, ups, downs)
-
-    def _exchange_phase(self, phase: str, superstep: int):
+    def _phase(self, session: CommandSession, phase: str, superstep: int):
         """One collect → reroute → apply round over every worker.
 
         Collecting every reply before the apply scatter is the
         mid-exchange barrier (and, in the up phase, the up/down barrier
         the kernels require).
         """
-        p = self._num_workers
-        rec = self.recorder
+        rec = session.recorder
         t0 = monotonic_ns()
-        self._broadcast(f"collect_{phase}", superstep)
-        collected = [self._expect(w, "ok") for w in range(p)]
+        session.broadcast(f"collect_{phase}")
+        collected = session.results()
         t1 = monotonic_ns()
-        inboxes: List[Dict[int, object]] = [{} for _ in range(p)]
+        inboxes: List[Dict[int, object]] = [{} for _ in collected]
         for src, (outbox, c0, c1) in enumerate(collected):
             if rec.enabled:
                 rec.add(f"wire.collect.{phase}", c0, c1, src, superstep, "wire")
@@ -664,35 +333,24 @@ class _SocketSession(CommandSession):
             # (serialize + send + recv) and the apply scatter send.
             rec.add(f"wire.recv.{phase}", t0, t1, None, superstep, "wire")
         s0 = monotonic_ns()
-        self._scatter(f"apply_{phase}", inboxes)
+        session.scatter(f"apply_{phase}", inboxes)
         if rec.enabled:
             rec.add(f"wire.send.{phase}", s0, monotonic_ns(), None, superstep, "wire")
-        results = []
-        for w in range(p):
-            value, a0, a1, active_any = self._expect(w, "ok")
-            self._active[w] = bool(active_any)
-            results.append((value, a0, a1))
-        return results
+        return session.results()
 
-    # -- engine-facing state access ------------------------------------
+    # -- state access -----------------------------------------------------
 
-    def any_active(self) -> bool:
-        return any(self._active)
+    def any_active(self, session: CommandSession) -> bool:
+        return any(session.active)
 
-    def pull_state(self) -> WorkerState:
-        self._check_usable()
-        with self.recorder.span("wire.pull_state", cat="wire"):
-            self._broadcast("pull_state", None)
-            shards = [self._expect(w, "ok") for w in range(self._num_workers)]
-        return WorkerState(
-            values=[s["values"] for s in shards],
-            changed=[s["changed"] for s in shards],
-            active=[s["active"] for s in shards] if self._minimize else None,
-            partials=None if self._minimize else [s["partials"] for s in shards],
-        )
+    def pull_state(self, session: CommandSession) -> WorkerState:
+        with session.recorder.span("wire.pull_state", cat="wire"):
+            session.broadcast("owned")
+            shards = session.results()
+        return WorkerState(**{kind: [s[kind] for s in shards] for kind in shards[0]})
 
-    def push_state(self, arrays) -> None:
-        p = self._num_workers
+    def push_state(self, session: CommandSession, arrays) -> None:
+        p = len(session.links)
         for kind, worker_arrays in arrays.items():
             if len(worker_arrays) != p:
                 raise BackendError(
@@ -700,83 +358,37 @@ class _SocketSession(CommandSession):
                     f"for {p} workers"
                 )
         shards = [{kind: arrays[kind][w] for kind in sorted(arrays)} for w in range(p)]
-        with self.recorder.span("wire.push_state", cat="wire"):
-            self._scatter("push_state", shards)
-            for w in range(p):
-                self._active[w] = bool(self._expect(w, "ok"))
+        with session.recorder.span("wire.push_state", cat="wire"):
+            session.scatter("restore", shards)
+            session.results()
 
-    # -- recovery --------------------------------------------------------
+    # -- recovery ---------------------------------------------------------
 
-    @property
-    def supports_recovery(self) -> bool:
-        """Whether dead workers can be respawned (spawned-local pools only)."""
-        return self._spawned
-
-    def recover_workers(self) -> List[int]:
-        """Respawn dead workers, resync survivors, clear the failed latch.
-
-        Returns the list of worker ids that were replaced.  The caller
-        (the engine's recovery path) must follow up with ``push_state``
-        — replacement workers come up with *initial* state, and
-        survivors have advanced past the snapshot boundary.
-        """
-        if self._is_closed():
-            raise BackendError("session is closed")
-        if not self._spawned:
-            raise BackendError(
-                "cannot recover: workers were launched externally "
-                "(respawn is only supported for coordinator-spawned "
-                "local workers)"
-            )
+    def recover_workers(self, session: CommandSession) -> List[int]:
         self._nonce += 1
-        nonce = self._nonce
-        replaced = []
-        for w in range(self._num_workers):
-            if not self._resync(w, nonce):
-                replaced.append(w)
-                self._respawn(w)
-        self._failed = False
-        return replaced
+        dead = [w for w, link in enumerate(session.links) if not self._resync(session, link)]
+        for w in dead:
+            link = session.links[w]
+            link.kill()
+            link.wait(JOIN_TIMEOUT)
+            link.close()
+        session.launch(dead)
+        return dead
 
-    def _resync(self, w: int, nonce: int) -> bool:
-        """Drain worker ``w``'s stale replies until it echoes ``nonce``."""
-        sock = self._socks[w]
-        if sock is None or not self._worker_alive(w):
+    def _resync(self, session: CommandSession, link: Link) -> bool:
+        """Drain ``link``'s stale replies until it echoes the current nonce."""
+        if not link.alive():
             return False
         try:
-            wire.send_msg(sock, ("echo", nonce))
+            link.send(("echo", self._nonce))
             # An aborted stage leaves at most a handful of unread
             # replies queued ahead of the echo; the bound is defensive.
             for _ in range(32):
-                msg = wire.recv_msg(sock, timeout=self._stage_timeout)
-                if msg == ("echo", nonce):
+                if link.recv(session.stage_timeout) == ("echo", self._nonce):
                     return True
-            return False
-        except (wire.WireError, OSError):
-            return False
-
-    def _respawn(self, w: int) -> None:
-        sock = self._socks[w]
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            self._socks[w] = None
-        proc = self._procs[w]
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc, host, port = _spawn_local_worker(w, self._connect_timeout)
-        self._procs[w] = proc
-        self._socks[w] = _connect(host, port, self._connect_timeout)
-        self._handshake(w)
-        self._post(w, "init", self._init_payload(w))
-        self._active[w] = bool(self._expect(w, "ready", timeout=_INIT_TIMEOUT))
-
-    def close(self) -> None:
-        if self._finalizer.alive:
-            self._finalizer()
+        except (EOFError, OSError, ReplyTimeout):
+            pass
+        return False
 
 
 def _parse_workers(workers) -> List[Tuple[str, int]]:
@@ -841,8 +453,8 @@ class SocketBackend(Backend):
             raise ValueError("pass workers= or topology=, not both")
         self.workers = workers
         self.topology = topology
-        self.stage_timeout = stage_timeout
-        self.connect_timeout = float(connect_timeout)
+        self.stage_timeout = positive_timeout("stage_timeout", stage_timeout)
+        self.connect_timeout = positive_timeout("connect_timeout", connect_timeout)
         # Malformed endpoint lists fail at spec/construction time, not
         # at the first session of a long pipeline.
         self._static_endpoints = None if workers is None else _parse_workers(workers)
@@ -853,10 +465,11 @@ class SocketBackend(Backend):
         endpoints = self._static_endpoints
         if endpoints is None and self.topology is not None:
             endpoints = _read_topology(self.topology)
-        return _SocketSession(
-            dgraph,
-            program,
-            endpoints=endpoints,
-            stage_timeout=self.stage_timeout,
-            connect_timeout=self.connect_timeout,
-        )
+        if endpoints is not None and len(endpoints) != dgraph.num_workers:
+            raise BackendError(
+                f"backend spec names {len(endpoints)} workers but the "
+                f"graph is partitioned for p={dgraph.num_workers}"
+            )
+        spawn = partial(_connect_worker, endpoints, self.connect_timeout)
+        plane = WirePlane(spawned=endpoints is None)
+        return CommandSession(self.name, dgraph, program, spawn, plane, self.stage_timeout)

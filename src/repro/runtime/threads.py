@@ -49,26 +49,20 @@ class _ThreadSession(SharedArraySession):
         )
 
     def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
-        p = self._dgraph.num_workers
-        futures = [
-            self._pool.submit(self._compute_one, w, superstep) for w in range(p)
-        ]
+        futures = [self._pool.submit(shard.compute, superstep) for shard in self._shards]
         # future.result() re-raises worker exceptions in submission order.
         return finish_compute_stage(
             self.recorder, superstep, [f.result() for f in futures]
         )
 
     def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
-        p = self._dgraph.num_workers
-        up_futures = [self._pool.submit(self._exchange_up_one, w) for w in range(p)]
+        up_futures = [self._pool.submit(shard.exchange_up) for shard in self._shards]
         # Collecting every up result before submitting any down task is
         # the mandatory mid-exchange barrier: the down phase reads
         # master values and dirty masks the up phase writes on *other*
         # workers.
         ups = [f.result() for f in up_futures]
-        down_futures = [
-            self._pool.submit(self._exchange_down_one, w) for w in range(p)
-        ]
+        down_futures = [self._pool.submit(shard.exchange_down) for shard in self._shards]
         downs = [f.result() for f in down_futures]
         return finish_exchange_stage(self.recorder, superstep, ups, downs)
 

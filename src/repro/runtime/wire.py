@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: bump on any incompatible change to framing or message shapes.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: refuse frames larger than this (a desynced stream read as a length
 #: field would otherwise ask for petabytes); generous enough for a full

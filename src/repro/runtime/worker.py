@@ -1,10 +1,10 @@
 """The per-worker superstep kernels every backend executes.
 
 This is the single definition of what "one worker's computation stage"
-and "one worker's slice of the replica exchange" mean — the serial
-backend calls these inline, the thread backend calls them from pool
-threads, and the process backend calls them inside persistent child
-processes.  Centralizing the gating rule (skip workers with no active
+and "one worker's slice of the replica exchange" mean.  Their one call
+site is :class:`repro.runtime.shard.WorkerShard`, which every backend
+runs — inline, on pool threads, in persistent child processes, or in
+TCP workers.  Centralizing the gating rule (skip workers with no active
 vertices), the activation rule (reactivate changed vertices or clear,
 per ``program.reactivate_changed``) and the exchange pull order is what
 guarantees all backends produce bit-identical results: they run *these*
@@ -40,10 +40,10 @@ by ``w`` from ``src`` was "sent" by ``src`` and "received" by ``w``);
 per-worker sent/received arrays the cost model consumes.
 
 Kernels here are deliberately observability-free: they never import
-:mod:`repro.obs` or read a clock.  The *caller* (each backend session,
-or the process backend's child loop) brackets the kernel call with
-monotonic-clock reads and hands the window to the session's attached
-recorder — see :func:`repro.runtime.base.finish_compute_stage`.  The
+:mod:`repro.obs` or read a clock.  The *caller*
+(:class:`~repro.runtime.shard.WorkerShard`) brackets the kernel call
+with monotonic-clock reads and the session hands the window to its
+attached recorder — see :func:`repro.runtime.base.finish_compute_stage`.  The
 ``worker-purity`` lint rule enforces the no-obs-import half of this
 contract.
 """

@@ -10,10 +10,8 @@ with isolated vertices and edge weights.
 import numpy as np
 import pytest
 
-from repro.bsp.distributed import (
-    build_distributed_graph,
-    build_distributed_graph_legacy,
-)
+from legacy_build import build_distributed_graph_legacy
+from repro.bsp.distributed import build_distributed_graph
 from repro.graph import Graph, generate_graph
 from repro.partition import (
     DBHPartitioner,

@@ -16,7 +16,6 @@ test, precise enough to target the exchange stage specifically.
 """
 
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -43,9 +42,9 @@ class _KillDuringExchange(Backend):
 
         def exchange_with_kill(superstep: int = 0):
             if superstep == kill_at:
-                victim = session._processes[-1]
-                os.kill(victim.pid, signal.SIGKILL)
-                victim.join(timeout=30)
+                victim = session.links[-1]
+                victim.kill()
+                victim.wait(30)
             return real_exchange(superstep)
 
         session.exchange_stage = exchange_with_kill

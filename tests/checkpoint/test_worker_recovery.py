@@ -51,9 +51,9 @@ class _KillWorkerOnce(Backend):
         def exchange_with_kill(superstep: int = 0):
             if superstep == self._kill_at and (not self.killed or not self._once):
                 self.killed = True
-                victim = session._procs[-1]
+                victim = session.links[-1]
                 victim.kill()
-                victim.wait(timeout=30)
+                victim.wait(30)
             return real(superstep)
 
         session.exchange_stage = exchange_with_kill
@@ -141,16 +141,18 @@ def test_manual_resume_after_socket_crash_is_bit_identical(
     assert_runs_identical(resumed, golden)
 
 
-def test_external_endpoint_sessions_refuse_recovery(ckpt_graph, ckpt_dgraphs):
+def test_external_endpoint_sessions_refuse_recovery(
+    ckpt_graph, ckpt_dgraphs, external_workers
+):
     """The coordinator cannot respawn a worker it did not launch."""
-    with SocketBackend().session(
-        ckpt_dgraphs[2], APPS.create("cc", ckpt_graph)
-    ) as session:
+    program = APPS.create("cc", ckpt_graph)
+    with SocketBackend().session(ckpt_dgraphs[2], program) as session:
         assert session.supports_recovery
-        # Flip the provenance flag to an externally-launched pool: the
-        # engine must not even try (it gates on supports_recovery), and
-        # a direct call refuses explicitly.
-        session._spawned = False
+    # The same pool shape over workers somebody else started: the engine
+    # must not even try (it gates on supports_recovery), and a direct
+    # call refuses explicitly.
+    backend = SocketBackend(workers=external_workers(2))
+    with backend.session(ckpt_dgraphs[2], program) as session:
         assert not session.supports_recovery
         with pytest.raises(BackendError, match="cannot recover"):
             session.recover_workers()

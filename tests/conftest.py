@@ -1,9 +1,14 @@
 """Shared fixtures: small deterministic graphs reused across the suite."""
 
+import re
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.graph import Graph, powerlaw_graph, road_network
+from repro.runtime import serve_worker
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +77,34 @@ def graph_zoo(tiny_graph, path_graph, two_triangles, small_powerlaw,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def external_workers(capsys):
+    """Start ``n`` real ``serve_worker`` threads the test did not "spawn".
+
+    ``external_workers(n)`` returns their ``host:port+host:port`` spec —
+    read off the same stdout announce line a spawning coordinator parses
+    — for ``SocketBackend(workers=...)``.  Each worker serves exactly one
+    session, so the test must open one; teardown checks they all exited.
+    """
+    threads = []
+
+    def start(n: int) -> str:
+        for _ in range(n):
+            thread = threading.Thread(
+                target=serve_worker, args=("127.0.0.1:0", 1), daemon=True
+            )
+            thread.start()
+            threads.append(thread)
+        announced, deadline = [], time.monotonic() + 30
+        while len(announced) < n:
+            assert time.monotonic() < deadline, "workers never announced a port"
+            announced += re.findall(r"REPRO-WORKER listening (\S+)", capsys.readouterr().out)
+            time.sleep(0.005)
+        return "+".join(announced)
+
+    yield start
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "an external worker outlived its session"

@@ -16,10 +16,14 @@ hazard, exercised against *both* out-of-process backends:
 3. **Partial-death teardown** — ``close()`` after a SIGKILLed subset of
    workers must reap every survivor and (process backend) unlink every
    shared-memory block without resource-tracker leak warnings.
+
+Both backends run one session class
+(:class:`repro.runtime.protocol.CommandSession`), so each failure is
+provoked through every *link* that can carry it: pipes and TCP for real
+worker death, TCP and the in-memory link (``memlink.py``) for peers that
+misbehave.  Workers are reached only through ``session.links``.
 """
 
-import os
-import signal
 import socket
 import subprocess
 import sys
@@ -28,6 +32,7 @@ import time
 
 import pytest
 
+from memlink import memory_session
 from repro.apps.cc import ConnectedComponents
 from repro.bsp import build_distributed_graph
 from repro.graph import powerlaw_graph
@@ -56,53 +61,94 @@ class SleepyCC(ConnectedComponents):
         return super().compute(local, values, active, superstep)  # pragma: no cover
 
 
-class FakeSocketWorker(threading.Thread):
-    """A wire-correct worker that misbehaves after init.
+def misbehave(end, mode: str) -> None:
+    """A worker that acks ``init`` and then breaks the conversation.
 
-    Speaks the real handshake and acks ``init``, then either never
-    answers another command (``mode="silent"`` — a hung remote worker)
-    or answers with a non-``(status, payload)`` object
-    (``mode="malformed"`` — a desynced/foreign peer).
+    ``end`` is any object with ``recv()``/``send(message)``.  After the
+    first stage command it either never answers (``mode="silent"`` — a
+    hung remote worker) or answers with a non-``(status, payload)``
+    object (``mode="malformed"`` — a desynced/foreign peer); then it
+    holds the link open, ignoring everything but ``stop``.
     """
+    cmd, _payload = end.recv()
+    assert cmd == "init"
+    end.send(("ready", False))
+    end.recv()  # the first stage command
+    if mode == "malformed":
+        end.send("this is not a (status, payload) pair")
+    try:
+        while end.recv()[0] != "stop":
+            pass
+    except (EOFError, wire.WireError):
+        pass
+
+
+class _WireEnd:
+    """``misbehave``'s view of an accepted, handshaken TCP connection."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def recv(self):
+        return wire.recv_msg(self._conn, timeout=30.0)
+
+    def send(self, message):
+        wire.send_msg(self._conn, message)
+
+
+class FakeSocketWorker(threading.Thread):
+    """A wire-correct endpoint (real handshake) that then misbehaves."""
 
     def __init__(self, mode: str):
         super().__init__(daemon=True)
         self.mode = mode
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
-        self.stop_evt = threading.Event()
 
     def run(self):
         conn, _ = self.listener.accept()
         try:
             wire.send_hello(conn, "worker")
             wire.expect_hello(conn, "coordinator", timeout=30.0)
-            cmd, _payload = wire.recv_msg(conn, timeout=30.0)
-            assert cmd == "init"
-            wire.send_msg(conn, ("ready", False))
-            wire.recv_msg(conn, timeout=30.0)  # the first stage command
-            if self.mode == "malformed":
-                wire.send_msg(conn, "this is not a (status, payload) pair")
-            self.stop_evt.wait(30.0)  # silent: hold the link open
+            misbehave(_WireEnd(conn), self.mode)
         except wire.WireError:
             pass
         finally:
             conn.close()
 
     def close(self):
-        self.stop_evt.set()
         self.listener.close()
         self.join(timeout=30)
 
 
+#: every misbehaving-peer case runs over framed TCP and the in-memory link.
+BOTH_TRANSPORTS = ["tcp", "memory"]
+
+
+def fake_pools(mode):
+    return pytest.mark.parametrize(
+        "fake_pool",
+        [(transport, mode) for transport in BOTH_TRANSPORTS],
+        indirect=True,
+        ids=BOTH_TRANSPORTS,
+    )
+
+
 @pytest.fixture()
 def fake_pool(request):
-    """Two fake endpoint workers in the requested mode + their backend."""
-    workers = [FakeSocketWorker(request.param) for _ in range(2)]
+    """``open(dgraph, program)`` -> a wire-plane session over two fake
+    workers in the requested ``(transport, mode)``, stage_timeout 0.5 s."""
+    transport, mode = request.param
+    if transport == "memory":
+        yield lambda dgraph, program: memory_session(
+            dgraph, program, worker=lambda end: misbehave(end, mode), stage_timeout=0.5
+        )
+        return
+    workers = [FakeSocketWorker(mode) for _ in range(2)]
     for w in workers:
         w.start()
     endpoints = "+".join(f"127.0.0.1:{w.port}" for w in workers)
-    yield SocketBackend(workers=endpoints, stage_timeout=0.5)
+    yield SocketBackend(workers=endpoints, stage_timeout=0.5).session
     for w in workers:
         w.close()
 
@@ -135,11 +181,13 @@ def test_process_hung_worker_times_out_and_names_alive_workers(dgraph):
         assert "stage_timeout" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("fake_pool", ["silent"], indirect=True)
+@fake_pools("silent")
 def test_socket_hung_worker_times_out(fake_pool, dgraph, program):
-    with fake_pool.session(dgraph, program) as session:
-        with pytest.raises(BackendError, match="did not answer within"):
+    with fake_pool(dgraph, program) as session:
+        with pytest.raises(BackendError, match="did not answer within") as excinfo:
             session.compute_stage(0)
+        # Both peers still hold their links open: hung, not dead.
+        assert "alive workers: [0, 1]" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
@@ -155,20 +203,39 @@ def test_nonpositive_stage_timeout_rejected_at_session_start(cls, dgraph, progra
         cls(stage_timeout=0).session(dgraph, program)
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ("process?stage_timeout=0", "stage_timeout"),
+        ("socket?stage_timeout=-5,connect_timeout=-1", "stage_timeout"),
+        ("socket?connect_timeout=-1", "connect_timeout"),
+        ("socket?connect_timeout=0", "connect_timeout"),
+    ],
+)
+def test_bad_timeouts_fail_when_the_spec_is_parsed(spec, name):
+    """Not at session start — that is after graph read, partition and
+    distributed build.  Same place ``socket?workers=`` typos fail."""
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        BACKENDS.create(spec)
+
+
+def test_unparseable_timeout_fails_when_the_spec_is_parsed():
+    """``&`` is not the spec separator, so this is one non-numeric value."""
+    with pytest.raises(ValueError):
+        BACKENDS.create("socket?stage_timeout=-5&connect_timeout=-1")
+
+
 # ----------------------------------------------------------------------
 # Satellite 2: the failed latch + the typed WorkerLostError
 # ----------------------------------------------------------------------
 
 
 def _kill_last_worker(session):
-    """SIGKILL the highest-id worker of either backend's session."""
-    procs = getattr(session, "_processes", None)
-    if procs is not None:  # process backend
-        os.kill(procs[-1].pid, signal.SIGKILL)
-        procs[-1].join(timeout=30)
-    else:  # socket backend (spawned-local)
-        session._procs[-1].kill()
-        session._procs[-1].wait(timeout=30)
+    """SIGKILL the highest-id worker through its link and reap it."""
+    victim = session.links[-1]
+    victim.kill()
+    victim.wait(30)
+    assert not victim.alive()
 
 
 @pytest.mark.parametrize("backend_cls", [ProcessBackend, SocketBackend])
@@ -190,6 +257,27 @@ def test_lost_worker_is_typed_and_latches_the_session(backend_cls, dgraph, progr
     # context-manager exit: close() after the latch is clean.
 
 
+@pytest.mark.parametrize("backend_cls", [ProcessBackend, SocketBackend])
+def test_worker_killed_between_stages_is_typed_on_the_next_stage(
+    backend_cls, dgraph, program
+):
+    """The loss is noticed when the next command is *sent* (a dead pipe
+    raises EPIPE at once; a small TCP send may be buffered and the recv
+    notices instead).  Either way it is a WorkerLostError naming the
+    worker and its exit code — not a transport-dependent plain
+    BackendError — so the engine's recovery path sees it."""
+    with backend_cls().session(dgraph, program) as session:
+        session.compute_stage(0)
+        _kill_last_worker(session)
+        time.sleep(0.2)
+        with pytest.raises(WorkerLostError, match="died unexpectedly") as excinfo:
+            session.exchange_stage(0)
+        assert excinfo.value.worker_id == 1
+        assert "exit code -9" in str(excinfo.value)
+        with pytest.raises(BackendError, match="session is failed"):
+            session.compute_stage(1)
+
+
 def test_hung_worker_also_latches_the_session(dgraph):
     with ProcessBackend(stage_timeout=0.5).session(dgraph, SleepyCC()) as session:
         with pytest.raises(BackendError, match="did not answer"):
@@ -198,13 +286,25 @@ def test_hung_worker_also_latches_the_session(dgraph):
             session.exchange_stage(0)
 
 
-@pytest.mark.parametrize("fake_pool", ["malformed"], indirect=True)
+@fake_pools("silent")
+def test_socket_timeout_also_latches_the_session(fake_pool, dgraph, program):
+    """The wire-plane twin of the test above."""
+    with fake_pool(dgraph, program) as session:
+        with pytest.raises(BackendError, match="did not answer"):
+            session.compute_stage(0)
+        with pytest.raises(BackendError, match="session is failed"):
+            session.exchange_stage(0)
+        with pytest.raises(BackendError, match="session is failed"):
+            session.pull_state()
+
+
+@fake_pools("malformed")
 def test_socket_malformed_reply_latches_instead_of_crashing(
     fake_pool, dgraph, program
 ):
     """A peer shipping a non-(status, payload) object is a protocol
     fault reported as BackendError, never a bare unpacking ValueError."""
-    with fake_pool.session(dgraph, program) as session:
+    with fake_pool(dgraph, program) as session:
         with pytest.raises(BackendError, match="malformed reply"):
             session.compute_stage(0)
         with pytest.raises(BackendError, match="session is failed"):
@@ -219,19 +319,18 @@ def test_socket_malformed_reply_latches_instead_of_crashing(
 @pytest.mark.parametrize("backend_cls", [ProcessBackend, SocketBackend])
 def test_close_reaps_survivors_after_partial_death(backend_cls, dgraph, program):
     session = backend_cls().session(dgraph, program)
-    procs = list(getattr(session, "_processes", None) or session._procs)
+    links = list(session.links)
     _kill_last_worker(session)
     session.close()
     session.close()  # idempotent
-    for proc in procs:
-        alive = proc.is_alive() if hasattr(proc, "is_alive") else proc.poll() is None
-        assert not alive, "close() left a worker running"
+    for link in links:
+        assert not link.alive(), "close() left a worker running"
     with pytest.raises(BackendError, match="session is closed"):
         session.compute_stage(0)
 
 
 _LEAK_SCRIPT = """
-import os, signal
+import glob
 from repro.apps.cc import ConnectedComponents
 from repro.bsp import build_distributed_graph
 from repro.graph import powerlaw_graph
@@ -240,17 +339,18 @@ from repro.runtime import ProcessBackend
 
 g = powerlaw_graph(120, eta=2.2, min_degree=2, seed=11, name="leak-pl")
 dg = build_distributed_graph(EBVPartitioner().partition(g, 4))
+before = set(glob.glob("/dev/shm/psm_*"))
 session = ProcessBackend().session(dg, ConnectedComponents())
-names = [spec.name for table in session._specs for spec in table.values()]
+blocks = set(glob.glob("/dev/shm/psm_*")) - before
+assert len(blocks) == 4 * 4, blocks  # values, changed, active, dirty per worker
 session.compute_stage(0)
 # Kill half the pool, then tear down with survivors still mapped.
-for proc in session._processes[2:]:
-    os.kill(proc.pid, signal.SIGKILL)
-    proc.join(timeout=30)
+for link in session.links[2:]:
+    link.kill()
+    link.wait(30)
 session.close()
-for name in names:
-    assert not os.path.exists(os.path.join("/dev/shm", name)), name
-print("CLEAN", len(names))
+assert not blocks & set(glob.glob("/dev/shm/psm_*"))
+print("CLEAN", len(blocks))
 """
 
 

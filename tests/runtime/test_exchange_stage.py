@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro.runtime.base as runtime_base
-import repro.runtime.process as runtime_process
+import repro.runtime.protocol as runtime_protocol
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
@@ -107,9 +107,11 @@ class TestRoutePlanBuiltOncePerRun:
             return real(dgraph)
 
         # The serial/thread sessions resolve the name through base's
-        # module globals; the process session imported its own binding.
+        # module globals; the out-of-process session (protocol.py, the
+        # one place process and socket build the plan) imported its own
+        # binding.
         monkeypatch.setattr(runtime_base, "build_route_plan", counting)
-        monkeypatch.setattr(runtime_process, "build_route_plan", counting)
+        monkeypatch.setattr(runtime_protocol, "build_route_plan", counting)
 
         run = BSPEngine(backend=backend_name).run(
             dgraphs[2], APPS.create("cc", graph)

@@ -200,12 +200,17 @@ def test_hello_round_trip(pair):
     assert msg["version"] == wire.WIRE_VERSION
 
 
-def test_version_mismatch_is_protocol_error(pair):
+@pytest.mark.parametrize("peer_version", [1, wire.WIRE_VERSION + 1])
+def test_version_mismatch_is_protocol_error(pair, peer_version):
+    """Version 1 is the pre-shard ``init`` payload and command names: a
+    worker (or coordinator) from that checkout is refused at the hello,
+    not inside ``init`` unpacking."""
+    assert wire.WIRE_VERSION == 2
     a, b = pair
     wire.send_msg(
-        a, {"kind": "repro-wire-hello", "version": wire.WIRE_VERSION + 1, "role": "worker"}
+        a, {"kind": "repro-wire-hello", "version": peer_version, "role": "worker"}
     )
-    with pytest.raises(wire.ProtocolError, match="version mismatch"):
+    with pytest.raises(wire.ProtocolError, match="version mismatch.*mixed repro checkouts"):
         wire.expect_hello(b, "worker", timeout=5.0)
 
 
