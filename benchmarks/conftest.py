@@ -51,10 +51,11 @@ def tables345_data(config):
 @pytest.fixture(scope="session")
 def artifact_sink():
     """Write a rendered artifact to benchmarks/out/<name>.txt and echo it."""
-    OUT_DIR.mkdir(exist_ok=True)
 
     def save(name: str, text: str) -> None:
-        (OUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        path = OUT_DIR / f"{name}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n", encoding="utf-8")
         print()
         print(text)
 

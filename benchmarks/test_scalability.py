@@ -5,6 +5,11 @@ bench measures wall time across graph sizes and part counts and checks
 the growth is at most mildly super-linear, i.e. the implementation has
 no hidden quadratic term — the property that lets the paper call EBV
 "highly scalable".
+
+The tables are wall-clock and differ on every run, so they are written
+to the git-ignored ``benchmarks/out/timings/``; the committed
+``benchmarks/out/scalability_*.txt`` are one reference transcript and
+are not rewritten.
 """
 
 import time
@@ -33,7 +38,7 @@ def test_scaling_in_edges(benchmark, artifact_sink):
         [(n, m, f"{dt:.3f}") for n, m, dt in rows],
         title="Ablation A7 — EBV partition time vs graph size (p=8)",
     )
-    artifact_sink("scalability_edges", text)
+    artifact_sink("timings/scalability_edges", text)
 
     # Time per edge must stay within 4x of the smallest size's rate
     # (linear-ish scaling; generous bound for interpreter noise).
@@ -59,7 +64,7 @@ def test_scaling_in_parts(benchmark, artifact_sink):
         [(p, f"{dt:.3f}") for p, dt in rows],
         title=f"Ablation A7 — EBV partition time vs p (|E|={g.num_edges})",
     )
-    artifact_sink("scalability_parts", text)
+    artifact_sink("timings/scalability_parts", text)
 
     times = dict(rows)
     # Doubling p from 2 to 32 must not blow past the O(E·p) envelope by

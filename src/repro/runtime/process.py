@@ -39,7 +39,7 @@ from functools import partial
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from multiprocessing.shared_memory import SharedMemory
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -195,6 +195,8 @@ class ProcessBackend(Backend):
         self, dgraph: DistributedGraph, program: SubgraphProgram
     ) -> BackendSession:
         ctx = multiprocessing.get_context(self.start_method)
-        return CommandSession(
-            self.name, dgraph, program, partial(_spawn, ctx), ShmPlane(), self.stage_timeout
-        )
+
+        def spawn(workers: Sequence[int]) -> List[_PipeLink]:
+            return [_spawn(ctx, w) for w in workers]
+
+        return CommandSession(self.name, dgraph, program, spawn, ShmPlane(), self.stage_timeout)

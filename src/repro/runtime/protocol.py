@@ -239,10 +239,13 @@ def _teardown(links: List[Link], plane: StatePlane) -> None:
 class CommandSession(BackendSession):
     """A pool of out-of-process workers driven over command/reply links.
 
-    ``spawn(w)`` starts (or dials) worker ``w`` and returns its
-    :class:`Link`; ``plane`` is the :class:`StatePlane`.  Neither may
-    hold a reference to the session (the finalizer must not keep it
-    alive).
+    ``spawn(workers)`` starts or dials the given workers and returns
+    their links, in order — called once for the whole pool at open and
+    once for the dead set at recovery, so an implementation can start
+    them side by side.  A ``spawn`` that raises must leave no worker
+    behind: the session tears down only the links it was handed.
+    ``plane`` is the :class:`StatePlane`.  Neither may hold a reference
+    to the session (the finalizer must not keep it alive).
     """
 
     def __init__(
@@ -250,7 +253,7 @@ class CommandSession(BackendSession):
         backend_name: str,
         dgraph: DistributedGraph,
         program: SubgraphProgram,
-        spawn: Callable[[int], Link],
+        spawn: Callable[[Sequence[int]], Sequence[Link]],
         plane: StatePlane,
         stage_timeout: float = DEFAULT_STAGE_TIMEOUT,
     ):
@@ -279,15 +282,16 @@ class CommandSession(BackendSession):
             raise
 
     def launch(self, workers: Iterable[int]) -> None:
-        """spawn → ``init`` → ``ready``: every worker at open, replacements later."""
+        """spawn → ``init`` → ``ready``, each step over the whole batch:
+        every worker at open, the replacements at recovery."""
         workers = list(workers)
         locals_, program, plan, extras = self._init_parts
-        for w in workers:
-            link = self._spawn(w)
+        for w, link in zip(workers, self._spawn(workers)):
             if w < len(self.links):
                 self.links[w] = link  # a replacement
             else:
                 self.links.append(link)
+        for w in workers:
             # Everything a worker holds for the whole run, in one message.
             init = (w, locals_[w], program, plan.inbound_up[w], plan.inbound_down[w], extras[w])
             self._post(w, "init", init)

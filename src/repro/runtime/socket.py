@@ -12,7 +12,11 @@ shared :class:`~repro.runtime.protocol.CommandSession`:
 small versioned protocol in :mod:`repro.runtime.wire`, plus the
 ``Popen`` handle when the coordinator launched the worker itself
 and nothing but the connection when it dialled an endpoint somebody
-else started (:func:`_connect_worker` does either).
+else started.  :func:`_connect_workers` makes a whole batch of them —
+the pool at session start, the dead set at recovery: it starts every
+local ``repro worker`` child before it waits for the first one's
+announce, so ``p`` interpreters boot side by side, and the batch shares
+one ``connect_timeout`` deadline.
 
 *Its state plane* — :class:`WirePlane`.  Each worker builds its
 :class:`~repro.runtime.shard.WorkerShard` over arrays it allocates
@@ -212,13 +216,19 @@ def serve_worker(listen: str, sessions: int = 1) -> int:
 # ----------------------------------------------------------------------
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``, floored just above zero: the wait
+    still times out, where 0 would make a socket non-blocking."""
+    return max(deadline - monotonic(), 1e-3)
+
+
 def _dial(
-    w: int, endpoint: Tuple[str, int], timeout: float, proc: Optional[subprocess.Popen] = None
+    w: int, endpoint: Tuple[str, int], deadline: float, proc: Optional[subprocess.Popen] = None
 ) -> _TcpLink:
     """Connect to worker ``w``'s endpoint and trade version hellos."""
     host, port = endpoint
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection((host, port), timeout=_time_left(deadline))
     except OSError as exc:
         raise BackendError(
             f"cannot connect to worker at {host}:{port}: {exc} "
@@ -226,7 +236,7 @@ def _dial(
         ) from exc
     link = _TcpLink(sock, proc)
     try:
-        wire.expect_hello(sock, "worker", timeout=timeout)
+        wire.expect_hello(sock, "worker", timeout=_time_left(deadline))
         wire.send_hello(sock, "coordinator")
     except wire.WireError as exc:
         sock.close()
@@ -234,27 +244,35 @@ def _dial(
     return link
 
 
-def _read_announce(proc: subprocess.Popen, w: int, timeout: float) -> Tuple[str, int]:
-    """Parse the ``host:port`` a freshly spawned worker prints on stdout."""
-    deadline = monotonic() + timeout
-    line = b""
-    while not line.endswith(b"\n"):
-        remaining = deadline - monotonic()
-        if remaining <= 0 or proc.poll() is not None:
+def _read_announce(
+    proc: subprocess.Popen, w: int, deadline: float, timeout: float
+) -> Tuple[str, int]:
+    """Parse the ``host:port`` a freshly spawned worker prints on stdout.
+
+    Reads the pipe's file descriptor directly — ``select`` then one
+    ``os.read`` of whatever is there — so a child that prints half a
+    line and stalls cannot hold the coordinator past ``deadline``.
+    """
+    fd = proc.stdout.fileno()
+    data = b""
+    while b"\n" not in data:
+        ready, _, _ = select.select([fd], [], [], _time_left(deadline))
+        if not ready:
             raise BackendError(
-                f"spawned worker {w} did not announce a port within "
-                f"{timeout:.0f}s (exit code {proc.poll()})"
+                f"spawned worker {w}: no announce within {timeout:.0f}s "
+                f"(printed {data.decode('utf-8', 'replace')!r} so far)"
             )
-        ready, _, _ = select.select([proc.stdout], [], [], min(remaining, 0.5))
-        if ready:
-            chunk = proc.stdout.readline()
-            if not chunk:
-                raise BackendError(
-                    f"spawned worker {w} closed stdout before "
-                    f"announcing a port (exit code {proc.poll()})"
-                )
-            line += chunk
-    text = line.decode("utf-8", "replace").strip()
+        chunk = os.read(fd, 4096)
+        if not chunk:  # every write end is closed: the child is gone
+            try:
+                code = proc.wait(timeout=JOIN_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                code = None
+            raise BackendError(
+                f"spawned worker {w} exited before announcing a port (exit code {code})"
+            )
+        data += chunk
+    text = data.split(b"\n", 1)[0].decode("utf-8", "replace").strip()
     if not text.startswith(_ANNOUNCE):
         raise BackendError(
             f"spawned worker {w} printed {text!r} instead of the {_ANNOUNCE!r} marker"
@@ -262,29 +280,64 @@ def _read_announce(proc: subprocess.Popen, w: int, timeout: float) -> Tuple[str,
     return wire.parse_hostport(text[len(_ANNOUNCE):].strip())
 
 
-def _connect_worker(
-    endpoints: Optional[Sequence[Tuple[str, int]]], timeout: float, w: int
-) -> _TcpLink:
-    """Worker ``w``'s link: dial its endpoint, or first start a local
-    ``repro worker`` child on 127.0.0.1 when there are no endpoints."""
-    if endpoints is not None:
-        return _dial(w, endpoints[w], timeout)
+def _worker_env() -> Dict[str, str]:
+    """This process's environment with this checkout first on ``PYTHONPATH``.
+
+    Only non-empty entries are joined: an empty one means the current
+    directory, which would let a stray ``numpy/`` or ``repro.py`` there
+    shadow the real package in workers only.
+    """
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--listen", "127.0.0.1:0", "--sessions", "1"],
-        stdout=subprocess.PIPE,
-        env=env,
-    )
+    inherited = [entry for entry in env.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    env["PYTHONPATH"] = os.pathsep.join([src_root, *inherited])
+    return env
+
+
+def _connect_workers(
+    endpoints: Optional[Sequence[Tuple[str, int]]], timeout: float, workers: Sequence[int]
+) -> List[_TcpLink]:
+    """Links to ``workers``, in order, all inside one ``timeout``.
+
+    With ``endpoints`` each worker's own is dialled.  Without, every
+    worker gets a local ``repro worker`` child on 127.0.0.1 — **all**
+    started before the first announce is awaited (``Popen`` does not
+    block; waiting for one interpreter at a time is what would), then
+    per worker: read its announce, dial it, trade hellos.  If anything
+    fails, every child already started is killed and reaped and every
+    pipe and socket closed before the error propagates.
+    """
+    deadline = monotonic() + timeout
+    procs: List[subprocess.Popen] = []
+    links: List[_TcpLink] = []
     try:
-        return _dial(w, _read_announce(proc, w, timeout), timeout, proc)
+        if endpoints is None:
+            env = _worker_env()
+            for _ in workers:
+                procs.append(
+                    subprocess.Popen(
+                        [sys.executable, "-m", "repro", "worker",
+                         "--listen", "127.0.0.1:0", "--sessions", "1"],
+                        stdout=subprocess.PIPE,
+                        env=env,
+                    )
+                )
+        for i, w in enumerate(workers):
+            if endpoints is None:
+                proc = procs[i]
+                links.append(_dial(w, _read_announce(proc, w, deadline, timeout), deadline, proc))
+            else:
+                links.append(_dial(w, endpoints[w], deadline))
     except BaseException:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
+        for link in links:
+            link.close()
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.wait()
+            proc.stdout.close()
         raise
+    return links
 
 
 class WirePlane(StatePlane):
@@ -437,7 +490,8 @@ class SocketBackend(Backend):
         :data:`~repro.runtime.protocol.DEFAULT_STAGE_TIMEOUT` with the
         process backend.  Spec form ``socket?stage_timeout=120``.
     connect_timeout:
-        Seconds for spawn/connect/handshake at session start.
+        Seconds for spawn/connect/handshake — one deadline for the whole
+        batch of workers at session start or recovery.
     """
 
     name = "socket"
@@ -470,6 +524,6 @@ class SocketBackend(Backend):
                 f"backend spec names {len(endpoints)} workers but the "
                 f"graph is partitioned for p={dgraph.num_workers}"
             )
-        spawn = partial(_connect_worker, endpoints, self.connect_timeout)
+        spawn = partial(_connect_workers, endpoints, self.connect_timeout)
         plane = WirePlane(spawned=endpoints is None)
         return CommandSession(self.name, dgraph, program, spawn, plane, self.stage_timeout)

@@ -23,6 +23,7 @@ from repro.bsp import BSPEngine
 from repro.checkpoint import list_snapshots
 from repro.pipeline import APPS
 from repro.runtime import Backend, BackendError, SocketBackend, WorkerLostError
+from repro.runtime.protocol import CommandSession
 
 
 class _KillWorkerOnce(Backend):
@@ -31,15 +32,17 @@ class _KillWorkerOnce(Backend):
     One-shot by default: the replayed superstep after recovery runs
     unharmed, so a single ``max_recoveries=1`` budget must carry the run
     to completion.  ``once=False`` re-kills on every replay of the same
-    superstep — the budget-exhaustion case.
+    superstep — the budget-exhaustion case.  ``victims`` names the
+    workers to kill (default: the last one).
     """
 
     name = "socket"
 
-    def __init__(self, kill_at_superstep: int, once: bool = True):
+    def __init__(self, kill_at_superstep: int, once: bool = True, victims=(-1,)):
         self._inner = SocketBackend()
         self._kill_at = kill_at_superstep
         self._once = once
+        self._victims = victims
         self.killed = False
         self.last_session = None
 
@@ -51,9 +54,10 @@ class _KillWorkerOnce(Backend):
         def exchange_with_kill(superstep: int = 0):
             if superstep == self._kill_at and (not self.killed or not self._once):
                 self.killed = True
-                victim = session.links[-1]
-                victim.kill()
-                victim.wait(30)
+                for w in self._victims:
+                    session.links[w].kill()
+                for w in self._victims:
+                    session.links[w].wait(30)
             return real(superstep)
 
         session.exchange_stage = exchange_with_kill
@@ -80,6 +84,35 @@ def test_killed_worker_recovers_to_bit_identical_run(
     )
     recovered = engine.run(dgraph, APPS.create(app, ckpt_graph))
     assert backend.killed, "the injection never fired"
+    assert_runs_identical(recovered, golden)
+
+
+@pytest.mark.parametrize("app", ["cc", "pr"])
+def test_two_workers_lost_in_one_stage_recover_in_one_batch(
+    tmp_path, monkeypatch, ckpt_graph, ckpt_dgraphs, assert_runs_identical, app
+):
+    """Both replacements come up in one ``recover_workers()`` — one
+    recovery off the budget, one batch through ``launch`` — and the run
+    is still bit-identical to the uninterrupted one."""
+    dgraph = ckpt_dgraphs[4]
+    golden = BSPEngine().run(dgraph, APPS.create(app, ckpt_graph))
+    backend = _KillWorkerOnce(1, victims=(1, 3))
+    replaced = []
+    real = CommandSession.recover_workers
+
+    def recording(session):
+        replaced.append(real(session))
+        return replaced[-1]
+
+    monkeypatch.setattr(CommandSession, "recover_workers", recording)
+    recovered = BSPEngine(
+        backend=backend,
+        checkpoint_dir=str(tmp_path / f"rec-two-{app}"),
+        checkpoint_every=1,
+        checkpoint_keep=None,
+        max_recoveries=1,
+    ).run(dgraph, APPS.create(app, ckpt_graph))
+    assert replaced == [[1, 3]]
     assert_runs_identical(recovered, golden)
 
 

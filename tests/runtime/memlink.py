@@ -101,7 +101,7 @@ def memory_session(dgraph, program, worker=serve_standalone, stage_timeout=60.0)
         "socket",
         dgraph,
         program,
-        lambda w: MemoryLink(worker),
+        lambda ws: [MemoryLink(worker) for _ in ws],
         WirePlane(spawned=False),
         stage_timeout,
     )
