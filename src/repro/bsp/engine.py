@@ -617,6 +617,10 @@ class _CheckpointHook:
         self._session = session
 
     def _write(self, run: "BSPRun", done: bool) -> None:
+        # Ask the cadence before pulling: on the wire plane ``pull_state``
+        # gathers every shard's arrays over TCP.
+        if not done and not self._writer.due(run.num_supersteps):
+            return
         self._writer.maybe_write(
             superstep=run.num_supersteps,
             done=done,

@@ -213,3 +213,17 @@ class TestMetisFormat:
         write_metis(g, p)
         r = read_metis(p)
         assert r.num_undirected_edges == g.num_undirected_edges
+
+    def test_indented_comment_is_a_comment(self, tmp_path):
+        p = tmp_path / "g.metis"
+        p.write_text("  % header next\n3 2\n2\n  % between rows\n1 3\n2\n")
+        g = read_metis(str(p))
+        assert g.num_vertices == 3
+        assert g.num_undirected_edges == 2
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "% only\n  % comments\n"])
+    def test_file_without_header_names_the_path(self, tmp_path, text):
+        p = tmp_path / "empty.metis"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=r"empty\.metis: no METIS header"):
+            read_metis(str(p))

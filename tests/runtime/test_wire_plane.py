@@ -18,11 +18,13 @@ import pytest
 
 from memlink import memory_session
 from repro.bsp import BSPEngine, build_distributed_graph
+from repro.checkpoint import list_snapshots, load_snapshot
 from repro.checkpoint.writer import state_arrays
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
 from repro.pipeline import APPS
 from repro.runtime import Backend, BackendError, SocketBackend
+from repro.runtime.socket import WirePlane
 
 PARTS = (2, 4)
 
@@ -68,6 +70,34 @@ def test_wire_plane_matches_serial(app, p, graph, dgraphs):
     run = BSPEngine(backend=MemoryWireBackend()).run(dgraphs[p], APPS.create(app, graph))
     assert run.backend == "socket"
     assert_same_run(run, ref)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_checkpointed_run_gathers_state_only_for_a_due_snapshot(
+    every, graph, dgraphs, tmp_path, monkeypatch
+):
+    """On this plane ``pull_state`` is an ``owned`` broadcast plus every
+    shard's arrays over the link: paid per snapshot, not per superstep."""
+    pulls = []
+    pull_state = WirePlane.pull_state
+
+    def counting(plane, session):
+        pulls.append(session)
+        return pull_state(plane, session)
+
+    monkeypatch.setattr(WirePlane, "pull_state", counting)
+    engine = BSPEngine(
+        backend=MemoryWireBackend(),
+        checkpoint_dir=str(tmp_path),
+        checkpoint_every=every,
+        checkpoint_keep=None,
+    )
+    run = engine.run(dgraphs[2], APPS.create("pr?pagerank_iters=8", graph))
+    assert run.num_supersteps == 8
+    due = [k for k in range(1, 8) if k % every == 0]
+    assert [load_snapshot(s).superstep for s in list_snapshots(str(tmp_path))] == due + [8]
+    # One pull per due boundary, one for the final snapshot, one for the gather.
+    assert len(pulls) == len(due) + 2
 
 
 @pytest.mark.parametrize("app", ["cc", "pr"])
