@@ -53,11 +53,11 @@ backend      shards live in          link                  state plane          
 ``process``  one daemon child each   ``multiprocessing``   shared memory: parent    no
                                      pipe + ``Process``    allocates, every child
                                                            maps every block
-``socket``   one ``repro worker``    framed TCP            wire: each worker owns   spawned-
-             process each (spawned   (:mod:`.wire`) +      its arrays; exchange     local
-             locally or launched     ``Popen`` / external  is collect → reroute →   only
-             on another machine)     endpoint              apply; state access is
-                                                           a command
+``socket``   one process each (a     framed TCP            wire: each worker owns   spawned-
+             local fork of the       (:mod:`.wire`) +      its arrays; exchange     local
+             coordinator, or a       ``Process`` /         is collect → reroute →   only
+             ``repro worker`` on     external endpoint     apply; state access is
+             another machine)                              a command
 ===========  ======================  ====================  =======================  ==========
 
 ``serial`` is the reference and bit-identity oracle.  ``process`` and

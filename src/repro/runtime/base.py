@@ -51,6 +51,7 @@ exactly as they observe compute-stage writes.
 from __future__ import annotations
 
 import abc
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -80,6 +81,7 @@ __all__ = [
     "assemble_exchange",
     "finish_compute_stage",
     "finish_exchange_stage",
+    "worker_context",
 ]
 
 
@@ -444,6 +446,23 @@ class Backend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
+
+
+def worker_context(start_method: Optional[str] = None) -> multiprocessing.context.BaseContext:
+    """The ``multiprocessing`` context out-of-process backends start workers from.
+
+    ``fork`` where the platform has it — a child is a copy of the warm
+    coordinator, nothing booted or re-imported — and the platform
+    default elsewhere; a ``start_method`` by name is validated and used.
+    """
+    available = multiprocessing.get_all_start_methods()
+    if start_method is None:
+        start_method = "fork" if "fork" in available else None
+    elif start_method not in available:
+        raise ValueError(
+            f"start_method {start_method!r} not available; choose from {available}"
+        )
+    return multiprocessing.get_context(start_method)
 
 
 #: ``alloc(worker_id, kind, template) -> array``: must return a writable

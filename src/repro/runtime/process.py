@@ -45,7 +45,7 @@ import numpy as np
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import Backend, BackendSession, allocate_scratch, allocate_state
+from .base import Backend, BackendSession, allocate_scratch, allocate_state, worker_context
 from .protocol import CommandSession, ReplyTimeout, StatePlane, positive_timeout, serve
 from .shard import WorkerShard
 from .shm import SharedArraySpec, attach_shared_array, create_shared_array, destroy_shared_array
@@ -180,21 +180,16 @@ class ProcessBackend(Backend):
         start_method: Optional[str] = None,
         stage_timeout: Optional[float] = None,
     ):
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else None
-        elif start_method not in available:
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {available}"
-            )
         self.start_method = start_method
+        # Resolved here so an unknown name fails at construction, not at
+        # the first session.
+        self._context = worker_context(start_method)
         self.stage_timeout = positive_timeout("stage_timeout", stage_timeout)
 
     def session(
         self, dgraph: DistributedGraph, program: SubgraphProgram
     ) -> BackendSession:
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = self._context
 
         def spawn(workers: Sequence[int]) -> List[_PipeLink]:
             return [_spawn(ctx, w) for w in workers]

@@ -10,13 +10,32 @@ shared :class:`~repro.runtime.protocol.CommandSession`:
 
 *Its link* — :class:`_TcpLink`: length-prefixed pickle frames over the
 small versioned protocol in :mod:`repro.runtime.wire`, plus the
-``Popen`` handle when the coordinator launched the worker itself
-and nothing but the connection when it dialled an endpoint somebody
-else started.  :func:`_connect_workers` makes a whole batch of them —
-the pool at session start, the dead set at recovery: it starts every
-local ``repro worker`` child before it waits for the first one's
-announce, so ``p`` interpreters boot side by side, and the batch shares
-one ``connect_timeout`` deadline.
+``multiprocessing`` ``Process`` when the coordinator started the worker
+itself and nothing but the connection when it dialled an endpoint
+somebody else started.
+
+*Spawn = bind → fork → dial* (:class:`_Spawner`; one batch under one
+``connect_timeout`` — the pool at session start, the dead set at
+recovery).  The coordinator binds each worker's listening socket on
+``127.0.0.1:0`` itself, so it knows the port and connections queue from
+that moment; starts a child from
+:func:`~repro.runtime.base.worker_context` (``fork`` where the platform
+has it: a copy of this warm interpreter, nothing booted or re-imported)
+that serves one session on that socket; closes its own copy; and, with
+the whole batch started, dials each and trades the version hellos an
+external worker would.
+
+*What a child closes.*  A forked child inherits every descriptor the
+coordinator holds — at recovery, the live connections to the survivors,
+and a copy left open in a sibling would keep a survivor from ever seeing
+the coordinator go away.  The spawner remembers the connections it
+handed out and a child closes its copies before serving (not
+``os.closerange``: that also closes the pipe ``Process.join`` waits on).
+*What it does not trust:* its memory image, which holds whatever the
+coordinator held — graph, session, stale state.  Like an external
+worker it builds its shard from the ``init`` message that crosses the
+wire as a pickle, so a replacement comes up with *initial* state until
+the engine pushes a snapshot.
 
 *Its state plane* — :class:`WirePlane`.  Each worker builds its
 :class:`~repro.runtime.shard.WorkerShard` over arrays it allocates
@@ -44,9 +63,10 @@ into the whole pool and replays
 endpoints refuse — the coordinator cannot respawn a process on another
 machine.
 
-*The worker program* — :func:`serve_worker` (the ``repro worker``
-verb): listen, handshake, then the shared
-:func:`~repro.runtime.protocol.serve` loop per accepted connection.
+*The worker program* — :func:`serve_sessions`: accept, handshake, then
+the shared :func:`~repro.runtime.protocol.serve` loop per connection —
+run by the children and by :func:`serve_worker` (the ``repro worker``
+verb), which binds and prints the address first.
 
 Timing caveat: kernel walls are measured with each worker's own
 ``CLOCK_MONOTONIC``.  On one host that clock is shared and traces merge
@@ -57,12 +77,9 @@ are approximate (results are unaffected).
 
 from __future__ import annotations
 
-import os
-import select
 import socket
-import subprocess
 import sys
-from functools import partial
+from multiprocessing.process import BaseProcess
 from time import monotonic, monotonic_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,6 +93,7 @@ from .base import (
     WorkerState,
     allocate_local_scratch,
     allocate_local_state,
+    worker_context,
 )
 from .protocol import (
     INIT_TIMEOUT,
@@ -89,16 +107,13 @@ from .protocol import (
 )
 from .shard import WorkerShard, compact_routes
 
-__all__ = ["SocketBackend", "WirePlane", "serve_worker", "standalone_shard"]
-
-#: stdout marker a listening worker prints (parsed by the spawner).
-_ANNOUNCE = "REPRO-WORKER listening"
+__all__ = ["SocketBackend", "WirePlane", "serve_sessions", "serve_worker", "standalone_shard"]
 
 
 class _TcpLink:
-    """Framed TCP to one worker, plus its ``Popen`` if we launched it."""
+    """Framed TCP to one worker, plus its ``Process`` if we started it."""
 
-    def __init__(self, sock: socket.socket, proc: Optional[subprocess.Popen] = None):
+    def __init__(self, sock: socket.socket, proc: Optional[BaseProcess] = None):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._proc = proc
@@ -120,17 +135,14 @@ class _TcpLink:
     def alive(self) -> bool:
         if self._proc is None:
             return self._sock.fileno() >= 0
-        return self._proc.poll() is None
+        return self._proc.is_alive()
 
     def exit_code(self) -> Optional[int]:
-        return None if self._proc is None else self._proc.poll()
+        return None if self._proc is None else self._proc.exitcode
 
     def wait(self, timeout: float) -> None:
         if self._proc is not None:
-            try:
-                self._proc.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                pass
+            self._proc.join(timeout)
 
     def terminate(self) -> None:
         if self._proc is not None:
@@ -142,8 +154,6 @@ class _TcpLink:
 
     def close(self) -> None:
         self._sock.close()
-        if self._proc is not None and self._proc.stdout is not None:
-            self._proc.stdout.close()
 
 
 # ----------------------------------------------------------------------
@@ -172,43 +182,62 @@ def standalone_shard(payload) -> WorkerShard:
     )
 
 
+def serve_sessions(lsock: socket.socket, sessions: int) -> None:
+    """Serve ``sessions`` coordinator sessions on ``lsock`` (0 = forever).
+
+    Each session ends on a ``stop`` command or when the coordinator's
+    connection drops — so a worker cannot outlive a killed coordinator.
+    """
+    served = 0
+    while sessions == 0 or served < sessions:
+        conn, _addr = lsock.accept()
+        try:
+            link = _TcpLink(conn)
+            # The worker speaks first so a mismatched coordinator can
+            # read this side's version and report the mismatch
+            # locally; then it validates the coordinator's hello.
+            wire.send_hello(conn, "worker")
+            wire.expect_hello(conn, "coordinator", timeout=INIT_TIMEOUT)
+            serve(link, standalone_shard)
+            served += 1
+        except wire.WireError as exc:
+            # Handshake failure: report, drop the connection, keep
+            # listening — a misdialed peer must not kill the worker.
+            print(f"repro worker: rejected connection: {exc}", file=sys.stderr)
+        finally:
+            conn.close()
+
+
 def serve_worker(listen: str, sessions: int = 1) -> int:
     """Run a standalone socket-backend worker (the ``repro worker`` verb).
 
     Binds ``listen`` (``host:port``; port 0 picks a free one), announces
     the bound address on stdout as ``REPRO-WORKER listening host:port``
-    (the line coordinator-side spawning parses), then serves
-    ``sessions`` coordinator sessions before returning (0 = serve
-    forever).  Each session ends on a ``stop`` command or when the
-    coordinator's connection drops — so a spawned worker cannot outlive
-    a killed coordinator.
+    for whoever launched it, then serves ``sessions`` coordinator
+    sessions (:func:`serve_sessions`) before returning.
     """
     host, port = wire.parse_hostport(listen)
     lsock = socket.create_server((host, port))
     try:
         bound_host, bound_port = lsock.getsockname()[:2]
-        print(f"{_ANNOUNCE} {bound_host}:{bound_port}", flush=True)
-        served = 0
-        while sessions == 0 or served < sessions:
-            conn, _addr = lsock.accept()
-            try:
-                link = _TcpLink(conn)
-                # The worker speaks first so a mismatched coordinator can
-                # read this side's version and report the mismatch
-                # locally; then it validates the coordinator's hello.
-                wire.send_hello(conn, "worker")
-                wire.expect_hello(conn, "coordinator", timeout=INIT_TIMEOUT)
-                serve(link, standalone_shard)
-                served += 1
-            except wire.WireError as exc:
-                # Handshake failure: report, drop the connection, keep
-                # listening — a misdialed peer must not kill the worker.
-                print(f"repro worker: rejected connection: {exc}", file=sys.stderr)
-            finally:
-                conn.close()
+        print(f"REPRO-WORKER listening {bound_host}:{bound_port}", flush=True)
+        serve_sessions(lsock, sessions)
     finally:
         lsock.close()
     return 0
+
+
+def _serve_child(lsock: socket.socket, inherited: Sequence[socket.socket]) -> None:
+    """A spawned worker's whole life: close its copies of the
+    coordinator's connections to other workers, serve one session."""
+    for sock in inherited:
+        sock.close()
+    try:
+        serve_sessions(lsock, 1)
+    except KeyboardInterrupt:  # the terminal's ^C reaches the whole group
+        pass
+    finally:
+        lsock.close()
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +252,7 @@ def _time_left(deadline: float) -> float:
 
 
 def _dial(
-    w: int, endpoint: Tuple[str, int], deadline: float, proc: Optional[subprocess.Popen] = None
+    w: int, endpoint: Tuple[str, int], deadline: float, proc: Optional[BaseProcess] = None
 ) -> _TcpLink:
     """Connect to worker ``w``'s endpoint and trade version hellos."""
     host, port = endpoint
@@ -244,100 +273,69 @@ def _dial(
     return link
 
 
-def _read_announce(
-    proc: subprocess.Popen, w: int, deadline: float, timeout: float
-) -> Tuple[str, int]:
-    """Parse the ``host:port`` a freshly spawned worker prints on stdout.
-
-    Reads the pipe's file descriptor directly — ``select`` then one
-    ``os.read`` of whatever is there — so a child that prints half a
-    line and stalls cannot hold the coordinator past ``deadline``.
-    """
-    fd = proc.stdout.fileno()
-    data = b""
-    while b"\n" not in data:
-        ready, _, _ = select.select([fd], [], [], _time_left(deadline))
-        if not ready:
-            raise BackendError(
-                f"spawned worker {w}: no announce within {timeout:.0f}s "
-                f"(printed {data.decode('utf-8', 'replace')!r} so far)"
-            )
-        chunk = os.read(fd, 4096)
-        if not chunk:  # every write end is closed: the child is gone
-            try:
-                code = proc.wait(timeout=JOIN_TIMEOUT)
-            except subprocess.TimeoutExpired:
-                code = None
-            raise BackendError(
-                f"spawned worker {w} exited before announcing a port (exit code {code})"
-            )
-        data += chunk
-    text = data.split(b"\n", 1)[0].decode("utf-8", "replace").strip()
-    if not text.startswith(_ANNOUNCE):
-        raise BackendError(
-            f"spawned worker {w} printed {text!r} instead of the {_ANNOUNCE!r} marker"
-        )
-    return wire.parse_hostport(text[len(_ANNOUNCE):].strip())
-
-
-def _worker_env() -> Dict[str, str]:
-    """This process's environment with this checkout first on ``PYTHONPATH``.
-
-    Only non-empty entries are joined: an empty one means the current
-    directory, which would let a stray ``numpy/`` or ``repro.py`` there
-    shadow the real package in workers only.
-    """
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    inherited = [entry for entry in env.get("PYTHONPATH", "").split(os.pathsep) if entry]
-    env["PYTHONPATH"] = os.pathsep.join([src_root, *inherited])
-    return env
-
-
-def _connect_workers(
-    endpoints: Optional[Sequence[Tuple[str, int]]], timeout: float, workers: Sequence[int]
-) -> List[_TcpLink]:
-    """Links to ``workers``, in order, all inside one ``timeout``.
-
-    With ``endpoints`` each worker's own is dialled.  Without, every
-    worker gets a local ``repro worker`` child on 127.0.0.1 — **all**
-    started before the first announce is awaited (``Popen`` does not
-    block; waiting for one interpreter at a time is what would), then
-    per worker: read its announce, dial it, trade hellos.  If anything
-    fails, every child already started is killed and reaped and every
-    pipe and socket closed before the error propagates.
-    """
-    deadline = monotonic() + timeout
-    procs: List[subprocess.Popen] = []
-    links: List[_TcpLink] = []
+def _start_child(ctx, w: int, inherited: Sequence[socket.socket]):
+    """Start worker ``w`` behind a port we bind; return its endpoint and process."""
+    lsock = socket.create_server(("127.0.0.1", 0))
     try:
-        if endpoints is None:
-            env = _worker_env()
-            for _ in workers:
-                procs.append(
-                    subprocess.Popen(
-                        [sys.executable, "-m", "repro", "worker",
-                         "--listen", "127.0.0.1:0", "--sessions", "1"],
-                        stdout=subprocess.PIPE,
-                        env=env,
-                    )
-                )
-        for i, w in enumerate(workers):
+        proc = ctx.Process(
+            target=_serve_child, args=(lsock, inherited), name=f"repro-wire-{w}", daemon=True
+        )
+        proc.start()
+        return lsock.getsockname()[:2], proc
+    finally:
+        lsock.close()  # the child's copy is the one that accepts
+
+
+def _launch_failure(w: int, proc: BaseProcess, deadline: float, timeout: float) -> BackendError:
+    """Why worker ``w``, which we started, never shook hands."""
+    # A refusal or a hang-up fails the dial early, the child on its way out:
+    # wait for its exit code.  Silence runs the deadline out: this is a poll.
+    proc.join(max(deadline - monotonic(), 0.0))
+    code = proc.exitcode
+    if code is None:
+        return BackendError(f"spawned worker {w}: no handshake within {timeout:.0f}s")
+    return BackendError(f"spawned worker {w} exited before the handshake (exit code {code})")
+
+
+class _Spawner:
+    """The session's ``spawn`` seam: links to a batch of workers, in
+    order, inside one ``timeout`` — to ``endpoints``, or to children on
+    127.0.0.1, **all** started before the first is dialled.  A batch that
+    fails leaves no child, socket or bound port behind."""
+
+    def __init__(self, endpoints: Optional[Sequence[Tuple[str, int]]], timeout: float):
+        self._endpoints = endpoints
+        self._timeout = timeout
+        #: worker id -> our end of the connection last handed out for it.
+        self._socks: Dict[int, socket.socket] = {}
+
+    def __call__(self, workers: Sequence[int]) -> List[_TcpLink]:
+        deadline = monotonic() + self._timeout
+        endpoints = self._endpoints
+        procs: Dict[int, BaseProcess] = {}
+        links: List[_TcpLink] = []
+        try:
             if endpoints is None:
-                proc = procs[i]
-                links.append(_dial(w, _read_announce(proc, w, deadline, timeout), deadline, proc))
-            else:
-                links.append(_dial(w, endpoints[w], deadline))
-    except BaseException:
-        for link in links:
-            link.close()
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.wait()
-            proc.stdout.close()
-        raise
-    return links
+                ctx, endpoints = worker_context(), {}
+                survivors = [sock for v, sock in self._socks.items() if v not in workers]
+                for w in workers:
+                    endpoints[w], procs[w] = _start_child(ctx, w, survivors)
+            for w in workers:
+                try:
+                    links.append(_dial(w, endpoints[w], deadline, procs.get(w)))
+                except BackendError as exc:
+                    if w not in procs:
+                        raise
+                    raise _launch_failure(w, procs[w], deadline, self._timeout) from exc
+        except BaseException:
+            for link in links:
+                link.close()
+            for proc in procs.values():
+                proc.kill()
+                proc.join()
+            raise
+        self._socks.update((w, link._sock) for w, link in zip(workers, links))
+        return links
 
 
 class WirePlane(StatePlane):
@@ -479,8 +477,9 @@ class SocketBackend(Backend):
         ``+`` (spec form ``socket?workers=hostA:7001+hostB:7001``), or a
         sequence of such strings.  Exactly one endpoint per graph
         partition, in worker order.  Default ``None``: the session
-        spawns one local ``repro worker`` process per partition on
-        127.0.0.1 (the single-host mode tests and CI use).
+        starts one child process per partition on 127.0.0.1, forked from
+        this one where the platform can (the single-host mode tests and
+        CI use).
     topology:
         Path to a topology file (one ``host:port`` per line, ``#``
         comments) — the file-based spelling of ``workers``.
@@ -524,6 +523,6 @@ class SocketBackend(Backend):
                 f"backend spec names {len(endpoints)} workers but the "
                 f"graph is partitioned for p={dgraph.num_workers}"
             )
-        spawn = partial(_connect_workers, endpoints, self.connect_timeout)
+        spawn = _Spawner(endpoints, self.connect_timeout)
         plane = WirePlane(spawned=endpoints is None)
         return CommandSession(self.name, dgraph, program, spawn, plane, self.stage_timeout)

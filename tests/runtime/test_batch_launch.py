@@ -2,33 +2,41 @@
 
 ``CommandSession.launch`` hands the spawn seam the whole list of workers
 (``[0..p-1]`` at open, the dead ids at recovery) and the socket backend
-starts every local ``repro worker`` child before it waits for the first
-announce.  Nothing here measures wall time: the contract is checked by
-counting calls at the seam and by instrumenting ``subprocess.Popen`` and
-the announce reader inside :mod:`repro.runtime.socket`.  A launch that
-fails part-way must leave nothing behind — every child reaped, every
-pipe closed, every announced port no longer listening.
+binds a port for and starts every local child before it dials the first.
+Nothing here measures wall time except the deadline case: the contract
+is checked by counting calls at the seam and by instrumenting the
+``Process`` of the shared context helper and ``_dial`` inside
+:mod:`repro.runtime.socket`.  A launch that fails part-way must leave
+nothing behind — every child joined, every port the batch bound no
+longer listening.  A child holds no descriptor it does not own, and
+cannot outlive its coordinator.
 """
 
 import os
+import signal
 import socket
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from memlink import MemoryLink
 from repro.apps.cc import ConnectedComponents
-from repro.bsp import build_distributed_graph
+from repro.bsp import BSPEngine, build_distributed_graph
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
-from repro.runtime import BackendError, SocketBackend
+from repro.runtime import BackendError, SerialBackend, SocketBackend
 from repro.runtime import socket as socket_backend
 from repro.runtime.protocol import CommandSession
 from repro.runtime.socket import WirePlane
 
 P = 4
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads descriptors and states from /proc"
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,112 +72,242 @@ def test_spawn_is_called_once_per_batch_at_open_and_at_recovery(dgraph, program)
 
 
 class _Instrumented:
-    """Record every ``Popen`` and announce read ``runtime.socket`` makes.
+    """Record every child ``runtime.socket`` creates and every dial it makes.
 
-    ``sabotage`` maps a spawn index to a ``python -c`` body that runs in
-    place of that ``repro worker`` child.
+    ``sabotage`` maps a child's index to a function that runs in that
+    child in place of the real target, with the same arguments.
     """
 
-    def __init__(self, monkeypatch, sabotage=None):
+    def __init__(self, monkeypatch, sabotage=None, start_method=None):
         self.procs = []
-        self.envs = []
+        #: the endpoint each child was to serve, read off its listening socket.
         self.endpoints = []
-        #: how many children existed each time an announce was awaited.
-        self.children_at_read = []
+        #: how many children had been started each time a worker was dialled.
+        self.started_at_dial = []
         sabotage = sabotage or {}
-        real_popen = subprocess.Popen
-        real_read = socket_backend._read_announce
+        real_context = socket_backend.worker_context
+        real_dial = socket_backend._dial
+        seen = self
 
-        def popen(argv, **kwargs):
-            body = sabotage.get(len(self.procs))
-            if body is not None:
-                argv = [sys.executable, "-c", body]
-            proc = real_popen(argv, **kwargs)
-            self.procs.append(proc)
-            self.envs.append(kwargs["env"])
-            return proc
+        class Context:
+            """The shared helper's context with a recording ``Process``."""
 
-        def read_announce(proc, *args):
-            self.children_at_read.append(len(self.procs))
-            endpoint = real_read(proc, *args)
-            self.endpoints.append(endpoint)
-            return endpoint
+            def Process(self, target, args, **kwargs):
+                target = sabotage.get(len(seen.procs), target)
+                proc = real_context(start_method).Process(target=target, args=args, **kwargs)
+                seen.procs.append(proc)
+                seen.endpoints.append(args[0].getsockname()[:2])
+                return proc
 
-        monkeypatch.setattr(socket_backend.subprocess, "Popen", popen)
-        monkeypatch.setattr(socket_backend, "_read_announce", read_announce)
+        def dial(*args):
+            self.started_at_dial.append(sum(proc.pid is not None for proc in self.procs))
+            return real_dial(*args)
+
+        monkeypatch.setattr(socket_backend, "worker_context", Context)
+        monkeypatch.setattr(socket_backend, "_dial", dial)
 
 
-def test_every_child_is_started_before_the_first_announce_is_awaited(
-    monkeypatch, dgraph, program
-):
+def _kill_workers(session, workers):
+    for w in workers:
+        session.links[w].kill()
+        session.links[w].wait(30)
+        assert not session.links[w].alive()
+
+
+def test_every_child_is_started_before_the_first_dial(monkeypatch, dgraph, program):
     seen = _Instrumented(monkeypatch)
     with SocketBackend().session(dgraph, program) as session:
-        assert seen.children_at_read == [P] * P
+        assert seen.started_at_dial == [P] * P
         assert len(session.links) == P
-        for env in seen.envs:
-            assert "" not in env["PYTHONPATH"].split(os.pathsep)
         # A replacement batch goes through the same path.
-        for w in (0, 2):
-            session.links[w].kill()
-            session.links[w].wait(30)
+        _kill_workers(session, (0, 2))
         assert session.recover_workers() == [0, 2]
-        assert seen.children_at_read == [P] * P + [P + 2] * 2
-    for proc in seen.procs:
-        assert proc.returncode is not None, "close() left a child unreaped"
+        assert seen.started_at_dial == [P] * P + [P + 2] * 2
+    assert len(seen.procs) == P + 2
+    _assert_nothing_survives(seen)
 
 
 def _assert_nothing_survives(seen):
-    assert len(seen.procs) == P
     for proc in seen.procs:
-        # ``returncode`` is only ever set by wait()/poll(): reaped, not just killed.
-        assert proc.returncode is not None
-        assert proc.stdout.closed
+        # A child that was killed but never joined is a zombie, and a
+        # zombie still takes signals; this must run before ``exitcode``,
+        # which would reap it.
         with pytest.raises(ProcessLookupError):
             os.kill(proc.pid, 0)
+        assert proc.exitcode is not None
     for endpoint in seen.endpoints:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(endpoint, timeout=5).close()
 
 
+def _exit_3(lsock, inherited):
+    sys.exit(3)
+
+
+def _sleep_without_accepting(lsock, inherited):
+    time.sleep(120)
+
+
 @pytest.mark.parametrize("bad", [0, 2])
-@pytest.mark.parametrize(
-    "body, message",
-    [
-        ("import sys; sys.exit(3)", r"exited before announcing a port \(exit code 3\)"),
-        ("print('garbage', flush=True)", "printed 'garbage' instead of"),
-    ],
-    ids=["exits", "garbage"],
-)
-def test_a_failed_launch_names_the_worker_and_leaves_nothing_behind(
-    monkeypatch, dgraph, program, bad, body, message
+def test_a_child_that_dies_before_the_handshake_is_named_with_its_exit_code(
+    monkeypatch, dgraph, program, bad
 ):
-    seen = _Instrumented(monkeypatch, sabotage={bad: body})
-    with pytest.raises(BackendError, match=f"spawned worker {bad} {message}"):
+    seen = _Instrumented(monkeypatch, sabotage={bad: _exit_3})
+    t0 = time.monotonic()
+    with pytest.raises(
+        BackendError, match=rf"spawned worker {bad} exited before the handshake \(exit code 3\)"
+    ):
         SocketBackend().session(dgraph, program)
-    assert len(seen.endpoints) == bad  # the workers ahead of it had announced
+    assert time.monotonic() - t0 < 25, "waited out connect_timeout for a dead child"
+    assert len(seen.procs) == P
+    assert seen.started_at_dial == [P] * (bad + 1)  # the workers ahead of it had shaken hands
     _assert_nothing_survives(seen)
 
 
-def test_half_an_announce_line_cannot_outlive_the_deadline(monkeypatch, dgraph, program):
-    """The child prints no newline and stalls: a buffered ``readline``
-    would block until it exits, long past ``connect_timeout``."""
-    stall = "import sys, time; sys.stdout.write('REPRO-WORKER listen'); sys.stdout.flush(); time.sleep(120)"
-    seen = _Instrumented(monkeypatch, sabotage={0: stall})
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_silent_child_cannot_outlive_the_deadline(monkeypatch, dgraph, program, bad):
+    seen = _Instrumented(monkeypatch, sabotage={bad: _sleep_without_accepting})
     t0 = time.monotonic()
-    with pytest.raises(BackendError, match="spawned worker 0: no announce within 1s"):
+    with pytest.raises(BackendError, match=f"spawned worker {bad}: no handshake within 1s"):
         SocketBackend(connect_timeout=1.0).session(dgraph, program)
     assert time.monotonic() - t0 < 60
+    assert len(seen.procs) == P
     _assert_nothing_survives(seen)
 
 
-@pytest.mark.parametrize("inherited", [None, "", "/opt/lib", "/opt/lib" + os.pathsep, os.pathsep])
-def test_worker_pythonpath_has_no_empty_entry(monkeypatch, inherited):
-    """An empty ``PYTHONPATH`` entry is the current directory."""
-    if inherited is None:
-        monkeypatch.delenv("PYTHONPATH", raising=False)
-    else:
-        monkeypatch.setenv("PYTHONPATH", inherited)
-    entries = socket_backend._worker_env()["PYTHONPATH"].split(os.pathsep)
-    assert "" not in entries
-    assert os.path.isfile(os.path.join(entries[0], "repro", "__init__.py"))
-    assert entries[1:] == (["/opt/lib"] if inherited and "/opt/lib" in inherited else [])
+@pytest.mark.parametrize(
+    "target, message, connect_timeout",
+    [
+        (_exit_3, r"spawned worker 1 exited before the handshake \(exit code 3\)", 30.0),
+        (_sleep_without_accepting, "spawned worker 1: no handshake within 1s", 1.0),
+    ],
+    ids=["exits", "silent"],
+)
+def test_a_failed_replacement_batch_is_reaped_and_the_survivors_still_close(
+    monkeypatch, dgraph, program, target, message, connect_timeout
+):
+    seen = _Instrumented(monkeypatch, sabotage={P: target})
+    with SocketBackend(connect_timeout=connect_timeout).session(dgraph, program) as session:
+        _kill_workers(session, (1, 3))
+        with pytest.raises(BackendError, match=message):
+            session.recover_workers()
+        assert len(seen.procs) == P + 2
+        survivors = [session.links[0]._proc, session.links[2]._proc]
+        assert all(proc.is_alive() for proc in survivors)
+    _assert_nothing_survives(seen)
+
+
+def _sockets_of(pid):
+    sockets = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # the descriptor the listing itself used
+        if target.startswith("socket:"):
+            sockets.add(target)
+    return sockets
+
+
+@needs_proc
+def test_a_worker_holds_only_its_listening_socket_and_its_connection(dgraph, program):
+    """A forked child inherits what the coordinator holds: at recovery,
+    the live connections to the survivors."""
+    # What this process held before the session is not the session's to
+    # close (under a CI runner or pytest's capture, stdin may be a socket).
+    before = _sockets_of(os.getpid())
+    with SocketBackend().session(dgraph, program) as session:
+        session.compute_stage(0)
+        for link in session.links:
+            assert len(_sockets_of(link._proc.pid) - before) <= 2
+        _kill_workers(session, (1, 2))
+        assert session.recover_workers() == [1, 2]
+        for link in session.links:
+            assert len(_sockets_of(link._proc.pid) - before) <= 2
+        session.compute_stage(0)
+
+
+_ORPHAN_SCRIPT = """
+import sys, time
+from repro.apps.cc import ConnectedComponents
+from repro.bsp import build_distributed_graph
+from repro.graph import powerlaw_graph
+from repro.partition import EBVPartitioner
+from repro.runtime import SocketBackend
+
+g = powerlaw_graph(120, eta=2.2, min_degree=2, seed=11)
+dgraph = build_distributed_graph(EBVPartitioner().partition(g, 4))
+session = SocketBackend().session(dgraph, ConnectedComponents())
+session.compute_stage(0)
+session.links[1].kill()
+session.links[1].wait(30)
+assert session.recover_workers() == [1]
+print(*[link._proc.pid for link in session.links], flush=True)
+time.sleep(120)
+"""
+
+
+def _gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/status", "r", encoding="ascii", errors="replace") as fh:
+            status = fh.read()
+    except OSError:
+        return True
+    return "\nState:\tZ" in status
+
+
+@needs_proc
+def test_spawned_workers_do_not_outlive_a_sigkilled_coordinator():
+    """Each worker ends when its connection drops — which it only sees if
+    no sibling forked later holds a copy of the coordinator's end."""
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p)),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        pids = [int(token) for token in coordinator.stdout.readline().split()]
+        assert len(pids) == 4 and len(set(pids)) == 4
+        assert not any(_gone_or_zombie(pid) for pid in pids)
+        coordinator.send_signal(signal.SIGKILL)
+        coordinator.wait(30)
+        deadline = time.monotonic() + 5
+        while not all(_gone_or_zombie(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        survivors = [pid for pid in pids if not _gone_or_zombie(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+    finally:
+        coordinator.kill()
+        coordinator.wait(30)
+        coordinator.stdout.close()
+
+
+def test_a_stray_repro_or_numpy_in_the_cwd_cannot_shadow_the_workers_imports(
+    monkeypatch, tmp_path, dgraph, program
+):
+    """Spawned workers re-import nothing, so the current directory —
+    which ``python -m`` puts first on a fresh interpreter's path — has
+    no say in what they run."""
+    (tmp_path / "repro.py").write_text("raise ImportError('stray repro.py')\n")
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("")
+    monkeypatch.chdir(tmp_path)
+    expected = BSPEngine(backend=SerialBackend()).run(dgraph, program)
+    got = BSPEngine(backend=SocketBackend()).run(dgraph, program)
+    assert np.array_equal(got.values, expected.values)
+    assert got.total_messages == expected.total_messages
+
+
+def test_the_platform_default_start_method_runs_the_same_call(monkeypatch, dgraph, program):
+    """Where there is no ``fork`` the helper returns the platform's
+    context; the listening socket then travels by socket reduction."""
+    expected = BSPEngine(backend=SerialBackend()).run(dgraph, program)
+    seen = _Instrumented(monkeypatch, start_method="spawn")
+    got = BSPEngine(backend=SocketBackend()).run(dgraph, program)
+    assert seen.started_at_dial == [P] * P
+    assert np.array_equal(got.values, expected.values)
+    assert got.num_supersteps == expected.num_supersteps
+    _assert_nothing_survives(seen)
