@@ -7,13 +7,14 @@ all compute.  Pregel-style systems treat superstep-granular
 checkpointing as the baseline fault-tolerance mechanism, and this
 package is that mechanism for :class:`~repro.bsp.engine.BSPEngine`:
 
-* :mod:`repro.checkpoint.store` — one snapshot per superstep boundary,
-  written **atomically** (everything lands in a ``.tmp-*`` staging
-  directory which is renamed into place only after a checksummed
-  ``manifest.json`` is on disk).  Torn writes, corrupted payloads and
-  hand-edited manifests are all detected at load time and rejected with
-  :class:`CheckpointError` — a damaged checkpoint is never silently
-  resumed.
+* :mod:`repro.checkpoint.store` — one snapshot per superstep boundary:
+  one raw ``payload.bin`` (every array's buffer back to back, hashed
+  while it is written) plus a ``manifest.json`` that carries its
+  SHA-256 and the array table, written **atomically** (staged in a
+  ``.tmp-*`` directory, fsynced, renamed into place).  Torn writes,
+  corrupted payloads, hand-edited manifests and snapshots in an older
+  layout are all rejected at load time with :class:`CheckpointError`
+  — a damaged checkpoint is never silently resumed.
 * :mod:`repro.checkpoint.fingerprint` — a cheap, exact identity of the
   run (graph CRCs, partition layout CRCs, program parameters, cost
   model, superstep cap).  A snapshot only resumes a run whose

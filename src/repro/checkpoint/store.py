@@ -1,28 +1,37 @@
-"""Snapshot storage: atomic directories, checksummed manifests.
+"""Snapshot storage: atomic directories, one checksummed raw payload.
 
-Layout
-------
 A checkpoint *root* holds one subdirectory per snapshot plus nothing
 else the store depends on (pipeline-level callers drop ``pipeline.json``
 and a ``spill/`` directory next to the snapshots)::
 
     root/
       step-000002/
-        manifest.json     # format, superstep, fingerprint, checksums
-        state.npz         # per-worker arrays: values_00000, active_00000, ...
-        supersteps.npz    # stacked (k, p) work/sent/received/comp/comm
+        manifest.json     # superstep, fingerprint, array table, payload checksum
+        payload.bin       # every array's raw C-contiguous buffer, back to back
       step-000004/
-      ...
 
-Atomicity: a snapshot is staged in ``root/.tmp-step-*``; payload files
-are written first, then ``manifest.json`` (carrying each payload's
-SHA-256 and byte size) is written and fsynced, and only then is the
-staging directory renamed into place.  A crash at any point leaves
-either the previous snapshots untouched plus at most one ``.tmp-*``
-directory (ignored and garbage-collected by later writes), or the new
-snapshot complete.  :func:`load_snapshot` re-hashes every payload
-against the manifest, so torn or bit-flipped files are detected and
-rejected — never silently resumed.
+Payload: the per-worker state arrays in sorted ``kind_wwwww`` order,
+then the five stacked ``(k, p)`` superstep arrays; no header or padding.
+The manifest's ordered table ``"arrays": [[name, dtype.str, shape], ...]``
+says what the bytes are; its byte total equals the payload's length.
+``real_seconds`` (measured walls) stays in the manifest, outside the
+hashed payload, so the same job writes byte-identical payloads on every
+backend, traced or not.
+
+Integrity: each buffer is fed to a running SHA-256 *as it is written*,
+never re-read.  :func:`load_snapshot` reads the payload once and checks
+its length ("torn") and digest ("checksum") against the manifest before
+it interprets a single array; the table is outside input and is
+validated before any ``np.frombuffer`` (read-only views of one buffer).
+
+Atomicity: staged in ``root/.tmp-step-*`` (payload written and fsynced,
+then the manifest), renamed into place, root fsynced: three fsyncs.  A
+crash leaves either the previous snapshots untouched plus at most one
+``.tmp-*`` directory (swept by later writes), or the new one complete.
+
+Versions: 1 was two numpy zip archives (``state.npz``, ``supersteps.npz``);
+2 is this layout.  Snapshots are scratch state of one run, so an older
+layout is refused by version, never migrated.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import os
 import re
 import shutil
 from dataclasses import dataclass
+from math import prod
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -47,11 +57,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-checkpoint"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _MANIFEST = "manifest.json"
-_STATE = "state.npz"
-_SUPERSTEPS = "supersteps.npz"
+_PAYLOAD = "payload.bin"
 _STEP_RE = re.compile(r"^step-(\d{6,})$")
 #: the stacked per-superstep record arrays, in manifest order.
 _SUPERSTEP_FIELDS = ("work", "sent", "received", "comp_seconds", "comm_seconds")
@@ -63,14 +72,6 @@ class CheckpointError(RuntimeError):
 
 def _step_dirname(superstep: int) -> str:
     return f"step-{superstep:06d}"
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 @dataclass
@@ -176,14 +177,25 @@ def write_snapshot(
         shutil.rmtree(tmp_dir)
     os.makedirs(tmp_dir)
     try:
-        state_payload: Dict[str, np.ndarray] = {}
-        for kind, worker_arrays in sorted(arrays.items()):
-            for w, arr in enumerate(worker_arrays):
-                state_payload[f"{kind}_{w:05d}"] = np.ascontiguousarray(arr)
-        np.savez(os.path.join(tmp_dir, _STATE), **state_payload)
-
-        steps_payload = _stack_supersteps(supersteps, meta["num_workers"])
-        np.savez(os.path.join(tmp_dir, _SUPERSTEPS), **steps_payload)
+        named = [
+            (f"{kind}_{w:05d}", arr)
+            for kind, worker_arrays in sorted(arrays.items())
+            for w, arr in enumerate(worker_arrays)
+        ] + list(_stack_supersteps(supersteps, meta["num_workers"]).items())
+        # The payload must be durable before the rename publishes the
+        # snapshot — otherwise power loss after the rename commits can
+        # leave a published snapshot whose data never reached disk.
+        table = []
+        digest = hashlib.sha256()
+        with open(os.path.join(tmp_dir, _PAYLOAD), "wb") as fh:
+            for name, arr in named:
+                arr = np.ascontiguousarray(arr)
+                table.append([name, arr.dtype.str, list(arr.shape)])
+                digest.update(arr)
+                fh.write(arr)
+            size = fh.tell()
+            fh.flush()
+            os.fsync(fh.fileno())
 
         manifest = {
             "format": SNAPSHOT_FORMAT,
@@ -193,32 +205,16 @@ def write_snapshot(
             "fingerprint": fingerprint,
             "meta": dict(meta),
             "array_kinds": sorted(arrays),
+            "arrays": table,
             "real_seconds": [
                 {k: float(v) for k, v in s.real_seconds.items()} for s in supersteps
             ],
-            "files": {
-                name: {
-                    "sha256": _sha256(os.path.join(tmp_dir, name)),
-                    "bytes": os.path.getsize(os.path.join(tmp_dir, name)),
-                }
-                for name in (_STATE, _SUPERSTEPS)
-            },
+            "files": {_PAYLOAD: {"sha256": digest.hexdigest(), "bytes": size}},
         }
-        manifest_path = os.path.join(tmp_dir, _MANIFEST)
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(os.path.join(tmp_dir, _MANIFEST), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        # The payloads must be durable before the rename publishes the
-        # snapshot — otherwise power loss after the rename commits can
-        # leave a published snapshot whose data never reached disk.
-        for name in (_STATE, _SUPERSTEPS):
-            fd = os.open(os.path.join(tmp_dir, name), os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
 
         # Re-checkpointing a boundary that already has a snapshot (a
         # resumed run overtaking its pre-crash snapshots) replaces it
@@ -273,17 +269,12 @@ def _prune(root: str, keep: Optional[int], protect: str) -> None:
 
 
 def _stack_supersteps(supersteps: List, num_workers: int) -> Dict[str, np.ndarray]:
-    """Stack the per-superstep record into (k, p) arrays for one npz."""
-    k = len(supersteps)
+    """Stack the per-superstep record into (k, p) arrays, in payload order."""
     payload: Dict[str, np.ndarray] = {}
     for fieldname in _SUPERSTEP_FIELDS:
-        if k:
-            payload[fieldname] = np.stack(
-                [np.asarray(getattr(s, fieldname)) for s in supersteps]
-            )
-        else:
-            dtype = np.int64 if fieldname in ("sent", "received") else np.float64
-            payload[fieldname] = np.empty((0, num_workers), dtype=dtype)
+        dtype = np.int64 if fieldname in ("sent", "received") else np.float64
+        rows = [np.asarray(getattr(s, fieldname)) for s in supersteps]
+        payload[fieldname] = np.stack(rows) if rows else np.empty((0, num_workers), dtype)
     return payload
 
 
@@ -293,19 +284,19 @@ def _load_manifest(directory: str) -> Dict[str, Any]:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
-        raise CheckpointError(
-            f"{directory!r} is not a checkpoint snapshot: {exc}"
-        ) from exc
+        raise CheckpointError(f"{directory!r} is not a checkpoint snapshot: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"corrupted checkpoint manifest {manifest_path!r}: {exc}"
-        ) from exc
+        raise CheckpointError(f"corrupted checkpoint manifest {manifest_path!r}: {exc}") from exc
     if manifest.get("format") != SNAPSHOT_FORMAT:
         raise CheckpointError(f"{manifest_path!r} is not a {SNAPSHOT_FORMAT} manifest")
-    if manifest.get("version") != SNAPSHOT_VERSION:
+    version = manifest.get("version")
+    if version != SNAPSHOT_VERSION:
+        hint = ""
+        if type(version) is int and version < SNAPSHOT_VERSION:
+            hint = "; an older build wrote it: snapshots are not migrated, re-run the job"
         raise CheckpointError(
-            f"unsupported checkpoint version {manifest.get('version')!r} in "
-            f"{manifest_path!r} (this build reads version {SNAPSHOT_VERSION})"
+            f"unsupported checkpoint version {version!r} in {manifest_path!r} "
+            f"(this build reads version {SNAPSHOT_VERSION}){hint}"
         )
     superstep = manifest.get("superstep")
     if isinstance(superstep, bool) or not isinstance(superstep, int) or superstep < 0:
@@ -314,9 +305,7 @@ def _load_manifest(directory: str) -> Dict[str, Any]:
             f"entry (got {superstep!r})"
         )
     if not isinstance(manifest.get("done"), bool):
-        raise CheckpointError(
-            f"checkpoint manifest {manifest_path!r} lacks a valid 'done' entry"
-        )
+        raise CheckpointError(f"checkpoint manifest {manifest_path!r} lacks a valid 'done' entry")
     return manifest
 
 
@@ -328,9 +317,9 @@ def load_snapshot(path: str) -> Snapshot:
     the newest fails verification — retention keeps more than one
     snapshot precisely so that a snapshot damaged by the crash itself
     does not make the run unresumable.  A *specific* snapshot directory
-    is verified strictly: every payload is re-hashed against the
-    manifest, and any mismatch (torn write, truncation, bit rot) raises
-    :class:`CheckpointError` with no fallback.
+    is verified strictly: the payload is hashed against the manifest
+    before any array is read, and any mismatch (torn write, truncation,
+    bit rot) raises :class:`CheckpointError` with no fallback.
     """
     if not os.path.isdir(path):
         raise CheckpointError(f"checkpoint path {path!r} does not exist")
@@ -351,80 +340,85 @@ def load_snapshot(path: str) -> Snapshot:
     return _load_snapshot_dir(path)
 
 
+def _slice_payload(path: str, table: Any, payload: bytes) -> Dict[str, np.ndarray]:
+    """Validate the manifest's table (outside input), then slice read-only views."""
+    bad = f"checkpoint manifest in {path!r} has an invalid array table: "
+    if not isinstance(table, list):
+        raise CheckpointError(bad + "'arrays' is missing or not a list")
+    specs: Dict[str, tuple] = {}
+    offset = 0
+    for entry in table:
+        if not (
+            isinstance(entry, list)
+            and [type(field) for field in entry] == [str, str, list]
+            and all(type(dim) is int and dim >= 0 for dim in entry[2])
+        ):
+            raise CheckpointError(bad + f"{entry!r} is not [name, dtype, [ints >= 0]]")
+        name, dtype_str, shape = entry
+        try:
+            dtype = np.dtype(dtype_str)
+        except TypeError:
+            dtype = None
+        if dtype is None or dtype.kind not in "biuf":
+            raise CheckpointError(bad + f"{name!r} is {dtype_str!r}, not a bool/int/uint/float")
+        if name in specs:
+            raise CheckpointError(bad + f"array {name!r} is listed twice")
+        specs[name] = (dtype, shape, offset)
+        offset += prod(shape) * dtype.itemsize
+    if offset != len(payload):
+        raise CheckpointError(bad + f"it covers {offset} bytes, the payload holds {len(payload)}")
+    return {
+        name: np.frombuffer(payload, dtype, prod(shape), start).reshape(shape)
+        for name, (dtype, shape, start) in specs.items()
+    }
+
+
 def _load_snapshot_dir(path: str) -> Snapshot:
     """Strictly load one specific snapshot directory."""
     manifest = _load_manifest(path)
 
     files = manifest.get("files")
-    if not isinstance(files, dict) or set(files) != {_STATE, _SUPERSTEPS}:
-        raise CheckpointError(f"checkpoint manifest in {path!r} lists no payload files")
-    for name, entry in files.items():
-        payload_path = os.path.join(path, name)
-        if not os.path.isfile(payload_path):
-            raise CheckpointError(f"checkpoint payload {payload_path!r} is missing")
-        size = os.path.getsize(payload_path)
-        if size != entry.get("bytes"):
-            raise CheckpointError(
-                f"torn checkpoint payload {payload_path!r}: {size} bytes on disk, "
-                f"manifest promises {entry.get('bytes')}"
-            )
-        digest = _sha256(payload_path)
-        if digest != entry.get("sha256"):
-            raise CheckpointError(
-                f"checksum mismatch for checkpoint payload {payload_path!r} "
-                "(torn or corrupted write); refusing to resume"
-            )
+    if not isinstance(files, dict) or set(files) != {_PAYLOAD}:
+        raise CheckpointError(f"checkpoint manifest in {path!r} lists no payload file")
+    entry = files[_PAYLOAD] if isinstance(files[_PAYLOAD], dict) else {}
+    payload_path = os.path.join(path, _PAYLOAD)
+    try:
+        with open(payload_path, "rb") as fh:
+            payload = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint payload {payload_path!r} is missing: {exc}") from exc
+    if len(payload) != entry.get("bytes"):
+        raise CheckpointError(
+            f"torn checkpoint payload {payload_path!r}: {len(payload)} bytes on "
+            f"disk, manifest promises {entry.get('bytes')}"
+        )
+    if hashlib.sha256(payload).hexdigest() != entry.get("sha256"):
+        raise CheckpointError(
+            f"checksum mismatch for checkpoint payload {payload_path!r} "
+            "(torn or corrupted write); refusing to resume"
+        )
+    items = _slice_payload(path, manifest.get("arrays"), payload)
 
     meta = manifest.get("meta") or {}
-    num_workers = int(meta.get("num_workers", 0))
     superstep = int(manifest["superstep"])
-
-    try:
-        with np.load(os.path.join(path, _STATE)) as npz:
-            state_items = {name: npz[name] for name in npz.files}
-        with np.load(os.path.join(path, _SUPERSTEPS)) as npz:
-            step_items = {name: npz[name] for name in npz.files}
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"unreadable checkpoint payload in {path!r}: {exc}") from exc
-
-    arrays: Dict[str, List[np.ndarray]] = {}
-    for kind in manifest.get("array_kinds", []):
-        worker_arrays = []
-        for w in range(num_workers):
-            key = f"{kind}_{w:05d}"
-            if key not in state_items:
-                raise CheckpointError(
-                    f"checkpoint state in {path!r} is missing array {key!r}"
-                )
-            worker_arrays.append(state_items[key])
-        arrays[kind] = worker_arrays
-
-    missing = [f for f in _SUPERSTEP_FIELDS if f not in step_items]
-    if missing:
-        raise CheckpointError(
-            f"checkpoint superstep record in {path!r} is missing {missing}"
-        )
     real_seconds = manifest.get("real_seconds", [])
-    if step_items["work"].shape[0] != superstep or len(real_seconds) != superstep:
+    try:
+        arrays = {
+            kind: [items[f"{kind}_{w:05d}"] for w in range(int(meta.get("num_workers", 0)))]
+            for kind in manifest.get("array_kinds", [])
+        }
+        steps = {f: items[f] for f in _SUPERSTEP_FIELDS}
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint payload in {path!r} lacks array {exc}") from exc
+    recorded = {len(real_seconds), *(arr.shape[0] if arr.ndim else -1 for arr in steps.values())}
+    if recorded != {superstep}:
         raise CheckpointError(
-            f"checkpoint in {path!r} records "
-            f"{step_items['work'].shape[0]} supersteps but claims boundary "
-            f"{superstep}"
+            f"checkpoint in {path!r} records {sorted(recorded)} supersteps "
+            f"but claims boundary {superstep}"
         )
 
     from ..bsp.engine import SuperstepStats  # deferred: engine imports us lazily
 
-    supersteps = [
-        SuperstepStats(
-            work=step_items["work"][i],
-            sent=step_items["sent"][i],
-            received=step_items["received"][i],
-            comp_seconds=step_items["comp_seconds"][i],
-            comm_seconds=step_items["comm_seconds"][i],
-            real_seconds={k: float(v) for k, v in real_seconds[i].items()},
-        )
-        for i in range(superstep)
-    ]
     return Snapshot(
         directory=path,
         superstep=superstep,
@@ -432,5 +426,11 @@ def _load_snapshot_dir(path: str) -> Snapshot:
         fingerprint=manifest.get("fingerprint") or {},
         meta=meta,
         arrays=arrays,
-        supersteps=supersteps,
+        supersteps=[
+            SuperstepStats(
+                **{f: arr[i] for f, arr in steps.items()},
+                real_seconds={k: float(v) for k, v in real_seconds[i].items()},
+            )
+            for i in range(superstep)
+        ],
     )

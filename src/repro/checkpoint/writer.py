@@ -33,10 +33,8 @@ __all__ = ["CheckpointWriter", "restore_state", "state_arrays"]
 def state_arrays(state) -> Dict[str, List[np.ndarray]]:
     """The kind -> per-worker-array mapping a snapshot persists.
 
-    ``changed`` (and ``partials``) are recomputed from scratch by every
-    compute stage, but they are snapshotted anyway: the cost is a few
-    bool/float arrays and it keeps "restore" trivially total — every
-    array a backend session allocates is restored bit-for-bit.
+    ``changed`` and ``partials`` are live state, not scratch: the exchange
+    stages read them, and a recovery that rewinds to a boundary needs them.
     """
     arrays: Dict[str, List[np.ndarray]] = {
         "values": list(state.values),

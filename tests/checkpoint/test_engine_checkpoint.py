@@ -162,7 +162,7 @@ def test_corrupted_snapshot_rejected_through_engine(
     pr_checkpoint, ckpt_graph, ckpt_dgraphs
 ):
     snap = list_snapshots(pr_checkpoint)[-1]
-    state = os.path.join(snap, "state.npz")
+    state = os.path.join(snap, "payload.bin")
     raw = bytearray(open(state, "rb").read())
     raw[len(raw) // 2] ^= 0xFF
     open(state, "wb").write(bytes(raw))
@@ -218,7 +218,7 @@ def test_root_resume_falls_back_past_a_damaged_newest_snapshot(
         checkpoint_dir=root, checkpoint_every=1, checkpoint_keep=None
     ).run(ckpt_dgraphs[2], APPS.create(PR, ckpt_graph))
     newest = list_snapshots(root)[-1]
-    state = os.path.join(newest, "state.npz")
+    state = os.path.join(newest, "payload.bin")
     raw = bytearray(open(state, "rb").read())
     raw[len(raw) // 2] ^= 0xFF
     open(state, "wb").write(bytes(raw))
@@ -232,3 +232,36 @@ def test_root_resume_falls_back_past_a_damaged_newest_snapshot(
         BSPEngine().run(
             ckpt_dgraphs[2], APPS.create(PR, ckpt_graph), resume_from=newest
         )
+
+
+# ----------------------------------------------------------------------
+# mutate x checkpoint: a pre-mutation snapshot never resumes the new graph
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["root", "step"])
+def test_pre_mutation_checkpoint_is_refused_by_fingerprint(tmp_path, target):
+    from repro.mutate import MutationBatch, apply_mutations
+    from repro.partition import StreamingEBVPartitioner
+
+    graph = powerlaw_graph(220, eta=2.2, min_degree=2, directed=True, seed=17, name="ckpt-dir")
+    base = StreamingEBVPartitioner().partition(graph, 2)
+    root = str(tmp_path)
+    BSPEngine(checkpoint_dir=root, checkpoint_every=2).run(
+        build_distributed_graph(base), APPS.create(PR, graph)
+    )
+    batch = MutationBatch()
+    batch.delete(int(graph.src[0]), int(graph.dst[0]))
+    batch.insert(0, graph.num_vertices - 1).insert(3, graph.num_vertices + 2)
+    mutated = apply_mutations(base, batch)
+    assert mutated.mode == "incremental"
+
+    resume_from = root if target == "root" else list_snapshots(root)[0]
+    with pytest.raises(CheckpointError, match="fingerprint") as excinfo:
+        BSPEngine().run(
+            build_distributed_graph(mutated.partition),
+            APPS.create(PR, mutated.graph),
+            resume_from=resume_from,
+        )
+    sections = str(excinfo.value).split("mismatched sections: ")[1].split(".")[0].split(", ")
+    assert {"graph", "partition"} <= set(sections)

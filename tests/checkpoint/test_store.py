@@ -125,7 +125,7 @@ def test_empty_root_is_rejected(tmp_path):
 
 def test_truncated_payload_is_rejected_as_torn(tmp_path):
     snap_dir = _write(tmp_path)
-    state = os.path.join(snap_dir, "state.npz")
+    state = os.path.join(snap_dir, "payload.bin")
     with open(state, "r+b") as fh:
         fh.truncate(os.path.getsize(state) - 7)
     with pytest.raises(CheckpointError, match="torn"):
@@ -134,7 +134,7 @@ def test_truncated_payload_is_rejected_as_torn(tmp_path):
 
 def test_flipped_byte_fails_the_checksum(tmp_path):
     snap_dir = _write(tmp_path)
-    state = os.path.join(snap_dir, "state.npz")
+    state = os.path.join(snap_dir, "payload.bin")
     raw = bytearray(open(state, "rb").read())
     raw[len(raw) // 2] ^= 0xFF
     open(state, "wb").write(bytes(raw))
@@ -144,7 +144,7 @@ def test_flipped_byte_fails_the_checksum(tmp_path):
 
 def test_missing_payload_is_rejected(tmp_path):
     snap_dir = _write(tmp_path)
-    os.remove(os.path.join(snap_dir, "supersteps.npz"))
+    os.remove(os.path.join(snap_dir, "payload.bin"))
     with pytest.raises(CheckpointError, match="missing"):
         load_snapshot(snap_dir)
 
@@ -231,7 +231,7 @@ def test_clear_snapshots_removes_everything(tmp_path):
 def test_root_load_falls_back_when_newest_is_damaged(tmp_path):
     _write(tmp_path, superstep=1)
     newest = _write(tmp_path, superstep=2)
-    state = os.path.join(newest, "state.npz")
+    state = os.path.join(newest, "payload.bin")
     with open(state, "r+b") as fh:
         fh.truncate(os.path.getsize(state) - 3)
     snap = load_snapshot(str(tmp_path))
@@ -244,7 +244,7 @@ def test_root_load_falls_back_when_newest_is_damaged(tmp_path):
 def test_root_load_reports_every_failure_when_all_damaged(tmp_path):
     for k in (1, 2):
         snap_dir = _write(tmp_path, superstep=k)
-        os.remove(os.path.join(snap_dir, "state.npz"))
+        os.remove(os.path.join(snap_dir, "payload.bin"))
     with pytest.raises(CheckpointError, match="every snapshot .* failed"):
         load_snapshot(str(tmp_path))
 
@@ -269,3 +269,215 @@ def test_root_load_falls_back_past_a_keyless_manifest(tmp_path):
     del manifest["superstep"]
     json.dump(manifest, open(path, "w"))
     assert load_snapshot(str(tmp_path)).superstep == 1
+
+
+# ----------------------------------------------------------------------
+# The array table is outside input: validated before any np.frombuffer
+# ----------------------------------------------------------------------
+
+
+def _edit_manifest(snap_dir, edit):
+    path = os.path.join(snap_dir, "manifest.json")
+    manifest = json.load(open(path))
+    edit(manifest)
+    json.dump(manifest, open(path, "w"))
+
+
+def _set_entry(index, field, value):
+    def edit(manifest):
+        manifest["arrays"][index][field] = value
+
+    return edit
+
+
+def _repeat_first_name(manifest):
+    # active_00001 has active_00000's name: same byte total, one name twice.
+    manifest["arrays"][1][0] = manifest["arrays"][0][0]
+
+
+BAD_TABLES = {
+    "missing": lambda m: m.pop("arrays"),
+    "not-a-list": lambda m: m.update(arrays={"values_00000": ["<f8", [3]]}),
+    "entry-not-a-list": lambda m: m["arrays"].insert(0, "active_00000"),
+    "entry-too-short": lambda m: m["arrays"][0].pop(),
+    "entry-too-long": lambda m: m["arrays"][0].append(0),
+    "name-not-str": _set_entry(0, 0, 7),
+    "dtype-not-str": _set_entry(0, 1, None),  # np.dtype(None) would be float64
+    "shape-not-list": _set_entry(0, 2, 3),
+    "negative-dim": _set_entry(0, 2, [-3]),
+    "float-dim": _set_entry(0, 2, [3.0]),
+    "bool-dim": _set_entry(0, 2, [True, 3]),
+    "unknown-dtype": _set_entry(0, 1, "nonsense"),
+    "object-dtype": _set_entry(0, 1, "|O"),
+    "void-dtype": _set_entry(0, 1, "|V1"),
+    "bytes-dtype": _set_entry(0, 1, "|S1"),
+    "str-dtype": _set_entry(0, 1, "<U1"),
+    "structured-dtype": _set_entry(0, 1, "i1,i1"),
+    "complex-dtype": _set_entry(0, 1, "<c8"),
+    "datetime-dtype": _set_entry(0, 1, "<M8[s]"),
+    "repeated-name": _repeat_first_name,
+    "total-too-long": _set_entry(0, 2, [4]),
+    "total-too-short": lambda m: m["arrays"].pop(),
+    "total-huge": _set_entry(0, 2, [2**62, 2**62]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_invalid_array_table_is_rejected_before_slicing(tmp_path, monkeypatch, case):
+    _write(tmp_path, superstep=1)
+    snap_dir = _write(tmp_path, superstep=2)
+    _edit_manifest(snap_dir, BAD_TABLES[case])
+
+    def no_slicing(*args, **kwargs):
+        raise AssertionError("np.frombuffer ran on an unvalidated table")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "frombuffer", no_slicing)
+        with pytest.raises(CheckpointError, match="invalid array table") as excinfo:
+            load_snapshot(snap_dir)
+    assert snap_dir in str(excinfo.value)
+    # The root load skips it like any other damaged snapshot.
+    assert load_snapshot(str(tmp_path)).superstep == 1
+
+
+def test_table_naming_too_few_arrays_is_rejected(tmp_path):
+    """A consistent table that lacks an array the manifest promises."""
+    snap_dir = _write(tmp_path)
+
+    def rename(manifest):
+        manifest["arrays"][0][0] = "bogus_00000"
+
+    _edit_manifest(snap_dir, rename)
+    with pytest.raises(CheckpointError, match="lacks array 'active_00000'"):
+        load_snapshot(snap_dir)
+
+
+# ----------------------------------------------------------------------
+# Old layouts are refused by name, never mis-read
+# ----------------------------------------------------------------------
+
+
+def _write_version_1(root, superstep=3):
+    """A hand-built snapshot in the retired two-archive layout."""
+    snap_dir = os.path.join(str(root), f"step-{superstep:06d}")
+    os.makedirs(snap_dir)
+    np.savez(os.path.join(snap_dir, "state.npz"), values_00000=np.zeros(3))
+    np.savez(os.path.join(snap_dir, "supersteps.npz"), work=np.zeros((superstep, 2)))
+    manifest = {
+        "format": "repro-checkpoint",
+        "version": 1,
+        "superstep": superstep,
+        "done": False,
+        "fingerprint": FINGERPRINT,
+        "meta": META,
+        "array_kinds": ["values"],
+        "real_seconds": [{}] * superstep,
+        "files": {
+            name: {"sha256": "0" * 64, "bytes": os.path.getsize(os.path.join(snap_dir, name))}
+            for name in ("state.npz", "supersteps.npz")
+        },
+    }
+    with open(os.path.join(snap_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return snap_dir
+
+
+OLD_LAYOUT = "unsupported checkpoint version 1 .*older build.*not migrated.*re-run"
+
+
+def test_version_1_snapshot_is_refused_by_name(tmp_path):
+    with pytest.raises(CheckpointError, match=OLD_LAYOUT):
+        load_snapshot(_write_version_1(tmp_path))
+
+
+def test_version_1_snapshot_is_refused_through_the_engine(
+    tmp_path, ckpt_graph, ckpt_dgraphs
+):
+    from repro.bsp import BSPEngine
+    from repro.pipeline import APPS
+
+    old = _write_version_1(tmp_path)
+    with pytest.raises(CheckpointError, match=OLD_LAYOUT):
+        BSPEngine().run(ckpt_dgraphs[2], APPS.create("cc", ckpt_graph), resume_from=old)
+
+
+def test_root_load_falls_back_past_a_version_1_snapshot(tmp_path):
+    _write(tmp_path, superstep=2)
+    _write_version_1(tmp_path, superstep=3)  # newest, unreadable by this build
+    assert load_snapshot(str(tmp_path)).superstep == 2
+
+
+# ----------------------------------------------------------------------
+# Degenerate shapes and the I/O budget
+# ----------------------------------------------------------------------
+
+
+def test_round_trip_with_empty_worker_array_and_no_supersteps(tmp_path):
+    """A worker that owns nothing and a boundary-0 snapshot: zero-length
+    buffers keep their table entries and contribute no payload bytes."""
+    arrays = {
+        "values": [np.array([1.0, 2.0]), np.empty(0)],
+        "changed": [np.array([True, False]), np.empty(0, dtype=bool)],
+    }
+    snap_dir = write_snapshot(
+        str(tmp_path), superstep=0, done=False, fingerprint=FINGERPRINT,
+        meta=META, arrays=arrays, supersteps=[], keep=None,
+    )  # fmt: skip
+    manifest = json.load(open(os.path.join(snap_dir, "manifest.json")))
+    table = {name: (dtype, shape) for name, dtype, shape in manifest["arrays"]}
+    assert table["values_00001"] == ("<f8", [0])
+    assert table["changed_00001"] == ("|b1", [0])
+    assert table["work"] == ("<f8", [0, 2]) and table["sent"] == ("<i8", [0, 2])
+    assert os.path.getsize(os.path.join(snap_dir, "payload.bin")) == 2 * 8 + 2
+
+    snap = load_snapshot(snap_dir)
+    assert snap.superstep == 0 and snap.supersteps == []
+    for kind, worker_arrays in arrays.items():
+        for got, want in zip(snap.arrays[kind], worker_arrays):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_snapshot_io_budget(tmp_path, monkeypatch):
+    """Three fsyncs per write, the payload opened once to write and never
+    to read; one read of it per load."""
+    from repro.checkpoint import store
+
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    opened = []
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(path), mode))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(store, "open", counting_open, raising=False)
+    snap_dir = _write(tmp_path)
+    assert len(fsyncs) == 3
+    assert opened == [("payload.bin", "wb"), ("manifest.json", "w")]
+
+    # Replacing an existing boundary costs the same three.
+    del fsyncs[:], opened[:]
+    _write(tmp_path)
+    assert len(fsyncs) == 3
+    assert [entry for entry in opened if entry[0] == "payload.bin"] == [("payload.bin", "wb")]
+
+    del fsyncs[:], opened[:]
+    load_snapshot(snap_dir)
+    assert opened == [("manifest.json", "r"), ("payload.bin", "rb")]
+    assert fsyncs == []
+
+
+def test_manifest_is_one_compact_line(tmp_path):
+    snap_dir = _write(tmp_path)
+    text = open(os.path.join(snap_dir, "manifest.json")).read()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    assert manifest["version"] == 2
+    assert list(manifest["files"]) == ["payload.bin"]
+    names = [name for name, _, _ in manifest["arrays"]]
+    state = [n for n in names if n[-5:].isdigit()]
+    assert state == sorted(state) and names[len(state):] == [
+        "work", "sent", "received", "comp_seconds", "comm_seconds"
+    ]  # fmt: skip

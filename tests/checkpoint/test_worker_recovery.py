@@ -241,3 +241,60 @@ def test_recovered_values_match_final_gather(tmp_path, ckpt_graph, ckpt_dgraphs)
         np.ascontiguousarray(run.values).tobytes()
     ).hexdigest()
     assert digest(recovered) == digest(golden)
+
+
+class _TearNewestThenKill(_KillWorkerOnce):
+    """Flip a byte in the newest snapshot's payload just before the kill."""
+
+    def __init__(self, kill_at_superstep: int, ckpt_dir: str):
+        super().__init__(kill_at_superstep)
+        self._ckpt_dir = ckpt_dir
+        self.torn = None
+
+    def session(self, dgraph, program):
+        session = super().session(dgraph, program)
+        kill = session.exchange_stage
+
+        def tear_then_kill(superstep: int = 0):
+            if superstep == self._kill_at and self.torn is None:
+                self.torn = list_snapshots(self._ckpt_dir)[-1]
+                payload = os.path.join(self.torn, "payload.bin")
+                raw = bytearray(open(payload, "rb").read())
+                raw[len(raw) // 2] ^= 0xFF
+                open(payload, "wb").write(bytes(raw))
+            return kill(superstep)
+
+        session.exchange_stage = tear_then_kill
+        return session
+
+
+def test_recovery_falls_back_past_a_torn_newest_snapshot(
+    tmp_path, monkeypatch, ckpt_graph, ckpt_dgraphs, assert_runs_identical
+):
+    """recovery x torn newest: the snapshot damaged by the crash itself is
+    skipped, the next-newest is pushed, and the run is still bit-identical."""
+    dgraph = ckpt_dgraphs[4]
+    golden = BSPEngine().run(dgraph, APPS.create("pr", ckpt_graph))
+    kill_at = 2
+    assert golden.num_supersteps > kill_at, "crash point must be mid-run"
+    ckpt = str(tmp_path / "rec-torn")
+    backend = _TearNewestThenKill(kill_at, ckpt)
+    rewound_to = []
+    real = BSPEngine._recovery_snapshot
+
+    def recording(self, *args):
+        snap = real(self, *args)
+        rewound_to.append(snap and os.path.basename(snap.directory))
+        return snap
+
+    monkeypatch.setattr(BSPEngine, "_recovery_snapshot", recording)
+    recovered = BSPEngine(
+        backend=backend,
+        checkpoint_dir=ckpt,
+        checkpoint_every=1,
+        checkpoint_keep=None,
+        max_recoveries=1,
+    ).run(dgraph, APPS.create("pr", ckpt_graph))
+    assert backend.killed and os.path.basename(backend.torn) == "step-000002"
+    assert rewound_to == ["step-000001"]
+    assert_runs_identical(recovered, golden)
