@@ -79,7 +79,7 @@ class ConnectedComponents(SubgraphProgram):
         if superstep == 0:
             work = float(src.size + local.num_vertices)
         else:
-            work = float(active.sum() + np.unique(roots).size)
+            work = float(active.sum() + local.cc_root_count())
         # Each local component adopts the minimum label of its members.
         group_min = values.copy()
         np.minimum.at(group_min, roots, values)

@@ -85,9 +85,9 @@ class FeaturePropagation(SubgraphProgram):
         src, dst = local.src, local.dst
         work = float(src.size + local.num_vertices)
         if src.size:
-            outdeg = local.global_out_degree[src].astype(np.float64)
-            contrib = values[src] / np.maximum(outdeg, 1.0)[:, None]
-            np.add.at(partials, dst, contrib)
+            share = values / local.out_fanout()[0][:, None]
+            # np.add.at stays: np.bincount takes 1-D weights only.
+            np.add.at(partials, dst, share[src])
         send = np.abs(partials).sum(axis=1) > 0.0
         return ComputeResult(changed=send, work_units=work, partials=partials)
 

@@ -64,14 +64,21 @@ class PageRank(SubgraphProgram):
     def compute(
         self, local: LocalSubgraph, values: np.ndarray, active, superstep: int = 0
     ) -> ComputeResult:
-        """Accumulate rank/outdeg along local edges into partial sums."""
-        partials = np.zeros(local.num_vertices)
-        src, dst = local.src, local.dst
-        work = float(src.size + local.num_vertices)
-        if src.size:
-            outdeg = local.global_out_degree[src].astype(np.float64)
-            contrib = np.where(outdeg > 0, values[src] / np.maximum(outdeg, 1), 0.0)
-            np.add.at(partials, dst, contrib)
+        """Accumulate rank/outdeg along local edges into partial sums.
+
+        One division per local vertex, one gather per edge.  ``bincount``
+        adds the weights in edge order starting from 0.0, exactly as
+        ``np.add.at`` on a zeroed buffer does, so the partials are the
+        same to the bit.
+        """
+        fanout, dangling = local.out_fanout()
+        share = values / fanout
+        if dangling is not None:
+            share[dangling] = 0.0
+        partials = np.bincount(
+            local.dst, weights=share[local.src], minlength=local.num_vertices
+        )
+        work = float(local.num_edges + local.num_vertices)
         # Mirrors only ship nonzero partials (a zero adds nothing at the
         # master); masters always apply.
         return ComputeResult(changed=partials != 0.0, work_units=work, partials=partials)

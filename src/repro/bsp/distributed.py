@@ -68,6 +68,14 @@ class LocalSubgraph:
     global_out_degree:
         Whole-graph out-degree of each local vertex (PageRank needs the
         *global* fan-out, not the local one).
+
+    Four lazy caches hang off these fields — :meth:`cc_roots` (with
+    :meth:`cc_root_count`), :meth:`out_csr`, :meth:`out_fanout` and
+    :meth:`master_index`.  They share one rule: each is derived only
+    from fields that never change after :func:`build_distributed_graph`
+    returns, so it is computed once per run, in whichever process first
+    asks (a forked or TCP worker fills its own copy), and a superstep
+    kernel that needs one pays for it in its first superstep only.
     """
 
     worker_id: int
@@ -116,7 +124,13 @@ class LocalSubgraph:
                 count=self.num_vertices,
             )
             self._cc_roots = cached
+            self._cc_root_count = int(np.unique(cached).size)
         return cached
+
+    def cc_root_count(self) -> int:
+        """Number of local components, cached with :meth:`cc_roots`."""
+        self.cc_roots()
+        return self._cc_root_count
 
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Lazy CSR over local edge sources: ``(indptr, edge_ids)``.
@@ -132,6 +146,31 @@ class LocalSubgraph:
             np.cumsum(np.bincount(self.src, minlength=self.num_vertices), out=indptr[1:])
             cached = (indptr, order)
             self._out_csr = cached
+        return cached
+
+    def out_fanout(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Lazy ``(fanout, dangling)`` per local vertex.
+
+        ``fanout`` is ``max(global_out_degree, 1)`` as float64, the
+        divisor of a rank or feature row spread over a vertex's
+        out-edges; ``dangling`` indexes the vertices whose global
+        out-degree is 0, or is ``None`` when there are none (an
+        undirected graph without isolated vertices).
+        """
+        cached = getattr(self, "_out_fanout", None)
+        if cached is None:
+            fanout = np.maximum(self.global_out_degree, 1).astype(np.float64)
+            dangling = np.flatnonzero(self.global_out_degree == 0)
+            cached = (fanout, dangling if dangling.size else None)
+            self._out_fanout = cached
+        return cached
+
+    def master_index(self) -> np.ndarray:
+        """Lazy ``np.flatnonzero(is_master)``, ascending."""
+        cached = getattr(self, "_master_index", None)
+        if cached is None:
+            cached = np.flatnonzero(self.is_master)
+            self._master_index = cached
         return cached
 
 

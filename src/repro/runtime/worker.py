@@ -39,6 +39,20 @@ by ``w`` from ``src`` was "sent" by ``src`` and "received" by ``w``);
 :func:`repro.runtime.base.assemble_exchange` folds them into the global
 per-worker sent/received arrays the cost model consumes.
 
+Per run versus per superstep: a kernel call pays only for what this
+superstep changed.  What depends on the layout alone — the inbound
+routes, ``local.master_index()``, and for the programs
+``local.out_fanout()`` / ``cc_roots()`` / ``out_csr()`` — is computed
+once per run in the process that runs the shard and cached on its
+:class:`~repro.bsp.distributed.LocalSubgraph`.  The per-superstep
+scatters use plain indexed ``+=`` / ``=`` instead of ``np.add.at`` /
+``np.minimum.at``; that is the same arithmetic in the same order, not
+an approximation of it, because a route names each master at most once
+(no index repeats within one scatter) and routes are still folded in
+one after the other, in plan order.  ``PageRank.compute`` accumulates
+with ``np.bincount``, which like ``np.add.at`` on a zeroed buffer adds
+the weights in edge order starting from 0.0.
+
 Kernels here are deliberately observability-free: they never import
 :mod:`repro.obs` or read a clock.  The *caller*
 (:class:`~repro.runtime.shard.WorkerShard`) brackets the kernel call
@@ -143,16 +157,19 @@ def superstep_exchange_up(
         sums[:] = partials[worker_id]
         for src, route in inbound:
             sel = changed[src][route.src_index]
-            if not sel.any():
+            sent = int(np.count_nonzero(sel))
+            if not sent:
                 continue
-            counts[src] += int(sel.sum())
-            np.add.at(
-                sums, route.dst_index[sel], partials[src][route.src_index[sel]]
-            )
-        new_vals = program.apply(local, own, sums)
-        mask = local.is_master
-        delta = float(np.abs(new_vals[mask] - own[mask]).sum())
-        own[mask] = new_vals[mask]
+            counts[src] += sent
+            src_idx, dst_idx = route.src_index, route.dst_index
+            if sent < sel.size:
+                src_idx, dst_idx = src_idx[sel], dst_idx[sel]
+            # A route names each master at most once, so ``+=`` is exact.
+            sums[dst_idx] += partials[src][src_idx]
+        masters = local.master_index()
+        new_vals = program.apply(local, own, sums)[masters]
+        delta = float(np.abs(new_vals - own[masters]).sum())
+        own[masters] = new_vals
         return counts, delta
 
     assert active is not None and dirty is not None
@@ -161,17 +178,19 @@ def superstep_exchange_up(
     dirty[:] = changed[worker_id] & local.is_master
     for src, route in inbound:
         sel = changed[src][route.src_index]
-        if not sel.any():
+        sent = int(np.count_nonzero(sel))
+        if not sent:
             continue
-        src_idx = route.src_index[sel]
+        counts[src] += sent
         dst_idx = route.dst_index[sel]
-        vals = values[src][src_idx]
-        counts[src] += int(sel.sum())
+        vals = values[src][route.src_index[sel]]
         better = vals < own[dst_idx]
         if better.any():
-            np.minimum.at(own, dst_idx[better], vals[better])
-            dirty[dst_idx[better]] = True
-            active[dst_idx[better]] = True
+            improved = dst_idx[better]
+            # One entry per master and ``vals < own`` there: plain store.
+            own[improved] = vals[better]
+            dirty[improved] = True
+            active[improved] = True
     return counts, 0.0
 
 

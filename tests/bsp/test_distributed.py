@@ -11,6 +11,7 @@ from repro.partition import (
     PartitionResult,
 )
 from repro.bsp import build_distributed_graph
+from repro.pipeline import PARTITIONERS
 
 
 @pytest.fixture
@@ -153,3 +154,50 @@ class TestLocalCaches:
         roots = local.cc_roots()
         assert np.unique(roots).size == 1
         assert local.cc_roots() is roots
+
+    def test_cc_root_count(self, small_road):
+        dg = build_distributed_graph(EBVPartitioner().partition(small_road, 4))
+        for local in dg.locals:
+            assert local.cc_root_count() == np.unique(local.cc_roots()).size
+
+    def test_out_fanout(self, small_directed_powerlaw):
+        dg = build_distributed_graph(EBVPartitioner().partition(small_directed_powerlaw, 4))
+        for local in dg.locals:
+            fanout, dangling = local.out_fanout()
+            assert fanout.dtype == np.float64
+            assert np.array_equal(fanout, np.maximum(local.global_out_degree, 1))
+            assert np.array_equal(dangling, np.flatnonzero(local.global_out_degree == 0))
+            assert local.out_fanout()[0] is fanout
+
+    def test_out_fanout_without_dangling(self, square_partition):
+        dg = build_distributed_graph(square_partition)
+        assert all(local.out_fanout()[1] is None for local in dg.locals)
+
+    def test_master_index(self, square_partition):
+        dg = build_distributed_graph(square_partition)
+        for local in dg.locals:
+            masters = local.master_index()
+            assert np.array_equal(masters, np.flatnonzero(local.is_master))
+            assert local.master_index() is masters
+
+
+class TestRouteIndicesAreUnique:
+    """A route names each mirror, and each master, at most once.
+
+    ``superstep_exchange_up`` rests on it: with no repeated
+    ``dst_index`` entry, ``sums[dst] += x`` and ``own[dst] = x`` equal
+    the ``np.add.at`` / ``np.minimum.at`` scatters they replaced.
+    """
+
+    @pytest.fixture(scope="class", params=["pl-small", "road-small", "pl-dir"])
+    def graph(self, request, graph_zoo):
+        return graph_zoo[request.param]
+
+    @pytest.mark.parametrize("parts", [2, 4, 8])
+    @pytest.mark.parametrize("method", sorted(PARTITIONERS.names()))
+    def test_no_route_repeats_an_index(self, graph, method, parts):
+        dg = build_distributed_graph(PARTITIONERS.create(method).partition(graph, parts))
+        for routes in (dg.up_routes, dg.down_routes):
+            for pair, route in routes.items():
+                for index in (route.src_index, route.dst_index):
+                    assert np.unique(index).size == index.size, (pair, method)
