@@ -1,16 +1,11 @@
 #!/usr/bin/env python
-"""Dynamic-graph benchmark: replication-factor drift and warm-start savings.
+"""Dynamic-graph benchmark: replication-factor drift under mutations.
 
-Measures the ISSUE-10 acceptance properties of :mod:`repro.mutate`:
-
-* **Bounded drift** — applying an edge-mutation batch incrementally
-  (survivors keep their parts, only inserts pass through the seeded
-  assigner) must track a full repartition of the mutated graph.  For
-  each churn fraction the script reports ``rf_after / rf_full`` and the
-  incremental-vs-full wall time.
-* **Warm-start savings** — the delta apps (CC-DELTA / PR-DELTA) seeded
-  from the pre-mutation run must converge to the rebuild answer in no
-  more supersteps/messages than a cold rerun.
+Applying an edge-mutation batch incrementally with :mod:`repro.mutate`
+(survivors keep their parts, only inserts pass through the seeded
+assigner) must track a full repartition of the mutated graph.  For each
+churn fraction the script reports ``rf_after / rf_full`` and the
+incremental-vs-full wall time.
 
 Usage::
 
@@ -20,9 +15,7 @@ Usage::
 
 ``--check-drift X`` exits nonzero if any incremental scenario's drift
 exceeds ``X`` — the CI ``mutate-smoke`` job runs it so a change that
-silently degrades incremental maintenance fails the build.  The warm
-answers are always required to match the rebuild (bit-for-bit for CC,
-``<= 1e-8`` max abs diff for PageRank).
+silently degrades incremental maintenance fails the build.
 """
 
 from __future__ import annotations
@@ -53,8 +46,6 @@ CONFIGS = {
 }
 
 CHURN_FRACTIONS = (0.01, 0.05, 0.10)
-PR_TOL = 1e-12
-PR_ITERS = 300
 
 
 def churn_batch(graph, fraction, seed=7):
@@ -128,70 +119,11 @@ def drift_sweep(graph, parts):
     return rows
 
 
-def warm_start_sweep(graph, parts, backend):
-    """Warm delta apps vs cold rebuild on the mutated graph."""
-    from repro.bsp import BSPEngine, build_distributed_graph
-    from repro.frameworks import make_program
-    from repro.mutate import apply_mutations, cc_warm_labels, pr_warm_values
-    from repro.partition import StreamingEBVPartitioner
-
-    base = StreamingEBVPartitioner().partition(graph, parts)
-    batch = churn_batch(graph, 0.05)
-    mut = apply_mutations(base, batch, repartition_threshold=1.0)
-    engine = BSPEngine(backend=backend)
-    base_dg = build_distributed_graph(base)
-    dg = build_distributed_graph(mut.partition)
-
-    rows = []
-    for app in ("cc", "pr"):
-        if app == "cc":
-            prev = engine.run(base_dg, make_program("CC", graph))
-            warm = engine.run(dg, make_program(
-                "CC-DELTA", mut.graph,
-                prev_values=cc_warm_labels(prev.values, mut),
-            ))
-            rebuild = engine.run(dg, make_program("CC", mut.graph))
-            matched = bool(np.array_equal(warm.values, rebuild.values))
-            max_diff = 0.0 if matched else float("inf")
-        else:
-            kw = dict(pagerank_iters=PR_ITERS, pagerank_tol=PR_TOL)
-            prev = engine.run(base_dg, make_program("PR", graph, **kw))
-            warm = engine.run(dg, make_program(
-                "PR-DELTA", mut.graph,
-                prev_values=pr_warm_values(prev.values, mut.graph.num_vertices),
-                delta_iters=PR_ITERS, pagerank_tol=PR_TOL,
-            ))
-            rebuild = engine.run(dg, make_program("PR", mut.graph, **kw))
-            max_diff = float(np.max(np.abs(warm.values - rebuild.values)))
-            matched = max_diff <= 1e-8
-        rows.append({
-            "app": app,
-            "backend": backend,
-            "warm_supersteps": warm.num_supersteps,
-            "rebuild_supersteps": rebuild.num_supersteps,
-            "warm_messages": int(warm.total_messages),
-            "rebuild_messages": int(rebuild.total_messages),
-            "superstep_savings": 1.0 - warm.num_supersteps / rebuild.num_supersteps,
-            "message_savings": 1.0 - warm.total_messages / rebuild.total_messages
-            if rebuild.total_messages else 0.0,
-            "matched_rebuild": matched,
-            "max_abs_diff": max_diff,
-        })
-        print(f"{app:2s} warm={warm.num_supersteps:3d} steps "
-              f"rebuild={rebuild.num_supersteps:3d} steps  "
-              f"warm_msgs={warm.total_messages} "
-              f"rebuild_msgs={rebuild.total_messages}  "
-              f"matched={matched}")
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="~100k-edge graph for CI smoke runs")
     parser.add_argument("--out", type=Path, default=Path("BENCH_mutate.json"))
-    parser.add_argument("--backend", default="serial",
-                        help="BSP backend for the warm-start sweep")
     parser.add_argument("--check-drift", type=float, default=None, metavar="X",
                         help="exit 1 if any incremental drift exceeds X")
     args = parser.parse_args(argv)
@@ -204,7 +136,6 @@ def main(argv=None) -> int:
           f"parts={config['parts']} (directed)")
 
     drift_rows = drift_sweep(graph, config["parts"])
-    warm_rows = warm_start_sweep(graph, config["parts"], args.backend)
 
     payload = {
         "benchmark": "bench_mutate",
@@ -219,19 +150,12 @@ def main(argv=None) -> int:
         "parts": config["parts"],
         "churn_fractions": list(CHURN_FRACTIONS),
         "drift": drift_rows,
-        "warm_start": warm_rows,
         "max_drift": max(r["drift"] for r in drift_rows),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     print(f"max drift across churn sweep: {payload['max_drift']:.4f}")
 
-    failed = [r for r in warm_rows if not r["matched_rebuild"]]
-    if failed:
-        for r in failed:
-            print(f"FAIL: warm {r['app']} diverged from rebuild "
-                  f"(max abs diff {r['max_abs_diff']:g})", file=sys.stderr)
-        return 1
     if args.check_drift is not None:
         over = [r for r in drift_rows if r["drift"] > args.check_drift]
         if over:

@@ -2,7 +2,6 @@
 
 from .bfs import BFS
 from .cc import ConnectedComponents
-from .delta import IncrementalConnectedComponents, IncrementalPageRank
 from .feature_propagation import (
     FeaturePropagation,
     deterministic_features,
@@ -19,8 +18,6 @@ __all__ = [
     "FeaturePropagation",
     "deterministic_features",
     "feature_propagation_reference",
-    "IncrementalConnectedComponents",
-    "IncrementalPageRank",
     "KCore",
     "kcore_reference",
     "PageRank",

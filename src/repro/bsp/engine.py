@@ -280,7 +280,6 @@ class BSPEngine:
         dgraph: DistributedGraph,
         program: SubgraphProgram,
         resume_from: Optional[str] = None,
-        warm_values: Optional[np.ndarray] = None,
     ) -> BSPRun:
         """Execute ``program`` to completion and return the full record.
 
@@ -293,32 +292,9 @@ class BSPEngine:
         every backend.  Fresh and resumed runs execute the *same*
         superstep loop — a resume only restores state and starts the
         loop at the snapshot boundary.
-
-        ``warm_values`` overrides the program's initial *values* with a
-        global per-vertex array (length ``|V|``; cast to the program's
-        dtype) scattered to every worker through the state API
-        (``push_state``), so it works on every backend including
-        ``socket``.  Activity/partial arrays keep their cold
-        allocation, and the run executes the normal superstep loop from
-        superstep 0 — this is the warm-start entry the delta apps ride
-        when the previous values live outside the program object.
-        Mutually exclusive with ``resume_from`` (a snapshot restores
-        the *whole* state, supersteps included).
         """
         if program.mode not in (MINIMIZE, ACCUMULATE):
             raise ValueError(f"unknown program mode {program.mode!r}")
-        if warm_values is not None and resume_from is not None:
-            raise ValueError(
-                "warm_values and resume_from are mutually exclusive: a "
-                "snapshot already carries the complete state to restore"
-            )
-        if warm_values is not None:
-            warm_values = np.ascontiguousarray(warm_values, dtype=program.dtype)
-            if warm_values.shape != (dgraph.graph.num_vertices,):
-                raise ValueError(
-                    f"warm_values must have shape ({dgraph.graph.num_vertices},) "
-                    f"— one value per global vertex — got {warm_values.shape}"
-                )
         backend = self._resolve_backend()
         from ..runtime.base import WorkerLostError
 
@@ -374,16 +350,6 @@ class BSPEngine:
                 run.supersteps = list(snapshot.supersteps)
                 run.resumed_from = snapshot.superstep
                 done = snapshot.done
-            elif warm_values is not None:
-                from ..checkpoint.writer import state_arrays
-                from ..runtime.base import allocate_state
-
-                arrays = state_arrays(allocate_state(dgraph, program))
-                arrays["values"] = [
-                    np.ascontiguousarray(warm_values[local.global_ids])
-                    for local in dgraph.locals
-                ]
-                session.push_state(arrays)
             ckpt = _CheckpointHook(writer, fingerprint, session)
             recoveries = 0
             while True:

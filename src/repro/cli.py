@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mut = sub.add_parser(
         "mutate",
-        help="apply an edge mutation batch to a partitioned graph and run "
-        "the incremental (warm-started) app on the result",
+        help="apply an edge mutation batch to a partitioned graph and "
+        "report the replication-factor drift against a full repartition",
     )
     mut.add_argument("input", help="edge-list file (the pre-mutation graph)")
     mut.add_argument(
@@ -279,22 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mut.add_argument("--parts", type=int, default=8)
     mut.add_argument(
-        "--app",
-        choices=("cc", "pr", "none"),
-        default="cc",
-        help="app to run cold on the base graph and warm (delta) on the "
-        "mutated graph; 'none' only patches the partition",
-    )
-    mut.add_argument(
-        "--backend",
-        type=_registry_arg(registries.BACKENDS),
-        default="serial",
-        help=(
-            "runtime backend spec (e.g. 'process?start_method=spawn'); "
-            f"available: {', '.join(registries.BACKENDS.names())}"
-        ),
-    )
-    mut.add_argument(
         "--repartition-threshold",
         type=float,
         default=None,
@@ -304,23 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.25)",
     )
     mut.add_argument(
-        "--check",
-        action="store_true",
-        help="differential harness: also rebuild-and-run from scratch and "
-        "fail (exit 1) unless incremental CC is bit-identical / "
-        "incremental PageRank is within --tol",
-    )
-    mut.add_argument(
-        "--tol",
-        type=float,
-        default=1e-8,
-        metavar="EPS",
-        help="max-abs-difference tolerance for the PageRank --check "
-        "(CC is always exact)",
-    )
-    mut.add_argument(
         "--json", action="store_true",
-        help="print the machine-readable drift + run report JSON",
+        help="print the machine-readable drift report JSON",
     )
 
     trace = sub.add_parser(
@@ -582,18 +551,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    from .bsp import BSPEngine, build_distributed_graph
-    from .frameworks import make_program
-    from .mutate import (
-        MutationBatch,
-        apply_mutations,
-        cc_warm_labels,
-        pr_warm_values,
-    )
+    from .mutate import MutationBatch, apply_mutations
 
-    # PageRank runs tolerance-governed so incremental-vs-rebuild lands on
-    # the same fixpoint; 300 iterations is an ample budget at 1e-12.
-    pr_kwargs = {"pagerank_iters": 300, "pagerank_tol": 1e-12}
     try:
         g = read_edge_list(args.input)
         batch = MutationBatch.from_file(args.mutations)
@@ -615,67 +574,9 @@ def _cmd_mutate(args) -> int:
         "parts": args.parts,
         "mutation": mutation.report(),
     }
-    check_failed = False
-    if args.app != "none":
-        try:
-            backend = registries.BACKENDS.create(args.backend)
-        except (SpecError, RegistryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        engine = BSPEngine(backend=backend)
-        cold_dg = build_distributed_graph(base)
-        warm_dg = build_distributed_graph(mutation.partition)
-        n_new = mutation.graph.num_vertices
-        if args.app == "cc":
-            cold = engine.run(cold_dg, make_program("CC", g))
-            seed = cc_warm_labels(cold.values, mutation)
-            warm = engine.run(
-                warm_dg,
-                make_program("CC-DELTA", mutation.graph, prev_values=seed),
-            )
-        else:
-            cold = engine.run(cold_dg, make_program("PR", g, **pr_kwargs))
-            seed = pr_warm_values(cold.values, n_new)
-            warm = engine.run(
-                warm_dg,
-                make_program(
-                    "PR-DELTA", mutation.graph, prev_values=seed,
-                    delta_iters=pr_kwargs["pagerank_iters"],
-                    pagerank_tol=pr_kwargs["pagerank_tol"],
-                ),
-            )
-        payload["run"] = {
-            "app": args.app,
-            "backend": warm.backend,
-            "cold_supersteps": cold.num_supersteps,
-            "warm_supersteps": warm.num_supersteps,
-            "cold_messages": int(cold.total_messages),
-            "warm_messages": int(warm.total_messages),
-        }
-        if args.check:
-            if args.app == "cc":
-                rebuild = engine.run(warm_dg, make_program("CC", mutation.graph))
-                mismatched = int((warm.values != rebuild.values).sum())
-                passed = mismatched == 0
-                payload["check"] = {
-                    "passed": passed, "mismatched_vertices": mismatched,
-                }
-            else:
-                rebuild = engine.run(
-                    warm_dg, make_program("PR", mutation.graph, **pr_kwargs)
-                )
-                diff = (
-                    float(np.max(np.abs(warm.values - rebuild.values)))
-                    if n_new else 0.0
-                )
-                passed = diff <= args.tol
-                payload["check"] = {
-                    "passed": passed, "max_abs_diff": diff, "tol": args.tol,
-                }
-            check_failed = not passed
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if check_failed else 0
+        return 0
     rep = payload["mutation"]
     print(
         render_table(
@@ -690,31 +591,7 @@ def _cmd_mutate(args) -> int:
             )],
         )
     )
-    if "run" in payload:
-        r = payload["run"]
-        print(
-            render_table(
-                ["App", "Backend", "ColdSteps", "WarmSteps",
-                 "ColdMsgs", "WarmMsgs"],
-                [(
-                    args.app.upper(), r["backend"], r["cold_supersteps"],
-                    r["warm_supersteps"], r["cold_messages"],
-                    r["warm_messages"],
-                )],
-            )
-        )
-    if "check" in payload:
-        c = payload["check"]
-        detail = (
-            f"{c['mismatched_vertices']} mismatched labels"
-            if args.app == "cc"
-            else f"max|diff| = {c['max_abs_diff']:.3e} (tol {c['tol']:g})"
-        )
-        print(
-            "differential check (incremental vs rebuild): "
-            f"{'PASS' if c['passed'] else 'FAIL'} — {detail}"
-        )
-    return 1 if check_failed else 0
+    return 0
 
 
 def _cmd_trace(args) -> int:

@@ -19,8 +19,6 @@ from ..apps import (
     BFS,
     ConnectedComponents,
     FeaturePropagation,
-    IncrementalConnectedComponents,
-    IncrementalPageRank,
     KCore,
     PageRank,
     SSSP,
@@ -32,7 +30,7 @@ from ..graph import Graph
 
 __all__ = ["APP_NAMES", "make_program", "Framework"]
 
-APP_NAMES = ("CC", "PR", "SSSP", "BFS", "KCORE", "FEATPROP", "CC-DELTA", "PR-DELTA")
+APP_NAMES = ("CC", "PR", "SSSP", "BFS", "KCORE", "FEATPROP")
 
 
 def make_program(
@@ -47,9 +45,7 @@ def make_program(
     feature_dims: int = 8,
     feature_seed: int = 0,
     features: Optional[np.ndarray] = None,
-    prev_values: Optional[np.ndarray] = None,
     pagerank_tol: float = 1e-10,
-    delta_iters: int = 100,
 ) -> SubgraphProgram:
     """Instantiate any registered application by (case-insensitive) name.
 
@@ -59,11 +55,8 @@ def make_program(
     superstep so the flag does not apply.  ``k`` parameterizes KCORE;
     ``hops``/``mix``/``feature_dims``/``feature_seed``/``features``
     parameterize FEATPROP (a seeded deterministic feature matrix is
-    generated when none is supplied).  ``prev_values`` warm-starts the
-    delta apps (CC-DELTA/PR-DELTA; see :mod:`repro.apps.delta` for the
-    soundness contract), ``pagerank_tol`` tunes both PageRanks'
-    convergence threshold, and ``delta_iters`` caps PR-DELTA's
-    tolerance-governed iteration budget.
+    generated when none is supplied), and ``pagerank_tol`` is
+    PageRank's convergence threshold.
     """
     name = app.upper() if isinstance(app, str) else app
     if name == "CC":
@@ -82,17 +75,6 @@ def make_program(
         if features is None:
             features = deterministic_features(graph, dims=feature_dims, seed=feature_seed)
         return FeaturePropagation(features, hops=hops, mix=mix)
-    if name == "CC-DELTA":
-        return IncrementalConnectedComponents(
-            prev_values=prev_values, local_convergence=local_convergence
-        )
-    if name == "PR-DELTA":
-        return IncrementalPageRank(
-            graph.num_vertices,
-            prev_values=prev_values,
-            max_iters=delta_iters,
-            tol=pagerank_tol,
-        )
     raise ValueError(f"unknown app {app!r}; expected one of {APP_NAMES}")
 
 

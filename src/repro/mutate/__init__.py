@@ -11,11 +11,10 @@ replication-factor drift vs. a full repartition and a
 :func:`repro.stream.patch_spilled_partition` — patches a
 :class:`~repro.stream.SpilledPartition`'s shards in place.
 
-On top sit the warm-start helpers for the delta apps
-(:mod:`repro.apps.delta`): :func:`pr_warm_values` pads the previous
-PageRank vector, :func:`cc_warm_labels` resets every component a
-deletion touched so incremental CC stays bit-identical to a cold run
-(the differential harness under ``tests/mutate/`` enforces both).
+Apps run on the maintained partition exactly as on any other (a
+pipeline spec's ``mutations`` entry); the differential harness under
+``tests/mutate/`` checks them against the references on the mutated
+graph.
 """
 
 from ..stream.patch import patch_spilled_partition
@@ -24,9 +23,7 @@ from .incremental import (
     DEFAULT_REPARTITION_THRESHOLD,
     MutationResult,
     apply_mutations,
-    cc_warm_labels,
     mutated_graph,
-    pr_warm_values,
 )
 
 __all__ = [
@@ -38,8 +35,6 @@ __all__ = [
     "MutationResult",
     "ResolvedBatch",
     "apply_mutations",
-    "cc_warm_labels",
     "mutated_graph",
     "patch_spilled_partition",
-    "pr_warm_values",
 ]

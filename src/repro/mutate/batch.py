@@ -62,18 +62,14 @@ class MutationError(ValueError):
 class ResolvedBatch:
     """A batch resolved against a concrete graph's edge multiset.
 
-    ``removed_ids`` are old-graph edge ids sorted ascending;
-    ``removed_src``/``removed_dst`` are the matching endpoints (what
-    :func:`repro.mutate.cc_warm_labels` needs to reset touched
-    components).  ``insert_*`` hold the surviving inserts in batch
-    order; ``insert_weights`` is dense float64 with unspecified weights
-    filled as 1.0, and ``has_explicit_weights`` records whether any
-    insert actually carried one (so unweighted graphs can reject them).
+    ``removed_ids`` are old-graph edge ids sorted ascending; ``insert_*``
+    hold the surviving inserts in batch order; ``insert_weights`` is
+    dense float64 with unspecified weights filled as 1.0, and
+    ``has_explicit_weights`` records whether any insert actually carried
+    one (so unweighted graphs can reject them).
     """
 
     removed_ids: np.ndarray
-    removed_src: np.ndarray
-    removed_dst: np.ndarray
     insert_src: np.ndarray
     insert_dst: np.ndarray
     insert_weights: np.ndarray
@@ -225,7 +221,7 @@ class MutationBatch:
         this batch deletes — :meth:`resolve_against` builds exactly
         that from in-memory arrays, the spill patcher from shards.
         """
-        removed: List[Tuple[int, int, int]] = []  # (edge_id, u, v)
+        removed: List[int] = []  # edge ids
         pending: List[Tuple[int, int, Optional[float]]] = []
         cancelled: List[bool] = []
         pending_by_pair: Dict[Tuple[int, int], Deque[int]] = {}
@@ -238,7 +234,7 @@ class MutationBatch:
                 continue
             existing = candidates.get(pair)
             if existing:
-                removed.append((existing.popleft(), u, v))
+                removed.append(existing.popleft())
                 continue
             queued = pending_by_pair.get(pair)
             if queued:
@@ -254,9 +250,7 @@ class MutationBatch:
             [1.0 if w is None else w for _, _, w in kept], dtype=np.float64
         )
         return ResolvedBatch(
-            removed_ids=np.array([e for e, _, _ in removed], dtype=np.int64),
-            removed_src=np.array([u for _, u, _ in removed], dtype=np.int64),
-            removed_dst=np.array([v for _, _, v in removed], dtype=np.int64),
+            removed_ids=np.array(removed, dtype=np.int64),
             insert_src=np.array([u for u, _, _ in kept], dtype=np.int64),
             insert_dst=np.array([v for _, v, _ in kept], dtype=np.int64),
             insert_weights=insert_w,

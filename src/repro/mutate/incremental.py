@@ -1,4 +1,4 @@
-"""Incremental partition maintenance and warm-start values under mutations.
+"""Incremental partition maintenance under mutations.
 
 :func:`apply_mutations` turns ``(PartitionResult, MutationBatch)`` into
 a new partition of the mutated graph while re-assigning **only the
@@ -23,12 +23,6 @@ than that fraction of the mutated graph's edges, the layer falls back
 to a full repartition (``mode="repartition"``).  The committed
 ``BENCH_mutate.json`` tracks the drift bound (≤ ~1.15 at ≤ 10% churn
 on powerlaw graphs).
-
-Warm-start helpers for the delta apps live here too:
-:func:`pr_warm_values` (pad the previous ranks) and
-:func:`cc_warm_labels` (reset every component touched by a deletion —
-the correctness condition incremental CC needs; see the function
-docstring for the argument).
 """
 
 from __future__ import annotations
@@ -48,8 +42,6 @@ __all__ = [
     "MutationResult",
     "apply_mutations",
     "mutated_graph",
-    "cc_warm_labels",
-    "pr_warm_values",
     "DEFAULT_REPARTITION_THRESHOLD",
 ]
 
@@ -258,62 +250,3 @@ def apply_mutations(
         rf_full=rf_full,
         drift=drift,
     )
-
-
-# ----------------------------------------------------------------------
-# Warm-start value helpers for the delta apps
-# ----------------------------------------------------------------------
-
-
-def pr_warm_values(prev_values: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Previous PageRank vector padded to the mutated vertex count.
-
-    New vertices start at the uniform prior ``1/|V|`` of the *mutated*
-    graph; surviving vertices keep their converged ranks.  Any sound
-    starting point converges to the same fixpoint (the PageRank
-    iteration is a contraction), so this only buys supersteps — the
-    differential harness checks the result against a cold run to the
-    same tolerance.
-    """
-    prev = np.ascontiguousarray(prev_values, dtype=np.float64)
-    n = int(num_vertices)
-    if prev.shape[0] > n:
-        raise MutationError(
-            f"previous values cover {prev.shape[0]} vertices but the mutated "
-            f"graph has only {n}; vertices never shrink under mutation"
-        )
-    out = np.full(n, 1.0 / max(n, 1), dtype=np.float64)
-    out[: prev.shape[0]] = prev
-    return out
-
-
-def cc_warm_labels(prev_labels: np.ndarray, mutation: MutationResult) -> np.ndarray:
-    """Sound warm labels for incremental CC on the mutated graph.
-
-    Edge *inserts* only merge components, and every previous label is
-    the minimum vertex id of an old component — a subset of some new
-    component — so stale labels stay valid upper bounds and the
-    min-label iteration still converges to exactly the cold-run answer.
-    Edge *deletes* can split a component, leaving labels that reference
-    a vertex no longer reachable; every vertex whose old component
-    contained a deleted edge's endpoint is therefore reset to its own
-    id (the cold initial value) and recomputes from scratch.  Untouched
-    components keep their converged labels.  New vertices start at
-    their own id.
-    """
-    prev = np.ascontiguousarray(prev_labels, dtype=np.int64)
-    n = mutation.graph.num_vertices
-    if prev.shape[0] > n:
-        raise MutationError(
-            f"previous labels cover {prev.shape[0]} vertices but the mutated "
-            f"graph has only {n}; vertices never shrink under mutation"
-        )
-    labels = np.arange(n, dtype=np.int64)
-    labels[: prev.shape[0]] = prev
-    resolved = mutation.resolved
-    if resolved.num_removed:
-        endpoints = np.concatenate([resolved.removed_src, resolved.removed_dst])
-        affected = np.unique(prev[endpoints])
-        reset = np.isin(prev, affected)
-        labels[: prev.shape[0]][reset] = np.nonzero(reset)[0]
-    return labels

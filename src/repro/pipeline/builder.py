@@ -136,9 +136,7 @@ class PipelineResult:
     trace_path: Optional[str] = None
     #: drift report of the edge-mutation stage (``None`` when the
     #: pipeline ran without mutations): the
-    #: :meth:`repro.mutate.MutationResult.report` dict, plus
-    #: ``seed_supersteps``/``seed_messages`` when a delta app was
-    #: warm-started from a cold base run.
+    #: :meth:`repro.mutate.MutationResult.report` dict.
     mutation: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -346,11 +344,10 @@ class Pipeline:
         ``mutations`` is a :class:`repro.mutate.MutationBatch`, a
         mutations-file path, an inline op list, or the spec's dict form;
         downstream stages run against the mutated graph and partition
-        (see :mod:`repro.mutate`).  Pair with the ``cc-delta``/
-        ``pr-delta`` apps to warm-start from the cold base run's values.
-        ``repartition_threshold`` tunes the escape hatch (touched-edge
-        fraction above which the whole graph is repartitioned).  Pass
-        ``mutations=None`` to disable.
+        (see :mod:`repro.mutate`), and the app runs on the maintained
+        partition.  ``repartition_threshold`` tunes the escape hatch
+        (touched-edge fraction above which the whole graph is
+        repartitioned).  Pass ``mutations=None`` to disable.
         """
         if mutations is None:
             self._mutations = None
@@ -600,9 +597,7 @@ class Pipeline:
             )
             close_stage("refine", t0)
 
-        mutation_result = None
         mutation_payload: Optional[Dict[str, Any]] = None
-        base_result, base_graph = result, graph
         if self._mutations is not None:
             t0 = monotonic_ns()
             from ..mutate import MutationBatch, apply_mutations
@@ -639,38 +634,9 @@ class Pipeline:
             close_stage("distribute", t0)
             t0 = monotonic_ns()
             backend = _stage("run", lambda: BACKENDS.create(self._backend_spec))
-            app_overrides = dict(self._app_overrides)
-            app_name = APPS.canonical(parse_spec(self._app_spec)[0])
-            if (
-                mutation_result is not None
-                and app_name in ("cc-delta", "pr-delta")
-                and "prev_values" not in app_overrides
-            ):
-                # Incremental story in one document: run the base app
-                # cold on the pre-mutation partition, derive sound warm
-                # values, and let the delta app start from them.
-                from ..mutate import cc_warm_labels, pr_warm_values
-
-                base_app = "cc" if app_name == "cc-delta" else "pr"
-                seed_run = BSPEngine(
-                    cost_model=self._cost_model, backend=backend, recorder=rec
-                ).run(
-                    build_distributed_graph(base_result),
-                    _stage("run", lambda: APPS.create(base_app, base_graph)),
-                )
-                if app_name == "cc-delta":
-                    app_overrides["prev_values"] = cc_warm_labels(
-                        seed_run.values, mutation_result
-                    )
-                else:
-                    app_overrides["prev_values"] = pr_warm_values(
-                        seed_run.values, graph.num_vertices
-                    )
-                mutation_payload["seed_supersteps"] = seed_run.num_supersteps
-                mutation_payload["seed_messages"] = int(seed_run.total_messages)
             program = _stage(
                 "run",
-                lambda: APPS.create(self._app_spec, graph, **app_overrides),
+                lambda: APPS.create(self._app_spec, graph, **self._app_overrides),
             )
             engine = BSPEngine(
                 cost_model=self._cost_model,

@@ -118,8 +118,6 @@ APPS.register("sssp", _app_factory("SSSP"), aliases=("shortest-paths",))
 APPS.register("bfs", _app_factory("BFS"))
 APPS.register("kcore", _app_factory("KCORE"), aliases=("k-core",))
 APPS.register("featprop", _app_factory("FEATPROP"), aliases=("feature-propagation",))
-APPS.register("cc-delta", _app_factory("CC-DELTA"), aliases=("incremental-cc",))
-APPS.register("pr-delta", _app_factory("PR-DELTA"), aliases=("incremental-pagerank",))
 
 
 # ----------------------------------------------------------------------

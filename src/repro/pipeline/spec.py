@@ -253,10 +253,7 @@ class PipelineSpec:
         file path, an inline op list (``[["insert", u, v], ["delete",
         u, v]]``), or a dict with one of ``file``/``ops`` plus an
         optional ``repartition_threshold``.  Downstream stages (metrics
-        and the app) run against the *mutated* graph and partition;
-        pairing mutations with the ``cc-delta``/``pr-delta`` apps makes
-        the pipeline first run the base app cold on the pre-mutation
-        partition and warm-start the delta app from its values.
+        and the app) run against the *mutated* graph and partition.
     """
 
     source: str

@@ -1,27 +1,19 @@
-"""The differential harness: mutate-then-incremental vs rebuild-then-batch.
+"""The differential harness: apply-then-compute vs the references.
 
-For every mutation scenario the incremental path (warm-started delta app
-on the incrementally-maintained partition) must reproduce the rebuild
-path (cold app on a from-scratch run over the mutated graph) —
-bit-for-bit for CC, within tolerance for PageRank — across backends and
-part counts.
+For every mutation scenario the cold app on the incrementally-maintained
+partition (:func:`apply_mutations`) must reproduce the single-machine
+reference on the mutated graph — bit-for-bit for CC, within 1e-8 for
+PageRank — across backends and part counts.
 """
 
 import numpy as np
 import pytest
 
+from repro.apps import cc_reference, pagerank_reference
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.frameworks import make_program
-from repro.mutate import (
-    MutationBatch,
-    apply_mutations,
-    cc_warm_labels,
-    pr_warm_values,
-)
+from repro.mutate import MutationBatch, apply_mutations
 from repro.partition import StreamingEBVPartitioner
-
-PR_TOL = 1e-12
-PR_KW = dict(pagerank_iters=300, pagerank_tol=PR_TOL)
 
 
 def scenario_batch(graph, name):
@@ -47,38 +39,15 @@ def scenario_batch(graph, name):
 
 def run_differential(graph, scenario, app, backend, parts):
     part = StreamingEBVPartitioner().partition(graph, parts)
-    batch = scenario_batch(graph, scenario)
-    mut = apply_mutations(part, batch)
-    engine = BSPEngine(backend=backend)
-
-    cold_kw = PR_KW if app == "pr" else {}
-    prev = engine.run(
-        build_distributed_graph(part), make_program(app.upper(), graph, **cold_kw)
+    mut = apply_mutations(part, scenario_batch(graph, scenario))
+    run = BSPEngine(backend=backend).run(
+        build_distributed_graph(mut.partition), make_program(app.upper(), mut.graph)
     )
-    dg = build_distributed_graph(mut.partition)
     if app == "cc":
-        warm = engine.run(
-            dg,
-            make_program(
-                "CC-DELTA", mut.graph, prev_values=cc_warm_labels(prev.values, mut)
-            ),
-        )
-        rebuild = engine.run(dg, make_program("CC", mut.graph))
-        np.testing.assert_array_equal(warm.values, rebuild.values)
+        np.testing.assert_array_equal(run.values, cc_reference(mut.graph))
     else:
-        warm = engine.run(
-            dg,
-            make_program(
-                "PR-DELTA",
-                mut.graph,
-                prev_values=pr_warm_values(prev.values, mut.graph.num_vertices),
-                delta_iters=300,
-                pagerank_tol=PR_TOL,
-            ),
-        )
-        rebuild = engine.run(dg, make_program("PR", mut.graph, **PR_KW))
-        assert float(np.max(np.abs(warm.values - rebuild.values))) < 1e-8
-    return warm, rebuild
+        ref = pagerank_reference(mut.graph)
+        assert float(np.max(np.abs(run.values - ref))) < 1e-8
 
 
 SCENARIOS = ("mixed", "insert_only", "delete_only", "churn")
@@ -112,22 +81,3 @@ class TestParallelBackends:
     def test_pr_mixed(self, directed_graph, backend, parts):
         run_differential(directed_graph, "mixed", "pr", backend, parts)
 
-
-class TestWarmStartSavesWork:
-    def test_insert_only_cc_converges_no_slower_than_cold(self, directed_graph):
-        part = StreamingEBVPartitioner().partition(directed_graph, 4)
-        batch = scenario_batch(directed_graph, "insert_only")
-        mut = apply_mutations(part, batch)
-        engine = BSPEngine()
-        prev = engine.run(
-            build_distributed_graph(part), make_program("CC", directed_graph)
-        )
-        dg = build_distributed_graph(mut.partition)
-        warm = engine.run(
-            dg,
-            make_program(
-                "CC-DELTA", mut.graph, prev_values=cc_warm_labels(prev.values, mut)
-            ),
-        )
-        rebuild = engine.run(dg, make_program("CC", mut.graph))
-        assert warm.num_supersteps <= rebuild.num_supersteps

@@ -8,9 +8,7 @@ from repro.mutate import (
     MutationBatch,
     MutationError,
     apply_mutations,
-    cc_warm_labels,
     mutated_graph,
-    pr_warm_values,
 )
 from repro.partition import StreamingEBVPartitioner, replication_factor
 from repro.partition.base import EDGE_CUT, PartitionResult
@@ -174,37 +172,3 @@ class TestApplyMutations:
             out.partition.edge_parts[int(keep.sum()):], expect
         )
 
-
-class TestWarmHelpers:
-    def test_pr_warm_values_pads_with_uniform_prior(self):
-        prev = np.array([0.5, 0.3, 0.2])
-        out = pr_warm_values(prev, 5)
-        np.testing.assert_allclose(out[:3], prev)
-        np.testing.assert_allclose(out[3:], 0.2)
-
-    def test_pr_warm_values_rejects_shrink(self):
-        with pytest.raises(MutationError, match="never shrink"):
-            pr_warm_values(np.ones(10), 5)
-
-    def test_cc_warm_labels_insert_only_keeps_labels(self, directed_graph):
-        part = base_partition(directed_graph)
-        out = apply_mutations(part, MutationBatch().insert(0, 599))
-        prev = np.zeros(directed_graph.num_vertices, dtype=np.int64)
-        labels = cc_warm_labels(prev, out)
-        np.testing.assert_array_equal(labels[: prev.shape[0]], prev)
-
-    def test_cc_warm_labels_resets_deletion_touched_components(self, tiny_directed):
-        part = StreamingEBVPartitioner().partition(tiny_directed, 2)
-        out = apply_mutations(part, MutationBatch().delete(3, 4))
-        # components: {0,1,2} label 0, {3,4} label 3
-        prev = np.array([0, 0, 0, 3, 3], dtype=np.int64)
-        labels = cc_warm_labels(prev, out)
-        # the deleted edge's component resets to own ids; others keep labels
-        np.testing.assert_array_equal(labels, [0, 0, 0, 3, 4])
-
-    def test_cc_warm_labels_new_vertices_get_own_id(self, tiny_directed):
-        part = StreamingEBVPartitioner().partition(tiny_directed, 2)
-        out = apply_mutations(part, MutationBatch().insert(0, 7))
-        prev = np.array([0, 0, 0, 3, 3], dtype=np.int64)
-        labels = cc_warm_labels(prev, out)
-        np.testing.assert_array_equal(labels[5:], [5, 6, 7])

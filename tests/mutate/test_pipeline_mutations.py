@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine
-from repro.frameworks import make_program
+from repro.apps import cc_reference
 from repro.graph import write_edge_list
 from repro.mutate import MutationBatch
 from repro.pipeline import Pipeline, PipelineSpec, SpecError, run_spec
+from repro.pipeline.registries import APPS
+from repro.pipeline.registry import UnknownComponentError
 
 SRC = "powerlaw?directed=true,seed=9,vertices=900"
 
@@ -76,7 +77,7 @@ class TestBuilderExecution:
         assert res.mutation is None
         assert "mutation" not in res.to_dict()
 
-    def test_run_spec_cc_delta_differential(self, tmp_path):
+    def test_run_spec_cc_on_mutated_graph(self):
         from repro.graph import generate_graph
 
         g = generate_graph("powerlaw", vertices=900, seed=9, directed=True)
@@ -90,13 +91,12 @@ class TestBuilderExecution:
                 "source": SRC,
                 "partition": "ebv-stream",
                 "parts": 4,
-                "app": "cc-delta",
+                "app": "cc",
                 "mutations": ops,
             }
         )
-        assert res.mutation["seed_supersteps"] >= 1
-        rebuild = BSPEngine().run(res.distributed, make_program("CC", res.graph))
-        np.testing.assert_array_equal(res.run.values, rebuild.values)
+        assert res.graph.num_vertices == 941
+        np.testing.assert_array_equal(res.run.values, cc_reference(res.graph))
 
     def test_mutations_file_source(self, tmp_path):
         mut_file = tmp_path / "deltas.txt"
@@ -152,38 +152,35 @@ class TestCLI:
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
-    def test_mutate_check_passes_cc(self, graph_file, mutations_file, capsys):
+    def test_mutate_prints_drift_table(self, graph_file, mutations_file, capsys):
         from repro.cli import main
 
         assert main([
-            "mutate", graph_file, "--mutations", mutations_file,
-            "--parts", "4", "--app", "cc", "--check",
+            "mutate", graph_file, "--mutations", mutations_file, "--parts", "4",
         ]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
         assert "incremental" in out
+        assert "Drift" in out
 
-    def test_mutate_check_json_payload(self, graph_file, mutations_file, capsys):
+    def test_mutate_json_payload(self, graph_file, mutations_file, capsys):
         from repro.cli import main
 
         assert main([
             "mutate", graph_file, "--mutations", mutations_file,
-            "--parts", "2", "--app", "pr", "--check", "--json",
+            "--parts", "2", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["check"]["passed"] is True
+        assert set(payload) == {"input", "mutations", "method", "parts", "mutation"}
         assert payload["mutation"]["mode"] in ("incremental", "repartition")
         assert "drift" in payload["mutation"]
 
-    def test_mutate_app_none_only_patches(self, graph_file, mutations_file, capsys):
+    @pytest.mark.parametrize("flag", [["--app", "cc"], ["--check"]])
+    def test_mutate_has_no_app_options(self, graph_file, mutations_file, flag):
         from repro.cli import main
 
-        assert main([
-            "mutate", graph_file, "--mutations", mutations_file,
-            "--parts", "2", "--app", "none", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "run" not in payload and "check" not in payload
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", graph_file, "--mutations", mutations_file, *flag])
+        assert exc.value.code == 2
 
     def test_mutate_bad_batch_exits_2(self, graph_file, tmp_path, capsys):
         from repro.cli import main
@@ -192,3 +189,14 @@ class TestCLI:
         bad.write_text("- 999999 999998\n")
         assert main(["mutate", graph_file, "--mutations", str(bad), "--parts", "2"]) == 2
         assert "cannot delete" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["cc-delta", "pr-delta", "incremental-cc", "incremental-pagerank"]
+)
+def test_delta_app_names_are_refused(directed_graph, name):
+    available = ", ".join(APPS.names())
+    with pytest.raises(UnknownComponentError, match=f"available: {available}$"):
+        APPS.create(name, directed_graph)
+    with pytest.raises(SpecError, match=f"unknown app {name!r}; available: {available}"):
+        PipelineSpec(source=SRC, app=name, mutations=[["insert", 0, 1]])

@@ -8,6 +8,10 @@ graphs at p ∈ {2, 4} for the ``serial``, ``thread``, ``process`` and
 ``socket`` backends and asserts exactly that — for the socket backend
 the values additionally round-trip a pickle/TCP wire, so this sweep is
 also the bit-identity proof for the route-compacted exchange protocol.
+The same sweep runs on a partition maintained by
+:func:`~repro.mutate.apply_mutations` (deletes, inserts and a new
+vertex), whose routing is built from patched, not freshly partitioned,
+edge assignments.
 """
 
 import numpy as np
@@ -48,17 +52,17 @@ def reference_runs(graph, dgraphs):
     return runs
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKEND_NAMES if b != "serial"])
-@pytest.mark.parametrize("p", PARTS)
-@pytest.mark.parametrize("app", APPS.names())
-def test_backend_matches_serial_reference(
-    app, p, backend, graph, dgraphs, reference_runs
-):
-    ref = reference_runs[(app, p)]
-    program = APPS.create(app, graph)
-    run = BSPEngine(backend=backend).run(dgraphs[p], program)
+@pytest.fixture(scope="module")
+def maintained_reference_runs(maintained):
+    """Serial-reference run per (app, p) on the maintained partitions."""
+    return {
+        (app, p): BSPEngine(backend="serial").run(dgraph, APPS.create(app, mgraph))
+        for app in APPS.names()
+        for p, (mgraph, dgraph) in maintained.items()
+    }
 
-    assert run.backend == backend
+
+def assert_matches_reference(run, ref):
     assert run.num_supersteps == ref.num_supersteps
     # Final vertex values must be *identical*, not merely close: every
     # backend runs the same kernel over the same arrays in the same
@@ -78,6 +82,29 @@ def test_backend_matches_serial_reference(
         assert got.delta_c == want.delta_c, f"superstep {step}"
     assert run.delta_c == ref.delta_c
     assert run.total_messages == ref.total_messages
+
+
+@pytest.mark.parametrize("backend", [b for b in BACKEND_NAMES if b != "serial"])
+@pytest.mark.parametrize("p", PARTS)
+@pytest.mark.parametrize("app", APPS.names())
+def test_backend_matches_serial_reference(
+    app, p, backend, graph, dgraphs, reference_runs
+):
+    run = BSPEngine(backend=backend).run(dgraphs[p], APPS.create(app, graph))
+    assert run.backend == backend
+    assert_matches_reference(run, reference_runs[(app, p)])
+
+
+@pytest.mark.parametrize("backend", [b for b in BACKEND_NAMES if b != "serial"])
+@pytest.mark.parametrize("p", PARTS)
+@pytest.mark.parametrize("app", APPS.names())
+def test_maintained_partition_matches_serial_reference(
+    app, p, backend, maintained, maintained_reference_runs
+):
+    mgraph, dgraph = maintained[p]
+    run = BSPEngine(backend=backend).run(dgraph, APPS.create(app, mgraph))
+    assert run.backend == backend
+    assert_matches_reference(run, maintained_reference_runs[(app, p)])
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)

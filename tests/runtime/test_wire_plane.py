@@ -72,6 +72,16 @@ def test_wire_plane_matches_serial(app, p, graph, dgraphs):
     assert_same_run(run, ref)
 
 
+@pytest.mark.parametrize("p", PARTS)
+@pytest.mark.parametrize("app", APPS.names())
+def test_wire_plane_matches_serial_on_maintained_partition(app, p, maintained):
+    mgraph, dgraph = maintained[p]
+    ref = BSPEngine(backend="serial").run(dgraph, APPS.create(app, mgraph))
+    run = BSPEngine(backend=MemoryWireBackend()).run(dgraph, APPS.create(app, mgraph))
+    assert run.backend == "socket"
+    assert_same_run(run, ref)
+
+
 @pytest.mark.parametrize("every", [1, 3])
 def test_checkpointed_run_gathers_state_only_for_a_due_snapshot(
     every, graph, dgraphs, tmp_path, monkeypatch
