@@ -13,7 +13,7 @@ Commands
 ``trace``            summarize a recorded execution trace (per-worker /
                      per-stage walls, straggler and imbalance ratios)
 ``lint``             run the domain-aware static-analysis pass (exit 1
-                     on any new finding; see :mod:`repro.lint`)
+                     on any finding; see :mod:`repro.lint`)
 
 ``stream-partition`` never loads the whole graph: the file is read in
 chunks, assignments stream to per-partition shard files in a spill
@@ -360,44 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--json", action="store_true", help="emit the machine-readable JSON report"
     )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of accepted findings (default: ./lint-baseline.json "
-        "when present)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record every current non-suppressed finding into the baseline "
-        "file and exit 0",
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        metavar="ID[,ID...]",
-        help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog and exit"
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the per-file result cache "
-        "(.repro-lint-cache.json)",
-    )
-    lint.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="cache file location (default: ./.repro-lint-cache.json)",
-    )
-    lint.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also list baselined and suppressed findings",
-    )
     return parser
 
 
@@ -454,6 +416,7 @@ def _cmd_partition(args) -> int:
 def _cmd_stream_partition(args) -> int:
     from time import perf_counter
 
+    from .obs import sample_peak_rss_kb
     from .stream import StreamError, stream_partition
 
     fmt = args.format
@@ -473,14 +436,8 @@ def _cmd_stream_partition(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seconds = perf_counter() - t0
-    try:
-        import resource
-
-        peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if sys.platform == "darwin":  # ru_maxrss is bytes on macOS, KB elsewhere
-            peak_rss_kb //= 1024
-    except ImportError:  # pragma: no cover - non-POSIX
-        peak_rss_kb = None
+    peak_rss = sample_peak_rss_kb()
+    peak_rss_kb = None if peak_rss is None else int(peak_rss)
     manifest = spilled.manifest
     if args.json:
         payload = dict(manifest)
@@ -701,49 +658,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from pathlib import Path
+    from .lint import render_json, render_text, run_lint
 
-    from .lint import RULES, Baseline, render_json, render_text, run_lint
-    from .pipeline.registry import UnknownComponentError
-
-    if args.list_rules:
-        for name, description in RULES.describe():
-            print(f"{name:24s} {description}")
-        return 0
-
-    rule_ids = None
-    if args.rules:
-        rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
-        try:
-            for rule_id in rule_ids:
-                RULES.canonical(rule_id)
-        except UnknownComponentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    baseline_path = Path(args.baseline) if args.baseline else Path("lint-baseline.json")
-    baseline = Baseline()
-    if not args.write_baseline and baseline_path.is_file():
-        baseline = Baseline.load(baseline_path)
-
-    cache_path = None if args.no_cache else Path(args.cache or ".repro-lint-cache.json")
-    root = Path(args.root) if args.root else None
-    report = run_lint(
-        root,
-        rule_ids=rule_ids,
-        baseline=baseline,
-        cache_path=cache_path,
-        use_cache=not args.no_cache,
-    )
-
-    if args.write_baseline:
-        Baseline.from_findings(report.all_nonsuppressed()).save(baseline_path)
-        print(
-            f"wrote {len(report.all_nonsuppressed())} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    print(render_json(report) if args.json else render_text(report, verbose=args.verbose))
+    report = run_lint(args.root)
+    print(render_json(report) if args.json else render_text(report))
     return report.exit_code
 
 

@@ -1,17 +1,10 @@
-"""Rule interface and the shared rule registry.
+"""Rule interface: what a lint rule sees and how it reports.
 
-Lint rules are pluggable components exactly like partitioners and
-backends: they live in a :class:`~repro.pipeline.registry.Registry`
-(the same class — one registration/lookup/error-message idiom across
-the whole code base), are addressed by id, and are instantiated once
-per lint run.  A rule sees one :class:`ModuleContext` per file — the
-parsed AST plus the raw source — and yields
-:class:`~repro.lint.findings.Finding` records.
-
-Adding a rule is three steps: subclass :class:`LintRule`, set ``id``
-(and optionally ``severity``), and decorate with :func:`lint_rule`.
-The module must be imported from :mod:`repro.lint.rules` for the
-registration side effect to run.
+A rule sees one :class:`ModuleContext` per file — the parsed AST plus
+the raw source — and yields :class:`~repro.lint.findings.Finding`
+records.  Adding a rule: subclass :class:`LintRule`, set ``id``
+(optionally override ``applies_to`` to scope it by path), and append
+the class to :data:`repro.lint.rules.RULES`.
 """
 
 from __future__ import annotations
@@ -20,17 +13,11 @@ import abc
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-from ..pipeline.registry import Registry
-from .findings import ERROR, Finding
+from .findings import Finding
 
-__all__ = ["ModuleContext", "LintRule", "RULES", "lint_rule"]
-
-#: every known lint rule, by id.  Shares the Registry machinery with
-#: PARTITIONERS/APPS/... so ``repro lint --rules bogus`` fails with the
-#: same self-documenting unknown-component error as every other spec.
-RULES = Registry("lint rule")
+__all__ = ["ModuleContext", "LintRule"]
 
 
 @dataclass
@@ -39,16 +26,15 @@ class ModuleContext:
 
     path: Path
     #: POSIX path relative to the lint root (``"apps/cc.py"``) — rule
-    #: scoping and baseline identity both key on this.
+    #: scoping and finding paths both key on this.
     rel: str
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
 
     @classmethod
-    def parse(cls, path: Path, rel: str, source: Optional[str] = None) -> "ModuleContext":
-        if source is None:
-            source = path.read_text(encoding="utf-8")
+    def parse(cls, path: Path, rel: str) -> "ModuleContext":
+        source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
         return cls(path=path, rel=rel, source=source, tree=tree, lines=source.splitlines())
 
@@ -56,16 +42,9 @@ class ModuleContext:
 class LintRule(abc.ABC):
     """One domain invariant, checked per module."""
 
-    #: unique rule id — the name in :data:`RULES`, the ``[rule-id]`` in
-    #: suppression comments, and the ``rule`` field of findings.
+    #: unique rule id — the ``[rule-id]`` in suppression comments and
+    #: the ``rule`` field of findings.
     id: str = "?"
-    severity: str = ERROR
-
-    @classmethod
-    def describe(cls) -> str:
-        """One-line rule description (the docstring's first line)."""
-        doc = (cls.__doc__ or "").strip()
-        return doc.splitlines()[0] if doc else ""
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         """Whether this rule runs on ``ctx`` (default: every module)."""
@@ -83,11 +62,4 @@ class LintRule(abc.ABC):
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=self.severity,
         )
-
-
-def lint_rule(cls):
-    """Class decorator registering a :class:`LintRule` under ``cls.id``."""
-    RULES.register(cls.id, cls)
-    return cls

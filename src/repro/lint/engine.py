@@ -1,45 +1,24 @@
-"""The lint engine: file walk, per-file caching, suppression and baseline.
+"""The lint engine: file walk, every rule, inline suppression.
 
-One :func:`run_lint` call scans a tree of Python files, runs every
-registered (or requested) rule on each, applies inline suppressions,
-splits the survivors against the baseline, and returns a
-:class:`LintReport` whose :attr:`~LintReport.exit_code` encodes the CI
-contract: ``0`` when every finding is suppressed or baseline-carried,
-``1`` when anything new surfaced.
-
-Caching
--------
-Parsing ~100 modules and re-running five AST rules is cheap but not
-free; the engine keeps a JSON cache mapping each file's content digest
-to its (post-suppression) findings.  A cache entry is only valid under
-the same *rules salt* — a digest over the lint package's own sources
-plus the registry modules the conformance rule introspects
-(``pipeline/registry.py``, ``pipeline/registries.py``,
-``frameworks/base.py``).  Editing any rule or registry invalidates the
-whole cache; editing one linted file invalidates exactly that file.
-The salt deliberately does *not* cover every module a registered
-factory lives in, so a signature change in e.g. ``apps/pagerank.py``
-can leave a stale conformance verdict for an *unchanged* file that
-references it by spec — run with ``use_cache=False`` (CLI
-``--no-cache``, the CI default) for authoritative results.
+One :func:`run_lint` call scans a tree of Python files, runs every rule
+in :data:`~repro.lint.rules.RULES` whose ``applies_to`` accepts the
+file, applies inline suppressions, and returns a :class:`LintReport`
+whose :attr:`~LintReport.exit_code` encodes the CI contract: ``0`` when
+every finding is suppressed, ``1`` when anything surfaced.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-from .base import RULES, LintRule, ModuleContext
-from .baseline import Baseline
-from .findings import ERROR, Finding
+from .base import ModuleContext
+from .findings import Finding
+from .rules import RULES
 from .suppress import collect_suppressions, is_suppressed
 
-__all__ = ["LintReport", "run_lint", "iter_python_files", "default_root", "rules_salt"]
-
-CACHE_VERSION = 1
+__all__ = ["LintReport", "run_lint", "iter_python_files", "default_root"]
 
 #: directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache", ".tmp", "node_modules"}
@@ -47,24 +26,18 @@ _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache", ".tmp", "node_modules"}
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run, split by disposition."""
+    """Outcome of one lint run: surfaced and suppressed findings."""
 
     root: str
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    cache_hits: int = 0
     rule_ids: List[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        """1 when any new error-severity finding exists, else 0."""
-        return 1 if any(f.severity == ERROR for f in self.findings) else 0
-
-    def all_nonsuppressed(self) -> List[Finding]:
-        """New + baseline-carried findings (what ``--write-baseline`` records)."""
-        return sorted(self.findings + self.baselined, key=lambda f: (f.path, f.line, f.rule))
+        """1 when any finding surfaced, else 0."""
+        return 1 if self.findings else 0
 
 
 def default_root() -> Path:
@@ -84,127 +57,39 @@ def iter_python_files(root: Path) -> List[Path]:
     return files
 
 
-def rules_salt() -> str:
-    """Digest over the lint implementation + introspected registry modules."""
-    digest = hashlib.sha256()
-    lint_dir = Path(__file__).resolve().parent
-    package_root = lint_dir.parent
-    salted: List[Path] = sorted(lint_dir.rglob("*.py"))
-    for rel in ("pipeline/registry.py", "pipeline/registries.py", "frameworks/base.py"):
-        candidate = package_root / rel
-        if candidate.is_file():
-            salted.append(candidate)
-    for path in salted:
-        digest.update(str(path.name).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def _instantiate_rules(rule_ids: Optional[Sequence[str]]) -> List[LintRule]:
-    from . import rules as _rules  # noqa: F401 - registration side effect
-
-    ids = list(rule_ids) if rule_ids else list(RULES.names())
-    return [RULES.create(rule_id) for rule_id in ids]
-
-
-def _load_cache(path: Optional[Path], salt: str) -> Dict[str, Dict]:
-    if path is None or not Path(path).is_file():
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if data.get("version") != CACHE_VERSION or data.get("salt") != salt:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(path: Optional[Path], salt: str, files: Dict[str, Dict]) -> None:
-    if path is None:
-        return
-    payload = {"version": CACHE_VERSION, "salt": salt, "files": files}
-    try:
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    except OSError:  # a read-only tree never fails the lint itself
-        pass
-
-
-def run_lint(
-    root: Optional[Path] = None,
-    *,
-    rule_ids: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-    cache_path: Optional[Path] = None,
-    use_cache: bool = True,
-) -> LintReport:
+def run_lint(root: Optional[Path] = None) -> LintReport:
     """Lint every Python file under ``root``; see module docstring."""
     root = Path(root) if root is not None else default_root()
-    rules = _instantiate_rules(rule_ids)
-    baseline = baseline or Baseline()
-    salt = rules_salt() + ":" + ",".join(sorted(rule.id for rule in rules))
-    cache = _load_cache(cache_path, salt) if use_cache else {}
-    cache_out: Dict[str, Dict] = {}
-
+    rules = [rule_cls() for rule_cls in RULES]
     report = LintReport(root=str(root), rule_ids=sorted(rule.id for rule in rules))
-    raw: List[Finding] = []
 
     scan_base = root if root.is_dir() else root.parent
     for path in iter_python_files(root):
         rel = path.relative_to(scan_base).as_posix()
-        source_bytes = path.read_bytes()
-        digest = hashlib.sha256(source_bytes).hexdigest()
         report.files_scanned += 1
-
-        entry = cache.get(rel)
-        if entry is not None and entry.get("digest") == digest:
-            report.cache_hits += 1
-            cache_out[rel] = entry
-            raw.extend(Finding.from_dict(f) for f in entry.get("findings", []))
-            report.suppressed.extend(
-                Finding.from_dict(f) for f in entry.get("suppressed", [])
-            )
-            continue
-
-        source = source_bytes.decode("utf-8")
         try:
-            ctx = ModuleContext.parse(path, rel, source)
+            ctx = ModuleContext.parse(path, rel)
         except SyntaxError as exc:
-            finding = Finding(
-                rule="parse-error",
-                path=rel,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"file does not parse: {exc.msg}",
+            report.findings.append(
+                Finding(
+                    rule="parse-error",
+                    path=rel,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    message=f"file does not parse: {exc.msg}",
+                )
             )
-            raw.append(finding)
-            cache_out[rel] = {
-                "digest": digest,
-                "findings": [finding.to_dict()],
-                "suppressed": [],
-            }
             continue
 
         suppressions = collect_suppressions(ctx.lines)
-        kept: List[Finding] = []
-        quieted: List[Finding] = []
         for rule in rules:
             if not rule.applies_to(ctx):
                 continue
             for finding in rule.check(ctx):
-                (quieted if is_suppressed(finding, suppressions) else kept).append(finding)
-        kept.sort(key=lambda f: (f.line, f.col, f.rule))
-        raw.extend(kept)
-        report.suppressed.extend(quieted)
-        cache_out[rel] = {
-            "digest": digest,
-            "findings": [f.to_dict() for f in kept],
-            "suppressed": [f.to_dict() for f in quieted],
-        }
+                if is_suppressed(finding, suppressions):
+                    report.suppressed.append(finding)
+                else:
+                    report.findings.append(finding)
 
-    new, carried = baseline.partition(raw)
-    report.findings = sorted(new, key=lambda f: (f.path, f.line, f.col, f.rule))
-    report.baselined = carried
-    if use_cache:
-        _save_cache(cache_path, salt, cache_out)
+    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report

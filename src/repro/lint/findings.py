@@ -1,23 +1,16 @@
 """The :class:`Finding` record every lint rule produces.
 
-A finding pins a rule violation to a file and line, with a severity and
-a human-actionable message.  Its *baseline key* deliberately excludes
-the line/column: baselined findings must survive unrelated edits that
-shift code around, so identity is ``(rule, path, message)`` — messages
-are written to be line-independent (they name the construct, not its
-position).
+A finding pins a rule violation to a file and line with a
+human-actionable message.  Any finding that no inline suppression
+covers fails the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
-__all__ = ["ERROR", "WARNING", "SEVERITIES", "Finding"]
-
-ERROR = "error"
-WARNING = "warning"
-SEVERITIES = (ERROR, WARNING)
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -33,9 +26,7 @@ class Finding:
     line / col:
         1-based line and 0-based column of the offending node.
     message:
-        Line-independent description of the violation.
-    severity:
-        ``"error"`` (gates the exit code) or ``"warning"``.
+        What is wrong, naming the construct rather than its position.
     """
 
     rule: str
@@ -43,11 +34,6 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = ERROR
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -56,20 +42,8 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            severity=str(data.get("severity", ERROR)),
-        )
 
     def render(self) -> str:
         """``path:line:col: rule: message`` — the text-reporter line."""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}[{self.severity}]: {self.message}"
+        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"

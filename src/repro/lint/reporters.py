@@ -13,21 +13,16 @@ from .engine import LintReport
 
 __all__ = ["render_text", "render_json", "JSON_REPORT_VERSION"]
 
-JSON_REPORT_VERSION = 1
+JSON_REPORT_VERSION = 2
 
 
-def render_text(report: LintReport, *, verbose: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """Human-readable report: one finding per line, then a summary."""
     lines = [f.render() for f in report.findings]
-    if verbose:
-        lines.extend(f"{f.render()} [baselined]" for f in report.baselined)
-        lines.extend(f"{f.render()} [suppressed]" for f in report.suppressed)
-    summary = (
-        f"{len(report.findings)} finding(s) "
-        f"({len(report.baselined)} baselined, {len(report.suppressed)} suppressed) "
-        f"in {report.files_scanned} file(s), {report.cache_hits} cached"
+    lines.append(
+        f"{len(report.findings)} finding(s) ({len(report.suppressed)} suppressed) "
+        f"in {report.files_scanned} file(s)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -38,10 +33,8 @@ def render_json(report: LintReport) -> str:
         "root": report.root,
         "rules": report.rule_ids,
         "files_scanned": report.files_scanned,
-        "cache_hits": report.cache_hits,
         "exit_code": report.exit_code,
         "findings": [f.to_dict() for f in report.findings],
-        "baselined": [f.to_dict() for f in report.baselined],
         "suppressed": [f.to_dict() for f in report.suppressed],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,11 +1,9 @@
 """The shipped domain rules.
 
-Importing this package registers every rule in
-:data:`repro.lint.base.RULES` (registration is a decorator side
-effect, mirroring how partitioners land in PARTITIONERS).
+:data:`RULES` is every rule class :func:`repro.lint.run_lint` runs;
+adding a rule means appending its class here.
 """
 
-from .conformance import RegistrySpecRule
 from .determinism import DeterminismRule
 from .process_safety import ProcessSafetyRule
 from .purity import WorkerPurityRule
@@ -15,6 +13,8 @@ __all__ = [
     "DeterminismRule",
     "ProcessSafetyRule",
     "ProgramStatelessnessRule",
-    "RegistrySpecRule",
+    "RULES",
     "WorkerPurityRule",
 ]
+
+RULES = (DeterminismRule, ProcessSafetyRule, ProgramStatelessnessRule, WorkerPurityRule)

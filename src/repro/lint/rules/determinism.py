@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Set
 
-from ..base import LintRule, ModuleContext, lint_rule
+from ..base import LintRule, ModuleContext
 from ..findings import Finding
 from ._util import attr_chain
 
@@ -129,7 +129,6 @@ def _is_unordered(node: ast.AST) -> bool:
     return False
 
 
-@lint_rule
 class DeterminismRule(LintRule):
     """No unseeded RNGs, wall-clock reads, or unordered-set iteration in hot paths."""
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
-from ..base import LintRule, ModuleContext, lint_rule
+from ..base import LintRule, ModuleContext
 from ..findings import Finding
 from ._util import attr_chain
 
@@ -56,7 +56,6 @@ def _call_name(node: ast.Call) -> str:
     return chain[-1] if chain else ""
 
 
-@lint_rule
 class ProcessSafetyRule(LintRule):
     """Nothing unpicklable to process pools; every shm allocation paired with release."""
 

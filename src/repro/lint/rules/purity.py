@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Set
 
-from ..base import LintRule, ModuleContext, lint_rule
+from ..base import LintRule, ModuleContext
 from ..findings import Finding
 from ._util import base_names, receiver_name
 
@@ -110,7 +110,6 @@ def _roots_at_state(target: ast.AST, receiver: str) -> bool:
     return False
 
 
-@lint_rule
 class WorkerPurityRule(LintRule):
     """No mutable module globals in runtime/; session arrays mutate only in stages."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Set, Tuple
 
-from ..base import LintRule, ModuleContext, lint_rule
+from ..base import LintRule, ModuleContext
 from ..findings import Finding
 from ._util import base_names, receiver_name
 
@@ -80,7 +80,6 @@ def _attribute_writes(fn: ast.FunctionDef, receiver: str) -> Iterator[Tuple[ast.
                     yield node, attr_of(target), "deletes"
 
 
-@lint_rule
 class ProgramStatelessnessRule(LintRule):
     """No ``self.<attr>`` writes in SubgraphProgram methods outside ``__init__``."""
 

@@ -228,23 +228,5 @@ class Registry:
         """``(canonical name, factory)`` pairs, sorted by name."""
         return [(name, self._factories[name]) for name in self.names()]
 
-    def describe(self):
-        """``(name, one-line description)`` pairs for catalog listings.
-
-        A factory exposing a ``describe()`` classmethod (lint rules do)
-        is asked directly; otherwise the first docstring line is used.
-        Powers ``repro lint --list-rules`` and keeps any future
-        ``--list-*`` flag one call away for the other families.
-        """
-        rows = []
-        for name, factory in self.items():
-            describe = getattr(factory, "describe", None)
-            if callable(describe):
-                text = describe()
-            else:
-                text = (factory.__doc__ or "").strip().splitlines()[0] if factory.__doc__ else ""
-            rows.append((name, text))
-        return rows
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry(kind={self.kind!r}, names={list(self.names())})"

@@ -1,51 +1,6 @@
-"""Engine behavior: caching, parse errors, and self-lint of the real tree."""
+"""Engine behavior: parse errors, and self-lint of the real tree."""
 
 from repro.lint import run_lint
-
-BAD = """\
-def endpoints(u, v, out):
-    for w in {u, v}:
-        out.append(w)
-"""
-
-
-class TestCache:
-    def test_second_run_hits_cache_with_same_findings(self, tmp_path):
-        src = tmp_path / "partition"
-        src.mkdir()
-        (src / "a.py").write_text(BAD, encoding="utf-8")
-        cache = tmp_path / "cache.json"
-
-        first = run_lint(tmp_path, rule_ids=["determinism"], cache_path=cache)
-        assert first.cache_hits == 0
-        assert len(first.findings) == 1
-
-        second = run_lint(tmp_path, rule_ids=["determinism"], cache_path=cache)
-        assert second.cache_hits == second.files_scanned == 1
-        assert [f.to_dict() for f in second.findings] == [
-            f.to_dict() for f in first.findings
-        ]
-
-    def test_edited_file_invalidates_its_entry(self, tmp_path):
-        src = tmp_path / "partition"
-        src.mkdir()
-        (src / "a.py").write_text(BAD, encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        run_lint(tmp_path, rule_ids=["determinism"], cache_path=cache)
-
-        (src / "a.py").write_text("def endpoints(u, v, out):\n    out.append(u)\n")
-        report = run_lint(tmp_path, rule_ids=["determinism"], cache_path=cache)
-        assert report.cache_hits == 0
-        assert report.findings == []
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        src = tmp_path / "partition"
-        src.mkdir()
-        (src / "a.py").write_text(BAD, encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        report = run_lint(tmp_path, rule_ids=["determinism"], cache_path=cache)
-        assert len(report.findings) == 1
 
 
 class TestParseErrors:
@@ -57,8 +12,15 @@ class TestParseErrors:
 
 class TestSelfLint:
     def test_src_repro_is_clean_at_head(self):
-        """The acceptance bar: the shipped tree lints clean, no baseline needed."""
-        report = run_lint(use_cache=False)
+        """The acceptance bar: every rule runs and the shipped tree lints clean."""
+        report = run_lint()
         assert report.findings == [], "\n".join(f.render() for f in report.findings)
         assert report.exit_code == 0
         assert report.files_scanned > 80
+        assert report.rule_ids == [
+            "determinism", "process-safety", "program-statelessness", "worker-purity",
+        ]
+        # The audited exception list: a new inline suppression is reviewed here.
+        assert [(f.rule, f.path) for f in report.suppressed] == [
+            ("worker-purity", "runtime/__init__.py")
+        ]

@@ -1,6 +1,6 @@
 """process-safety: picklable pool targets, paired shared-memory lifecycles."""
 
-from lintutil import rule_ids
+from lintutil import only, rule_ids
 
 RULE = ["process-safety"]
 
@@ -118,5 +118,5 @@ class TestQuiet:
         from repro.lint import run_lint
 
         runtime_dir = Path(repro.__file__).parent / "runtime"
-        report = run_lint(runtime_dir, rule_ids=RULE, use_cache=False)
+        report = only(run_lint(runtime_dir), RULE)
         assert report.findings == []

@@ -107,7 +107,7 @@ class TestExchangeStageAllowance:
         from repro.lint import run_lint
 
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        report = run_lint(src, rule_ids=RULE, use_cache=False)
+        report = run_lint(src)
         offenders = [f for f in report.findings if f.rule == "worker-purity"]
         assert offenders == []
 

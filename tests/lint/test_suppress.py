@@ -1,9 +1,11 @@
-"""Suppression comments, baseline semantics, and the CLI exit-code contract."""
+"""Suppression comments and the CLI exit-code contract."""
 
 import json
 
+import pytest
+
 from repro.cli import main
-from repro.lint import Baseline, Finding
+from repro.lint import Finding
 from repro.lint.suppress import collect_suppressions, is_suppressed
 
 BAD_SET_ITER = """\
@@ -63,28 +65,8 @@ class TestSuppressionThroughEngine:
         assert report.exit_code == 0
 
 
-class TestBaseline:
-    def test_partition_consumes_count_budget(self):
-        f = Finding(rule="r", path="p.py", line=1, col=0, message="m")
-        again = Finding(rule="r", path="p.py", line=9, col=0, message="m")
-        baseline = Baseline.from_findings([f])
-        new, carried = baseline.partition([f, again])
-        assert carried == [f] and new == [again]
-
-    def test_round_trip(self, tmp_path):
-        f = Finding(rule="r", path="p.py", line=1, col=0, message="m")
-        Baseline.from_findings([f, f]).save(tmp_path / "b.json")
-        loaded = Baseline.load(tmp_path / "b.json")
-        assert len(loaded) == 2
-        new, carried = loaded.partition([f, f, f])
-        assert len(carried) == 2 and len(new) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
-
 class TestCliExitCodes:
-    """The ISSUE's contract: ignored -> 0, baselined -> 0, new -> 1."""
+    """Suppressed -> 0, any finding -> 1, usage error -> 2; nothing is written."""
 
     def _write(self, tmp_path, name, source):
         path = tmp_path / "partition"
@@ -95,44 +77,24 @@ class TestCliExitCodes:
     def test_suppressed_finding_exits_zero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         root = self._write(tmp_path, "a.py", BAD_SET_ITER_SAMELINE)
-        assert main(["lint", str(root), "--no-cache"]) == 0
-
-    def test_baselined_finding_exits_zero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        root = self._write(tmp_path, "a.py", BAD_SET_ITER)
-        assert main(["lint", str(root), "--no-cache"]) == 1
-        assert main(["lint", str(root), "--no-cache", "--write-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").is_file()
-        assert main(["lint", str(root), "--no-cache"]) == 0
-
-    def test_new_finding_on_top_of_baseline_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        root = self._write(tmp_path, "a.py", BAD_SET_ITER)
-        assert main(["lint", str(root), "--no-cache", "--write-baseline"]) == 0
-        self._write(tmp_path, "b.py", "import time\n\ndef f():\n    return time.time()\n")
-        assert main(["lint", str(root), "--no-cache"]) == 1
+        assert main(["lint", str(root)]) == 0
+        assert "0 finding(s) (1 suppressed)" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["partition"]
 
     def test_json_report_shape(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         root = self._write(tmp_path, "a.py", BAD_SET_ITER)
-        assert main(["lint", str(root), "--no-cache", "--json"]) == 1
+        assert main(["lint", str(root), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == sorted([
+            "version", "root", "rules", "files_scanned", "exit_code", "findings", "suppressed",
+        ])
+        assert payload["version"] == 2
         assert payload["exit_code"] == 1
         assert payload["findings"][0]["rule"] == "determinism"
         assert payload["findings"][0]["path"] == "partition/a.py"
 
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in (
-            "determinism",
-            "process-safety",
-            "program-statelessness",
-            "registry-spec",
-            "worker-purity",
-        ):
-            assert rule in out
-
-    def test_unknown_rule_exits_two(self, capsys):
-        assert main(["lint", "--rules", "bogus-rule"]) == 2
-        assert "unknown lint rule" in capsys.readouterr().err
+    def test_usage_error_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--rules", "determinism"])
+        assert excinfo.value.code == 2

@@ -1,5 +1,7 @@
 """Unit tests for the generic registry and the spec grammar."""
 
+import inspect
+
 import pytest
 
 from repro.pipeline.registry import (
@@ -162,3 +164,28 @@ class TestConcreteRegistries:
         assert g.num_vertices == 128
         road = GENERATORS.create("road?vertices=100,seed=1")
         assert road.num_vertices > 0
+
+
+def _registered_factories():
+    from repro.pipeline import registries
+
+    return [
+        pytest.param(family, name, id=f"{family}-{name}")
+        for family in registries.__all__
+        for name in getattr(registries, family).names()
+    ]
+
+
+@pytest.mark.parametrize("family, name", _registered_factories())
+def test_registered_factory_is_sound(family, name):
+    """No registry holds an abstract class, and every partitioner and
+    backend builds from its bare name, which is what a ``"name"`` spec asks."""
+    from repro.pipeline import registries
+
+    registry = getattr(registries, family)
+    factory = registry.get(name)
+    assert not (inspect.isclass(factory) and inspect.isabstract(factory)), (
+        f"{family} entry {name!r} registers abstract class {factory.__name__}"
+    )
+    if family in ("PARTITIONERS", "BACKENDS"):
+        registry.create(name)

@@ -128,6 +128,7 @@ class TestStreamPartition:
         assert payload["num_parts"] == 2
         assert payload["spill_dir"] == spill
         assert payload["seconds"] > 0
+        assert isinstance(payload["peak_rss_kb"], int)
 
     def test_npy_format_auto_detected(self, edge_file, tmp_path, capsys):
         from repro.graph import read_edge_list
