@@ -7,13 +7,21 @@ Commands
 ``partition``        partition an edge list and print Section III-C metrics
 ``stream-partition`` partition an on-disk edge stream *out of core*
 ``run``              execute any registered app on a partitioned graph
+``mutate``           apply an edge mutation batch to a partitioned graph
+                     and report the replication-factor drift
+``trace``            summarize a recorded execution trace (per-worker /
+                     per-stage walls, straggler and imbalance ratios)
 ``pipeline``         execute a full JSON pipeline spec (see below)
 ``resume``           continue a crashed checkpointed pipeline run
 ``experiment``       regenerate one of the paper's tables/figures
-``trace``            summarize a recorded execution trace (per-worker /
-                     per-stage walls, straggler and imbalance ratios)
+``worker``           serve one standalone socket-backend worker
 ``lint``             run the domain-aware static-analysis pass (exit 1
                      on any finding; see :mod:`repro.lint`)
+
+Every verb is one row of :data:`_VERBS` — name, help, handler and
+arguments — and :func:`main` is the one error boundary: bad input (a
+missing or malformed file, an invalid spec, a damaged checkpoint) prints
+``error: …`` to stderr and exits 2, never a traceback.
 
 ``stream-partition`` never loads the whole graph: the file is read in
 chunks, assignments stream to per-partition shard files in a spill
@@ -28,17 +36,18 @@ additionally persist the per-edge assignment, and ``pipeline --json``
 emits the machine-readable :class:`~repro.pipeline.PipelineResult`.
 
 Component lookups all go through :mod:`repro.pipeline.registries`, so
-the ``--method``/``--app``/``experiment`` choices can never drift from
-the implementations that actually exist.  Methods and apps accept full
-spec strings with constructor kwargs, e.g.::
+the ``--method``/``--app``/``--backend``/``experiment`` choices can never
+drift from the implementations that actually exist.  Components accept
+full spec strings with constructor kwargs, e.g.::
 
     python -m repro partition graph.txt --method "ebv?alpha=2,sort_order=input"
     python -m repro run graph.txt --app "pr?pagerank_iters=10"
 
 ``run`` executes on a :mod:`repro.runtime` backend selected with
-``--backend`` (``serial``, ``thread``, or ``process`` — a persistent
-worker pool over shared memory); results are identical on every
-backend, only real wall-clock changes::
+``--backend`` (``serial``, ``thread``, ``process`` — a persistent
+worker pool over shared memory — or ``socket`` — TCP workers, forked
+locally or listed with ``socket?workers=host:port+...``); results are
+identical on every backend, only real wall-clock changes::
 
     python -m repro run graph.txt --app pagerank --backend process
 
@@ -107,260 +116,10 @@ from .checkpoint import CheckpointError
 from .experiments import default_config
 from .graph import generate_graph, graph_stats, read_edge_list, write_edge_list
 from .partition import save_partition
-from .pipeline import (
-    Pipeline,
-    PipelineSpec,
-    RegistryError,
-    SpecError,
-    parse_spec,
-    resume_pipeline,
-    run_spec,
-)
-from .pipeline import registries
+from .pipeline import Pipeline, PipelineSpec, RegistryError, SpecError, parse_spec, registries
+from .pipeline import resume_pipeline, run_spec
 
 __all__ = ["main", "build_parser"]
-
-
-def _registry_arg(registry):
-    """argparse ``type`` validating a component spec against a registry.
-
-    Accepts full spec strings (``"ebv?alpha=2"``); rejects unknown names
-    at parse time with the registry's self-documenting message.
-    """
-
-    def validate(value: str) -> str:
-        try:
-            name, _ = parse_spec(value)
-            registry.canonical(name)
-        except RegistryError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
-
-    validate.__name__ = f"{registry.kind}-spec"
-    return validate
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the top-level argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro", description="EBV graph partitioning reproduction toolkit"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    generator_kinds = tuple(
-        k for k in registries.GENERATORS.names() if k != "file"
-    )
-    gen = sub.add_parser("generate", help="generate a synthetic graph")
-    gen.add_argument("output", help="edge-list file to write")
-    gen.add_argument("--kind", choices=generator_kinds, default="powerlaw")
-    gen.add_argument("--vertices", type=int, default=10_000)
-    gen.add_argument("--eta", type=float, default=2.2)
-    gen.add_argument("--min-degree", type=int, default=3)
-    gen.add_argument("--directed", action="store_true")
-    gen.add_argument("--seed", type=int, default=0)
-
-    stats = sub.add_parser("stats", help="print Table I statistics")
-    stats.add_argument("input", help="edge-list file")
-
-    method_help = (
-        "partitioner spec (name plus optional kwargs, e.g. 'ebv?alpha=2'); "
-        f"available: {', '.join(registries.PARTITIONERS.names())}"
-    )
-    part = sub.add_parser("partition", help="partition a graph")
-    part.add_argument("input", help="edge-list file")
-    part.add_argument(
-        "--method",
-        type=_registry_arg(registries.PARTITIONERS),
-        default="ebv",
-        help=method_help,
-    )
-    part.add_argument("--parts", type=int, default=8)
-    part.add_argument("--refine", action="store_true", help="apply the post-pass")
-    part.add_argument("--output", help="write per-edge part ids here")
-
-    sp = sub.add_parser(
-        "stream-partition",
-        help="partition an on-disk edge stream out of core (O(chunk) memory)",
-    )
-    sp.add_argument("input", help="edge-list text file or (m, 2) .npy edge array")
-    sp.add_argument(
-        "--format",
-        choices=("auto",) + registries.STREAMS.names(),
-        default="auto",
-        help="stream reader (auto: .npy extension selects npy, else edgelist)",
-    )
-    sp.add_argument(
-        "--method",
-        type=_registry_arg(registries.PARTITIONERS),
-        default="ebv-stream",
-        help=(
-            "streaming-capable partitioner spec (e.g. "
-            "'ebv-stream?chunk_size=4096', 'ebv-sharded?sort_edges=false'); "
-            f"available: {', '.join(registries.PARTITIONERS.names())}"
-        ),
-    )
-    sp.add_argument("--parts", type=int, default=8)
-    sp.add_argument(
-        "--chunk-size",
-        type=int,
-        default=65536,
-        help="reader chunk in edges (results never depend on it; the driver "
-        "re-buffers into the partitioner's window)",
-    )
-    sp.add_argument(
-        "--spill-dir",
-        default=None,
-        help="directory for the per-partition shards (default: <input>.spill)",
-    )
-    sp.add_argument(
-        "--overwrite", action="store_true", help="replace an existing spill dir"
-    )
-    sp.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable manifest + timing JSON",
-    )
-
-    run = sub.add_parser("run", help="run an application on a partitioned graph")
-    run.add_argument("input", help="edge-list file")
-    run.add_argument(
-        "--app",
-        type=_registry_arg(registries.APPS),
-        default="CC",
-        help=(
-            "application spec (e.g. 'pr?pagerank_iters=10'); "
-            f"available: {', '.join(registries.APPS.names())}"
-        ),
-    )
-    run.add_argument(
-        "--method",
-        type=_registry_arg(registries.PARTITIONERS),
-        default="ebv",
-        help=method_help,
-    )
-    run.add_argument("--workers", type=int, default=8)
-    run.add_argument("--source", type=int, default=None, help="SSSP/BFS source")
-    run.add_argument(
-        "--backend",
-        type=_registry_arg(registries.BACKENDS),
-        default="serial",
-        help=(
-            "runtime backend spec (e.g. 'process?start_method=spawn'); "
-            f"available: {', '.join(registries.BACKENDS.names())}"
-        ),
-    )
-    run.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record an execution trace here (.jsonl for line-delimited "
-        "JSON, anything else for Perfetto-loadable Chrome trace JSON); "
-        "tracing never changes results",
-    )
-
-    mut = sub.add_parser(
-        "mutate",
-        help="apply an edge mutation batch to a partitioned graph and "
-        "report the replication-factor drift against a full repartition",
-    )
-    mut.add_argument("input", help="edge-list file (the pre-mutation graph)")
-    mut.add_argument(
-        "--mutations",
-        required=True,
-        metavar="FILE",
-        help="mutation file: one op per line, '+ u v [w]' inserts and "
-        "'- u v' deletes; '#' starts a comment",
-    )
-    mut.add_argument(
-        "--method",
-        type=_registry_arg(registries.PARTITIONERS),
-        default="ebv-stream",
-        help="partitioner used for the base partition and for re-assigning "
-        f"mutated edges; available: {', '.join(registries.PARTITIONERS.names())}",
-    )
-    mut.add_argument("--parts", type=int, default=8)
-    mut.add_argument(
-        "--repartition-threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="touched-edge fraction above which the escape hatch does a "
-        "full repartition instead of incremental maintenance "
-        "(default 0.25)",
-    )
-    mut.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable drift report JSON",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="summarize a recorded execution trace (per-worker/per-stage "
-        "walls, straggler + imbalance ratios)",
-    )
-    trace.add_argument("input", help="trace file written by --trace or a spec's 'trace' entry")
-    trace.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable summary JSON",
-    )
-
-    pipe = sub.add_parser("pipeline", help="execute a JSON pipeline spec")
-    pipe.add_argument("spec", help="path to a JSON spec file, or '-' for stdin")
-    pipe.add_argument(
-        "--json", action="store_true", help="print the machine-readable result JSON"
-    )
-
-    res = sub.add_parser(
-        "resume",
-        help="resume a crashed checkpointed pipeline run from its newest snapshot",
-    )
-    res.add_argument(
-        "dir",
-        help="checkpoint directory written by a pipeline spec with a "
-        "'checkpoint' entry (holds pipeline.json + step-NNNNNN snapshots)",
-    )
-    res.add_argument(
-        "--json", action="store_true", help="print the machine-readable result JSON"
-    )
-
-    exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp.add_argument("name", choices=registries.EXPERIMENTS.names())
-    exp.add_argument("--scale", type=float, default=None)
-
-    work = sub.add_parser(
-        "worker",
-        help="serve one standalone socket-backend worker "
-        "(pair with --backend 'socket?workers=...' on the coordinator)",
-    )
-    work.add_argument(
-        "--listen",
-        required=True,
-        metavar="HOST:PORT",
-        help="address to bind (port 0 picks a free port; the bound "
-        "address is announced on stdout)",
-    )
-    work.add_argument(
-        "--sessions",
-        type=int,
-        default=1,
-        metavar="N",
-        help="number of coordinator sessions to serve before exiting "
-        "(0 = serve forever; default 1)",
-    )
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the domain-aware static-analysis pass over src/repro",
-    )
-    lint.add_argument(
-        "root",
-        nargs="?",
-        default=None,
-        help="file or directory to lint (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--json", action="store_true", help="emit the machine-readable JSON report"
-    )
-    return parser
 
 
 def _cmd_generate(args) -> int:
@@ -374,8 +133,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g = read_edge_list(args.input)
-    s = graph_stats(g)
+    s = graph_stats(read_edge_list(args.input))
     print(
         render_table(
             ["Graph", "Type", "V", "E", "AvgDeg", "eta"],
@@ -386,27 +144,37 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
-    g = read_edge_list(args.input)
-    try:
-        result = (
-            Pipeline()
-            .source(g)
-            .partition(args.method, parts=args.parts)
-            .refine(args.refine)
-            .execute()
-        )
-    except (SpecError, RegistryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _partition_table(result) -> str:
+    """The Section III-C metrics row of a :class:`PipelineResult`."""
     m = result.metrics
-    print(
-        render_table(
-            ["Method", "Parts", "EdgeImb", "VertImb", "RF"],
-            [(m.method, args.parts, f"{m.edge_imbalance:.3f}",
-              f"{m.vertex_imbalance:.3f}", f"{m.replication:.3f}")],
-        )
+    return render_table(
+        ["Method", "Parts", "EdgeImb", "VertImb", "RF"],
+        [(m.method, result.partition.num_parts, f"{m.edge_imbalance:.3f}",
+          f"{m.vertex_imbalance:.3f}", f"{m.replication:.3f}")],
     )
+
+
+def _run_table(run) -> str:
+    """The Fig. 4 breakdown row of a BSP run."""
+    row = breakdown_row(run)
+    return render_table(
+        ["App", "Method", "Backend", "Workers", "Supersteps", "Messages",
+         "comp", "comm", "dC", "time"],
+        [(run.program.upper(), row.method, run.backend, run.num_workers,
+          run.num_supersteps, run.total_messages, f"{row.comp:.4f}",
+          f"{row.comm:.4f}", f"{row.delta_c:.4f}", f"{row.execution_time:.4f}")],
+    )
+
+
+def _cmd_partition(args) -> int:
+    result = (
+        Pipeline()
+        .source(read_edge_list(args.input))
+        .partition(args.method, parts=args.parts)
+        .refine(args.refine)
+        .execute()
+    )
+    print(_partition_table(result))
     if args.output:
         save_partition(result.partition, args.output)
         print(f"partition written to {args.output}")
@@ -417,33 +185,26 @@ def _cmd_stream_partition(args) -> int:
     from time import perf_counter
 
     from .obs import sample_peak_rss_kb
-    from .stream import StreamError, stream_partition
+    from .stream import stream_partition
 
     fmt = args.format
     if fmt == "auto":
         fmt = "npy" if args.input.endswith(".npy") else "edgelist"
-    spill_dir = args.spill_dir or args.input + ".spill"
     t0 = perf_counter()
-    try:
-        stream = registries.STREAMS.create(
-            fmt, path=args.input, chunk_size=args.chunk_size
-        )
-        partitioner = registries.PARTITIONERS.create(args.method)
-        spilled = stream_partition(
-            stream, partitioner, args.parts, spill_dir, overwrite=args.overwrite
-        )
-    except (SpecError, RegistryError, StreamError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spilled = stream_partition(
+        registries.STREAMS.create(fmt, path=args.input, chunk_size=args.chunk_size),
+        registries.PARTITIONERS.create(args.method),
+        args.parts,
+        args.spill_dir or args.input + ".spill",
+        overwrite=args.overwrite,
+    )
     seconds = perf_counter() - t0
     peak_rss = sample_peak_rss_kb()
     peak_rss_kb = None if peak_rss is None else int(peak_rss)
     manifest = spilled.manifest
     if args.json:
-        payload = dict(manifest)
-        payload["seconds"] = seconds
-        payload["peak_rss_kb"] = peak_rss_kb
-        payload["spill_dir"] = spilled.directory
+        payload = dict(manifest, seconds=seconds, peak_rss_kb=peak_rss_kb,
+                       spill_dir=spilled.directory)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     counts = spilled.edge_counts
@@ -470,37 +231,22 @@ def _cmd_stream_partition(args) -> int:
 
 def _cmd_run(args) -> int:
     g = read_edge_list(args.input)
-    app_name = registries.APPS.canonical(parse_spec(args.app)[0])
     overrides = {} if args.source is None else {"source": args.source}
-    try:
-        result = (
-            Pipeline()
-            .source(g)
-            .partition(args.method, parts=args.workers)
-            .run(args.app, **overrides)
-            .backend(args.backend)
-            .trace(args.trace)
-            .execute()
-        )
-    except (SpecError, RegistryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    run = result.run
-    row = breakdown_row(run)
-    print(
-        render_table(
-            ["App", "Method", "Backend", "Workers", "Supersteps", "Messages",
-             "comp", "comm", "dC", "time"],
-            [(app_name.upper(), row.method, run.backend, args.workers,
-              run.num_supersteps, run.total_messages, f"{row.comp:.4f}",
-              f"{row.comm:.4f}", f"{row.delta_c:.4f}",
-              f"{row.execution_time:.4f}")],
-        )
+    result = (
+        Pipeline()
+        .source(g)
+        .partition(args.method, parts=args.workers)
+        .run(args.app, **overrides)
+        .backend(args.backend)
+        .trace(args.trace)
+        .execute()
     )
-    if app_name in ("sssp", "bfs"):
+    run = result.run
+    print(_run_table(run))
+    if run.program in ("SSSP", "BFS"):
+        source = default_source(g) if args.source is None else args.source
         reached = int(np.isfinite(run.values).sum())
-        print(f"reached {reached}/{g.num_vertices} vertices from source "
-              f"{args.source if args.source is not None else default_source(g)}")
+        print(f"reached {reached}/{g.num_vertices} vertices from source {source}")
     if result.trace_path is not None:
         print(f"trace written to {result.trace_path} "
               f"(inspect with: python -m repro trace {result.trace_path})")
@@ -510,20 +256,14 @@ def _cmd_run(args) -> int:
 def _cmd_mutate(args) -> int:
     from .mutate import MutationBatch, apply_mutations
 
-    try:
-        g = read_edge_list(args.input)
-        batch = MutationBatch.from_file(args.mutations)
-        partitioner = registries.PARTITIONERS.create(args.method)
-        base = partitioner.partition(g, args.parts)
-        extra = {} if args.repartition_threshold is None else {
-            "repartition_threshold": args.repartition_threshold
-        }
-        mutation = apply_mutations(
-            base, batch, partitioner, compare_full=True, **extra
-        )
-    except (SpecError, RegistryError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_edge_list(args.input)
+    batch = MutationBatch.from_file(args.mutations)
+    partitioner = registries.PARTITIONERS.create(args.method)
+    extra = {} if args.repartition_threshold is None else {
+        "repartition_threshold": args.repartition_threshold}
+    mutation = apply_mutations(
+        partitioner.partition(g, args.parts), batch, partitioner, compare_full=True, **extra
+    )
     payload = {
         "input": args.input,
         "mutations": args.mutations,
@@ -559,9 +299,8 @@ def _cmd_trace(args) -> int:
     try:
         trace = load_trace(args.input)
         summary = summarize_trace(trace)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (KeyError, TypeError) as exc:  # JSON, but not shaped like a trace
+        raise ValueError(f"{args.input}: malformed trace: {exc!r}") from exc
     dropped = trace.get("meta", {}).get("dropped_events", 0)
     if dropped:
         print(
@@ -576,47 +315,25 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _print_pipeline_result(result, as_json: bool) -> None:
-    """Shared reporting for the ``pipeline`` and ``resume`` commands."""
+def _print_result(result, as_json: bool) -> int:
+    """The ``pipeline`` / ``resume`` report of a :class:`PipelineResult`."""
     if as_json:
         print(result.to_json())
-        return
-    g, m = result.graph, result.metrics
+        return 0
+    g, run = result.graph, result.run
     print(f"graph: {g.name} |V|={g.num_vertices} |E|={g.num_edges}")
-    print(
-        render_table(
-            ["Method", "Parts", "EdgeImb", "VertImb", "RF"],
-            [(m.method, result.partition.num_parts, f"{m.edge_imbalance:.3f}",
-              f"{m.vertex_imbalance:.3f}", f"{m.replication:.3f}")],
-        )
-    )
-    if result.run is not None:
-        run = result.run
-        row = breakdown_row(run)
-        print(
-            render_table(
-                ["App", "Method", "Workers", "Supersteps", "Messages",
-                 "comp", "comm", "dC", "time"],
-                [(run.program, row.method, run.num_workers, run.num_supersteps,
-                  run.total_messages, f"{row.comp:.4f}", f"{row.comm:.4f}",
-                  f"{row.delta_c:.4f}", f"{row.execution_time:.4f}")],
-            )
-        )
+    print(_partition_table(result))
+    if run is not None:
+        print(_run_table(run))
         if run.resumed_from is not None:
             replayed = run.num_supersteps - run.resumed_from
-            print(
-                f"resumed from superstep {run.resumed_from} "
-                f"({replayed} superstep{'s' if replayed != 1 else ''} executed "
-                "after resume)"
-            )
+            print(f"resumed from superstep {run.resumed_from} ({replayed} "
+                  f"superstep{'s' if replayed != 1 else ''} executed after resume)")
     if result.checkpoint_dir is not None:
         print(f"checkpoints in {result.checkpoint_dir}")
-    print(
-        render_table(
-            ["Stage", "Seconds"],
-            [(stage, f"{seconds:.4f}") for stage, seconds in result.timings.items()],
-        )
-    )
+    print(render_table(["Stage", "Seconds"],
+                       [(stage, f"{sec:.4f}") for stage, sec in result.timings.items()]))
+    return 0
 
 
 def _cmd_pipeline(args) -> int:
@@ -627,26 +344,12 @@ def _cmd_pipeline(args) -> int:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            print(f"error: cannot read spec file: {exc}", file=sys.stderr)
-            return 2
-    try:
-        spec = PipelineSpec.from_json(text)
-        result = run_spec(spec)
-    except (SpecError, RegistryError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_pipeline_result(result, args.json)
-    return 0
+            raise SpecError(f"cannot read spec file: {exc}") from exc
+    return _print_result(run_spec(PipelineSpec.from_json(text)), args.json)
 
 
 def _cmd_resume(args) -> int:
-    try:
-        result = resume_pipeline(args.dir)
-    except (SpecError, RegistryError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_pipeline_result(result, args.json)
-    return 0
+    return _print_result(resume_pipeline(args.dir), args.json)
 
 
 def _cmd_experiment(args) -> int:
@@ -670,13 +373,8 @@ def _cmd_worker(args) -> int:
     from .runtime.wire import parse_hostport
 
     if args.sessions < 0:
-        print("error: --sessions must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        parse_hostport(args.listen)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--sessions must be >= 0")
+    parse_hostport(args.listen)
     try:
         return serve_worker(args.listen, sessions=args.sessions)
     except OSError as exc:  # bind failure: port busy, bad interface, ...
@@ -686,24 +384,179 @@ def _cmd_worker(args) -> int:
         return 130
 
 
+# ----------------------------------------------------------------------
+# The verb table
+# ----------------------------------------------------------------------
+
+
+def _arg(*names, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return names, kwargs
+
+
+def _input(text: str = "edge-list file"):
+    return _arg("input", help=text)
+
+
+def _component(flag: str, registry, default: str):
+    """A component spec option (``--method`` / ``--app`` / ``--backend``).
+
+    Accepts full spec strings (``"ebv?alpha=2"``); an unknown name is an
+    argparse error at parse time, with the registry's list of what exists.
+    """
+
+    def validate(value: str) -> str:
+        try:
+            registry.canonical(parse_spec(value)[0])
+        except RegistryError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    validate.__name__ = f"{registry.kind}-spec"
+    return _arg(
+        flag, type=validate, default=default,
+        help=f"{registry.kind} spec: a name plus optional kwargs "
+        f"('name?key=value,...'); available: {', '.join(registry.names())}",
+    )
+
+
+_PARTS = _arg("--parts", type=int, default=8, help="number of parts")
+_JSON = _arg("--json", action="store_true", help="print machine-readable JSON")
+
+#: ``(name, help, handler, arguments)``, one row per verb.
+_VERBS = (
+    ("generate", "generate a synthetic graph", _cmd_generate, (
+        _arg("output", help="edge-list file to write"),
+        _arg("--kind", default="powerlaw", choices=tuple(
+            k for k in registries.GENERATORS.names() if k != "file"
+        )),
+        _arg("--vertices", type=int, default=10_000),
+        _arg("--eta", type=float, default=2.2),
+        _arg("--min-degree", type=int, default=3),
+        _arg("--directed", action="store_true"),
+        _arg("--seed", type=int, default=0),
+    )),
+    ("stats", "print Table I statistics", _cmd_stats, (_input(),)),
+    ("partition", "partition a graph", _cmd_partition, (
+        _input(),
+        _component("--method", registries.PARTITIONERS, "ebv"),
+        _PARTS,
+        _arg("--refine", action="store_true", help="apply the post-pass"),
+        _arg("--output", help="write per-edge part ids here"),
+    )),
+    ("stream-partition",
+     "partition an on-disk edge stream out of core (O(chunk) memory)",
+     _cmd_stream_partition, (
+        _input("edge-list text file or (m, 2) .npy edge array"),
+        _arg("--format", choices=("auto",) + registries.STREAMS.names(),
+             default="auto",
+             help="stream reader (auto: .npy extension selects npy, else edgelist)"),
+        _component("--method", registries.PARTITIONERS, "ebv-stream"),
+        _PARTS,
+        _arg("--chunk-size", type=int, default=65536,
+             help="reader chunk in edges (results never depend on it; the "
+             "driver re-buffers into the partitioner's window)"),
+        _arg("--spill-dir",
+             help="directory for the per-partition shards (default: <input>.spill)"),
+        _arg("--overwrite", action="store_true", help="replace an existing spill dir"),
+        _JSON,
+    )),
+    ("run", "run an application on a partitioned graph", _cmd_run, (
+        _input(),
+        _component("--app", registries.APPS, "CC"),
+        _component("--method", registries.PARTITIONERS, "ebv"),
+        _arg("--workers", type=int, default=8),
+        _arg("--source", type=int, help="SSSP/BFS source"),
+        _component("--backend", registries.BACKENDS, "serial"),
+        _arg("--trace", metavar="PATH",
+             help="record an execution trace here (.jsonl for line-delimited "
+             "JSON, anything else for Perfetto-loadable Chrome trace JSON); "
+             "tracing never changes results"),
+    )),
+    ("mutate",
+     "apply an edge mutation batch to a partitioned graph and report the "
+     "replication-factor drift against a full repartition",
+     _cmd_mutate, (
+        _input("edge-list file (the pre-mutation graph)"),
+        _arg("--mutations", required=True, metavar="FILE",
+             help="mutation file: one op per line, '+ u v [w]' inserts and "
+             "'- u v' deletes; '#' starts a comment"),
+        _component("--method", registries.PARTITIONERS, "ebv-stream"),
+        _PARTS,
+        _arg("--repartition-threshold", type=float, metavar="FRAC",
+             help="touched-edge fraction above which the escape hatch does a "
+             "full repartition instead of incremental maintenance (default 0.25)"),
+        _JSON,
+    )),
+    ("trace",
+     "summarize a recorded execution trace (per-worker/per-stage walls, "
+     "straggler + imbalance ratios)",
+     _cmd_trace, (
+        _input("trace file written by --trace or a spec's 'trace' entry"),
+        _JSON,
+    )),
+    ("pipeline", "execute a JSON pipeline spec", _cmd_pipeline, (
+        _arg("spec", help="path to a JSON spec file, or '-' for stdin"),
+        _JSON,
+    )),
+    ("resume",
+     "resume a crashed checkpointed pipeline run from its newest snapshot",
+     _cmd_resume, (
+        _arg("dir", help="checkpoint directory written by a pipeline spec with a "
+             "'checkpoint' entry (holds pipeline.json + step-NNNNNN snapshots)"),
+        _JSON,
+    )),
+    ("experiment", "regenerate a paper artifact", _cmd_experiment, (
+        _arg("name", choices=registries.EXPERIMENTS.names()),
+        _arg("--scale", type=float),
+    )),
+    ("worker",
+     "serve one standalone socket-backend worker "
+     "(pair with --backend 'socket?workers=...' on the coordinator)",
+     _cmd_worker, (
+        _arg("--listen", required=True, metavar="HOST:PORT",
+             help="address to bind (port 0 picks a free port; the bound "
+             "address is announced on stdout)"),
+        _arg("--sessions", type=int, default=1, metavar="N",
+             help="number of coordinator sessions to serve before exiting "
+             "(0 = serve forever; default 1)"),
+    )),
+    ("lint", "run the domain-aware static-analysis pass over src/repro", _cmd_lint, (
+        _arg("root", nargs="?",
+             help="file or directory to lint (default: the installed repro package)"),
+        _JSON,
+    )),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the top-level argument parser from :data:`_VERBS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro", description="EBV graph partitioning reproduction toolkit"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, handler, arguments in _VERBS:
+        verb = sub.add_parser(name, help=summary)
+        for names, kwargs in arguments:
+            verb.add_argument(*names, **kwargs)
+        verb.set_defaults(handler=handler)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary: a bad input file, spec or checkpoint
+    (``ValueError`` — which covers ``SpecError``, ``RegistryError`` and
+    ``StreamError`` — ``OSError`` or ``CheckpointError``) prints
+    ``error: …`` and exits 2.
+    """
     args = build_parser().parse_args(argv)
-    handler = {
-        "generate": _cmd_generate,
-        "stats": _cmd_stats,
-        "partition": _cmd_partition,
-        "stream-partition": _cmd_stream_partition,
-        "run": _cmd_run,
-        "pipeline": _cmd_pipeline,
-        "resume": _cmd_resume,
-        "experiment": _cmd_experiment,
-        "mutate": _cmd_mutate,
-        "trace": _cmd_trace,
-        "lint": _cmd_lint,
-        "worker": _cmd_worker,
-    }[args.command]
-    return handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, OSError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,9 +23,19 @@ The same run as data::
                         refine=True, app="pr")
     result = run_spec(spec)
 
-Both paths execute identically — a fluent chain is serialized through
-:meth:`Pipeline.spec` whenever its source is spec-able — so CLI calls,
-experiment sweeps and JSON-driven batch runs cannot diverge.
+Both paths execute identically: the builder's state *is* the
+:class:`PipelineSpec` field dict (plus the live objects a spec cannot
+hold), so CLI calls, experiment sweeps and JSON-driven batch runs cannot
+diverge.
+
+:meth:`Pipeline.execute` validates the chain, then walks the stage table
+:data:`_STAGES` — ``source, partition, refine, mutate, distribute, run``
+— running each stage the spec asks for.  A stage is a function that
+takes the one run context and extends it (the source stage adds the
+graph or stream, the partition stage the partition, ...).  The loop is
+the only place that times a stage: each run stage gets one ``timings``
+entry and one ``pipeline.<name>`` trace span, and a configuration error
+inside it becomes a :class:`SpecError` saying ``"<name> stage failed"``.
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from time import monotonic_ns
-from typing import Any, Dict, Optional, Union
+from types import SimpleNamespace
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..bsp import (
     BSPEngine,
@@ -52,7 +63,7 @@ from ..partition import PartitionMetrics, PartitionResult, partition_metrics, re
 from ..stream import EdgeChunkStream, SpilledPartition, StreamError, stream_partition
 from .registries import APPS, BACKENDS, GENERATORS, PARTITIONERS, STREAMS
 from .registry import RegistryError, format_spec, parse_spec
-from .spec import PipelineSpec, SpecError
+from .spec import PipelineSpec, SpecError, _canonical_checkpoint, _canonical_mutations
 
 __all__ = ["Pipeline", "PipelineResult", "run_spec", "resume_pipeline"]
 
@@ -63,44 +74,21 @@ PIPELINE_SPEC_FILENAME = "pipeline.json"
 #: spill (reused on resume — no re-partitioning).
 SPILL_SUBDIR = "spill"
 
-
-def _stage(label: str, thunk):
-    """Run one pipeline stage, converting configuration errors to SpecError.
-
-    Bad constructor kwargs surface as TypeError/ValueError deep inside a
-    component; re-raising them as :class:`SpecError` tagged with the
-    stage keeps ``python -m repro pipeline`` errors clean and precise.
-    """
-    try:
-        return thunk()
-    except (SpecError, RegistryError):
-        raise
-    except (TypeError, ValueError, OSError) as exc:
-        raise SpecError(f"{label} stage failed: {exc}") from exc
-
-
 _SCALAR_TYPES = (bool, int, float, str, type(None))
 
 
-def _split_kwargs(kwargs: Dict[str, Any]):
-    """Separate spec-string-safe scalars from in-memory objects.
+def _fold(spec: str, kwargs: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    """Fold the scalar ``kwargs`` into ``spec``, kwargs winning on clashes.
 
-    Scalars fold into the canonical spec string (serializable); objects
-    (e.g. a FEATPROP ``features`` array) are kept as real constructor
-    overrides — usable fluently, but not representable in a JSON spec.
+    Returns the canonical spec string and the remaining object kwargs
+    (e.g. a FEATPROP ``features`` array): real constructor overrides,
+    usable fluently but not representable in a JSON spec.
     """
-    scalars: Dict[str, Any] = {}
+    name, options = parse_spec(spec)
     objects: Dict[str, Any] = {}
     for key, value in kwargs.items():
-        (scalars if isinstance(value, _SCALAR_TYPES) else objects)[key] = value
-    return scalars, objects
-
-
-def _merge_spec(spec: str, kwargs: Dict[str, Any]) -> str:
-    """Fold direct kwargs into a spec string, kwargs winning on clashes."""
-    name, base = parse_spec(spec)
-    base.update(kwargs)
-    return format_spec(name, base)
+        (options if isinstance(value, _SCALAR_TYPES) else objects)[key] = value
+    return format_spec(name, options), objects
 
 
 @dataclass
@@ -143,39 +131,39 @@ class PipelineResult:
         """JSON-safe summary of the whole run."""
         run_summary = None
         if self.run is not None:
-            run_summary = {
-                "program": self.run.program,
-                "backend": self.run.backend,
-                "partition_method": self.run.partition_method,
-                "num_workers": self.run.num_workers,
-                "num_supersteps": self.run.num_supersteps,
-                "total_messages": self.run.total_messages,
-                "message_max_mean_ratio": self.run.message_max_mean_ratio,
-                "comp": self.run.comp,
-                "comm": self.run.comm,
-                "delta_c": self.run.delta_c,
-                "execution_time": self.run.execution_time,
-                "resumed_from": self.run.resumed_from,
-            }
-        payload: Dict[str, Any] = {
-            "spec": None if self.spec is None else self.spec.to_dict(),
-            "graph": {
-                "name": self.graph.name,
-                "num_vertices": self.graph.num_vertices,
-                "num_edges": self.graph.num_edges,
-                "directed": self.graph.directed,
-            },
-            "partition": {
-                "method": self.partition.method,
-                "kind": self.partition.kind,
-                "num_parts": self.partition.num_parts,
-                "edge_imbalance": self.metrics.edge_imbalance,
-                "vertex_imbalance": self.metrics.vertex_imbalance,
-                "replication": self.metrics.replication,
-            },
-            "run": run_summary,
-            "timings": dict(self.timings),
-        }
+            run_summary = dict(
+                program=self.run.program,
+                backend=self.run.backend,
+                partition_method=self.run.partition_method,
+                num_workers=self.run.num_workers,
+                num_supersteps=self.run.num_supersteps,
+                total_messages=self.run.total_messages,
+                message_max_mean_ratio=self.run.message_max_mean_ratio,
+                comp=self.run.comp,
+                comm=self.run.comm,
+                delta_c=self.run.delta_c,
+                execution_time=self.run.execution_time,
+                resumed_from=self.run.resumed_from,
+            )
+        payload: Dict[str, Any] = dict(
+            spec=None if self.spec is None else self.spec.to_dict(),
+            graph=dict(
+                name=self.graph.name,
+                num_vertices=self.graph.num_vertices,
+                num_edges=self.graph.num_edges,
+                directed=self.graph.directed,
+            ),
+            partition=dict(
+                method=self.partition.method,
+                kind=self.partition.kind,
+                num_parts=self.partition.num_parts,
+                edge_imbalance=self.metrics.edge_imbalance,
+                vertex_imbalance=self.metrics.vertex_imbalance,
+                replication=self.metrics.replication,
+            ),
+            run=run_summary,
+            timings=dict(self.timings),
+        )
         if self.stream is not None:
             payload["stream"] = dict(self.stream)
         # Present only for traced/mutated runs: other summaries keep
@@ -190,6 +178,137 @@ class PipelineResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+# ----------------------------------------------------------------------
+# Stages: each takes the run context and extends it
+# ----------------------------------------------------------------------
+
+
+def _source(ctx) -> None:
+    """Decide stream vs graph once: a live object is used as given, a
+    spec string naming a :data:`STREAMS` reader opens a stream, and
+    anything else is generated (or read) into a Graph."""
+    ctx.graph = ctx.stream = None
+    if isinstance(ctx.live, Graph):
+        ctx.graph = ctx.live
+    elif ctx.live is not None:
+        ctx.stream = ctx.live
+    elif parse_spec(ctx.source)[0] in STREAMS:
+        ctx.stream = STREAMS.create(ctx.source, **ctx.objects.source)
+    else:
+        ctx.graph = GENERATORS.create(ctx.source, **ctx.objects.source)
+
+
+def _partition(ctx) -> None:
+    ctx.partitioner = PARTITIONERS.create(ctx.partition, **ctx.objects.partition)
+    if ctx.stream is None:
+        ctx.result = ctx.partitioner.partition(ctx.graph, ctx.parts)
+        return
+    if ctx.checkpoint is None:
+        # Plain out-of-core path: spill per-part shards to a scratch
+        # dir that lives only for this execution.
+        with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill_dir:
+            _spill_and_assemble(ctx, spill_dir, reuse=False, overwrite=False)
+    else:
+        # Checkpointed out-of-core path: the spill is persistent (it
+        # lives with the snapshots) so a resumed run reuses the
+        # already-on-disk shards and skips re-partitioning.
+        spill_dir = os.path.join(ctx.checkpoint["dir"], SPILL_SUBDIR)
+        _spill_and_assemble(
+            ctx, spill_dir, reuse=ctx.resume_from is not None, overwrite=True
+        )
+        ctx.stream_info["spill_reused"] = "partition.spill" not in ctx.walls
+    ctx.graph = ctx.result.graph
+
+
+def _spill_and_assemble(ctx, spill_dir: str, reuse: bool, overwrite: bool) -> None:
+    """The out-of-core partition sequence, shared by both spill locations."""
+    spilled = None
+    if reuse and os.path.isfile(os.path.join(spill_dir, "manifest.json")):
+        try:
+            spilled = SpilledPartition(spill_dir)
+        except StreamError:
+            # A spill damaged by the crash must not block resume:
+            # re-spilling is deterministic, so fall through to it.
+            spilled = None
+    if spilled is None:
+        t0 = monotonic_ns()
+        spilled = stream_partition(
+            ctx.stream, ctx.partitioner, ctx.parts, spill_dir,
+            overwrite=overwrite, recorder=ctx.rec,
+        )
+        ctx.walls["partition.spill"] = (monotonic_ns() - t0) * 1e-9
+    t0 = monotonic_ns()
+    ctx.result = spilled.assemble()
+    ctx.walls["partition.assemble"] = (monotonic_ns() - t0) * 1e-9
+    ctx.stream_info = dict(spilled.manifest)
+
+
+def _refine(ctx) -> None:
+    ctx.result = refine_vertex_cut(ctx.result, **ctx.refine_options)
+
+
+def _mutate(ctx) -> None:
+    from ..mutate import MutationBatch, apply_mutations
+
+    cfg = ctx.mutations
+    if "file" in cfg:
+        batch = MutationBatch.from_file(cfg["file"])
+    else:
+        batch = MutationBatch.from_ops(cfg["ops"])
+    extra: Dict[str, Any] = {}
+    if cfg.get("repartition_threshold") is not None:
+        extra["repartition_threshold"] = cfg["repartition_threshold"]
+    # The configured partitioner maintains the assignment only when it
+    # exposes the warm-seedable streaming core; otherwise apply_mutations
+    # falls back to its default (a fresh ebv-stream scorer over the same
+    # assignment).
+    maintainer = ctx.partitioner if hasattr(ctx.partitioner, "streamer") else None
+    mutation = apply_mutations(ctx.result, batch, maintainer, **extra)
+    ctx.result, ctx.graph = mutation.partition, mutation.graph
+    ctx.mutation = mutation.report()
+
+
+def _distribute(ctx) -> None:
+    ctx.dgraph = build_distributed_graph(ctx.result)
+
+
+def _run(ctx) -> None:
+    backend = BACKENDS.create(ctx.backend)
+    program = APPS.create(ctx.app, ctx.graph, **ctx.objects.app)
+    ckpt = ctx.checkpoint or {}
+    engine = BSPEngine(
+        cost_model=None if ctx.cost_model is None else CostModel(**ctx.cost_model),
+        backend=backend,
+        checkpoint_dir=ckpt.get("dir"),
+        checkpoint_every=ckpt.get("every", 1),
+        checkpoint_keep=ckpt.get("keep", 2),
+        recorder=ctx.rec,
+    )
+    ctx.run = engine.run(ctx.dgraph, program, resume_from=ctx.resume_from)
+
+
+#: ``(name, stage, wanted)`` in execution order: ``stage(ctx)`` runs when
+#: ``wanted(ctx)`` holds, and its name keys ``timings``, the
+#: ``pipeline.<name>`` span and the "<name> stage failed" error.
+_STAGES = (
+    ("source", _source, lambda ctx: True),
+    ("partition", _partition, lambda ctx: True),
+    ("refine", _refine, lambda ctx: ctx.refine),
+    ("mutate", _mutate, lambda ctx: ctx.mutations is not None),
+    ("distribute", _distribute, lambda ctx: ctx.app is not None),
+    ("run", _run, lambda ctx: ctx.app is not None),
+)
+
+
+def _spec_defaults() -> Dict[str, Any]:
+    """Every :class:`PipelineSpec` field at its default (``source`` unset)."""
+    return {
+        f.name: f.default_factory() if f.default_factory is not dataclasses.MISSING
+        else None if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(PipelineSpec)
+    }
+
+
 class Pipeline:
     """Fluent builder: ``source -> partition [-> refine] [-> run]``.
 
@@ -200,20 +319,12 @@ class Pipeline:
     """
 
     def __init__(self) -> None:
-        self._source: Union[str, Graph, EdgeChunkStream, None] = None
-        self._source_overrides: Dict[str, Any] = {}
-        self._partition_spec: str = "ebv"
-        self._partition_overrides: Dict[str, Any] = {}
-        self._parts: int = 8
-        self._refine: bool = False
-        self._refine_options: Dict[str, Any] = {}
-        self._app_spec: Optional[str] = None
-        self._app_overrides: Dict[str, Any] = {}
-        self._backend_spec: str = "serial"
-        self._cost_model: Optional[CostModel] = None
-        self._checkpoint: Optional[Dict[str, Any]] = None
-        self._trace: Optional[str] = None
-        self._mutations: Optional[Dict[str, Any]] = None
+        #: the :class:`PipelineSpec` fields, by name.
+        self._fields = SimpleNamespace(**_spec_defaults())
+        #: what a spec cannot hold: a live Graph / EdgeChunkStream source
+        #: and the object-valued kwargs of the source, partition and app.
+        self._live: Union[Graph, EdgeChunkStream, None] = None
+        self._objects = SimpleNamespace(source={}, partition={}, app={})
 
     # ------------------------------------------------------------------
     # Stage setters
@@ -229,10 +340,10 @@ class Pipeline:
                 raise SpecError(
                     "kwargs are not accepted with an in-memory source object"
                 )
-            self._source = source
+            self._live, self._fields.source, self._objects.source = source, None, {}
         else:
-            scalars, self._source_overrides = _split_kwargs(kwargs)
-            self._source = _merge_spec(source, scalars)
+            self._live = None
+            self._fields.source, self._objects.source = _fold(source, kwargs)
         return self
 
     @classmethod
@@ -252,18 +363,17 @@ class Pipeline:
 
     def partition(self, method: str = "ebv", parts: Optional[int] = None, **kwargs: Any) -> "Pipeline":
         """Choose the partition algorithm and the number of subgraphs."""
-        scalars, self._partition_overrides = _split_kwargs(kwargs)
-        self._partition_spec = _merge_spec(method, scalars)
+        self._fields.partition, self._objects.partition = _fold(method, kwargs)
         if parts is not None:
             if isinstance(parts, bool) or not isinstance(parts, int) or parts < 1:
                 raise SpecError(f"parts must be a positive integer, got {parts!r}")
-            self._parts = parts
+            self._fields.parts = parts
         return self
 
     def refine(self, enabled: bool = True, **kwargs: Any) -> "Pipeline":
         """Toggle the vertex-cut refinement post-pass (with its kwargs)."""
-        self._refine = bool(enabled)
-        self._refine_options = dict(kwargs)
+        self._fields.refine = bool(enabled)
+        self._fields.refine_options = dict(kwargs)
         return self
 
     def run(self, app: str, **kwargs: Any) -> "Pipeline":
@@ -273,8 +383,7 @@ class Pipeline:
         (e.g. a FEATPROP ``features`` matrix) are passed through to the
         program factory directly.
         """
-        scalars, self._app_overrides = _split_kwargs(kwargs)
-        self._app_spec = _merge_spec(app, scalars)
+        self._fields.app, self._objects.app = _fold(app, kwargs)
         return self
 
     def backend(self, backend: str = "serial", **kwargs: Any) -> "Pipeline":
@@ -284,12 +393,12 @@ class Pipeline:
         a bare name plus kwargs; results are identical on every backend
         (see :mod:`repro.runtime`), only wall-clock time changes.
         """
-        scalars, objects = _split_kwargs(kwargs)
+        spec, objects = _fold(backend, kwargs)
         if objects:
             raise SpecError(
                 f"backend options must be scalars, got objects for {sorted(objects)}"
             )
-        self._backend_spec = _merge_spec(backend, scalars)
+        self._fields.backend = spec
         return self
 
     def checkpoint(
@@ -306,12 +415,7 @@ class Pipeline:
         :func:`resume_pipeline`.  ``keep`` bounds the snapshots retained
         (``None`` keeps all).  Pass ``directory=None`` to disable.
         """
-        if directory is None:
-            self._checkpoint = None
-            return self
-        from .spec import _canonical_checkpoint
-
-        self._checkpoint = _canonical_checkpoint(
+        self._fields.checkpoint = None if directory is None else _canonical_checkpoint(
             {"dir": directory, "every": every, "keep": keep}
         )
         return self
@@ -331,7 +435,7 @@ class Pipeline:
             raise SpecError(
                 f"trace path must be None or a non-empty string, got {path!r}"
             )
-        self._trace = path
+        self._fields.trace = path
         return self
 
     def mutate(
@@ -350,10 +454,9 @@ class Pipeline:
         repartitioned).  Pass ``mutations=None`` to disable.
         """
         if mutations is None:
-            self._mutations = None
+            self._fields.mutations = None
             return self
         from ..mutate import MutationBatch
-        from .spec import _canonical_mutations
 
         if isinstance(mutations, MutationBatch):
             mutations = mutations.to_ops()
@@ -362,14 +465,16 @@ class Pipeline:
             normalized = _canonical_mutations(
                 {**normalized, "repartition_threshold": repartition_threshold}
             )
-        self._mutations = normalized
+        self._fields.mutations = normalized
         return self
 
     def with_cost_model(self, cost_model: Optional[CostModel] = None, **kwargs: Any) -> "Pipeline":
         """Override the BSP cost model (instance or field overrides)."""
         if cost_model is not None and kwargs:
             raise SpecError("pass either a CostModel instance or field overrides, not both")
-        self._cost_model = cost_model if cost_model is not None else CostModel(**kwargs)
+        self._fields.cost_model = dataclasses.asdict(
+            cost_model if cost_model is not None else CostModel(**kwargs)
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -380,17 +485,7 @@ class Pipeline:
     def from_spec(cls, spec: PipelineSpec) -> "Pipeline":
         """Hydrate a builder from a validated :class:`PipelineSpec`."""
         pipe = cls()
-        pipe._source = spec.source
-        pipe._partition_spec = spec.partition
-        pipe._parts = spec.parts
-        pipe._refine = spec.refine
-        pipe._refine_options = dict(spec.refine_options)
-        pipe._app_spec = spec.app
-        pipe._backend_spec = spec.backend
-        pipe._cost_model = spec.build_cost_model()
-        pipe._checkpoint = None if spec.checkpoint is None else dict(spec.checkpoint)
-        pipe._trace = spec.trace
-        pipe._mutations = None if spec.mutations is None else dict(spec.mutations)
+        vars(pipe._fields).update(spec.to_dict())
         return pipe
 
     def spec(self) -> PipelineSpec:
@@ -399,54 +494,24 @@ class Pipeline:
         Raises :class:`SpecError` when the source is an in-memory Graph,
         which has no spec-string representation.
         """
-        if self._source is None:
-            raise SpecError("pipeline has no source; call .source(...) first")
-        if isinstance(self._source, (Graph, EdgeChunkStream)):
+        if self._live is not None:
             raise SpecError(
                 "an in-memory Graph/EdgeChunkStream source cannot be "
                 "serialized; use a generator spec, 'file?path=...' or a "
                 "stream spec like 'edgelist?path=...'"
             )
-        objects = {
-            **self._source_overrides,
-            **self._partition_overrides,
-            **self._app_overrides,
-        }
+        if self._fields.source is None:
+            raise SpecError("pipeline has no source; call .source(...) first")
+        objects = sorted(key for kw in vars(self._objects).values() for key in kw)
         if objects:
             raise SpecError(
-                f"in-memory stage arguments {sorted(objects)} cannot be serialized"
+                f"in-memory stage arguments {objects} cannot be serialized"
             )
-        return PipelineSpec(
-            source=self._source,
-            partition=self._partition_spec,
-            parts=self._parts,
-            refine=self._refine,
-            refine_options=dict(self._refine_options),
-            app=self._app_spec,
-            backend=self._backend_spec,
-            cost_model=(
-                None if self._cost_model is None else dataclasses.asdict(self._cost_model)
-            ),
-            checkpoint=None if self._checkpoint is None else dict(self._checkpoint),
-            trace=self._trace,
-            mutations=None if self._mutations is None else dict(self._mutations),
-        )
+        return PipelineSpec(**vars(self._fields))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def _stream_source(self) -> Optional[Union[str, EdgeChunkStream]]:
-        """The stream behind ``source``, or ``None`` for in-memory sources."""
-        if isinstance(self._source, EdgeChunkStream):
-            return self._source
-        if isinstance(self._source, str):
-            try:
-                if parse_spec(self._source)[0] in STREAMS:
-                    return self._source
-            except RegistryError:
-                pass  # malformed specs fail in the source stage proper
-        return None
 
     def execute(self, resume_from: Optional[str] = None) -> PipelineResult:
         """Run every configured stage and bundle the results.
@@ -458,28 +523,22 @@ class Pipeline:
         fingerprint), and a stream source reuses the already-on-disk
         spill shards instead of re-partitioning.
         """
-        timings: Dict[str, float] = {}
-        substage_walls: Dict[str, float] = {}
-        # One recorder for the whole execution; the null singleton when
-        # tracing is off, so the untraced path allocates nothing.
-        rec = TraceRecorder(label="pipeline") if self._trace else NULL_RECORDER
-        if isinstance(self._source, (Graph, EdgeChunkStream)) or any(
-            (self._source_overrides, self._partition_overrides, self._app_overrides)
-        ):
+        fields = self._fields
+        if self._live is not None or any(vars(self._objects).values()):
             spec = None  # not serializable, still runnable
         else:
             # Eager whole-chain validation: a bad app/partitioner name
             # fails here, before any generation or partitioning work.
             spec = self.spec()
 
-        ckpt = self._checkpoint
+        ckpt = fields.checkpoint
         if resume_from is not None:
             if ckpt is None:
                 raise SpecError(
                     "resume_from requires a checkpointed pipeline; call "
                     ".checkpoint(...) or set the spec's 'checkpoint' entry"
                 )
-            if self._app_spec is None:
+            if fields.app is None:
                 raise SpecError("resume_from requires an app stage to resume")
         if ckpt is not None:
             if spec is not None:
@@ -503,175 +562,58 @@ class Pipeline:
                     stacklevel=2,
                 )
 
-        def close_stage(name: str, t0: int) -> None:
-            """One wall-clock bracket feeds both ``timings`` and the trace:
-            every ``timings`` stage becomes a ``pipeline.*`` span."""
+        ctx = SimpleNamespace(
+            **vars(fields),
+            live=self._live,
+            objects=self._objects,
+            resume_from=resume_from,
+            # The null singleton when tracing is off, so the untraced
+            # path allocates nothing.
+            rec=TraceRecorder(label="pipeline") if fields.trace else NULL_RECORDER,
+            walls={},
+            stream_info=None,
+            mutation=None,
+            dgraph=None,
+            run=None,
+        )
+        timings: Dict[str, float] = {}
+        for name, stage, wanted in _STAGES:
+            if not wanted(ctx):
+                continue
+            t0 = monotonic_ns()
+            try:
+                stage(ctx)
+            except (SpecError, RegistryError):
+                raise
+            except (TypeError, ValueError, OSError) as exc:
+                # Bad constructor kwargs surface deep inside a component;
+                # tagging them with the stage keeps CLI errors precise.
+                raise SpecError(f"{name} stage failed: {exc}") from exc
             t1 = monotonic_ns()
             timings[name] = (t1 - t0) * 1e-9
-            if rec.enabled:
-                rec.add(f"pipeline.{name}", t0, t1, cat="pipeline")
-
-        stream_source = self._stream_source()
-        stream_info: Optional[Dict[str, Any]] = None
-        t0 = monotonic_ns()
-        if isinstance(self._source, Graph):
-            graph = self._source
-        elif stream_source is not None:
-            if isinstance(stream_source, EdgeChunkStream):
-                stream = stream_source
-            else:
-                stream = _stage(
-                    "source",
-                    lambda: STREAMS.create(stream_source, **self._source_overrides),
-                )
-        else:
-            graph = _stage(
-                "source",
-                lambda: GENERATORS.create(self._source, **self._source_overrides),
-            )
-        close_stage("source", t0)
-
-        t0 = monotonic_ns()
-        partitioner = _stage(
-            "partition",
-            lambda: PARTITIONERS.create(
-                self._partition_spec, **self._partition_overrides
-            ),
-        )
-        if stream_source is not None:
-
-            def spill_and_assemble(spill_dir: str, reuse: bool, overwrite: bool):
-                """Shared out-of-core sequence for both spill locations."""
-                spilled = None
-                if reuse and os.path.isfile(
-                    os.path.join(spill_dir, "manifest.json")
-                ):
-                    try:
-                        spilled = SpilledPartition(spill_dir)
-                    except StreamError:
-                        # A spill damaged by the crash must not block
-                        # resume: re-spilling is deterministic, so fall
-                        # through to the overwrite path below.
-                        spilled = None
-                if spilled is None:
-                    t1 = monotonic_ns()
-                    spilled = _stage(
-                        "partition",
-                        lambda: stream_partition(
-                            stream, partitioner, self._parts, spill_dir,
-                            overwrite=overwrite, recorder=rec,
-                        ),
-                    )
-                    substage_walls["partition.spill"] = (monotonic_ns() - t1) * 1e-9
-                t1 = monotonic_ns()
-                assembled = _stage("partition", spilled.assemble)
-                substage_walls["partition.assemble"] = (monotonic_ns() - t1) * 1e-9
-                return assembled, dict(spilled.manifest)
-
-            if ckpt is not None:
-                # Checkpointed out-of-core path: the spill is persistent
-                # (it lives with the snapshots) so a resumed run reuses
-                # the already-on-disk shards and skips re-partitioning.
-                result, stream_info = spill_and_assemble(
-                    os.path.join(ckpt["dir"], SPILL_SUBDIR),
-                    reuse=resume_from is not None,
-                    overwrite=True,
-                )
-                stream_info["spill_reused"] = "partition.spill" not in substage_walls
-            else:
-                # Plain out-of-core path: spill per-part shards to a
-                # scratch dir that lives only for this execution.
-                with tempfile.TemporaryDirectory(prefix="repro-spill-") as tmp_spill:
-                    result, stream_info = spill_and_assemble(
-                        tmp_spill, reuse=False, overwrite=False
-                    )
-            graph = result.graph
-        else:
-            result = partitioner.partition(graph, self._parts)
-        close_stage("partition", t0)
-
-        if self._refine:
-            t0 = monotonic_ns()
-            result = _stage(
-                "refine", lambda: refine_vertex_cut(result, **self._refine_options)
-            )
-            close_stage("refine", t0)
-
-        mutation_payload: Optional[Dict[str, Any]] = None
-        if self._mutations is not None:
-            t0 = monotonic_ns()
-            from ..mutate import MutationBatch, apply_mutations
-
-            mut_cfg = self._mutations
-
-            def _apply_mutations():
-                if "file" in mut_cfg:
-                    batch = MutationBatch.from_file(mut_cfg["file"])
-                else:
-                    batch = MutationBatch.from_ops(mut_cfg["ops"])
-                extra: Dict[str, Any] = {}
-                if mut_cfg.get("repartition_threshold") is not None:
-                    extra["repartition_threshold"] = mut_cfg["repartition_threshold"]
-                # The configured partitioner maintains the assignment
-                # only when it exposes the warm-seedable streaming core;
-                # otherwise apply_mutations falls back to its default
-                # (a fresh ebv-stream scorer over the same assignment).
-                maintainer = partitioner if hasattr(partitioner, "streamer") else None
-                return apply_mutations(result, batch, maintainer, **extra)
-
-            mutation_result = _stage("mutate", _apply_mutations)
-            result, graph = mutation_result.partition, mutation_result.graph
-            mutation_payload = mutation_result.report()
-            close_stage("mutate", t0)
-
-        metrics = partition_metrics(result)
-
-        run = None
-        dgraph = None
-        if self._app_spec is not None:
-            t0 = monotonic_ns()
-            dgraph = build_distributed_graph(result)
-            close_stage("distribute", t0)
-            t0 = monotonic_ns()
-            backend = _stage("run", lambda: BACKENDS.create(self._backend_spec))
-            program = _stage(
-                "run",
-                lambda: APPS.create(self._app_spec, graph, **self._app_overrides),
-            )
-            engine = BSPEngine(
-                cost_model=self._cost_model,
-                backend=backend,
-                checkpoint_dir=None if ckpt is None else ckpt["dir"],
-                checkpoint_every=1 if ckpt is None else ckpt["every"],
-                checkpoint_keep=2 if ckpt is None else ckpt["keep"],
-                recorder=rec,
-            )
-            run = engine.run(dgraph, program, resume_from=resume_from)
-            close_stage("run", t0)
+            if ctx.rec.enabled:
+                ctx.rec.add(f"pipeline.{name}", t0, t1, cat="pipeline")
 
         timings["total"] = sum(timings.values())
         # Sub-stage walls; dotted keys so they read as components of
         # their parent stage, not extra stages (they are intentionally
         # excluded from "total").
-        timings.update(substage_walls)
-        if run is not None:
-            for stage, seconds in run.real_stage_seconds().items():
-                timings[f"run.{stage}"] = seconds
-        trace_path = None
-        if self._trace:
-            trace_path = write_trace(rec, self._trace)
+        timings.update(ctx.walls)
+        if ctx.run is not None:
+            for stage_name, seconds in ctx.run.real_stage_seconds().items():
+                timings[f"run.{stage_name}"] = seconds
         return PipelineResult(
-            graph=graph,
-            partition=result,
-            metrics=metrics,
-            run=run,
+            graph=ctx.graph,
+            partition=ctx.result,
+            metrics=partition_metrics(ctx.result),
+            run=ctx.run,
             timings=timings,
             spec=spec,
-            distributed=dgraph,
-            stream=stream_info,
+            distributed=ctx.dgraph,
+            stream=ctx.stream_info,
             checkpoint_dir=None if ckpt is None else ckpt["dir"],
-            trace_path=trace_path,
-            mutation=mutation_payload,
+            trace_path=write_trace(ctx.rec, fields.trace) if fields.trace else None,
+            mutation=ctx.mutation,
         )
 
 
@@ -716,10 +658,11 @@ def resume_pipeline(root: str) -> PipelineResult:
         spec = PipelineSpec.from_json(fh.read())
     if spec.app is None:
         raise SpecError(f"{spec_path} configures no app stage; nothing to resume")
-    pipe = Pipeline.from_spec(spec)
     # The root may have been renamed/relocated since the spec was
     # written; the directory being resumed always wins.
-    ckpt = dict(spec.checkpoint) if spec.checkpoint is not None else {"every": 1, "keep": 2}
-    ckpt["dir"] = root
-    pipe._checkpoint = ckpt
-    return pipe.execute(resume_from=root)
+    ckpt = spec.checkpoint or {}
+    return (
+        Pipeline.from_spec(spec)
+        .checkpoint(root, every=ckpt.get("every", 1), keep=ckpt.get("keep", 2))
+        .execute(resume_from=root)
+    )

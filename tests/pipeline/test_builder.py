@@ -311,3 +311,48 @@ class TestStreamPipelines:
         result = Pipeline().source("powerlaw?vertices=200").execute()
         assert result.stream is None
         assert "stream" not in result.to_dict()
+
+
+class TestStageContract:
+    """One ``pipeline.<name>`` span and one ``timings`` key per stage run,
+    in execution order."""
+
+    STAGES = ["source", "partition", "refine", "mutate", "distribute", "run"]
+
+    @staticmethod
+    def traced_stages(path):
+        from repro.obs import load_trace
+
+        spans = sorted(
+            (e for e in load_trace(path)["events"] if e["name"].startswith("pipeline.")),
+            key=lambda e: e["ts_us"],
+        )
+        return [e["name"][len("pipeline."):] for e in spans]
+
+    @staticmethod
+    def timed_stages(result):
+        return [k for k in result.timings if k != "total" and "." not in k]
+
+    def test_every_stage_once_in_order(self, tmp_path):
+        trace = str(tmp_path / "stages.jsonl")
+        result = (
+            Pipeline()
+            .source("powerlaw?directed=true,min_degree=2,seed=3,vertices=300")
+            .partition("ebv-stream", parts=4)
+            .refine()
+            .mutate([["insert", 0, 299], ["insert", 5, 17]])
+            .run("cc")
+            .trace(trace)
+            .execute()
+        )
+        assert self.traced_stages(trace) == self.STAGES
+        assert self.timed_stages(result) == self.STAGES
+        assert "total" in result.timings
+
+    def test_partition_only_runs_two_stages(self, tmp_path):
+        trace = str(tmp_path / "stages.jsonl")
+        result = (
+            Pipeline().source(SOURCE).partition("ebv", parts=4).trace(trace).execute()
+        )
+        assert self.traced_stages(trace) == ["source", "partition"]
+        assert self.timed_stages(result) == ["source", "partition"]

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
@@ -347,3 +348,133 @@ class TestExperiment:
     def test_unknown_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])
+
+
+#: Per verb, ``(option_strings, dest, default, required, choices, nargs)``
+#: of every argument but ``-h`` -- the parser surface scripts depend on.
+#: Help text is deliberately left out.
+PARSER_SURFACE = {
+    "generate": [
+        ((), "output", None, True, None, None),
+        (("--kind",), "kind", "powerlaw", False,
+         ("ba", "er", "powerlaw", "rmat", "road"), None),
+        (("--vertices",), "vertices", 10000, False, None, None),
+        (("--eta",), "eta", 2.2, False, None, None),
+        (("--min-degree",), "min_degree", 3, False, None, None),
+        (("--directed",), "directed", False, False, None, 0),
+        (("--seed",), "seed", 0, False, None, None),
+    ],
+    "stats": [((), "input", None, True, None, None)],
+    "partition": [
+        ((), "input", None, True, None, None),
+        (("--method",), "method", "ebv", False, None, None),
+        (("--parts",), "parts", 8, False, None, None),
+        (("--refine",), "refine", False, False, None, 0),
+        (("--output",), "output", None, False, None, None),
+    ],
+    "stream-partition": [
+        ((), "input", None, True, None, None),
+        (("--format",), "format", "auto", False, ("auto", "edgelist", "npy"), None),
+        (("--method",), "method", "ebv-stream", False, None, None),
+        (("--parts",), "parts", 8, False, None, None),
+        (("--chunk-size",), "chunk_size", 65536, False, None, None),
+        (("--spill-dir",), "spill_dir", None, False, None, None),
+        (("--overwrite",), "overwrite", False, False, None, 0),
+        (("--json",), "json", False, False, None, 0),
+    ],
+    "run": [
+        ((), "input", None, True, None, None),
+        (("--app",), "app", "CC", False, None, None),
+        (("--method",), "method", "ebv", False, None, None),
+        (("--workers",), "workers", 8, False, None, None),
+        (("--source",), "source", None, False, None, None),
+        (("--backend",), "backend", "serial", False, None, None),
+        (("--trace",), "trace", None, False, None, None),
+    ],
+    "mutate": [
+        ((), "input", None, True, None, None),
+        (("--mutations",), "mutations", None, True, None, None),
+        (("--method",), "method", "ebv-stream", False, None, None),
+        (("--parts",), "parts", 8, False, None, None),
+        (("--repartition-threshold",), "repartition_threshold", None, False,
+         None, None),
+        (("--json",), "json", False, False, None, 0),
+    ],
+    "trace": [
+        ((), "input", None, True, None, None),
+        (("--json",), "json", False, False, None, 0),
+    ],
+    "pipeline": [
+        ((), "spec", None, True, None, None),
+        (("--json",), "json", False, False, None, 0),
+    ],
+    "resume": [
+        ((), "dir", None, True, None, None),
+        (("--json",), "json", False, False, None, 0),
+    ],
+    "experiment": [
+        ((), "name", None, True,
+         ("all", "fig2", "fig3", "fig4", "fig5",
+          "table1", "table2", "table3", "table4", "table5"), None),
+        (("--scale",), "scale", None, False, None, None),
+    ],
+    "worker": [
+        (("--listen",), "listen", None, True, None, None),
+        (("--sessions",), "sessions", 1, False, None, None),
+    ],
+    "lint": [
+        ((), "root", None, False, None, "?"),
+        (("--json",), "json", False, False, None, 0),
+    ],
+}
+
+
+class TestParserSurface:
+    def test_verbs_arguments_defaults_and_choices_are_pinned(self):
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        surface = {
+            name: [
+                (tuple(a.option_strings), a.dest, a.default, a.required,
+                 None if a.choices is None else tuple(a.choices), a.nargs)
+                for a in verb._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            for name, verb in sub.choices.items()
+        }
+        assert list(surface) == list(PARSER_SURFACE)
+        assert surface == PARSER_SURFACE
+        assert sum(map(len, surface.values())) == 46
+
+
+class TestBadInput:
+    """Unreadable input is an ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "{missing}"], "No such file"),
+            (["partition", "{missing}"], "No such file"),
+            (["run", "{missing}"], "No such file"),
+            (["partition", "{malformed}"], "{malformed}:2: malformed edge line"),
+            (["run", "{malformed}"], "{malformed}:2: malformed edge line"),
+            (["generate", "{output}", "--kind", "road", "--directed"],
+             "produces undirected graphs"),
+        ],
+        ids=["stats-missing", "partition-missing", "run-missing",
+             "partition-malformed", "run-malformed", "generate-road-directed"],
+    )
+    def test_exits_2_with_error_line(self, tmp_path, capsys, argv, message):
+        paths = {
+            "missing": str(tmp_path / "nope.txt"),
+            "malformed": str(tmp_path / "bad.txt"),
+            "output": str(tmp_path / "road.txt"),
+        }
+        (tmp_path / "bad.txt").write_text("0 1\n1 x\n2 3\n")
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message.format(**paths) in err
+        assert "Traceback" not in err
