@@ -22,7 +22,7 @@ descending, random, and raw input order.
 from __future__ import annotations
 
 from math import inf
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,11 @@ SORT_ORDERS = ("ascending", "descending", "random", "input")
 #: edges whose endpoints are packed into Python ints at once; bounds the
 #: scalar working set of :meth:`EBVCore.assign` whatever the call's length
 _BLOCK = 4096
+
+#: class masks whose part ids :meth:`EBVCore.assign` keeps in a table;
+#: 4096 covers every mask at ``p <= 12``, and past it a mask's parts are
+#: peeled off its bits on every use instead of stored
+_MASK_TABLE = 4096
 
 
 def edge_processing_order(
@@ -104,6 +109,17 @@ class EBVCore:
     balance vector become Python lists for the call.  The arrays above
     stay the canonical state between calls — rows are written back
     after every block, counts and balance at the end of the call.
+
+    Per-edge work only: a class mask's part ids (ascending, so ties
+    still go to the lowest id) come from a table kept across calls and
+    filled on first use; it holds at most ``_MASK_TABLE`` non-empty
+    masks — every one of them at ``p <= 12`` — and a mask met past the
+    cap is peeled bit by bit on each use and not stored.  Running units
+    move only with their counts: ``(x or 1) / p`` is the same double as
+    ``max(x / p, 1.0 / p)`` for every int ``x >= 0`` (division by ``p``
+    is monotone, and ``x = 1`` gives equal operands), so the edge unit
+    is ``α / ((assigned or 1) / p)`` per edge and the vertex unit is
+    re-derived once per call and after each commit that adds a replica.
     """
 
     def __init__(
@@ -132,6 +148,8 @@ class EBVCore:
         self._balance = np.zeros(p, dtype=np.float64) if maintained else None
         #: edges whose arg min needed Eq. 2 on every part (see :meth:`assign`)
         self.full_scans = 0
+        #: class mask -> its part ids, ascending; at most ``_MASK_TABLE`` entries
+        self._parts_of: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def edges_assigned(self) -> int:
@@ -203,12 +221,16 @@ class EBVCore:
         member, balance = self.member, self._balance
         maintained = balance is not None
         alpha, beta = self.alpha, self.beta
+        table = self._parts_of
         running = self._units is None
-        if not running:
-            edge_unit, vertex_unit = self._units
         ec, vc = self.ecount.tolist(), self.vcount.tolist()
         bal = balance.tolist() if maintained else None
         assigned, covered = sum(ec), sum(vc)
+        if running:
+            # re-derived below only when ``covered`` moves
+            vertex_unit = beta / ((covered or 1) / p)
+        else:
+            edge_unit, vertex_unit = self._units
         # ``floor`` bounds every part's score from below: the score of
         # min(bal), or of min(ec) and min(vc) together.  All three only
         # grow inside a call, so a stale minimum stays a bound; it is
@@ -223,24 +245,34 @@ class EBVCore:
             )
             masks = _pack_rows(member[verts])
             local = local.tolist()
-            chosen = []
+            chosen = [0] * size
             gains = []  # (step, local vertex, part) of every new replica
             covered_before = covered
-            for a, b in zip(local[:size], local[size:]):
+            for step, (a, b) in enumerate(zip(local[:size], local[size:])):
                 mask_u = masks[a]
                 mask_v = masks[b]
                 # score(i) = balance(i) + 2, so that eva(i) = score(i) - k
                 # for the parts of class k = I(u ∈ keep[i]) + I(v ∈ keep[i])
                 if running:
-                    edge_unit = alpha / max(assigned / p, 1.0 / p)
-                    vertex_unit = beta / max(covered / p, 1.0 / p)
+                    edge_unit = alpha / ((assigned + step or 1) / p)
                     floor = low_ec * edge_unit + low_vc * vertex_unit + 2.0
                 # least score in the highest non-empty class, lowest id first
                 rest = mask_u & mask_v or mask_u | mask_v
+                candidates = table.get(rest)
+                if candidates is None:
+                    # first use, or past the cap: peel the bits from the
+                    # top (cheaper than ``bits & -bits`` on wide masks)
+                    candidates = []
+                    bits = rest
+                    while bits:
+                        i = bits.bit_length() - 1
+                        candidates.append(i)
+                        bits ^= 1 << i
+                    candidates.reverse()
+                    if rest and len(table) < _MASK_TABLE:
+                        table[rest] = tuple(candidates)
                 best = inf
-                while rest:
-                    low = rest & -rest
-                    i = low.bit_length() - 1
+                for i in candidates:
                     score = (
                         bal[i] + 2.0
                         if maintained
@@ -249,7 +281,6 @@ class EBVCore:
                     if score < best:
                         best = score
                         w = i
-                    rest ^= low
                 # Every part outside the class sits at least one class lower
                 # and scores at least ``floor``: the class winner is the
                 # arg min iff it beats ``floor`` by more than that one.
@@ -275,28 +306,32 @@ class EBVCore:
                         ]
                         w = eva.index(min(eva))
                 ec[w] += 1
-                assigned += 1
                 bit = 1 << w
                 gained = 0
                 if not mask_u & bit:
                     masks[a] = mask_u | bit
-                    gains.append((len(chosen), a, w))
+                    gains.append((step, a, w))
                     gained = 1
                 if a != b and not mask_v & bit:
                     masks[b] = mask_v | bit
-                    gains.append((len(chosen), b, w))
+                    gains.append((step, b, w))
                     gained += 1
-                if gained:
-                    vc[w] += gained
-                    covered += gained
-                chosen.append(w)
+                chosen[step] = w
                 if maintained:
                     # one addition per unit, in commit order: this is the
                     # rounding the maintained policy exists to preserve
                     bumped = bal[w] + edge_unit
-                    for _ in range(gained):
+                    if gained:
                         bumped += vertex_unit
+                        if gained == 2:
+                            bumped += vertex_unit
                     bal[w] = bumped
+                if gained:
+                    vc[w] += gained
+                    covered += gained
+                    if running:
+                        vertex_unit = beta / ((covered or 1) / p)
+            assigned += size
             out[block] = chosen
             steps, rows, parts = np.array(gains, dtype=np.int64).reshape(-1, 3).T
             member[verts[rows], parts] = True
