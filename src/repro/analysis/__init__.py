@@ -1,6 +1,5 @@
 """Analysis and reporting: breakdowns, message statistics, text tables."""
 
-from .plotting import ascii_curve, ascii_multi_curve
 from .communication import (
     per_worker_sync_messages,
     quotient_graph,
@@ -21,8 +20,6 @@ from .messages import (
 from .tables import format_sci, render_table
 
 __all__ = [
-    "ascii_curve",
-    "ascii_multi_curve",
     "per_worker_sync_messages",
     "quotient_graph",
     "replica_sync_volume",

@@ -56,9 +56,8 @@ Tracing
 ``run --trace out.trace.json`` (and a pipeline spec's ``"trace"``
 entry) records a structured execution trace: per-worker compute /
 exchange / barrier spans, coordinator stage spans and a metrics
-snapshot (see :mod:`repro.obs`).  A ``.jsonl`` path writes
-line-delimited JSON; any other path writes Chrome trace-event JSON —
-load it at https://ui.perfetto.dev for the per-worker timeline.
+snapshot (see :mod:`repro.obs`) as Chrome trace-event JSON — load it
+at https://ui.perfetto.dev for the per-worker timeline.
 ``repro trace out.trace.json`` prints the per-worker/per-stage summary
 with straggler and imbalance ratios.  Tracing never changes results::
 
@@ -469,9 +468,8 @@ _VERBS = (
         _arg("--source", type=int, help="SSSP/BFS source"),
         _component("--backend", registries.BACKENDS, "serial"),
         _arg("--trace", metavar="PATH",
-             help="record an execution trace here (.jsonl for line-delimited "
-             "JSON, anything else for Perfetto-loadable Chrome trace JSON); "
-             "tracing never changes results"),
+             help="record an execution trace here as Perfetto-loadable Chrome "
+             "trace JSON; tracing never changes results"),
     )),
     ("mutate",
      "apply an edge mutation batch to a partitioned graph and report the "

@@ -22,9 +22,9 @@ paper artifacts — tracing never feeds results):
     into the exported trace.
 
 :mod:`repro.obs.export`
-    Renderers: JSONL (one span per line) and Chrome trace-event JSON —
-    one ``tid`` per worker, loadable in Perfetto / ``chrome://tracing``,
-    reconstructing the Fig. 4 timeline from real execution.
+    Renderer: Chrome trace-event JSON — one ``tid`` per worker, loadable
+    in Perfetto / ``chrome://tracing``, reconstructing the Fig. 4
+    timeline from real execution — and the loader that reads it back.
 
 :mod:`repro.obs.summary`
     Shape validation plus the per-worker/per-stage aggregation behind
@@ -47,7 +47,7 @@ always correct.)
 
 from __future__ import annotations
 
-from .export import load_trace, write_chrome_trace, write_jsonl_trace, write_trace
+from .export import load_trace, write_chrome_trace
 from .metrics import MetricsRegistry, sample_peak_rss_kb
 from .summary import TraceSummary, render_trace_summary, summarize_trace, validate_chrome_trace
 from .trace import NULL_RECORDER, Span, TraceRecorder
@@ -58,9 +58,7 @@ __all__ = [
     "NULL_RECORDER",
     "MetricsRegistry",
     "sample_peak_rss_kb",
-    "write_trace",
     "write_chrome_trace",
-    "write_jsonl_trace",
     "load_trace",
     "TraceSummary",
     "summarize_trace",

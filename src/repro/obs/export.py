@@ -1,23 +1,18 @@
-"""Trace exporters and the matching loader.
+"""Trace exporter and the matching loader.
 
-Two on-disk forms, chosen by file extension in :func:`write_trace`:
-
-* ``.jsonl`` — one JSON object per line: a header, one ``span`` record
-  per span, and a final ``metrics`` record.  Grep/stream friendly.
-* anything else (conventionally ``.json`` / ``.trace.json``) — Chrome
-  trace-event JSON: complete ``"X"`` duration events on ``pid`` 1 with
-  **one ``tid`` per worker** (worker ``w`` → ``tid w+1``; the
-  coordinator — engine loop, pipeline stages, checkpoint writes — is
-  ``tid`` 0) plus ``"M"`` thread-name metadata.  Load it in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing`` and the compute /
-  exchange / barrier spans render exactly the per-worker Gantt timeline
-  of the paper's Figure 4 — from real execution rather than the cost
-  model.
+One on-disk form, Chrome trace-event JSON (conventionally ``.json`` /
+``.trace.json``): complete ``"X"`` duration events on ``pid`` 1 with
+**one ``tid`` per worker** (worker ``w`` → ``tid w+1``; the coordinator
+— engine loop, pipeline stages, checkpoint writes — is ``tid`` 0) plus
+``"M"`` thread-name metadata.  Load it in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing`` and the compute /
+exchange / barrier spans render exactly the per-worker Gantt timeline of
+the paper's Figure 4 — from real execution rather than the cost model.
 
 Timestamps are microseconds relative to the recorder's ``origin_ns``,
-so every trace starts near t=0.  :func:`load_trace` reads either form
-back into one normalized dict (``format``/``meta``/``events``/
-``metrics``) for :mod:`repro.obs.summary` and the ``repro trace`` CLI.
+so every trace starts near t=0.  :func:`load_trace` reads it back into
+one normalized dict (``format``/``meta``/``events``/``metrics``) for
+:mod:`repro.obs.summary` and the ``repro trace`` CLI.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-__all__ = ["write_trace", "write_chrome_trace", "write_jsonl_trace", "load_trace"]
+__all__ = ["write_chrome_trace", "load_trace"]
 
 _FORMAT = "repro-trace"
 _VERSION = 1
@@ -40,24 +35,6 @@ def _tid(worker: Optional[int]) -> int:
 
 def _tid_name(tid: int) -> str:
     return "coordinator" if tid == 0 else f"worker {tid - 1}"
-
-
-def _header(recorder) -> Dict[str, Any]:
-    return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "label": recorder.label,
-        "wall_time": recorder.wall_time,
-        "num_workers": recorder.num_workers(),
-        "num_spans": len(recorder),
-    }
-
-
-def write_trace(recorder, path: str) -> str:
-    """Write ``recorder`` to ``path``; ``.jsonl`` selects JSONL, else Chrome."""
-    if str(path).endswith(".jsonl"):
-        return write_jsonl_trace(recorder, path)
-    return write_chrome_trace(recorder, path)
 
 
 def write_chrome_trace(recorder, path: str) -> str:
@@ -98,40 +75,18 @@ def write_chrome_trace(recorder, path: str) -> str:
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {**_header(recorder), "metrics": recorder.metrics.snapshot()},
+        "otherData": {
+            "format": _FORMAT,
+            "version": _VERSION,
+            "label": recorder.label,
+            "wall_time": recorder.wall_time,
+            "num_workers": recorder.num_workers(),
+            "num_spans": len(recorder),
+            "metrics": recorder.metrics.snapshot(),
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def write_jsonl_trace(recorder, path: str) -> str:
-    """Render the recorder as line-delimited JSON (header, spans, metrics)."""
-    origin = recorder.origin_ns
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"type": "header", **_header(recorder)}, sort_keys=True))
-        fh.write("\n")
-        for span in recorder.spans():
-            record: Dict[str, Any] = {
-                "type": "span",
-                "name": span.name,
-                "cat": span.cat,
-                "worker": span.worker,
-                "superstep": span.superstep,
-                "ts_us": (span.t0_ns - origin) / 1000.0,
-                "dur_us": (span.t1_ns - span.t0_ns) / 1000.0,
-            }
-            if span.args:
-                record["args"] = span.args
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-        fh.write(
-            json.dumps(
-                {"type": "metrics", "metrics": recorder.metrics.snapshot()},
-                sort_keys=True,
-            )
-        )
         fh.write("\n")
     return str(path)
 
@@ -173,93 +128,23 @@ def _normalize_chrome(document: Dict[str, Any]) -> Dict[str, Any]:
     return {"format": "chrome", "meta": meta, "events": events, "metrics": metrics}
 
 
-def _normalize_jsonl(lines: List[Dict[str, Any]]) -> Dict[str, Any]:
-    meta: Dict[str, Any] = {}
-    metrics: Dict[str, Any] = {}
-    events = []
-    dropped = 0
-    for record in lines:
-        kind = record.get("type")
-        if kind == "header":
-            meta = {k: v for k, v in record.items() if k != "type"}
-        elif kind == "metrics":
-            metrics = record.get("metrics", {})
-        elif kind == "span":
-            if not all(k in record for k in ("name", "ts_us", "dur_us")):
-                dropped += 1
-                continue
-            try:
-                ts_us, dur_us = float(record["ts_us"]), float(record["dur_us"])
-            except (TypeError, ValueError):
-                dropped += 1
-                continue
-            events.append(
-                {
-                    "name": record["name"],
-                    "cat": record.get("cat", ""),
-                    "worker": record.get("worker"),
-                    "superstep": record.get("superstep"),
-                    "ts_us": ts_us,
-                    "dur_us": dur_us,
-                    "args": dict(record.get("args") or {}),
-                }
-            )
-    if dropped:
-        meta["dropped_events"] = dropped
-    return {"format": "jsonl", "meta": meta, "events": events, "metrics": metrics}
-
-
 def load_trace(path: str) -> Dict[str, Any]:
-    """Read a trace file (either exported form) into the normalized dict.
+    """Read a Chrome trace-event file into the normalized dict.
 
-    The result maps ``format`` (``"chrome"``/``"jsonl"``), ``meta`` (the
-    header fields), ``events`` (span dicts with ``name``/``cat``/
-    ``worker``/``superstep``/``ts_us``/``dur_us``/``args``) and
-    ``metrics`` (the registry snapshot).  Raises :class:`ValueError` for
-    files that are neither form.
+    The result maps ``format`` (``"chrome"``), ``meta`` (the header
+    fields), ``events`` (span dicts with ``name``/``cat``/``worker``/
+    ``superstep``/``ts_us``/``dur_us``/``args``) and ``metrics`` (the
+    registry snapshot).  Raises :class:`ValueError` for anything that is
+    not Chrome trace-event JSON.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         raise ValueError(f"{path}: empty trace file")
     try:
         document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and "traceEvents" in document:
-        return _normalize_chrome(document)
-    # JSONL: every non-empty line must be its own JSON object — except
-    # the final one, which a run crashing mid-write leaves truncated.
-    # Dropping (and counting) that torn tail keeps `repro trace` able
-    # to render the partial per-stage tables of everything that did
-    # make it to disk; a bad line anywhere *else* is still corruption.
-    raw_lines = [
-        (i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
-    ]
-    lines: List[Dict[str, Any]] = []
-    truncated_tail = 0
-    for pos, (i, line) in enumerate(raw_lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if pos == len(raw_lines) - 1 and lines:
-                truncated_tail = 1
-                break
-            raise ValueError(f"{path}:{i}: not a trace file ({exc})") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{i}: expected a JSON object per line")
-        lines.append(record)
-    if not any(r.get("type") == "span" for r in lines) and not any(
-        r.get("type") == "header" for r in lines
-    ):
-        raise ValueError(
-            f"{path}: neither Chrome trace-event JSON (no 'traceEvents') nor "
-            "repro JSONL (no header/span records)"
-        )
-    trace = _normalize_jsonl(lines)
-    if truncated_tail:
-        trace["meta"]["dropped_events"] = (
-            trace["meta"].get("dropped_events", 0) + truncated_tail
-        )
-    return trace
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a trace file ({exc})") from exc
+    if not isinstance(document, dict) or "traceEvents" not in document:
+        raise ValueError(f"{path}: not Chrome trace-event JSON (no 'traceEvents')")
+    return _normalize_chrome(document)

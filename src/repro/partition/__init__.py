@@ -10,7 +10,6 @@ from .base import EDGE_CUT, VERTEX_CUT, Partitioner, PartitionResult
 from .cvc import CVCPartitioner, grid_shape
 from .dbh import DBHPartitioner
 from .ebv import EBVPartitioner, SORT_ORDERS, edge_processing_order
-from .fennel import FennelPartitioner
 from .ginger import GingerPartitioner
 from .metislike import MetisLikePartitioner
 from .metrics import (
@@ -38,7 +37,6 @@ __all__ = [
     "grid_shape",
     "DBHPartitioner",
     "EBVPartitioner",
-    "FennelPartitioner",
     "SORT_ORDERS",
     "edge_processing_order",
     "GingerPartitioner",

@@ -29,7 +29,7 @@ import numpy as np
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
 
-__all__ = ["EBVCore", "EBVPartitioner", "SORT_ORDERS", "edge_processing_order"]
+__all__ = ["EBVCore", "EBVPartitioner", "SORT_ORDERS", "check_weights", "edge_processing_order"]
 
 SORT_ORDERS = ("ascending", "descending", "random", "input")
 
@@ -41,6 +41,20 @@ _BLOCK = 4096
 #: 4096 covers every mask at ``p <= 12``, and past it a mask's parts are
 #: peeled off its bits on every use instead of stored
 _MASK_TABLE = 4096
+
+
+def check_weights(alpha: float, beta: float) -> Tuple[float, float]:
+    """Eq. 2's balance weights as floats; each must satisfy ``0 < x < inf``.
+
+    Zero or negative weights reward imbalance, and a NaN or infinite one
+    poisons every score, so every EBV front checks them here.
+    """
+    alpha, beta = float(alpha), float(beta)
+    if not (0 < alpha < inf and 0 < beta < inf):
+        raise ValueError(
+            f"alpha and beta must be positive and finite, got alpha={alpha}, beta={beta}"
+        )
+    return alpha, beta
 
 
 def edge_processing_order(
@@ -388,12 +402,9 @@ class EBVPartitioner(Partitioner):
         track_growth: bool = False,
         seed: int = 0,
     ):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
         if sort_order not in SORT_ORDERS:
             raise ValueError(f"sort_order must be one of {SORT_ORDERS}")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha, self.beta = check_weights(alpha, beta)
         self.sort_order = sort_order
         self.track_growth = bool(track_growth)
         self.seed = seed

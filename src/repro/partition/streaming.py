@@ -70,7 +70,7 @@ import numpy as np
 
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
-from .ebv import EBVCore, edge_processing_order
+from .ebv import EBVCore, check_weights, edge_processing_order
 
 __all__ = [
     "StreamingEBVPartitioner",
@@ -301,11 +301,8 @@ class StreamingEBVPartitioner(Partitioner):
     def __init__(self, chunk_size: int = 4096, alpha: float = 1.0, beta: float = 1.0):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
         self.chunk_size = int(chunk_size)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha, self.beta = check_weights(alpha, beta)
 
     def streamer(
         self,
@@ -376,8 +373,7 @@ class ShardedEBVPartitioner(Partitioner):
             raise ValueError("sync_interval must be >= 1")
         self.num_shards = int(num_shards)
         self.sync_interval = int(sync_interval)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha, self.beta = check_weights(alpha, beta)
         self.sort_edges = bool(sort_edges)
 
     def streamer(

@@ -58,7 +58,7 @@ from ..bsp import (
     build_distributed_graph,
 )
 from ..graph import Graph
-from ..obs import NULL_RECORDER, TraceRecorder, write_trace
+from ..obs import NULL_RECORDER, TraceRecorder, write_chrome_trace
 from ..partition import PartitionMetrics, PartitionResult, partition_metrics, refine_vertex_cut
 from ..stream import EdgeChunkStream, SpilledPartition, StreamError, stream_partition
 from .registries import APPS, BACKENDS, GENERATORS, PARTITIONERS, STREAMS
@@ -423,8 +423,7 @@ class Pipeline:
     def trace(self, path: Optional[str]) -> "Pipeline":
         """Record a structured execution trace into ``path``.
 
-        A ``.jsonl`` path selects line-delimited JSON; anything else
-        writes Chrome trace-event JSON, loadable in Perfetto — per-worker
+        The trace is Chrome trace-event JSON, loadable in Perfetto — per-worker
         compute/exchange/barrier spans on one timeline row per worker
         (see :mod:`repro.obs`).  Tracing is strictly observational:
         results, deterministic stats and checkpoint fingerprints are
@@ -612,7 +611,7 @@ class Pipeline:
             distributed=ctx.dgraph,
             stream=ctx.stream_info,
             checkpoint_dir=None if ckpt is None else ckpt["dir"],
-            trace_path=write_trace(ctx.rec, fields.trace) if fields.trace else None,
+            trace_path=write_chrome_trace(ctx.rec, fields.trace) if fields.trace else None,
             mutation=ctx.mutation,
         )
 

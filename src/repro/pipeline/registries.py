@@ -46,7 +46,6 @@ from ..partition import (
     CVCPartitioner,
     DBHPartitioner,
     EBVPartitioner,
-    FennelPartitioner,
     GingerPartitioner,
     HDRFPartitioner,
     MetisLikePartitioner,
@@ -56,7 +55,7 @@ from ..partition import (
     ShardedEBVPartitioner,
     StreamingEBVPartitioner,
 )
-from ..runtime import BACKEND_TYPES
+from ..runtime import BACKEND_ALIASES, BACKEND_TYPES
 from ..stream import NpyEdgeStream, TextEdgeListStream
 from .registry import Registry
 
@@ -85,7 +84,6 @@ PARTITIONERS.register("cvc", CVCPartitioner)
 PARTITIONERS.register("ne", NEPartitioner)
 PARTITIONERS.register("metis", MetisLikePartitioner)
 PARTITIONERS.register("hdrf", HDRFPartitioner)
-PARTITIONERS.register("fennel", FennelPartitioner)
 PARTITIONERS.register("random-edge", RandomEdgeHashPartitioner)
 PARTITIONERS.register("random-vertex", RandomVertexHashPartitioner)
 
@@ -152,9 +150,11 @@ STREAMS.register("npy", NpyEdgeStream)
 
 BACKENDS = Registry("backend")
 
-_BACKEND_ALIASES = {"thread": ("threads",), "process": ("mp",)}
 for _name, _backend_cls in BACKEND_TYPES.items():
-    BACKENDS.register(_name, _backend_cls, aliases=_BACKEND_ALIASES.get(_name, ()))
+    BACKENDS.register(
+        _name, _backend_cls,
+        aliases=tuple(a for a, canonical in BACKEND_ALIASES.items() if canonical == _name),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -242,8 +242,8 @@ class PipelineSpec:
         reuses them, skipping the re-partition entirely.
     trace:
         Optional output path for a structured execution trace (see
-        :mod:`repro.obs`): a ``.jsonl`` path selects line-delimited
-        JSON, anything else Chrome trace-event JSON (Perfetto-loadable).
+        :mod:`repro.obs`), written as Chrome trace-event JSON
+        (Perfetto-loadable).
         Tracing is strictly observational — results, deterministic
         stats and checkpoint fingerprints are bit-identical with and
         without it.

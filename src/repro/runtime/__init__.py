@@ -124,6 +124,8 @@ stay identical across backends, machines and CI runs.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .base import (
     Backend,
     BackendError,
@@ -180,6 +182,7 @@ __all__ = [
     "ProcessBackend",
     "SocketBackend",
     "BACKEND_TYPES",
+    "BACKEND_ALIASES",
     "create_backend",
 ]
 
@@ -192,18 +195,22 @@ BACKEND_TYPES = {
     SocketBackend.name: SocketBackend,
 }
 
+#: alias -> canonical name, accepted wherever a backend name is (read-only).
+BACKEND_ALIASES = MappingProxyType({"threads": "thread", "mp": "process"})
+
 
 def create_backend(name: str, **kwargs) -> Backend:
-    """Instantiate a backend by canonical name (engine-level front door).
+    """Instantiate a backend by name or alias (engine-level front door).
 
     The pipeline layer resolves full ``"name?key=val"`` spec strings via
     :data:`repro.pipeline.registries.BACKENDS`; this helper serves code
     that holds a bare name (e.g. ``BSPEngine(backend="process")``).
     """
     try:
+        key = name.strip().lower()
         # BACKEND_TYPES is a read-only registry frozen at import time, not
         # shared worker state.  # repro: lint-ignore[worker-purity]
-        cls = BACKEND_TYPES[name.strip().lower()]
+        cls = BACKEND_TYPES[BACKEND_ALIASES.get(key, key)]
     except (KeyError, AttributeError):
         raise ValueError(
             f"unknown backend {name!r}; available: {', '.join(sorted(BACKEND_TYPES))}"

@@ -3,7 +3,8 @@
 The vectorized :func:`build_distributed_graph` must produce *byte
 identical* local subgraphs and replica routes to the original
 per-vertex Python implementation, across both partition families
-(vertex-cut and edge-cut) and every generator kind, including graphs
+(vertex-cut and edge-cut), every partitioner the paper compares and
+every generator kind, including graphs
 with isolated vertices and edge weights.
 """
 
@@ -14,12 +15,14 @@ from legacy_build import build_distributed_graph_legacy
 from repro.bsp.distributed import build_distributed_graph
 from repro.graph import Graph, generate_graph
 from repro.partition import (
+    CVCPartitioner,
     DBHPartitioner,
     EBVPartitioner,
+    GingerPartitioner,
     MetisLikePartitioner,
+    NEPartitioner,
     PartitionResult,
 )
-from repro.partition.fennel import FennelPartitioner
 
 
 def assert_builds_identical(result: PartitionResult) -> None:
@@ -61,10 +64,13 @@ GRAPHS = {
     "ba": lambda: generate_graph("ba", vertices=300, seed=15),
 }
 
+# The six algorithms the paper compares (``PAPER_PARTITIONERS``).
 PARTITIONERS = {
     "ebv": EBVPartitioner,
+    "ginger": GingerPartitioner,
     "dbh": DBHPartitioner,
-    "fennel": FennelPartitioner,
+    "cvc": CVCPartitioner,
+    "ne": NEPartitioner,
     "metis-like": MetisLikePartitioner,
 }
 
@@ -90,7 +96,7 @@ def test_equivalence_single_part():
     assert_builds_identical(result)
 
 
-@pytest.mark.parametrize("method", ["ebv", "fennel"])
+@pytest.mark.parametrize("method", ["ebv", "metis-like"])
 def test_equivalence_on_sparse_fallback_paths(method, monkeypatch):
     """Force the large-scale (sorted-key / searchsorted) code paths."""
     import repro.bsp.distributed as dist

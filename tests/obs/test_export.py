@@ -1,4 +1,4 @@
-"""Exporter round-trips: Chrome trace shape, JSONL, and the loader."""
+"""Exporter round-trips: Chrome trace shape and the loader."""
 
 import json
 
@@ -9,8 +9,6 @@ from repro.obs import (
     load_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl_trace,
-    write_trace,
 )
 
 
@@ -109,31 +107,19 @@ class TestChromeTrace:
             validate_chrome_trace({"hello": 1})
 
 
-class TestJsonlAndLoader:
-    def test_jsonl_structure(self, recorder, tmp_path):
-        path = write_jsonl_trace(recorder, str(tmp_path / "t.jsonl"))
-        lines = [json.loads(l) for l in open(path) if l.strip()]
-        assert lines[0]["type"] == "header"
-        assert lines[0]["num_workers"] == 2
-        assert lines[-1]["type"] == "metrics"
-        spans = [l for l in lines if l["type"] == "span"]
-        assert len(spans) == len(recorder)
-
-    def test_loader_normalizes_both_forms_identically(self, recorder, tmp_path):
-        chrome = load_trace(write_chrome_trace(recorder, str(tmp_path / "t.json")))
-        jsonl = load_trace(write_jsonl_trace(recorder, str(tmp_path / "t.jsonl")))
-        assert chrome["format"] == "chrome"
-        assert jsonl["format"] == "jsonl"
+class TestLoader:
+    def test_loader_normalizes_chrome_spans(self, recorder, tmp_path):
+        trace = load_trace(write_chrome_trace(recorder, str(tmp_path / "t.json")))
+        assert trace["format"] == "chrome"
         key = lambda e: (e["name"], e["worker"], e["superstep"], e["ts_us"], e["dur_us"])
-        assert [key(e) for e in chrome["events"]] == [key(e) for e in jsonl["events"]]
-        assert chrome["metrics"] == jsonl["metrics"]
-        assert chrome["meta"]["label"] == jsonl["meta"]["label"] == "unit"
-
-    def test_write_trace_dispatches_on_extension(self, recorder, tmp_path):
-        jsonl = write_trace(recorder, str(tmp_path / "a.jsonl"))
-        chrome = write_trace(recorder, str(tmp_path / "a.trace.json"))
-        assert load_trace(jsonl)["format"] == "jsonl"
-        assert load_trace(chrome)["format"] == "chrome"
+        origin = recorder.origin_ns
+        assert [key(e) for e in trace["events"]] == [
+            (s.name, s.worker, s.superstep,
+             (s.t0_ns - origin) / 1000.0, (s.t1_ns - s.t0_ns) / 1000.0)
+            for s in recorder.spans()
+        ]
+        assert trace["metrics"] == recorder.metrics.snapshot()
+        assert trace["meta"]["label"] == "unit"
 
     def test_loader_rejects_non_trace_files(self, tmp_path):
         plain = tmp_path / "notes.txt"
@@ -149,43 +135,18 @@ class TestJsonlAndLoader:
         with pytest.raises(ValueError):
             load_trace(str(wrong_json))
 
+    def test_loader_refuses_json_lines(self, tmp_path):
+        lines = tmp_path / "run.jsonl"
+        lines.write_text(
+            json.dumps({"type": "header", "num_workers": 2}) + "\n"
+            + json.dumps({"type": "span", "name": "compute"}) + "\n"
+        )
+        with pytest.raises(ValueError, match="not a trace file"):
+            load_trace(str(lines))
+
 
 class TestCrashedTraces:
     """Traces from crashed runs degrade gracefully instead of raising."""
-
-    def test_truncated_final_jsonl_line_is_dropped_and_counted(
-        self, recorder, tmp_path
-    ):
-        path = write_jsonl_trace(recorder, str(tmp_path / "t.jsonl"))
-        with open(path) as fh:
-            text = fh.read()
-        # a crash mid-write leaves the last line torn
-        crashed = tmp_path / "crashed.jsonl"
-        crashed.write_text(text[:-40])
-        trace = load_trace(str(crashed))
-        assert trace["meta"]["dropped_events"] == 1
-        assert len(trace["events"]) > 0
-
-    def test_torn_jsonl_span_records_are_dropped(self, recorder, tmp_path):
-        path = write_jsonl_trace(recorder, str(tmp_path / "t.jsonl"))
-        lines = open(path).read().splitlines()
-        # tear two span records: one missing dur_us, one with junk ts_us
-        torn = []
-        mangled = 0
-        for line in lines:
-            rec = json.loads(line)
-            if rec.get("type") == "span" and mangled < 2:
-                if mangled == 0:
-                    del rec["dur_us"]
-                else:
-                    rec["ts_us"] = "not-a-number"
-                mangled += 1
-            torn.append(json.dumps(rec))
-        crashed = tmp_path / "torn.jsonl"
-        crashed.write_text("\n".join(torn) + "\n")
-        trace = load_trace(str(crashed))
-        assert trace["meta"]["dropped_events"] == 2
-        assert len(trace["events"]) == len(recorder) - 2
 
     def test_torn_chrome_events_are_dropped(self, recorder, tmp_path):
         path = write_chrome_trace(recorder, str(tmp_path / "t.json"))
@@ -200,23 +161,36 @@ class TestCrashedTraces:
         assert trace["meta"]["dropped_events"] == 1
         assert len(trace["events"]) == len(recorder) - 1
 
-    def test_bad_line_before_the_tail_is_still_corruption(
-        self, recorder, tmp_path
-    ):
-        path = write_jsonl_trace(recorder, str(tmp_path / "t.jsonl"))
-        lines = open(path).read().splitlines()
-        lines[2] = lines[2][:-5]  # torn in the middle, not the tail
-        crashed = tmp_path / "mid.jsonl"
-        crashed.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=":3:"):
+    def test_unparseable_chrome_times_are_dropped(self, recorder, tmp_path):
+        path = write_chrome_trace(recorder, str(tmp_path / "t.json"))
+        doc = json.load(open(path))
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        spans[0]["ts"] = "not-a-number"
+        spans[1]["dur"] = None
+        crashed = tmp_path / "torn.json"
+        crashed.write_text(json.dumps(doc))
+        trace = load_trace(str(crashed))
+        assert trace["meta"]["dropped_events"] == 2
+        assert len(trace["events"]) == len(recorder) - 2
+
+    def test_truncated_chrome_document_is_corruption(self, recorder, tmp_path):
+        path = write_chrome_trace(recorder, str(tmp_path / "t.json"))
+        text = open(path).read()
+        crashed = tmp_path / "cut.json"
+        crashed.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match="not a trace file"):
             load_trace(str(crashed))
 
     def test_summarize_survives_dropped_events(self, recorder, tmp_path):
         from repro.obs import summarize_trace
 
-        path = write_jsonl_trace(recorder, str(tmp_path / "t.jsonl"))
-        text = open(path).read()
-        crashed = tmp_path / "crashed.jsonl"
-        crashed.write_text(text[:-40])
-        summary = summarize_trace(load_trace(str(crashed)))
+        path = write_chrome_trace(recorder, str(tmp_path / "t.json"))
+        doc = json.load(open(path))
+        compute = [e for e in doc["traceEvents"] if e.get("name") == "compute"]
+        del compute[-1]["ts"]
+        crashed = tmp_path / "crashed.json"
+        crashed.write_text(json.dumps(doc))
+        trace = load_trace(str(crashed))
+        assert trace["meta"]["dropped_events"] == 1
+        summary = summarize_trace(trace)
         assert summary  # partial tables still render

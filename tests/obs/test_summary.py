@@ -70,7 +70,7 @@ class TestSummarizeTrace:
         assert s.metrics["messages.sent"]["total"] == 42.0
 
     def test_coordinator_only_trace(self):
-        trace = {"format": "jsonl", "meta": {"label": "x", "num_workers": 0},
+        trace = {"format": "chrome", "meta": {"label": "x", "num_workers": 0},
                  "events": [_event("pipeline.partition", dur=100.0, cat="pipeline")],
                  "metrics": {}}
         s = summarize_trace(trace)
@@ -98,7 +98,7 @@ class TestRender:
         assert "messages.sent" in text
 
     def test_report_without_workers_skips_worker_table(self):
-        trace = {"format": "jsonl", "meta": {"label": "x"},
+        trace = {"format": "chrome", "meta": {"label": "x"},
                  "events": [_event("pipeline.source", dur=5.0, cat="pipeline")],
                  "metrics": {}}
         text = render_trace_summary(summarize_trace(trace))

@@ -173,3 +173,13 @@ class TestPaperClaims:
     def test_directed_graph_supported(self, small_directed_powerlaw):
         r = EBVPartitioner().partition(small_directed_powerlaw, 8)
         assert edge_imbalance_factor(r) < 1.2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("front", ["ebv", "ebv-stream", "ebv-sharded"])
+def test_every_front_rejects_bad_weights(front, value):
+    from repro.pipeline.registries import PARTITIONERS
+
+    for weight in ("alpha", "beta"):
+        with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
+            PARTITIONERS.create(f"{front}?{weight}={value}")

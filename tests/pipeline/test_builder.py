@@ -334,7 +334,7 @@ class TestStageContract:
         return [k for k in result.timings if k != "total" and "." not in k]
 
     def test_every_stage_once_in_order(self, tmp_path):
-        trace = str(tmp_path / "stages.jsonl")
+        trace = str(tmp_path / "stages.json")
         result = (
             Pipeline()
             .source("powerlaw?directed=true,min_degree=2,seed=3,vertices=300")
@@ -350,7 +350,7 @@ class TestStageContract:
         assert "total" in result.timings
 
     def test_partition_only_runs_two_stages(self, tmp_path):
-        trace = str(tmp_path / "stages.jsonl")
+        trace = str(tmp_path / "stages.json")
         result = (
             Pipeline().source(SOURCE).partition("ebv", parts=4).trace(trace).execute()
         )

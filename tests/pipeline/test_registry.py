@@ -130,9 +130,22 @@ class TestConcreteRegistries:
 
         expected = {
             "ebv", "ebv-unsort", "ebv-stream", "ebv-sharded", "ginger",
-            "dbh", "cvc", "ne", "metis", "hdrf", "fennel",
+            "dbh", "cvc", "ne", "metis", "hdrf",
         }
         assert expected <= set(PARTITIONERS.names())
+
+    def test_fennel_is_refused(self, capsys):
+        from repro.cli import main
+        from repro.pipeline.registries import PARTITIONERS
+
+        available = ", ".join(PARTITIONERS.names())
+        message = f"unknown partitioner 'fennel'; available: {available}"
+        with pytest.raises(UnknownComponentError, match=f"{message}$"):
+            PARTITIONERS.create("fennel")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["partition", "g.txt", "--method", "fennel"])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_partitioner_spec_kwargs_reach_constructor(self):
         from repro.pipeline.registries import PARTITIONERS

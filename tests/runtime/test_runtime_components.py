@@ -8,6 +8,8 @@ from repro.bsp.program import MINIMIZE, ComputeResult, SubgraphProgram
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
 from repro.runtime import (
+    BACKEND_ALIASES,
+    BACKEND_TYPES,
     BackendError,
     ProcessBackend,
     SerialBackend,
@@ -52,6 +54,13 @@ class TestCreateBackend:
             ValueError, match="unknown backend 'gpu'.*process, serial, socket, thread"
         ):
             create_backend("gpu")
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_TYPES) + sorted(BACKEND_ALIASES))
+    def test_engine_and_registry_agree_on_every_name(self, name):
+        from repro.pipeline.registries import BACKENDS
+
+        backend = BSPEngine(backend=name)._resolve_backend()
+        assert isinstance(backend, type(BACKENDS.create(name)))
 
     def test_engine_rejects_non_backend_object(self, dgraph):
         engine = BSPEngine(backend=object())
