@@ -80,8 +80,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.apps import make_program  # noqa: E402
 from repro.bsp import BSPEngine, build_distributed_graph  # noqa: E402
-from repro.frameworks import make_program  # noqa: E402
 from repro.graph import generate_graph  # noqa: E402
 from repro.obs import TraceRecorder, summarize_trace  # noqa: E402
 from repro.partition import DBHPartitioner  # noqa: E402

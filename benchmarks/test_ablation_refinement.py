@@ -1,6 +1,5 @@
 """Bench A5 — the local-search refinement post-pass on every partitioner."""
 
-from repro.analysis import render_table
 from repro.partition import (
     DBHPartitioner,
     EBVPartitioner,
@@ -10,6 +9,7 @@ from repro.partition import (
     refine_vertex_cut,
     replication_factor,
 )
+from repro.tables import render_table
 
 
 def test_ablation_refinement(benchmark, config, artifact_sink):

@@ -6,13 +6,13 @@ execution (with stale state between syncs) cost relative to offline
 EBV-sort?
 """
 
-from repro.analysis import render_table
 from repro.partition import (
     EBVPartitioner,
     ShardedEBVPartitioner,
     StreamingEBVPartitioner,
     partition_metrics,
 )
+from repro.tables import render_table
 
 
 def test_ablation_streaming(benchmark, config, artifact_sink):

@@ -8,7 +8,6 @@ directly onto GNN communication volume.
 
 import numpy as np
 
-from repro.analysis import render_table
 from repro.apps import FeaturePropagation
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.partition import (
@@ -18,6 +17,7 @@ from repro.partition import (
     GingerPartitioner,
     NEPartitioner,
 )
+from repro.tables import render_table
 
 
 def test_gnn_feature_propagation_messages(benchmark, config, artifact_sink):

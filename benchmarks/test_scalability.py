@@ -14,9 +14,9 @@ are not rewritten.
 
 import time
 
-from repro.analysis import render_table
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
+from repro.tables import render_table
 
 
 def test_scaling_in_edges(benchmark, artifact_sink):

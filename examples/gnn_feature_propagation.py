@@ -14,11 +14,11 @@ Run:  python examples/gnn_feature_propagation.py
 
 import numpy as np
 
-from repro.analysis import render_table
 from repro.apps import FeaturePropagation, feature_propagation_reference
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.graph import powerlaw_graph
 from repro.partition import DBHPartitioner, EBVPartitioner, GingerPartitioner
+from repro.tables import render_table
 
 
 def main() -> None:

@@ -12,9 +12,9 @@ Run:  python examples/partitioner_shootout.py [edge_list.txt] [num_parts]
 
 import sys
 
-from repro.analysis import format_sci, render_table
 from repro.graph import powerlaw_graph, read_edge_list
 from repro.pipeline import PARTITIONERS, Pipeline
+from repro.tables import format_sci, render_table
 
 
 def main() -> None:

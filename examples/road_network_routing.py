@@ -13,11 +13,11 @@ Run:  python examples/road_network_routing.py
 
 import numpy as np
 
-from repro.analysis import render_table
 from repro.apps import SSSP, sssp_reference
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.graph import road_network
 from repro.partition import DBHPartitioner, EBVPartitioner, NEPartitioner
+from repro.tables import render_table
 
 
 def main() -> None:

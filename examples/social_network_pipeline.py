@@ -12,10 +12,10 @@ trade-off table so you can see the EBV effect on *your* machine.
 Run:  python examples/social_network_pipeline.py
 """
 
-from repro.analysis import render_table
 from repro.bsp import BSPEngine
 from repro.experiments import PAPER_METHOD_SPECS
 from repro.pipeline import APPS, GENERATORS, Pipeline
+from repro.tables import render_table
 
 SOURCE = "powerlaw?vertices=8000,eta=2.0,min_degree=4,directed=true,seed=11,name=social"
 WORKERS = 16

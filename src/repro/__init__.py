@@ -66,23 +66,17 @@ in-memory path::
                                StreamingEBVPartitioner(), 8, "huge.spill")
     dgraph = spilled.to_distributed()   # O(|E|) assembly, done last
 
-Experiments (:mod:`repro.experiments`) — every paper table and figure::
+Paper artifacts — every table and figure (:mod:`repro.experiments`),
+the modelled comparison systems (:mod:`repro.frameworks`) and the
+breakdown/message analysis (:mod:`repro.analysis`).  They import the
+production packages above, never the reverse, so importing the CLI, the
+pipeline or a runtime worker loads none of them::
 
     from repro.experiments import run_table1, run_fig2, run_tables345
-"""
 
-from . import (
-    analysis,
-    apps,
-    bsp,
-    experiments,
-    frameworks,
-    graph,
-    partition,
-    pipeline,
-    runtime,
-    stream,
-)
+Importing :mod:`repro` itself loads nothing: import the subpackage you
+need (``import repro.pipeline`` or ``from repro import pipeline``).
+"""
 
 __version__ = "1.3.0"
 
@@ -97,5 +91,6 @@ __all__ = [
     "pipeline",
     "runtime",
     "stream",
+    "tables",
     "__version__",
 ]

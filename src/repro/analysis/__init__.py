@@ -1,10 +1,5 @@
-"""Analysis and reporting: breakdowns, message statistics, text tables."""
+"""Analysis and reporting: Table II breakdowns and message statistics."""
 
-from .communication import (
-    per_worker_sync_messages,
-    quotient_graph,
-    replica_sync_volume,
-)
 from .breakdown import (
     BreakdownRow,
     breakdown_row,
@@ -17,12 +12,8 @@ from .messages import (
     render_max_mean_table,
     render_message_table,
 )
-from .tables import format_sci, render_table
 
 __all__ = [
-    "per_worker_sync_messages",
-    "quotient_graph",
-    "replica_sync_volume",
     "BreakdownRow",
     "breakdown_row",
     "render_breakdown_table",
@@ -31,6 +22,4 @@ __all__ = [
     "message_stats",
     "render_max_mean_table",
     "render_message_table",
-    "format_sci",
-    "render_table",
 ]

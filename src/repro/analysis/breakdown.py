@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..bsp import BSPRun
-from .tables import render_table
+from ..tables import render_table
 
 __all__ = ["BreakdownRow", "breakdown_row", "render_breakdown_table", "render_timeline"]
 

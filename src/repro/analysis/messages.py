@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..bsp import BSPRun
-from .tables import format_sci, render_table
+from ..tables import format_sci, render_table
 
 __all__ = [
     "MessageStats",

@@ -109,14 +109,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .analysis import breakdown_row, render_table
 from .apps import default_source
 from .checkpoint import CheckpointError
-from .experiments import default_config
 from .graph import generate_graph, graph_stats, read_edge_list, write_edge_list
 from .partition import save_partition
 from .pipeline import Pipeline, PipelineSpec, RegistryError, SpecError, parse_spec, registries
 from .pipeline import resume_pipeline, run_spec
+from .tables import render_table
 
 __all__ = ["main", "build_parser"]
 
@@ -155,13 +154,12 @@ def _partition_table(result) -> str:
 
 def _run_table(run) -> str:
     """The Fig. 4 breakdown row of a BSP run."""
-    row = breakdown_row(run)
     return render_table(
         ["App", "Method", "Backend", "Workers", "Supersteps", "Messages",
          "comp", "comm", "dC", "time"],
-        [(run.program.upper(), row.method, run.backend, run.num_workers,
-          run.num_supersteps, run.total_messages, f"{row.comp:.4f}",
-          f"{row.comm:.4f}", f"{row.delta_c:.4f}", f"{row.execution_time:.4f}")],
+        [(run.program.upper(), run.partition_method, run.backend, run.num_workers,
+          run.num_supersteps, run.total_messages, f"{run.comp:.4f}",
+          f"{run.comm:.4f}", f"{run.delta_c:.4f}", f"{run.execution_time:.4f}")],
     )
 
 
@@ -243,7 +241,9 @@ def _cmd_run(args) -> int:
     run = result.run
     print(_run_table(run))
     if run.program in ("SSSP", "BFS"):
-        source = default_source(g) if args.source is None else args.source
+        source = args.source
+        if source is None:
+            source = parse_spec(args.app)[1].get("source", default_source(g))
         reached = int(np.isfinite(run.values).sum())
         print(f"reached {reached}/{g.num_vertices} vertices from source {source}")
     if result.trace_path is not None:
@@ -352,6 +352,8 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import default_config
+
     config = default_config()
     if args.scale is not None:
         config.scale = args.scale

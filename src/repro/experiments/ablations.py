@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis import render_table
 from ..partition import (
     EBVPartitioner,
     SORT_ORDERS,
@@ -21,6 +20,7 @@ from ..partition import (
     theorem2_vertex_imbalance_bound,
     vertex_imbalance_factor,
 )
+from ..tables import render_table
 from .config import ExperimentConfig, default_config
 
 __all__ = ["run_bounds_ablation", "run_alpha_beta_ablation", "run_sort_order_ablation"]

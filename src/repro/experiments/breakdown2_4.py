@@ -16,8 +16,8 @@ from ..analysis import (
     render_breakdown_table,
     render_timeline,
 )
+from ..apps import make_program
 from ..bsp import BSPEngine, BSPRun, build_distributed_graph
-from ..frameworks import make_program
 from .config import ExperimentConfig, default_config
 
 __all__ = ["run_breakdown"]

@@ -13,8 +13,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis import render_table
 from ..partition import EBVPartitioner
+from ..tables import render_table
 from .config import ExperimentConfig, POWER_LAW_GRAPHS, default_config
 
 __all__ = ["run_fig5", "GrowthCurves"]

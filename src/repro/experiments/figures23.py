@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis import render_table
+from ..tables import render_table
 from .config import ExperimentConfig, POWER_LAW_GRAPHS, ROAD_GRAPH, default_config
 
 __all__ = ["sweep_panel", "run_fig2", "run_fig3", "render_panels"]

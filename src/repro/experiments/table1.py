@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..analysis import render_table
 from ..graph import GraphStats, graph_stats
+from ..tables import render_table
 from .config import ExperimentConfig, default_config
 
 __all__ = ["run_table1"]

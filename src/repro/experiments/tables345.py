@@ -18,11 +18,11 @@ from ..analysis import (
     message_stats,
     render_max_mean_table,
     render_message_table,
-    render_table,
 )
+from ..apps import make_program
 from ..bsp import BSPEngine, build_distributed_graph
-from ..frameworks import make_program
 from ..partition import PartitionMetrics, partition_metrics
+from ..tables import render_table
 from .config import ExperimentConfig, default_config
 
 __all__ = ["run_tables345", "Table345Data"]

@@ -1,15 +1,13 @@
 """Comparator frameworks: DRONE-like subgraph-centric, Galois-like, Blogel-like."""
 
-from .base import APP_NAMES, Framework, make_program
+from .base import Framework
 from .blogel import BlogelFramework
 from .drone import SubgraphCentricFramework
 from .vertex_centric import VertexCentricFramework
 from .voronoi import VoronoiPartitioner
 
 __all__ = [
-    "APP_NAMES",
     "Framework",
-    "make_program",
     "BlogelFramework",
     "SubgraphCentricFramework",
     "VertexCentricFramework",

@@ -11,71 +11,12 @@ semantics and a cost profile, so the experiment drivers can sweep
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
-import numpy as np
-
-from ..apps import (
-    BFS,
-    ConnectedComponents,
-    FeaturePropagation,
-    KCore,
-    PageRank,
-    SSSP,
-    default_source,
-    deterministic_features,
-)
-from ..bsp import BSPRun, SubgraphProgram
+from ..apps import APP_NAMES
+from ..bsp import BSPRun
 from ..graph import Graph
 
-__all__ = ["APP_NAMES", "make_program", "Framework"]
-
-APP_NAMES = ("CC", "PR", "SSSP", "BFS", "KCORE", "FEATPROP")
-
-
-def make_program(
-    app: str,
-    graph: Graph,
-    local_convergence: bool = True,
-    pagerank_iters: int = 20,
-    source: Optional[int] = None,
-    k: int = 3,
-    hops: int = 2,
-    mix: float = 0.5,
-    feature_dims: int = 8,
-    feature_seed: int = 0,
-    features: Optional[np.ndarray] = None,
-    pagerank_tol: float = 1e-10,
-) -> SubgraphProgram:
-    """Instantiate any registered application by (case-insensitive) name.
-
-    ``local_convergence`` selects subgraph-centric (``True``) versus
-    vertex-centric (``False``) computation-stage semantics for the
-    frontier/label apps; PageRank is inherently one-iteration-per-
-    superstep so the flag does not apply.  ``k`` parameterizes KCORE;
-    ``hops``/``mix``/``feature_dims``/``feature_seed``/``features``
-    parameterize FEATPROP (a seeded deterministic feature matrix is
-    generated when none is supplied), and ``pagerank_tol`` is
-    PageRank's convergence threshold.
-    """
-    name = app.upper() if isinstance(app, str) else app
-    if name == "CC":
-        return ConnectedComponents(local_convergence=local_convergence)
-    if name == "SSSP":
-        src = default_source(graph) if source is None else source
-        return SSSP(src, local_convergence=local_convergence)
-    if name == "PR":
-        return PageRank(graph.num_vertices, max_iters=pagerank_iters, tol=pagerank_tol)
-    if name == "BFS":
-        src = default_source(graph) if source is None else source
-        return BFS(src, local_convergence=local_convergence)
-    if name == "KCORE":
-        return KCore(k)
-    if name == "FEATPROP":
-        if features is None:
-            features = deterministic_features(graph, dims=feature_dims, seed=feature_seed)
-        return FeaturePropagation(features, hops=hops, mix=mix)
-    raise ValueError(f"unknown app {app!r}; expected one of {APP_NAMES}")
+__all__ = ["Framework"]
 
 
 class Framework(abc.ABC):

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..apps import make_program
 from ..bsp import BSPEngine, BSPRun, CostModel, SuperstepStats, build_distributed_graph
 from ..graph import Graph
-from .base import Framework, make_program
+from .base import Framework
 from .voronoi import VoronoiPartitioner
 
 import numpy as np

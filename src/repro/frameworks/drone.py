@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..apps import make_program
 from ..bsp import BSPEngine, BSPRun, CostModel, build_distributed_graph
 from ..graph import Graph
 from ..partition.base import Partitioner
-from .base import Framework, make_program
+from .base import Framework
 
 __all__ = ["SubgraphCentricFramework"]
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..apps import make_program
 from ..bsp import BSPEngine, BSPRun, CostModel, build_distributed_graph
 from ..graph import Graph
 from ..partition.random_hash import RandomVertexHashPartitioner
-from .base import Framework, make_program
+from .base import Framework
 
 __all__ = ["VertexCentricFramework"]
 

@@ -25,7 +25,6 @@ from .stats import (
     estimate_eta_fit,
     estimate_eta_mle,
     graph_stats,
-    stats_table,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "estimate_eta_fit",
     "estimate_eta_mle",
     "graph_stats",
-    "stats_table",
 ]

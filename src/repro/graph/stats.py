@@ -11,13 +11,14 @@ definition").  This module provides two η estimators:
   histogram, closer to what eyeballing a CCDF gives and tolerant of
   non-power-law inputs (which is how a road network still "has" an η).
 
-Plus the Table I row generator used by the benchmark harness.
+Plus :func:`graph_stats`, the Table I row behind ``repro stats`` and the
+Table I experiment driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -126,16 +127,3 @@ def graph_stats(graph: Graph) -> GraphStats:
         average_degree=graph.num_edges / graph.num_vertices,
         eta=estimate_eta_fit(graph),
     )
-
-
-def stats_table(graphs: Dict[str, Graph]) -> str:
-    """Render a Table I style text table for a dict of graphs."""
-    header = f"{'Graph':<14}{'Type':<12}{'V':>10}{'E':>12}{'AvgDeg':>9}{'eta':>7}"
-    lines = [header, "-" * len(header)]
-    for g in graphs.values():
-        s = graph_stats(g)
-        lines.append(
-            f"{s.name:<14}{s.kind:<12}{s.num_vertices:>10}{s.num_edges:>12}"
-            f"{s.average_degree:>9.2f}{s.eta:>7.2f}"
-        )
-    return "\n".join(lines)

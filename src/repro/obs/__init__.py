@@ -32,7 +32,8 @@ paper artifacts — tracing never feeds results):
     barrier-wait time, straggler and imbalance ratios.
 
 Layering contract: this package imports nothing from the rest of
-:mod:`repro` (the runtime/engine/pipeline layers import *it*), and the
+:mod:`repro` but the leaf table renderer :mod:`repro.tables` (the
+runtime/engine/pipeline layers import *it*), and the
 worker kernels in :mod:`repro.runtime.worker` never touch it at all —
 sessions time the kernels from outside and pass the recorder down
 (enforced by the ``worker-purity`` lint rule).

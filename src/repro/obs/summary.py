@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+from ..tables import render_table
 
 __all__ = [
     "validate_chrome_trace",
@@ -200,18 +202,6 @@ def summarize_trace(trace: Dict[str, Any]) -> TraceSummary:
     )
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Minimal fixed-width table (obs imports nothing from repro.analysis)."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for r, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if r == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
 def render_trace_summary(summary: TraceSummary) -> str:
     """Human-readable per-worker/per-stage report for ``repro trace``."""
     out: List[str] = [
@@ -233,7 +223,7 @@ def render_trace_summary(summary: TraceSummary) -> str:
                 )
             )
         out.append(
-            _table(
+            render_table(
                 ["Worker", "Compute", "ExchUp", "ExchDown", "Barrier", "Busy"],
                 rows,
             )
@@ -248,7 +238,7 @@ def render_trace_summary(summary: TraceSummary) -> str:
             (name, f"{seconds:.4f}")
             for name, seconds in sorted(summary.coordinator_seconds.items())
         ]
-        out.append(_table(["Coordinator span", "Seconds"], rows))
+        out.append(render_table(["Coordinator span", "Seconds"], rows))
     if summary.metrics:
         rows = []
         for name, snap in sorted(summary.metrics.items()):
@@ -257,5 +247,5 @@ def render_trace_summary(summary: TraceSummary) -> str:
             else:
                 peak = max(snap.get("max", {}).values(), default=0)
                 rows.append((name, "gauge(max)", f"{peak:g}"))
-        out.append(_table(["Metric", "Kind", "Value"], rows))
+        out.append(render_table(["Metric", "Kind", "Value"], rows))
     return "\n\n".join(out)

@@ -19,6 +19,8 @@ endpoints and both balance dimensions explicitly.
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 from ..graph import Graph
@@ -46,8 +48,11 @@ class GingerPartitioner(Partitioner):
     name = "Ginger"
 
     def __init__(self, threshold: int = None, gamma: float = 1.0, seed: int = 0):
+        gamma = float(gamma)
+        if not 0 <= gamma < inf:
+            raise ValueError(f"gamma must be non-negative and finite, got gamma={gamma}")
         self.threshold = threshold
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.seed = seed
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:

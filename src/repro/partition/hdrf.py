@@ -17,6 +17,8 @@ for balance exactly like EBV's α (HDRF has no vertex-balance analogue of
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 from ..graph import Graph
@@ -40,10 +42,14 @@ class HDRFPartitioner(Partitioner):
     name = "HDRF"
 
     def __init__(self, lam: float = 1.0, epsilon: float = 1.0):
-        if lam < 0:
-            raise ValueError("lam must be non-negative")
-        self.lam = float(lam)
-        self.epsilon = float(epsilon)
+        lam, epsilon = float(lam), float(epsilon)
+        if not (0 <= lam < inf and 0 < epsilon < inf):
+            raise ValueError(
+                "lam must be non-negative and finite and epsilon positive and "
+                f"finite, got lam={lam}, epsilon={epsilon}"
+            )
+        self.lam = lam
+        self.epsilon = epsilon
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:
         """One pass over the edge stream in input order."""

@@ -4,8 +4,9 @@
   including the streaming/sharded EBV variants and the two random
   baselines.  Factories take constructor kwargs only.
 * :data:`APPS` — the BSP applications; factories take ``(graph, **kw)``
-  and delegate to :func:`repro.frameworks.make_program` so the CLI, the
-  fluent builder and the experiment drivers build programs identically.
+  and are :func:`repro.apps.make_program` bound to one app name, so the
+  CLI, the fluent builder and the experiment drivers build programs
+  identically.
 * :data:`GENERATORS` — graph sources: the synthetic generators (uniform
   ``vertices=`` sizing via :func:`repro.graph.generate_graph`) plus a
   ``file`` source that reads an edge list from disk.
@@ -16,10 +17,12 @@
   ``source`` spec naming one of these makes the pipeline run the
   out-of-core partition path.
 * :data:`BACKENDS` — the :mod:`repro.runtime` execution backends for
-  the BSP computation stage (``serial``, ``thread``, ``process``);
-  factories take constructor kwargs only.
+  the BSP computation stage (``serial``, ``thread``, ``process``,
+  ``socket``); factories take constructor kwargs only.
 * :data:`EXPERIMENTS` — the paper-artifact drivers; factories take an
   :class:`~repro.experiments.ExperimentConfig` and return report text.
+  Each factory imports its driver when called: production code never
+  imports :mod:`repro.experiments` or :mod:`repro.frameworks`.
 
 These registries are the single source of truth for what exists: CLI
 ``choices`` and spec validation are views over them, so the available
@@ -31,16 +34,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..experiments import (
-    generate_report,
-    run_breakdown,
-    run_fig2,
-    run_fig3,
-    run_fig5,
-    run_table1,
-    run_tables345,
-)
-from ..frameworks import make_program
+from ..apps import make_program
 from ..graph import GENERATOR_KINDS, generate_graph, read_edge_list
 from ..partition import (
     CVCPartitioner,
@@ -100,22 +94,12 @@ def _ebv_unsort(**kwargs) -> EBVPartitioner:
 
 APPS = Registry("app")
 
-
-def _app_factory(canonical: str):
-    def factory(graph, **kwargs):
-        return make_program(canonical, graph, **kwargs)
-
-    factory.__name__ = f"make_{canonical.lower()}"
-    factory.__doc__ = f"Build the {canonical} program via make_program."
-    return factory
-
-
-APPS.register("cc", _app_factory("CC"), aliases=("connected-components",))
-APPS.register("pr", _app_factory("PR"), aliases=("pagerank",))
-APPS.register("sssp", _app_factory("SSSP"), aliases=("shortest-paths",))
-APPS.register("bfs", _app_factory("BFS"))
-APPS.register("kcore", _app_factory("KCORE"), aliases=("k-core",))
-APPS.register("featprop", _app_factory("FEATPROP"), aliases=("feature-propagation",))
+APPS.register("cc", partial(make_program, "CC"), aliases=("connected-components",))
+APPS.register("pr", partial(make_program, "PR"), aliases=("pagerank",))
+APPS.register("sssp", partial(make_program, "SSSP"), aliases=("shortest-paths",))
+APPS.register("bfs", partial(make_program, "BFS"))
+APPS.register("kcore", partial(make_program, "KCORE"), aliases=("k-core",))
+APPS.register("featprop", partial(make_program, "FEATPROP"), aliases=("feature-propagation",))
 
 
 # ----------------------------------------------------------------------
@@ -163,15 +147,33 @@ for _name, _backend_cls in BACKEND_TYPES.items():
 
 EXPERIMENTS = Registry("experiment")
 
-EXPERIMENTS.register("table1", lambda config: run_table1(config)[1])
-EXPERIMENTS.register("table2", lambda config: run_breakdown(config)[2])
-EXPERIMENTS.register("fig4", lambda config: run_breakdown(config)[3])
-EXPERIMENTS.register("table3", lambda config: run_tables345(config)[1])
-EXPERIMENTS.register("table4", lambda config: run_tables345(config)[2])
-EXPERIMENTS.register("table5", lambda config: run_tables345(config)[3])
-EXPERIMENTS.register("fig2", lambda config: run_fig2(config)[1])
-EXPERIMENTS.register("fig3", lambda config: run_fig3(config)[1])
-EXPERIMENTS.register("fig5", lambda config: run_fig5(config)[1])
-EXPERIMENTS.register(
-    "all", lambda config: generate_report(config, include_figures=False)
-)
+
+def _experiment(driver: str, index: int):
+    """Item ``index`` of ``repro.experiments.<driver>(config)``, imported
+    when the factory is called."""
+
+    def factory(config):
+        from .. import experiments
+
+        return getattr(experiments, driver)(config)[index]
+
+    return factory
+
+
+EXPERIMENTS.register("table1", _experiment("run_table1", 1))
+EXPERIMENTS.register("table2", _experiment("run_breakdown", 2))
+EXPERIMENTS.register("fig4", _experiment("run_breakdown", 3))
+EXPERIMENTS.register("table3", _experiment("run_tables345", 1))
+EXPERIMENTS.register("table4", _experiment("run_tables345", 2))
+EXPERIMENTS.register("table5", _experiment("run_tables345", 3))
+EXPERIMENTS.register("fig2", _experiment("run_fig2", 1))
+EXPERIMENTS.register("fig3", _experiment("run_fig3", 1))
+EXPERIMENTS.register("fig5", _experiment("run_fig5", 1))
+
+
+@EXPERIMENTS.register("all")
+def _report(config):
+    """The whole report, figures excluded."""
+    from .. import experiments
+
+    return experiments.generate_report(config, include_figures=False)

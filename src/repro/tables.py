@@ -1,9 +1,11 @@
-"""Small text-table renderer shared by every experiment driver.
+"""The one text-table renderer: CLI reports, ``repro trace`` summaries
+and every experiment driver print through :func:`render_table`.
 
 The paper's artifacts are tables and figures; since this reproduction is
 terminal-first, figures are rendered as aligned text series (and the
 benchmark harness prints them), so everything lands in one place:
-stdout and the EXPERIMENTS.md transcript.
+stdout and the EXPERIMENTS.md transcript.  This module imports nothing
+from ``repro``, so any layer may use it.
 """
 
 from __future__ import annotations

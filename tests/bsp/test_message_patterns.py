@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps import SSSP, ConnectedComponents
+from repro.apps import SSSP, ConnectedComponents, PageRank
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.graph import Graph
-from repro.partition import PartitionResult
+from repro.partition import EBVPartitioner, PartitionResult
 
 
 def split_path():
@@ -73,3 +73,21 @@ class TestMirrorPushPattern:
         # everywhere from the start, so only vertices 1..3 change
         # locally and none are replicated: zero messages.
         assert run.total_messages == 0
+
+
+class TestFullSyncBound:
+    def test_pagerank_superstep_within_one_full_sync(self, small_powerlaw):
+        """A PR superstep sends at most one full replica sync's worth of
+        messages: every mirror pushes once and every master broadcasts
+        once per mirror, ``2 · Σ_v (|parts(v)| − 1)``."""
+        result = EBVPartitioner().partition(small_powerlaw, 4)
+        run = BSPEngine().run(
+            build_distributed_graph(result),
+            PageRank(small_powerlaw.num_vertices, max_iters=3, tol=0.0),
+        )
+        bound = sum(
+            2 * (parts.size - 1) for parts in result.replica_map() if parts.size > 1
+        )
+        assert bound > 0
+        for s in run.supersteps:
+            assert int(s.sent.sum()) <= bound

@@ -8,36 +8,8 @@ from repro.frameworks import (
     BlogelFramework,
     SubgraphCentricFramework,
     VertexCentricFramework,
-    make_program,
 )
 from repro.partition import EBVPartitioner
-
-
-class TestMakeProgram:
-    def test_cc(self, small_powerlaw):
-        prog = make_program("CC", small_powerlaw)
-        assert prog.name == "CC"
-        assert prog.local_convergence
-
-    def test_sssp_default_source(self, small_powerlaw):
-        prog = make_program("SSSP", small_powerlaw)
-        deg = small_powerlaw.degrees()
-        assert deg[prog.source] == deg.max()
-
-    def test_sssp_explicit_source(self, small_powerlaw):
-        assert make_program("SSSP", small_powerlaw, source=7).source == 7
-
-    def test_pr(self, small_powerlaw):
-        prog = make_program("PR", small_powerlaw, pagerank_iters=7)
-        assert prog.max_iters == 7
-
-    def test_vertex_centric_flag(self, small_powerlaw):
-        prog = make_program("CC", small_powerlaw, local_convergence=False)
-        assert not prog.local_convergence
-
-    def test_unknown_app(self, small_powerlaw):
-        with pytest.raises(ValueError):
-            make_program("Triangles", small_powerlaw)
 
 
 class TestSubgraphCentric:

@@ -11,7 +11,6 @@ from repro.graph import (
     graph_stats,
     powerlaw_graph,
     road_network,
-    stats_table,
 )
 
 
@@ -86,8 +85,3 @@ class TestGraphStats:
         row = graph_stats(tiny_graph).as_row()
         assert row[0] == "fig1"
         assert isinstance(row[4], float)
-
-    def test_stats_table_renders(self, tiny_graph, path_graph):
-        text = stats_table({"a": tiny_graph, "b": path_graph})
-        assert "fig1" in text and "path" in text
-        assert "eta" in text.splitlines()[0]

@@ -1,5 +1,10 @@
 """End-to-end pipeline test: generate -> partition -> execute -> analyze."""
 
+import importlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,26 @@ def test_public_api_importable():
     import repro
 
     assert repro.__version__
+    for name in repro.__all__:
+        if name != "__version__":
+            importlib.import_module(f"repro.{name}")
     from repro.partition import PAPER_PARTITIONERS
 
     assert set(PAPER_PARTITIONERS) == {"EBV", "Ginger", "DBH", "CVC", "NE", "METIS"}
+
+
+def test_production_path_imports_no_paper_code():
+    """The CLI, the pipeline and a runtime worker load no module of the
+    paper-artifact layer (experiments, modelled frameworks, analysis):
+    that layer imports production code, never the reverse."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    script = (
+        "import sys, repro.cli, repro.pipeline, repro.runtime.worker\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in ("
+        "['repro', 'experiments'], ['repro', 'frameworks'], ['repro', 'analysis'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -9,9 +9,8 @@ PageRank — across backends and part counts.
 import numpy as np
 import pytest
 
-from repro.apps import cc_reference, pagerank_reference
+from repro.apps import cc_reference, make_program, pagerank_reference
 from repro.bsp import BSPEngine, build_distributed_graph
-from repro.frameworks import make_program
 from repro.mutate import MutationBatch, apply_mutations
 from repro.partition import StreamingEBVPartitioner
 

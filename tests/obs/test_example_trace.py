@@ -87,6 +87,6 @@ class TestExampleTrace:
         text = render_trace_summary(summarize_trace(trace))
         assert "workers=4" in text
         assert "straggler ratio" in text
-        rows = [line for line in text.splitlines() if line[:1].isdigit()]
+        rows = [line for line in text.splitlines() if line.lstrip()[:1].isdigit()]
         assert [row.split()[0] for row in rows] == ["0", "1", "2", "3"]
         assert "Coordinator span" in text

@@ -198,3 +198,17 @@ class TestRandomHash:
         r = RandomVertexHashPartitioner().partition(small_powerlaw, 8)
         assert r.kind == EDGE_CUT
         assert vertex_imbalance_factor(r) < 1.3
+
+
+@pytest.mark.parametrize("spec", [
+    "hdrf?lam=nan", "hdrf?lam=inf", "hdrf?lam=-1",
+    "hdrf?epsilon=nan", "hdrf?epsilon=inf", "hdrf?epsilon=0", "hdrf?epsilon=-1",
+    "ginger?gamma=nan", "ginger?gamma=inf", "ginger?gamma=-1",
+])
+def test_streaming_baselines_reject_bad_weights(spec):
+    """A NaN or infinite weight poisons every score (HDRF then puts every
+    edge on part 0); a negative one rewards imbalance."""
+    from repro.pipeline.registries import PARTITIONERS
+
+    with pytest.raises(ValueError, match="must be (non-negative|positive) and finite"):
+        PARTITIONERS.create(spec)

@@ -185,6 +185,10 @@ class TestRun:
         assert main(["run", edge_file, "--app", "SSSP", "--workers", "4"]) == 0
         assert "reached" in capsys.readouterr().out
 
+    def test_reach_names_the_spec_source(self, edge_file, capsys):
+        assert main(["run", edge_file, "--app", "sssp?source=7", "--workers", "2"]) == 0
+        assert "from source 7" in capsys.readouterr().out
+
     def test_pr(self, edge_file, capsys):
         assert main(["run", edge_file, "--app", "PR", "--method", "dbh"]) == 0
         assert "PR" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 """Unit tests for the table renderer."""
 
-from repro.analysis import format_sci, render_table
+from repro.tables import format_sci, render_table
 
 
 def test_basic_alignment():
