@@ -24,11 +24,11 @@ Usage::
 ``serial`` is always kept as the bit-identity/timing reference.  For
 the ``socket`` backend with ``--trace`` the trace block additionally
 reports the wire walls summed from the recorder's ``wire.*`` spans —
-``wire_s.collect`` (worker-side outbox serialization), ``wire_s.send``
-/ ``wire_s.recv`` (coordinator frame I/O per exchange phase) and
-``wire_s.state`` (explicit per-superstep state pulls, a cost only
-traced runs pay) — so serialize vs. transport time is visible
-separately from the stage walls.
+``wire_s.exchange`` (the coordinator's one exchange round trip per
+superstep), ``wire_s.peer`` (the workers' peer-to-peer trade windows,
+both phases, summed across workers) and ``wire_s.state`` (explicit
+per-superstep state pulls, a cost only traced runs pay) — so trade time
+is visible separately from the stage walls.
 
 ``--trace`` runs one extra best-of-N pass per (app, backend) with a
 :class:`repro.obs.TraceRecorder` attached and adds a ``trace`` block to
@@ -188,9 +188,9 @@ def _summarize_recorder(rec):
 def _wire_walls(rec):
     """Sum the socket backend's ``wire.*`` span walls, in seconds.
 
-    Groups by the span name's second token: ``collect`` (worker-side
-    outbox serialization, summed across workers), ``send``/``recv``
-    (coordinator frame I/O) and ``state`` (pull/push_state — the
+    Groups by the span name's second token: ``exchange`` (the
+    coordinator's round trip), ``peer`` (worker-side trade windows,
+    summed across workers) and ``state`` (pull/push_state — the
     explicit per-superstep pulls only traced runs perform).  Returns
     ``{}`` for backends that never touch a wire.
     """

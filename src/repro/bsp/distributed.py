@@ -98,33 +98,39 @@ class LocalSubgraph:
     def cc_roots(self) -> np.ndarray:
         """Local connected-component roots (computed once; edges are static).
 
-        Used by the CC program: the local component structure never
-        changes across supersteps, so after the first full union-find
+        ``roots[x]`` is the lowest local index in ``x``'s local
+        component.  Used by the CC program: the local component
+        structure never changes across supersteps, so after this one
         pass only incoming label changes need merging.
+
+        A vectorised min-hook + pointer-jumping pass: each round hooks
+        every edge's larger root onto its smaller one, then jumps
+        pointers until every vertex points at a root.  A root only ever
+        hooks onto a smaller index, so each component ends at its
+        minimum — the array the per-edge union-find in
+        ``tests/bsp/union_find.py`` returns.
         """
         cached = getattr(self, "_cc_roots", None)
         if cached is None:
             parent = np.arange(self.num_vertices, dtype=np.int64)
-
-            def find(x: int) -> int:
-                root = x
-                while parent[root] != root:
-                    root = parent[root]
-                while parent[x] != root:
-                    parent[x], x = root, int(parent[x])
-                return root
-
-            for u, v in zip(self.src.tolist(), self.dst.tolist()):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-            cached = np.fromiter(
-                (find(x) for x in range(self.num_vertices)),
-                dtype=np.int64,
-                count=self.num_vertices,
-            )
+            src, dst = self.src, self.dst
+            while True:
+                pu, pv = parent[src], parent[dst]
+                unsettled = pu != pv
+                if not unsettled.any():
+                    break
+                # An edge whose ends share a root stays settled: drop it.
+                src, dst = src[unsettled], dst[unsettled]
+                pu, pv = pu[unsettled], pv[unsettled]
+                np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+                while True:
+                    jumped = parent[parent]
+                    if np.array_equal(jumped, parent):
+                        break
+                    parent = jumped
+            cached = parent
             self._cc_roots = cached
-            self._cc_root_count = int(np.unique(cached).size)
+            self._cc_root_count = int(np.count_nonzero(parent == np.arange(parent.size)))
         return cached
 
     def cc_root_count(self) -> int:

@@ -115,6 +115,7 @@ from .graph import generate_graph, graph_stats, read_edge_list, write_edge_list
 from .partition import save_partition
 from .pipeline import Pipeline, PipelineSpec, RegistryError, SpecError, parse_spec, registries
 from .pipeline import resume_pipeline, run_spec
+from .runtime import BackendError
 from .tables import render_table
 
 __all__ = ["main", "build_parser"]
@@ -548,13 +549,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     The one error boundary: a bad input file, spec or checkpoint
     (``ValueError`` — which covers ``SpecError``, ``RegistryError`` and
-    ``StreamError`` — ``OSError`` or ``CheckpointError``) prints
-    ``error: …`` and exits 2.
+    ``StreamError`` — ``OSError`` or ``CheckpointError``) or a backend
+    that cannot run (``BackendError``: an unreachable worker, a lost
+    one) prints ``error: …`` and exits 2.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, CheckpointError) as exc:
+    except (ValueError, OSError, CheckpointError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -262,23 +262,31 @@ def assemble_exchange(
 
 
 def _record_worker_phase(
-    recorder, name: str, superstep: int, windows: Sequence[Tuple[int, int]]
+    recorder,
+    name: str,
+    superstep: int,
+    windows: Sequence[Tuple[int, int]],
+    next_starts: Optional[Sequence[int]] = None,
 ) -> None:
     """Emit one ``name`` span plus one barrier span per worker.
 
     The barrier span for worker ``w`` runs from the end of its own phase
     to the end of the slowest worker's — the Fig. 4 "synchronization"
-    segment — computed purely from the timestamps every stage already
-    collects.  It is emitted even when zero-length so the span count per
-    superstep is a backend-independent constant (the cross-backend
-    span-count equivalence the obs tests lock down).
+    segment — or to ``next_starts[w]``, when ``w`` began its next phase,
+    if that is sooner: wire-plane workers trade peer to peer and start
+    the down phase without a global barrier.  Computed purely from the
+    timestamps every stage already collects, and emitted even when
+    zero-length so the span count per superstep is a backend-independent
+    constant (the cross-backend span-count equivalence the obs tests
+    lock down).
     """
     end = max(t1 for _, t1 in windows)
     add = recorder.add  # positional calls: this loop is the traced hot path
     barrier = f"barrier.{name}"
     for w, (t0, t1) in enumerate(windows):
         add(name, t0, t1, w, superstep, "worker")
-        add(barrier, t1, end, w, superstep, "barrier")
+        until = end if next_starts is None else min(end, next_starts[w])
+        add(barrier, t1, until, w, superstep, "barrier")
 
 
 def finish_compute_stage(
@@ -321,7 +329,11 @@ def finish_exchange_stage(
     result.down_walls = np.array([(t1 - t0) * 1e-9 for _, t0, t1 in downs])
     if recorder.enabled:
         _record_worker_phase(
-            recorder, "exchange.up", superstep, [(t0, t1) for _, t0, t1 in ups]
+            recorder,
+            "exchange.up",
+            superstep,
+            [(t0, t1) for _, t0, t1 in ups],
+            [t0 for _, t0, _ in downs],
         )
         _record_worker_phase(
             recorder, "exchange.down", superstep, [(t0, t1) for _, t0, t1 in downs]

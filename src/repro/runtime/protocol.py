@@ -20,8 +20,8 @@ or process handle directly.
 and how replica updates move between workers.  Shared memory: the
 parent allocates every array, children map them all, an exchange is two
 broadcasts and the coordinator reads state in place.  Wire: each worker
-owns its arrays, an exchange phase is collect → reroute → apply through
-the coordinator, and state access is a command.
+owns its arrays, an exchange is one broadcast after which the workers
+trade replica updates peer to peer, and state access is a command.
 
 Everything else is here, once:
 
@@ -34,7 +34,8 @@ alive — "worker 3 is wedged" versus "the whole pool is gone".
 *Typed worker loss.*  A link that fails on send **or** receive raises
 :class:`~repro.runtime.base.WorkerLostError` with the worker id and the
 link's exit code, on either backend and whether the worker died during
-a stage or between two.
+a stage or between two — or when any worker replies with an error while
+another is dead (a survivor may report the lost peer connection first).
 
 *The failed latch.*  A stage error leaves the conversation desynced
 (some workers ran the stage, unread replies may be queued), so the
@@ -145,6 +146,9 @@ class StatePlane:
         """Allocate; return each worker's plane-specific ``init`` extra."""
         raise NotImplementedError
 
+    def connect(self, session: "CommandSession") -> None:
+        """Called after every launch batch, over the whole pool."""
+
     def exchange(
         self, session: "CommandSession", superstep: int
     ) -> Tuple[List[TimedResult], List[TimedResult]]:
@@ -204,6 +208,8 @@ def serve(link, make_shard: Callable[[tuple], WorkerShard]) -> None:
     except (EOFError, OSError):
         pass  # coordinator went away
     finally:
+        if shard is not None:
+            shard.close()
         link.close()
 
 
@@ -297,6 +303,7 @@ class CommandSession(BackendSession):
             self._post(w, "init", init)
         for w in workers:
             self.active[w] = bool(self._expect(w, "ready", timeout=INIT_TIMEOUT))
+        self._plane.connect(self)
 
     # -- failure semantics ------------------------------------------------
 
@@ -353,7 +360,11 @@ class CommandSession(BackendSession):
             )
         status, payload = reply
         if status == "error":
-            raise self._fail(BackendError(f"worker {w} failed:\n{payload}"))
+            error = BackendError(f"worker {w} failed:\n{payload}")
+            dead = next((v for v, link in enumerate(self.links) if not link.alive()), None)
+            if dead is not None:
+                raise self._lost(dead, error) from error
+            raise self._fail(error)
         if status != expected:  # pragma: no cover - protocol guard
             raise self._fail(BackendError(f"worker {w}: expected {expected!r}, got {status!r}"))
         return payload
@@ -370,11 +381,11 @@ class CommandSession(BackendSession):
         for w, payload in enumerate(payloads):
             self._post(w, command, payload)
 
-    def results(self) -> list:
+    def results(self, timeout: Optional[float] = None) -> list:
         """Collect every worker's ``ok`` reply — the barrier — in worker order."""
         values = []
         for w in range(len(self.links)):
-            value, self.active[w] = self._expect(w, "ok")
+            value, self.active[w] = self._expect(w, "ok", timeout)
             values.append(value)
         return values
 
@@ -417,9 +428,12 @@ class CommandSession(BackendSession):
                 "cannot recover: only local workers the coordinator spawned "
                 "itself over the wire plane can be replaced"
             )
-        replaced = self._plane.recover_workers(self)
-        self._failed = False
-        return replaced
+        self._failed = False  # the plane's relaunch and re-mesh talk to the pool
+        try:
+            return self._plane.recover_workers(self)
+        except BaseException:
+            self._failed = True
+            raise
 
     def close(self) -> None:
         self._finalizer()

@@ -17,12 +17,12 @@ sibling slots hold*:
     slot is a sibling's real array.
 ``socket``
     one shard per TCP worker over locally allocated arrays — only its
-    own slot is real.  Before each exchange phase the coordinator
-    forwards what the siblings' :meth:`WorkerShard.collect_up` /
-    :meth:`~WorkerShard.collect_down` sliced out of their *outbound*
-    routes, and :meth:`~WorkerShard.apply_up` /
-    :meth:`~WorkerShard.apply_down` fill the sibling slots with
-    index-compacted stand-ins and run the same
+    own slot is real.  The exchange is one command,
+    :meth:`WorkerShard.exchange`: for each phase the shard slices its
+    own array along its *outbound* routes, trades the slices with its
+    peers directly (``peers``, the wire plane's mesh of worker-to-worker
+    connections), fills the sibling slots with index-compacted
+    stand-ins from what arrived, and runs the same
     :meth:`~WorkerShard.exchange_up` / :meth:`~WorkerShard.exchange_down`
     as everyone else.
 
@@ -41,10 +41,12 @@ Why the stand-ins are exact: a sender ships data already sliced by
 ``arange(len(route))`` (:func:`compact_routes`) and ``dst_index`` is
 unchanged; compaction commutes with the kernels'
 ``route.src_index[sel]`` selections, per-destination route order is
-preserved, and a route whose selection mask is empty is not sent and
-reads as an all-false mask — the kernel's own ``continue``.  Results,
-message tallies and floating-point accumulation order are therefore
-bit-identical to the shared-array path.
+preserved, and a route whose selection mask is empty ships ``None`` and
+reads as an all-false mask — the kernel's own ``continue``.  A shard
+slices for the down phase only after its own up kernel ran, which is
+all the up/down barrier the kernels need.  Results, message tallies and
+floating-point accumulation order are therefore bit-identical to the
+shared-array path.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ __all__ = ["WorkerShard", "compact_routes", "TimedResult"]
 TimedResult = Tuple[object, int, int]
 #: ``(peer_worker, route)`` pairs, inbound or outbound.
 Routes = Sequence[Tuple[int, _Route]]
+#: a monotonic-clock window, ``(t0_ns, t1_ns)``.
+Window = Tuple[int, int]
 #: kind -> ``p``-length per-worker list of arrays (an entry is ``None``
 #: where a sibling's array is not held); a kind the mode lacks is absent
 #: or ``None``.
@@ -84,7 +88,9 @@ class WorkerShard:
     ``slots`` maps each array kind to its ``p``-length per-worker list
     (``values``/``changed`` always; ``active``/``dirty`` in minimize
     mode, ``partials``/``sums`` in accumulate mode).  ``outbound_up`` /
-    ``outbound_down`` are only needed by the ``collect_*`` methods.
+    ``outbound_down`` and ``peers`` — the wire plane's mesh, with
+    ``listen()``, ``connect(token, endpoints, timeout)``,
+    ``trade(outbox, sources)`` and ``close()`` — serve :meth:`exchange`.
     """
 
     #: the methods a coordinator may invoke by name (see ``protocol.serve``);
@@ -94,10 +100,9 @@ class WorkerShard:
             "compute",
             "exchange_up",
             "exchange_down",
-            "collect_up",
-            "collect_down",
-            "apply_up",
-            "apply_down",
+            "listen",
+            "mesh",
+            "exchange",
             "owned",
             "restore",
         }
@@ -113,12 +118,14 @@ class WorkerShard:
         slots: Slots,
         outbound_up: Routes = (),
         outbound_down: Routes = (),
+        peers=None,
     ):
         self.worker_id = worker_id
         self.local = local
         self.program = program
         self.inbound_up, self.inbound_down = inbound_up, inbound_down
         self.outbound_up, self.outbound_down = outbound_up, outbound_down
+        self.peers = peers
         self.minimize = program.mode == MINIMIZE
         self.values, self.changed = slots["values"], slots["changed"]
         self.partials, self.dirty = slots.get("partials"), slots.get("dirty")
@@ -208,28 +215,61 @@ class WorkerShard:
 
     # -- exchange without shared arrays -----------------------------------
 
-    def _collect(self, outbound: Routes, mask, source) -> TimedResult:
-        """Slice ``source`` along every outbound route: ``{dst: data}``.
+    def listen(self, _payload=None) -> int:
+        """Open a peer listener (dropping any old mesh); return its port."""
+        return self.peers.listen()
 
-        ``data`` is ``(sel, source[selected])`` — skipped when nothing is
-        selected — or, with no ``mask``, the whole unselected slice.
+    def mesh(self, payload) -> None:
+        """Connect to every sibling: ``(token, endpoints, timeout)``."""
+        self.peers.connect(*payload)
+
+    def exchange(self, _payload=None) -> Tuple[TimedResult, TimedResult, Tuple[Window, Window]]:
+        """Both exchange phases over the peer mesh, in one command.
+
+        Returns the up and down kernels' timed results and the window of
+        each phase's trade (slice, ship, receive, stand in); the down
+        trade's window starts where the up kernel ended.  On any failure
+        the mesh is dropped, so a peer waiting on this worker sees the
+        connection close instead of waiting out its timeout.
         """
-        t0 = monotonic_ns()
-        outbox = {}
+        try:
+            t0 = monotonic_ns()
+            source = self.values if self.minimize else self.partials
+            up_end = self._trade(self.outbound_up, self.inbound_up, self.changed, source)
+            up = self.exchange_up()
+            down_end = self._trade(self.outbound_down, self.inbound_down, self.dirty, self.values)
+            down = self.exchange_down()
+        except BaseException:
+            self.peers.close()
+            raise
+        return up, down, ((t0, up_end), (up[2], down_end))
+
+    def _trade(self, outbound: Routes, inbound: Routes, masks, arrays) -> int:
+        """Ship this worker's slice of ``masks``/``arrays`` along every
+        outbound route and stand in for every inbound sender's; return
+        the monotonic time it finished.
+
+        A slice is ``(sel, own[selected])`` — ``None`` when nothing is
+        selected — or, with no ``masks``, the whole unselected slice.
+        """
+        mask = None if masks is None else masks[self.worker_id]
+        own = arrays[self.worker_id]
+        outbox: Dict[int, Any] = {}
         for dst, route in outbound:
             if mask is None:
-                outbox[dst] = source[route.src_index]
+                outbox[dst] = own[route.src_index]
                 continue
             sel = mask[route.src_index]
-            if sel.any():
-                outbox[dst] = (sel, source[route.src_index[sel]])
-        return outbox, t0, monotonic_ns()
+            outbox[dst] = (sel, own[route.src_index[sel]]) if sel.any() else None
+        inbox = self.peers.trade(outbox, [src for src, _ in inbound])
+        self._fill(inbound, inbox, masks, arrays)
+        return monotonic_ns()
 
     def _fill(self, inbound: Routes, inbox, masks, arrays) -> None:
         """Stand in for the siblings' ``masks``/``arrays`` from ``inbox``."""
         own = arrays[self.worker_id]
         for src, route in inbound:
-            data = inbox.get(src)
+            data = inbox[src]
             n = route.src_index.shape[0]
             if masks is None:
                 arrays[src] = data
@@ -241,21 +281,7 @@ class WorkerShard:
                 full[sel] = selected
                 masks[src], arrays[src] = sel, full
 
-    def collect_up(self, _payload=None) -> TimedResult:
-        """Changed mirror values (minimize) or partials (accumulate)."""
-        source = self.values if self.minimize else self.partials
-        return self._collect(self.outbound_up, self._own(self.changed), self._own(source))
-
-    def apply_up(self, inbox) -> TimedResult:
-        self._fill(
-            self.inbound_up, inbox, self.changed, self.values if self.minimize else self.partials
-        )
-        return self.exchange_up()
-
-    def collect_down(self, _payload=None) -> TimedResult:
-        """Dirty master values (minimize) or every master value (accumulate)."""
-        return self._collect(self.outbound_down, self._own(self.dirty), self._own(self.values))
-
-    def apply_down(self, inbox) -> TimedResult:
-        self._fill(self.inbound_down, inbox, self.dirty, self.values)
-        return self.exchange_down()
+    def close(self) -> None:
+        """Release the peer mesh, if this shard has one."""
+        if self.peers is not None:
+            self.peers.close()

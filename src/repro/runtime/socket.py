@@ -1,87 +1,75 @@
-"""Socket backend: TCP links, shards that own their state.
+"""Socket backend: TCP links, shards that own their state, peers that talk.
 
 The multi-node analogue of the process backend.  Each BSP worker is an
 independent OS process behind one TCP connection — spawned on 127.0.0.1
 by the session itself for tests and single-host runs, or launched
-standalone on another machine via ``repro worker --listen host:port``
-and named in the backend spec
-(``socket?workers=hostA:7001+hostB:7001``).  It contributes to the
-shared :class:`~repro.runtime.protocol.CommandSession`:
+standalone elsewhere via ``repro worker --listen host:port`` and named
+in the backend spec (``socket?workers=hostA:7001+hostB:7001``).  It
+contributes to the shared :class:`~repro.runtime.protocol.CommandSession`:
 
 *Its link* — :class:`_TcpLink`: length-prefixed pickle frames over the
 small versioned protocol in :mod:`repro.runtime.wire`, plus the
-``multiprocessing`` ``Process`` when the coordinator started the worker
-itself and nothing but the connection when it dialled an endpoint
-somebody else started.
+``multiprocessing`` ``Process`` when the coordinator started the worker.
 
 *Spawn = bind → fork → dial* (:class:`_Spawner`; one batch under one
 ``connect_timeout`` — the pool at session start, the dead set at
-recovery).  The coordinator binds each worker's listening socket on
-``127.0.0.1:0`` itself, so it knows the port and connections queue from
-that moment; starts a child from
+recovery).  The coordinator binds each child's listening socket on
+``127.0.0.1:0`` itself, so it knows the port; starts the child from
 :func:`~repro.runtime.base.worker_context` (``fork`` where the platform
-has it: a copy of this warm interpreter, nothing booted or re-imported)
-that serves one session on that socket; closes its own copy; and, with
-the whole batch started, dials each and trades the version hellos an
-external worker would.
+has it: a warm copy of this interpreter); closes its own copy; and, with
+the whole batch started, dials each and trades version hellos.  A forked
+child inherits every descriptor the coordinator holds — at recovery,
+the connections to the survivors, which a copy left open would keep from
+ever seeing the coordinator go away — so it closes those first (not
+``os.closerange``: that also closes the pipe ``Process.join`` waits
+on).  It trusts nothing else of its memory image: like an external
+worker it builds its shard from the pickled ``init`` message, so a
+replacement starts from *initial* state until the engine pushes a
+snapshot.
 
-*What a child closes.*  A forked child inherits every descriptor the
-coordinator holds — at recovery, the live connections to the survivors,
-and a copy left open in a sibling would keep a survivor from ever seeing
-the coordinator go away.  The spawner remembers the connections it
-handed out and a child closes its copies before serving (not
-``os.closerange``: that also closes the pipe ``Process.join`` waits on).
-*What it does not trust:* its memory image, which holds whatever the
-coordinator held — graph, session, stale state.  Like an external
-worker it builds its shard from the ``init`` message that crosses the
-wire as a pickle, so a replacement comes up with *initial* state until
-the engine pushes a snapshot.
-
-*Its state plane* — :class:`WirePlane`.  Each worker builds its
-:class:`~repro.runtime.shard.WorkerShard` over arrays it allocates
-itself (:func:`standalone_shard` — the same
-:func:`~repro.runtime.base.allocate_local_state` initialization every
-backend runs) and owns them for the whole run.  The coordinator never
-holds O(|V|·p) state: it sees full arrays only when the engine gathers
-them (checkpoint boundaries, the final gather) through the ``owned`` /
-``restore`` commands, and tracks convergence from the has-active flag
-every reply carries.  Each exchange phase is two round trips —
-**collect** (every shard slices its *outbound* routes) and **apply**
-(the coordinator reroutes the slices by destination and every shard
-runs the unchanged kernel over stand-ins; see
-:mod:`repro.runtime.shard` for why that is exact).  Only changed
-selections travel: per-superstep traffic is proportional to the paper's
-message tallies, not to |V|.
+*Its state plane* — :class:`WirePlane`.  Each worker owns the arrays of
+its :class:`~repro.runtime.shard.WorkerShard` (:func:`standalone_shard`,
+the same :func:`~repro.runtime.base.allocate_local_state` every backend
+runs).  The coordinator never holds O(|V|·p) state: it sees full arrays
+only through the ``owned`` / ``restore`` commands when the engine
+gathers, and tracks convergence from the has-active flag every reply
+carries.  Each launch batch ends by meshing the whole pool
+(:meth:`WirePlane.connect`): every pair of workers connects once,
+authenticated by a per-session token.  An exchange is then **one**
+command: each shard ships its up-phase slices straight to the peers
+that need them, runs the unchanged kernel over stand-ins (see
+:mod:`repro.runtime.shard` for why that is exact), does the same for
+the down phase and replies once — the coordinator moves no replica
+data.  Only changed selections travel, so traffic follows the paper's
+message tallies, not |V|.
 
 *Recovery* — :meth:`WirePlane.recover_workers`.  A worker death
-surfaces as :class:`~repro.runtime.base.WorkerLostError`; for
-coordinator-spawned workers the plane resyncs survivors against an echo
-nonce (draining stale replies of the aborted stage), relaunches the
-dead shards, and the engine pushes the last fingerprint-valid snapshot
-into the whole pool and replays
-(``BSPEngine(..., max_recoveries=...)``).  Sessions over external
-endpoints refuse — the coordinator cannot respawn a process on another
-machine.
+surfaces as :class:`~repro.runtime.base.WorkerLostError`; for workers it
+spawned, the plane resyncs survivors against an echo nonce (draining
+stale replies of the aborted stage), relaunches the dead shards and
+re-meshes the pool, and the engine pushes the last fingerprint-valid
+snapshot and replays (``BSPEngine(..., max_recoveries=...)``).  Sessions
+over external endpoints refuse: the coordinator cannot respawn a
+process on another machine.
 
 *The worker program* — :func:`serve_sessions`: accept, handshake, then
-the shared :func:`~repro.runtime.protocol.serve` loop per connection —
-run by the children and by :func:`serve_worker` (the ``repro worker``
-verb), which binds and prints the address first.
+the shared :func:`~repro.runtime.protocol.serve` loop per connection,
+run by the children and by :func:`serve_worker` (``repro worker``).
 
-Timing caveat: kernel walls are measured with each worker's own
-``CLOCK_MONOTONIC``.  On one host that clock is shared and traces merge
-exactly like the process backend's; across machines the clocks are
-unrelated, so traced barrier/wall spans of a genuinely multi-node run
-are approximate (results are unaffected).
+Kernel walls use each worker's own ``CLOCK_MONOTONIC``: shared on one
+host, so traces merge exactly; unrelated across machines, so traced
+spans of a genuinely multi-node run are approximate (results are not).
 """
 
 from __future__ import annotations
 
+import pickle
+import secrets
 import socket
 import sys
 from multiprocessing.process import BaseProcess
 from time import monotonic, monotonic_ns
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bsp.distributed import DistributedGraph, _Route
 from ..bsp.program import SubgraphProgram
@@ -96,6 +84,7 @@ from .base import (
     worker_context,
 )
 from .protocol import (
+    DEFAULT_STAGE_TIMEOUT,
     INIT_TIMEOUT,
     JOIN_TIMEOUT,
     CommandSession,
@@ -111,12 +100,14 @@ __all__ = ["SocketBackend", "WirePlane", "serve_sessions", "serve_worker", "stan
 
 
 class _TcpLink:
-    """Framed TCP to one worker, plus its ``Process`` if we started it."""
+    """Framed TCP to one worker (at ``host``, which its peers dial too),
+    plus its ``Process`` if we started it."""
 
-    def __init__(self, sock: socket.socket, proc: Optional[BaseProcess] = None):
+    def __init__(self, sock: socket.socket, host: str = "", proc: Optional[BaseProcess] = None):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._proc = proc
+        self.host = host
 
     def send(self, message) -> None:
         try:
@@ -161,8 +152,65 @@ class _TcpLink:
 # ----------------------------------------------------------------------
 
 
-def standalone_shard(payload) -> WorkerShard:
-    """Build a shard that owns its arrays; sibling slots start empty."""
+class _Peers:
+    """One worker's side of the peer mesh.
+
+    ``listen`` binds a port on ``host``, where the coordinator reached
+    this worker.  ``connect`` dials every lower worker id and accepts
+    every higher one — a dial waits in the backlog until accepted, so no
+    order deadlocks — then closes the listener.  A connection whose
+    hello lacks the session token is dropped unread.
+    """
+
+    def __init__(self, worker_id: int, host: str):
+        self.worker_id, self._host = worker_id, host
+        self._listener: Optional[socket.socket] = None
+        self._socks: Dict[int, socket.socket] = {}
+        self._timeout = DEFAULT_STAGE_TIMEOUT
+
+    def listen(self) -> int:
+        self.close()
+        self._listener = wire.listen(self._host, 0)
+        return self._listener.getsockname()[1]
+
+    def connect(self, token: bytes, endpoints: Sequence[Tuple[str, int]], timeout: float) -> None:
+        deadline, self._timeout = monotonic() + timeout, timeout
+        try:
+            for peer in range(self.worker_id):
+                sock = socket.create_connection(endpoints[peer], timeout=_time_left(deadline))
+                self._socks[peer] = sock
+                wire.send_peer_hello(sock, token, self.worker_id)
+            while len(self._socks) < len(endpoints) - 1:
+                self._listener.settimeout(_time_left(deadline))
+                conn, _addr = self._listener.accept()
+                try:
+                    self._socks[wire.expect_peer_hello(conn, token, _time_left(deadline))] = conn
+                except wire.WireError:
+                    conn.close()
+        finally:
+            self._listener.close()
+            self._listener = None
+        for sock in self._socks.values():
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+
+    def trade(self, outbox: Dict[int, Any], sources: Sequence[int]) -> Dict[int, Any]:
+        pickled = {dst: pickle.dumps(data, pickle.HIGHEST_PROTOCOL) for dst, data in outbox.items()}
+        frames = wire.trade_frames(self._socks, pickled, sources, self._timeout)
+        return {src: pickle.loads(frame) for src, frame in frames.items()}
+
+    def close(self) -> None:
+        for sock in self._socks.values():
+            sock.close()
+        self._socks.clear()
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
+
+
+def standalone_shard(payload, host: str = "127.0.0.1") -> WorkerShard:
+    """Build a shard that owns its arrays (sibling slots start empty) and
+    meshes with its peers on ``host``."""
     worker_id, local, program, inbound_up, inbound_down, extra = payload
     num_workers, outbound_up, outbound_down = extra
     own = allocate_local_state(local, program, worker_id)
@@ -179,6 +227,7 @@ def standalone_shard(payload) -> WorkerShard:
         slots,
         outbound_up,
         outbound_down,
+        _Peers(worker_id, host),
     )
 
 
@@ -198,7 +247,8 @@ def serve_sessions(lsock: socket.socket, sessions: int) -> None:
             # locally; then it validates the coordinator's hello.
             wire.send_hello(conn, "worker")
             wire.expect_hello(conn, "coordinator", timeout=INIT_TIMEOUT)
-            serve(link, standalone_shard)
+            host = conn.getsockname()[0]
+            serve(link, lambda init: standalone_shard(init, host))
             served += 1
         except wire.WireError as exc:
             # Handshake failure: report, drop the connection, keep
@@ -211,16 +261,16 @@ def serve_sessions(lsock: socket.socket, sessions: int) -> None:
 def serve_worker(listen: str, sessions: int = 1) -> int:
     """Run a standalone socket-backend worker (the ``repro worker`` verb).
 
-    Binds ``listen`` (``host:port``; port 0 picks a free one), announces
-    the bound address on stdout as ``REPRO-WORKER listening host:port``
-    for whoever launched it, then serves ``sessions`` coordinator
-    sessions (:func:`serve_sessions`) before returning.
+    Binds ``listen`` (``host:port`` or ``[v6]:port``; port 0 picks a
+    free one), announces the bound address on stdout as
+    ``REPRO-WORKER listening host:port`` for whoever launched it, then
+    serves ``sessions`` coordinator sessions (:func:`serve_sessions`)
+    before returning.
     """
-    host, port = wire.parse_hostport(listen)
-    lsock = socket.create_server((host, port))
+    lsock = wire.listen(*wire.parse_hostport(listen))
     try:
-        bound_host, bound_port = lsock.getsockname()[:2]
-        print(f"REPRO-WORKER listening {bound_host}:{bound_port}", flush=True)
+        bound = wire.format_hostport(*lsock.getsockname()[:2])
+        print(f"REPRO-WORKER listening {bound}", flush=True)
         serve_sessions(lsock, sessions)
     finally:
         lsock.close()
@@ -259,11 +309,12 @@ def _dial(
     try:
         sock = socket.create_connection((host, port), timeout=_time_left(deadline))
     except OSError as exc:
+        where = wire.format_hostport(host, port)
         raise BackendError(
-            f"cannot connect to worker at {host}:{port}: {exc} "
-            f"(is `repro worker --listen {host}:{port}` running?)"
+            f"cannot connect to worker at {where}: {exc} "
+            f"(is `repro worker --listen {where}` running?)"
         ) from exc
-    link = _TcpLink(sock, proc)
+    link = _TcpLink(sock, host, proc)
     try:
         wire.expect_hello(sock, "worker", timeout=_time_left(deadline))
         wire.send_hello(sock, "coordinator")
@@ -339,16 +390,18 @@ class _Spawner:
 
 
 class WirePlane(StatePlane):
-    """State owned by the workers; updates rerouted through the coordinator."""
+    """State owned by the workers; updates traded peer to peer."""
 
     def __init__(self, spawned: bool):
         #: dead workers can be replaced only if we launched them.
         self.supports_recovery = spawned
         self._nonce = 0
+        #: proves a peer connection comes from this session's workers.
+        self._token = secrets.token_bytes(wire.TOKEN_BYTES)
 
     def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
         # Nothing to allocate here; each worker is told the pool size and
-        # its per-source route slices — what it ships when collecting.
+        # its per-source route slices — what it ships in an exchange.
         p = dgraph.num_workers
         outbound_up: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
         outbound_down: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
@@ -358,36 +411,33 @@ class WirePlane(StatePlane):
             outbound_down[mw].append((w, route))
         return [(p, outbound_up[w], outbound_down[w]) for w in range(p)]
 
+    def connect(self, session: CommandSession) -> None:
+        """(Re)form the whole pool's peer mesh: every worker opens a
+        listener and reports its port, then connects to every sibling at
+        (the host we dialled for it, the port it reported)."""
+        session.broadcast("listen")
+        ports = session.results()
+        endpoints = [(link.host, port) for link, port in zip(session.links, ports)]
+        session.broadcast("mesh", (self._token, endpoints, session.stage_timeout))
+        session.results()
+
     def exchange(self, session: CommandSession, superstep: int):
-        return self._phase(session, "up", superstep), self._phase(session, "down", superstep)
-
-    def _phase(self, session: CommandSession, phase: str, superstep: int):
-        """One collect → reroute → apply round over every worker.
-
-        Collecting every reply before the apply scatter is the
-        mid-exchange barrier (and, in the up phase, the up/down barrier
-        the kernels require).
-        """
-        rec = session.recorder
+        """One command: each worker trades both phases with its peers."""
         t0 = monotonic_ns()
-        session.broadcast(f"collect_{phase}")
-        collected = session.results()
-        t1 = monotonic_ns()
-        inboxes: List[Dict[int, object]] = [{} for _ in collected]
-        for src, (outbox, c0, c1) in enumerate(collected):
-            if rec.enabled:
-                rec.add(f"wire.collect.{phase}", c0, c1, src, superstep, "wire")
-            for dst, data in outbox.items():
-                inboxes[dst][src] = data
+        session.broadcast("exchange")
+        # A worker gives a silent peer ``stage_timeout`` per phase before
+        # replying with an error naming it; that verdict must arrive
+        # before our own wait runs out.
+        replies = session.results(2 * session.stage_timeout)
+        rec = session.recorder
         if rec.enabled:
-            # Coordinator-side walls: the whole collect round trip
-            # (serialize + send + recv) and the apply scatter send.
-            rec.add(f"wire.recv.{phase}", t0, t1, None, superstep, "wire")
-        s0 = monotonic_ns()
-        session.scatter(f"apply_{phase}", inboxes)
-        if rec.enabled:
-            rec.add(f"wire.send.{phase}", s0, monotonic_ns(), None, superstep, "wire")
-        return session.results()
+            # Coordinator-side wall: the one round trip; per worker, the
+            # window of each phase's trade, on the worker's own clock.
+            rec.add("wire.exchange", t0, monotonic_ns(), None, superstep, "wire")
+            for w, (_, _, windows) in enumerate(replies):
+                for phase, (p0, p1) in zip(("up", "down"), windows):
+                    rec.add(f"wire.peer.{phase}", p0, p1, w, superstep, "wire")
+        return [up for up, _, _ in replies], [down for _, down, _ in replies]
 
     # -- state access -----------------------------------------------------
 
@@ -451,7 +501,7 @@ def _parse_workers(workers) -> List[Tuple[str, int]]:
         entries = list(workers)
     if not entries:
         raise ValueError("workers= names no endpoints")
-    return [wire.parse_hostport(entry.strip()) for entry in entries]
+    return _distinct([wire.parse_hostport(entry.strip()) for entry in entries])
 
 
 def _read_topology(path: str) -> List[Tuple[str, int]]:
@@ -464,6 +514,15 @@ def _read_topology(path: str) -> List[Tuple[str, int]]:
                 endpoints.append(wire.parse_hostport(entry))
     if not endpoints:
         raise ValueError(f"topology file {path!r} names no workers")
+    return _distinct(endpoints)
+
+
+def _distinct(endpoints: List[Tuple[str, int]]) -> List[Tuple[str, int]]:
+    """``endpoints``, refusing a repeat: a worker serves one session at a time."""
+    for i, endpoint in enumerate(endpoints):
+        if endpoint in endpoints[:i]:
+            where = wire.format_hostport(*endpoint)
+            raise ValueError(f"worker endpoint {where} is listed twice (it serves one session)")
     return endpoints
 
 

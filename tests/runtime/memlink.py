@@ -8,12 +8,14 @@ wire plane's :func:`~repro.runtime.socket.standalone_shard`.  Messages
 are pickled across the queues, so the two sides share no arrays — what
 a real transport guarantees and the stand-in logic relies on.
 
-This is what makes the wire plane (collect → reroute → apply,
-index-compacted stand-ins, ``owned``/``restore``) reachable without
-spawning TCP subprocesses: :func:`memory_session` is the real
+This is what makes the wire plane (the peer mesh, the one-command
+exchange, index-compacted stand-ins, ``owned``/``restore``) reachable
+without spawning TCP subprocesses: :func:`memory_session` is the real
 :class:`~repro.runtime.protocol.CommandSession` over the real
-:class:`~repro.runtime.socket.WirePlane`; only the bytes never touch a
-socket.
+:class:`~repro.runtime.socket.WirePlane`.  Only the coordinator's
+commands and replies skip the socket; the worker threads mesh over real
+loopback peer connections and trade replica updates on them, as TCP
+workers do.
 """
 
 import pickle
@@ -52,6 +54,9 @@ def serve_standalone(end: _WorkerEnd) -> None:
 
 class MemoryLink:
     """Coordinator end of a queue pair; ``worker(end)`` runs on a thread."""
+
+    #: where the worker's peers dial it (its listener binds there too).
+    host = "127.0.0.1"
 
     def __init__(self, worker=serve_standalone):
         self._to_worker: queue.Queue = queue.Queue()

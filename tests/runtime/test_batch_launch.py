@@ -212,18 +212,26 @@ def _sockets_of(pid):
 @needs_proc
 def test_a_worker_holds_only_its_listening_socket_and_its_connection(dgraph, program):
     """A forked child inherits what the coordinator holds: at recovery,
-    the live connections to the survivors."""
+    the live connections to the survivors.  Besides its listening socket
+    and its connection, a worker holds exactly its ``P - 1`` peer
+    connections — none of them a copy of one the coordinator holds."""
     # What this process held before the session is not the session's to
     # close (under a CI runner or pytest's capture, stdin may be a socket).
     before = _sockets_of(os.getpid())
+
+    def assert_own_sockets_only(session):
+        coordinator = _sockets_of(os.getpid()) - before
+        for link in session.links:
+            held = _sockets_of(link._proc.pid) - before
+            assert len(held) == 2 + (P - 1)
+            assert not held & coordinator
+
     with SocketBackend().session(dgraph, program) as session:
         session.compute_stage(0)
-        for link in session.links:
-            assert len(_sockets_of(link._proc.pid) - before) <= 2
+        assert_own_sockets_only(session)
         _kill_workers(session, (1, 2))
         assert session.recover_workers() == [1, 2]
-        for link in session.links:
-            assert len(_sockets_of(link._proc.pid) - before) <= 2
+        assert_own_sockets_only(session)
         session.compute_stage(0)
 
 

@@ -62,17 +62,23 @@ class SleepyCC(ConnectedComponents):
 
 
 def misbehave(end, mode: str) -> None:
-    """A worker that acks ``init`` and then breaks the conversation.
+    """A worker that acks the launch and then breaks the conversation.
 
-    ``end`` is any object with ``recv()``/``send(message)``.  After the
-    first stage command it either never answers (``mode="silent"`` — a
-    hung remote worker) or answers with a non-``(status, payload)``
-    object (``mode="malformed"`` — a desynced/foreign peer); then it
-    holds the link open, ignoring everything but ``stop``.
+    ``end`` is any object with ``recv()``/``send(message)``.  It acks
+    ``init`` and the wire plane's two mesh commands (``listen``,
+    ``mesh``) without meshing.  After the first stage command it either
+    never answers (``mode="silent"`` — a hung remote worker) or answers
+    with a non-``(status, payload)`` object (``mode="malformed"`` — a
+    desynced/foreign peer); then it holds the link open, ignoring
+    everything but ``stop``.
     """
     cmd, _payload = end.recv()
     assert cmd == "init"
     end.send(("ready", False))
+    for launch_command in ("listen", "mesh"):
+        cmd, _payload = end.recv()
+        assert cmd == launch_command
+        end.send(("ok", (None, False)))
     end.recv()  # the first stage command
     if mode == "malformed":
         end.send("this is not a (status, payload) pair")

@@ -14,6 +14,8 @@ import pickle
 import socket
 import struct
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,21 @@ def test_bad_magic_is_frame_error(pair):
         wire.recv_frame(b, timeout=5.0)
 
 
+def test_a_lying_length_allocates_nothing_until_bytes_arrive(pair):
+    """A header claiming 1 GiB, then a close: truncation, not a 1 GiB buffer."""
+    a, b = pair
+    a.sendall(struct.Struct(">4sQ").pack(b"RBW\x01", 1 << 30) + b"z" * 100)
+    a.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(wire.FrameError, match="truncated"):
+            wire.recv_frame(b, timeout=5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_oversize_frame_rejected_without_allocation(pair):
     a, b = pair
     a.sendall(struct.Struct(">4sQ").pack(b"RBW\x01", wire.MAX_FRAME_BYTES + 1))
@@ -200,12 +217,13 @@ def test_hello_round_trip(pair):
     assert msg["version"] == wire.WIRE_VERSION
 
 
-@pytest.mark.parametrize("peer_version", [1, wire.WIRE_VERSION + 1])
+@pytest.mark.parametrize("peer_version", [1, 2, wire.WIRE_VERSION + 1])
 def test_version_mismatch_is_protocol_error(pair, peer_version):
-    """Version 1 is the pre-shard ``init`` payload and command names: a
-    worker (or coordinator) from that checkout is refused at the hello,
-    not inside ``init`` unpacking."""
-    assert wire.WIRE_VERSION == 2
+    """Version 1 is the pre-shard ``init`` payload and command names,
+    version 2 the coordinator-rerouted exchange: a worker (or
+    coordinator) from either checkout is refused at the hello, not
+    inside ``init`` unpacking or at the first exchange."""
+    assert wire.WIRE_VERSION == 3
     a, b = pair
     wire.send_msg(
         a, {"kind": "repro-wire-hello", "version": peer_version, "role": "worker"}
@@ -240,13 +258,131 @@ def test_non_hello_opening_is_protocol_error(pair):
         ("localhost:7001", ("localhost", 7001)),
         ("127.0.0.1:0", ("127.0.0.1", 0)),
         ("node-3.cluster:65535", ("node-3.cluster", 65535)),
+        ("[::1]:7001", ("::1", 7001)),
+        ("::1:0", ("::1", 0)),
+        ("[fe80::2%eth0]:9", ("fe80::2%eth0", 9)),
     ],
 )
 def test_parse_hostport(spec, expected):
     assert wire.parse_hostport(spec) == expected
+    assert wire.parse_hostport(wire.format_hostport(*expected)) == expected
 
 
-@pytest.mark.parametrize("spec", ["nohost", ":7001", "host:", "host:port", "h:70000"])
+def test_format_hostport_brackets_only_ipv6():
+    assert wire.format_hostport("127.0.0.1", 80) == "127.0.0.1:80"
+    assert wire.format_hostport("::1", 80) == "[::1]:80"
+
+
+@pytest.mark.parametrize(
+    "spec", ["nohost", ":7001", "host:", "host:port", "h:70000", "[]:7001", "[::1]:port"]
+)
 def test_parse_hostport_rejects(spec):
     with pytest.raises(ValueError):
         wire.parse_hostport(spec)
+
+
+# ----------------------------------------------------------------------
+# Worker-to-worker connections
+# ----------------------------------------------------------------------
+
+TOKEN = bytes(range(wire.TOKEN_BYTES))
+
+
+def test_peer_hello_names_the_dialer(pair):
+    a, b = pair
+    wire.send_peer_hello(a, TOKEN, 7)
+    assert wire.expect_peer_hello(b, TOKEN, timeout=5.0) == 7
+
+
+HELLO = struct.Struct(f">B{wire.TOKEN_BYTES}sI")
+VERSION = wire.WIRE_VERSION
+
+
+@pytest.mark.parametrize(
+    "send, error",
+    [
+        (lambda a: wire.send_frame(a, HELLO.pack(VERSION, bytes(wire.TOKEN_BYTES), 1)), "refused"),
+        (lambda a: wire.send_frame(a, HELLO.pack(VERSION - 1, TOKEN, 1)), "refused"),
+        (lambda a: wire.send_frame(a, HELLO.pack(VERSION, TOKEN, 1) + b"!"), "exceeds"),
+        (lambda a: wire.send_msg(a, ("compute", 0)), "exceeds|refused"),
+        (lambda a: a.sendall(pickle.dumps(("compute", 0))), "magic"),
+    ],
+    ids=["wrong-token", "wrong-version", "oversize", "a-message", "raw-pickle"],
+)
+def test_peer_hello_refuses_strangers_unread(pair, send, error):
+    a, b = pair
+    send(a)
+    with pytest.raises(wire.WireError, match=error):
+        wire.expect_peer_hello(b, TOKEN, timeout=5.0)
+
+
+@pytest.fixture()
+def peers():
+    """Two non-blocking ends of one connection, as a mesh holds them."""
+    a, b = socket.socketpair()
+    for sock in (a, b):
+        sock.setblocking(False)
+    yield a, b
+    a.close()
+    b.close()
+
+
+def test_trade_is_one_frame_each_way(peers):
+    a, b = peers
+    got = {}
+    t = threading.Thread(
+        target=lambda: got.update(b=wire.trade_frames({"a": b}, {"a": b"from-b"}, ["a"], 5.0))
+    )
+    t.start()
+    got["a"] = wire.trade_frames({"b": a}, {"b": b"from-a"}, ["b"], 5.0)
+    t.join(timeout=10)
+    assert got == {"a": {"b": b"from-b"}, "b": {"a": b"from-a"}}
+
+
+def test_large_frames_both_ways_at_once_do_not_deadlock(peers):
+    """Each side ships 8 MiB while the other does: send-all-then-receive
+    would leave both blocked in ``sendall`` with full socket buffers."""
+    a, b = peers
+    big_a, big_b = b"a" * (8 << 20), b"b" * (8 << 20)
+    got = {}
+    t0 = time.monotonic()
+    t = threading.Thread(
+        target=lambda: got.update(b=wire.trade_frames({"a": b}, {"a": big_b}, ["a"], 10.0))
+    )
+    t.start()
+    got["a"] = wire.trade_frames({"b": a}, {"b": big_a}, ["b"], 10.0)
+    t.join(timeout=20)
+    assert time.monotonic() - t0 < 10.0
+    assert got["a"] == {"b": big_b} and got["b"] == {"a": big_a}
+
+
+def test_a_later_frame_waits_for_the_next_trade(peers):
+    """Two frames queued back to back: each trade takes exactly one."""
+    a, b = peers
+    wire.trade_frames({"b": a}, {"b": b"first"}, [], 5.0)
+    wire.trade_frames({"b": a}, {"b": b"second"}, [], 5.0)
+    assert wire.trade_frames({"a": b}, {}, ["a"], 5.0) == {"a": b"first"}
+    assert wire.trade_frames({"a": b}, {}, ["a"], 5.0) == {"a": b"second"}
+
+
+def test_a_silent_peer_is_named(peers):
+    _a, b = peers
+    message = r"peer a did not trade within 0.2s \(still waiting on \['a'\]\)"
+    with pytest.raises(wire.WireTimeout, match=message):
+        wire.trade_frames({"a": b}, {}, ["a"], 0.2)
+
+
+def test_a_closed_peer_is_named(peers):
+    a, b = peers
+    a.close()
+    with pytest.raises(wire.ConnectionClosed, match="peer 3: connection closed by peer"):
+        wire.trade_frames({3: b}, {}, [3], 5.0)
+
+
+def test_a_peer_closing_mid_frame_is_truncation(peers):
+    a, b = peers
+    a.setblocking(True)
+    a.sendall(struct.Struct(">4sQ").pack(b"RBW\x01", 100) + b"x" * 10)
+    a.close()
+    with pytest.raises(wire.FrameError, match="peer 1: truncated frame"):
+        wire.trade_frames({1: b}, {}, [1], 5.0)

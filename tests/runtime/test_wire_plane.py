@@ -1,30 +1,36 @@
 """The wire plane, driven through the real pool session, in memory.
 
-The socket backend's half of the runtime — collect → reroute → apply,
-index-compacted stand-ins for sibling arrays, ``owned``/``restore`` in
-place of shared state, convergence tracked from reply flags — used to be
-reachable only through spawned TCP subprocesses
-(``test_backend_equivalence.py``, ~0.5 s of interpreter start-up per
-session).  Here the same :class:`~repro.runtime.protocol.CommandSession`
+The socket backend's half of the runtime — the peer mesh and the
+one-command exchange, index-compacted stand-ins for sibling arrays,
+``owned``/``restore`` in place of shared state, convergence tracked from
+reply flags — used to be reachable only through spawned TCP
+subprocesses (``test_backend_equivalence.py``, ~0.5 s of interpreter
+start-up per session).  Here the same :class:`~repro.runtime.protocol.CommandSession`
 and :class:`~repro.runtime.socket.WirePlane` run over the in-memory link
 (``memlink.py``: two queues, ``serve()`` on a thread, every message
-pickled), so every app is checked against ``serial`` in milliseconds —
-and, separately, once over real ``serve_worker`` endpoints the session
-did not spawn.
+pickled, replica updates over real loopback peer sockets), so every app
+is checked against ``serial`` in milliseconds — and, separately, once
+over real ``serve_worker`` endpoints the session did not spawn.
 """
+
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from memlink import memory_session
+from memlink import MemoryLink, memory_session, serve_standalone
 from repro.bsp import BSPEngine, build_distributed_graph
 from repro.checkpoint import list_snapshots, load_snapshot
 from repro.checkpoint.writer import state_arrays
-from repro.graph import powerlaw_graph
-from repro.partition import EBVPartitioner
+from repro.graph import generate_graph, powerlaw_graph
+from repro.obs import TraceRecorder, validate_chrome_trace, write_chrome_trace
+from repro.partition import DBHPartitioner, EBVPartitioner
 from repro.pipeline import APPS
-from repro.runtime import Backend, BackendError, SocketBackend
-from repro.runtime.socket import WirePlane
+from repro.runtime import Backend, BackendError, SocketBackend, WorkerLostError
+from repro.runtime.base import finish_exchange_stage
+from repro.runtime.protocol import CommandSession, serve
+from repro.runtime.socket import WirePlane, standalone_shard
 
 PARTS = (2, 4)
 
@@ -149,3 +155,181 @@ def test_endpoint_count_must_match_the_partition(dgraphs, graph):
     backend = SocketBackend(workers="127.0.0.1:1+127.0.0.1:2+127.0.0.1:3")
     with pytest.raises(BackendError, match="names 3 workers but the graph is partitioned for p=2"):
         backend.session(dgraphs[2], APPS.create("cc", graph))
+
+
+@pytest.mark.parametrize(
+    "workers",
+    ["127.0.0.1:7001+localhost:7002+127.0.0.1:7001", ["[::1]:9", "[::1]:9"]],
+)
+def test_a_repeated_endpoint_is_refused_when_the_spec_is_parsed(workers):
+    """A ``repro worker`` serves one session at a time: the second use of
+    an endpoint could only wait out ``connect_timeout``."""
+    with pytest.raises(ValueError, match=r"worker endpoint \S+ is listed twice"):
+        SocketBackend(workers=workers)
+
+
+def test_a_repeated_topology_entry_is_refused(tmp_path, dgraphs, graph):
+    topology = tmp_path / "topo.txt"
+    topology.write_text("127.0.0.1:7001\n# the same again\n127.0.0.1:7001\n")
+    with pytest.raises(ValueError, match="127.0.0.1:7001 is listed twice"):
+        SocketBackend(topology=str(topology)).session(dgraphs[2], APPS.create("cc", graph))
+
+
+class CountingLink(MemoryLink):
+    """A memory link that tallies the commands the coordinator sends."""
+
+    def __init__(self, sent: Counter, worker=serve_standalone):
+        super().__init__(worker)
+        self._sent = sent
+
+    def send(self, message) -> None:
+        self._sent[message[0]] += 1
+        super().send(message)
+
+
+@pytest.mark.parametrize("app", ["cc", "pr"])
+def test_a_superstep_is_two_coordinator_commands(app, graph, dgraphs):
+    """``compute`` and one ``exchange`` per worker and superstep; replica
+    updates never pass through the coordinator.  The launch adds
+    ``init`` + ``listen`` + ``mesh`` and the final gather one ``owned``."""
+    p = 4
+    sent = Counter()
+    backend = MemoryWireBackend()
+    backend.session = lambda dgraph, program: CommandSession(
+        "socket", dgraph, program, lambda ws: [CountingLink(sent) for _ in ws],
+        WirePlane(spawned=False), 60.0,
+    )
+    run = BSPEngine(backend=backend).run(dgraphs[p], APPS.create(app, graph))
+    steps = run.num_supersteps
+    assert sent == Counter(
+        init=p, listen=p, mesh=p, compute=steps * p, exchange=steps * p, owned=p, stop=p
+    )
+
+
+def test_a_traced_exchange_is_one_round_trip_with_per_worker_trades(graph, dgraphs, tmp_path):
+    """The coordinator records one ``wire.exchange`` span per superstep
+    (no worker); each worker reports one ``wire.peer.up`` and one
+    ``wire.peer.down`` trade window per superstep, on its own lane, and
+    every lane still nests: a worker's up-phase barrier ends where its
+    peer-to-peer down phase begins."""
+    p, rec = 4, TraceRecorder()
+    run = BSPEngine(backend=MemoryWireBackend(), recorder=rec).run(
+        dgraphs[p], APPS.create("pr", graph)
+    )
+    spans = Counter((s.name, s.worker is None) for s in rec.spans() if s.cat == "wire")
+    steps = run.num_supersteps
+    assert spans[("wire.exchange", True)] == steps
+    for phase in ("up", "down"):
+        assert spans[(f"wire.peer.{phase}", False)] == p * steps
+    assert not {name for name, _ in spans} - {
+        "wire.exchange", "wire.peer.up", "wire.peer.down", "wire.pull_state"
+    }
+    assert validate_chrome_trace(write_chrome_trace(rec, str(tmp_path / "wire.json")))
+
+
+def test_an_up_barrier_ends_where_the_worker_began_its_down_phase(tmp_path):
+    """Worker 0 finishes its whole peer-to-peer exchange while worker 1
+    is still in its up kernel: worker 0's up-phase barrier stops at its
+    own down start, or its down barrier would straddle it."""
+    rec, counts = TraceRecorder(), np.zeros(2, dtype=np.int64)
+    ups = [((counts, 0.0), 1_000, 2_000), ((counts, 0.0), 1_000, 9_000)]
+    downs = [(counts, 3_000, 4_000), (counts, 9_500, 10_000)]
+    finish_exchange_stage(rec, 0, ups, downs)
+    barriers = {
+        s.worker: (s.t0_ns, s.t1_ns) for s in rec.spans() if s.name == "barrier.exchange.up"
+    }
+    assert barriers == {0: (2_000, 3_000), 1: (9_000, 9_000)}
+    assert validate_chrome_trace(write_chrome_trace(rec, str(tmp_path / "phases.json")))
+
+
+def test_a_traced_socket_run_nests_on_every_lane(tmp_path):
+    """Spawned workers run truly in parallel: a worker's down-phase trade
+    runs while slower workers are still in their up kernels — inside its
+    own up-phase barrier span — and every lane must still nest."""
+    road = generate_graph("road", vertices=25_000, seed=20210707)
+    dgraph = build_distributed_graph(DBHPartitioner().partition(road, 4))
+    rec = TraceRecorder()
+    BSPEngine(backend=SocketBackend(), recorder=rec).run(dgraph, APPS.create("cc", road))
+    assert validate_chrome_trace(write_chrome_trace(rec, str(tmp_path / "socket.json")))
+
+
+def _swallow_exchanges(end):
+    """A real worker that never sees (so never trades or answers) an ``exchange``."""
+
+    class Deaf:
+        def recv(self):
+            while True:
+                message = end.recv()
+                if message[0] != "exchange":
+                    return message
+
+        send, close = end.send, end.close
+
+    serve_standalone(Deaf())
+
+
+def _dies_at_exchange(end):
+    """A real worker whose thread ends when an ``exchange`` arrives.
+
+    Its peer connections drop only once the thread is gone — the order
+    a killed process's do — mid-exchange for the peers already trading.
+    """
+    me = threading.current_thread()
+
+    def make_shard(init):
+        shard = standalone_shard(init)
+
+        def close_once_dead():
+            me.join()
+            shard.peers.close()
+
+        shard.close = lambda: threading.Thread(target=close_once_dead, daemon=True).start()
+        return shard
+
+    class Dying:
+        def recv(self):
+            message = end.recv()
+            if message[0] == "exchange":
+                raise EOFError("killed")
+            return message
+
+        send, close = end.send, end.close
+
+    serve(Dying(), make_shard)
+
+
+def _pool_with(victim, worker, p, stage_timeout=60.0):
+    def spawn(workers):
+        return [MemoryLink(worker if w == victim else serve_standalone) for w in workers]
+
+    def open_session(dgraph, program):
+        return CommandSession(
+            "socket", dgraph, program, spawn, WirePlane(spawned=False), stage_timeout
+        )
+
+    return open_session
+
+
+def test_a_peer_killed_mid_exchange_is_a_lost_worker(graph, dgraphs):
+    """The survivors report the broken peer connection as an error reply
+    before the coordinator reads the dead link; the session still names
+    the dead worker, typed, so the engine's recovery path sees it."""
+    open_session = _pool_with(3, _dies_at_exchange, 4)
+    with open_session(dgraphs[4], APPS.create("cc", graph)) as session:
+        session.compute_stage(0)
+        with pytest.raises(WorkerLostError, match="worker 3 died unexpectedly") as excinfo:
+            session.exchange_stage(0)
+        assert excinfo.value.worker_id == 3
+        assert str(excinfo.value.__cause__).startswith("worker 0 failed")
+        with pytest.raises(BackendError, match="session is failed"):
+            session.compute_stage(1)
+
+
+def test_a_silent_peer_is_named_by_its_neighbours_within_the_timeout(graph, dgraphs):
+    open_session = _pool_with(1, _swallow_exchanges, 2, stage_timeout=0.5)
+    with open_session(dgraphs[2], APPS.create("cc", graph)) as session:
+        session.compute_stage(0)
+        with pytest.raises(BackendError, match="peer 1 did not trade within 0.5s") as excinfo:
+            session.exchange_stage(0)
+        assert not isinstance(excinfo.value, WorkerLostError)
+        assert str(excinfo.value).startswith("worker 0 failed")

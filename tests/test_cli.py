@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -236,6 +237,32 @@ class TestRun:
              "--backend", "thread?max_workers=1"]
         ) == 0
         assert "thread" in capsys.readouterr().out
+
+    def test_unreachable_socket_worker_is_an_error_line(self, edge_file, capsys):
+        """``BackendError`` is inside the CLI's error boundary: no traceback."""
+        probes = [socket.socket() for _ in range(2)]
+        for probe in probes:
+            probe.bind(("127.0.0.1", 0))
+        ports = [probe.getsockname()[1] for probe in probes]
+        for probe in probes:
+            probe.close()  # nothing listens there now
+        workers = "+".join(f"127.0.0.1:{port}" for port in ports)
+        assert main(
+            ["run", edge_file, "--app", "CC", "--workers", "2",
+             "--backend", f"socket?workers={workers}"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot connect to worker at 127.0.0.1:{ports[0]}")
+        assert "Traceback" not in err
+
+    def test_repeated_socket_worker_endpoint_is_an_error_line(self, edge_file, capsys):
+        """Refused when the spec is parsed, not after ``connect_timeout``."""
+        assert main(
+            ["run", edge_file, "--app", "CC", "--workers", "2",
+             "--backend", "socket?workers=127.0.0.1:7001+127.0.0.1:7001"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "127.0.0.1:7001 is listed twice" in err
 
     def test_unknown_backend_rejected_with_available_names(self, capsys):
         with pytest.raises(SystemExit):
