@@ -12,8 +12,8 @@ and a ``spill/`` directory next to the snapshots)::
 
 Payload: the per-worker state arrays in sorted ``kind_wwwww`` order,
 then the five stacked ``(k, p)`` superstep arrays; no header or padding.
-The manifest's ordered table ``"arrays": [[name, dtype.str, shape], ...]``
-says what the bytes are; its byte total equals the payload's length.
+The manifest's ordered :mod:`repro.arraytable` table ``"arrays"`` says
+what the bytes are; its byte total equals the payload's length.
 ``real_seconds`` (measured walls) stays in the manifest, outside the
 hashed payload, so the same job writes byte-identical payloads on every
 backend, traced or not.
@@ -21,8 +21,8 @@ backend, traced or not.
 Integrity: each buffer is fed to a running SHA-256 *as it is written*,
 never re-read.  :func:`load_snapshot` reads the payload once and checks
 its length ("torn") and digest ("checksum") against the manifest before
-it interprets a single array; the table is outside input and is
-validated before any ``np.frombuffer`` (read-only views of one buffer).
+it interprets a single array; the table is outside input, validated by
+:func:`repro.arraytable.views` before a byte is read as an array.
 
 Atomicity: staged in ``root/.tmp-step-*`` (payload written and fsynced,
 then the manifest), renamed into place, root fsynced: three fsyncs.  A
@@ -42,10 +42,11 @@ import os
 import re
 import shutil
 from dataclasses import dataclass
-from math import prod
 from typing import Any, Dict, List, Optional
 
 import numpy as np
+
+from ..arraytable import ArrayTableError, describe, views
 
 __all__ = [
     "CheckpointError",
@@ -177,20 +178,18 @@ def write_snapshot(
         shutil.rmtree(tmp_dir)
     os.makedirs(tmp_dir)
     try:
-        named = [
-            (f"{kind}_{w:05d}", arr)
+        named = {
+            f"{kind}_{w:05d}": np.ascontiguousarray(arr)
             for kind, worker_arrays in sorted(arrays.items())
             for w, arr in enumerate(worker_arrays)
-        ] + list(_stack_supersteps(supersteps, meta["num_workers"]).items())
+        }
+        named.update(_stack_supersteps(supersteps, meta["num_workers"]))
         # The payload must be durable before the rename publishes the
         # snapshot — otherwise power loss after the rename commits can
         # leave a published snapshot whose data never reached disk.
-        table = []
         digest = hashlib.sha256()
         with open(os.path.join(tmp_dir, _PAYLOAD), "wb") as fh:
-            for name, arr in named:
-                arr = np.ascontiguousarray(arr)
-                table.append([name, arr.dtype.str, list(arr.shape)])
+            for arr in named.values():
                 digest.update(arr)
                 fh.write(arr)
             size = fh.tell()
@@ -205,7 +204,7 @@ def write_snapshot(
             "fingerprint": fingerprint,
             "meta": dict(meta),
             "array_kinds": sorted(arrays),
-            "arrays": table,
+            "arrays": describe(named),
             "real_seconds": [
                 {k: float(v) for k, v in s.real_seconds.items()} for s in supersteps
             ],
@@ -340,39 +339,6 @@ def load_snapshot(path: str) -> Snapshot:
     return _load_snapshot_dir(path)
 
 
-def _slice_payload(path: str, table: Any, payload: bytes) -> Dict[str, np.ndarray]:
-    """Validate the manifest's table (outside input), then slice read-only views."""
-    bad = f"checkpoint manifest in {path!r} has an invalid array table: "
-    if not isinstance(table, list):
-        raise CheckpointError(bad + "'arrays' is missing or not a list")
-    specs: Dict[str, tuple] = {}
-    offset = 0
-    for entry in table:
-        if not (
-            isinstance(entry, list)
-            and [type(field) for field in entry] == [str, str, list]
-            and all(type(dim) is int and dim >= 0 for dim in entry[2])
-        ):
-            raise CheckpointError(bad + f"{entry!r} is not [name, dtype, [ints >= 0]]")
-        name, dtype_str, shape = entry
-        try:
-            dtype = np.dtype(dtype_str)
-        except TypeError:
-            dtype = None
-        if dtype is None or dtype.kind not in "biuf":
-            raise CheckpointError(bad + f"{name!r} is {dtype_str!r}, not a bool/int/uint/float")
-        if name in specs:
-            raise CheckpointError(bad + f"array {name!r} is listed twice")
-        specs[name] = (dtype, shape, offset)
-        offset += prod(shape) * dtype.itemsize
-    if offset != len(payload):
-        raise CheckpointError(bad + f"it covers {offset} bytes, the payload holds {len(payload)}")
-    return {
-        name: np.frombuffer(payload, dtype, prod(shape), start).reshape(shape)
-        for name, (dtype, shape, start) in specs.items()
-    }
-
-
 def _load_snapshot_dir(path: str) -> Snapshot:
     """Strictly load one specific snapshot directory."""
     manifest = _load_manifest(path)
@@ -397,7 +363,12 @@ def _load_snapshot_dir(path: str) -> Snapshot:
             f"checksum mismatch for checkpoint payload {payload_path!r} "
             "(torn or corrupted write); refusing to resume"
         )
-    items = _slice_payload(path, manifest.get("arrays"), payload)
+    try:
+        items = views(manifest.get("arrays"), payload)
+    except ArrayTableError as exc:
+        raise CheckpointError(
+            f"checkpoint manifest in {path!r} has an invalid array table: {exc}"
+        ) from exc
 
     meta = manifest.get("meta") or {}
     superstep = int(manifest["superstep"])

@@ -222,21 +222,22 @@ def _partition(ctx) -> None:
 
 def _spill_and_assemble(ctx, spill_dir: str, reuse: bool, overwrite: bool) -> None:
     """The out-of-core partition sequence, shared by both spill locations."""
-    spilled = None
     if reuse and os.path.isfile(os.path.join(spill_dir, "manifest.json")):
         try:
-            spilled = SpilledPartition(spill_dir)
+            _assemble(ctx, SpilledPartition(spill_dir))
+            return
         except StreamError:
-            # A spill damaged by the crash must not block resume:
-            # re-spilling is deterministic, so fall through to it.
-            spilled = None
-    if spilled is None:
-        t0 = monotonic_ns()
-        spilled = stream_partition(
-            ctx.stream, ctx.partitioner, ctx.parts, spill_dir,
-            overwrite=overwrite, recorder=ctx.rec,
-        )
-        ctx.walls["partition.spill"] = (monotonic_ns() - t0) * 1e-9
+            pass  # damaged by the crash (manifest or shards): re-spill, deterministically
+    t0 = monotonic_ns()
+    spilled = stream_partition(
+        ctx.stream, ctx.partitioner, ctx.parts, spill_dir,
+        overwrite=overwrite, recorder=ctx.rec,
+    )
+    ctx.walls["partition.spill"] = (monotonic_ns() - t0) * 1e-9
+    _assemble(ctx, spilled)
+
+
+def _assemble(ctx, spilled: SpilledPartition) -> None:
     t0 = monotonic_ns()
     ctx.result = spilled.assemble()
     ctx.walls["partition.assemble"] = (monotonic_ns() - t0) * 1e-9

@@ -41,8 +41,10 @@ Why the stand-ins are exact: a sender ships data already sliced by
 ``arange(len(route))`` (:func:`compact_routes`) and ``dst_index`` is
 unchanged; compaction commutes with the kernels'
 ``route.src_index[sel]`` selections, per-destination route order is
-preserved, and a route whose selection mask is empty ships ``None`` and
-reads as an all-false mask — the kernel's own ``continue``.  A shard
+preserved, and a route whose selection mask is empty ships an empty
+:data:`Slice` and reads as an all-false mask — the kernel's own
+``continue``.  Slices travel as :mod:`repro.arraytable` frames, so a
+peer's bytes are validated and read as arrays, never as objects.  A shard
 slices for the down phase only after its own up kernel ran, which is
 all the up/down barrier the kernels need.  Results, message tallies and
 floating-point accumulation order are therefore bit-identical to the
@@ -60,7 +62,7 @@ from ..bsp.distributed import LocalSubgraph, _Route
 from ..bsp.program import MINIMIZE, SubgraphProgram
 from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
 
-__all__ = ["WorkerShard", "compact_routes", "TimedResult"]
+__all__ = ["WorkerShard", "compact_routes", "Slice", "TimedResult"]
 
 #: one timed phase result: ``(value, t0_ns, t1_ns)``.
 TimedResult = Tuple[object, int, int]
@@ -68,6 +70,9 @@ TimedResult = Tuple[object, int, int]
 Routes = Sequence[Tuple[int, _Route]]
 #: a monotonic-clock window, ``(t0_ns, t1_ns)``.
 Window = Tuple[int, int]
+#: one route's exchange slice, as a peer frame carries it: ``{}`` when the
+#: mask selects nothing, ``{"sel", "val"}`` when masked, ``{"val"}`` when not.
+Slice = Dict[str, np.ndarray]
 #: kind -> ``p``-length per-worker list of arrays (an entry is ``None``
 #: where a sibling's array is not held); a kind the mode lacks is absent
 #: or ``None``.
@@ -247,39 +252,33 @@ class WorkerShard:
     def _trade(self, outbound: Routes, inbound: Routes, masks, arrays) -> int:
         """Ship this worker's slice of ``masks``/``arrays`` along every
         outbound route and stand in for every inbound sender's; return
-        the monotonic time it finished.
-
-        A slice is ``(sel, own[selected])`` — ``None`` when nothing is
-        selected — or, with no ``masks``, the whole unselected slice.
-        """
+        the monotonic time it finished."""
         mask = None if masks is None else masks[self.worker_id]
         own = arrays[self.worker_id]
-        outbox: Dict[int, Any] = {}
+        outbox: Dict[int, Slice] = {}
         for dst, route in outbound:
             if mask is None:
-                outbox[dst] = own[route.src_index]
+                outbox[dst] = {"val": own[route.src_index]}
                 continue
             sel = mask[route.src_index]
-            outbox[dst] = (sel, own[route.src_index[sel]]) if sel.any() else None
+            outbox[dst] = {"sel": sel, "val": own[route.src_index[sel]]} if sel.any() else {}
         inbox = self.peers.trade(outbox, [src for src, _ in inbound])
         self._fill(inbound, inbox, masks, arrays)
         return monotonic_ns()
 
-    def _fill(self, inbound: Routes, inbox, masks, arrays) -> None:
+    def _fill(self, inbound: Routes, inbox: Mapping[int, Slice], masks, arrays) -> None:
         """Stand in for the siblings' ``masks``/``arrays`` from ``inbox``."""
         own = arrays[self.worker_id]
         for src, route in inbound:
             data = inbox[src]
-            n = route.src_index.shape[0]
             if masks is None:
-                arrays[src] = data
-            elif data is None:
-                masks[src] = np.zeros(n, dtype=bool)
-            else:
-                sel, selected = data
-                full = np.zeros((n,) + own.shape[1:], dtype=own.dtype)
-                full[sel] = selected
-                masks[src], arrays[src] = sel, full
+                arrays[src] = data["val"]
+                continue
+            n = route.src_index.shape[0]
+            full = np.zeros((n,) + own.shape[1:], dtype=own.dtype)
+            sel = data.get("sel", np.zeros(n, dtype=bool))
+            full[sel] = data.get("val", full[:0])
+            masks[src], arrays[src] = sel, full
 
     def close(self) -> None:
         """Release the peer mesh, if this shard has one."""

@@ -7,7 +7,7 @@ standalone elsewhere via ``repro worker --listen host:port`` and named
 in the backend spec (``socket?workers=hostA:7001+hostB:7001``).  It
 contributes to the shared :class:`~repro.runtime.protocol.CommandSession`:
 
-*Its link* — :class:`_TcpLink`: length-prefixed pickle frames over the
+*Its link* — :class:`_TcpLink`: length-prefixed object frames over the
 small versioned protocol in :mod:`repro.runtime.wire`, plus the
 ``multiprocessing`` ``Process`` when the coordinator started the worker.
 
@@ -23,7 +23,7 @@ the connections to the survivors, which a copy left open would keep from
 ever seeing the coordinator go away — so it closes those first (not
 ``os.closerange``: that also closes the pipe ``Process.join`` waits
 on).  It trusts nothing else of its memory image: like an external
-worker it builds its shard from the pickled ``init`` message, so a
+worker it builds its shard from the ``init`` message, so a
 replacement starts from *initial* state until the engine pushes a
 snapshot.
 
@@ -35,9 +35,11 @@ only through the ``owned`` / ``restore`` commands when the engine
 gathers, and tracks convergence from the has-active flag every reply
 carries.  Each launch batch ends by meshing the whole pool
 (:meth:`WirePlane.connect`): every pair of workers connects once,
-authenticated by a per-session token.  An exchange is then **one**
-command: each shard ships its up-phase slices straight to the peers
-that need them, runs the unchanged kernel over stand-ins (see
+authenticated by a per-session token, and carries only
+:mod:`repro.arraytable` frames: a peer's bytes are read as validated
+arrays, never as objects.  An exchange is then **one** command: each
+shard ships its up-phase slices straight to the peers that need them,
+runs the unchanged kernel over stand-ins (see
 :mod:`repro.runtime.shard` for why that is exact), does the same for
 the down phase and replies once — the coordinator moves no replica
 data.  Only changed selections travel, so traffic follows the paper's
@@ -63,14 +65,14 @@ spans of a genuinely multi-node run are approximate (results are not).
 
 from __future__ import annotations
 
-import pickle
 import secrets
 import socket
 import sys
 from multiprocessing.process import BaseProcess
 from time import monotonic, monotonic_ns
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import arraytable
 from ..bsp.distributed import DistributedGraph, _Route
 from ..bsp.program import SubgraphProgram
 from . import wire
@@ -94,7 +96,7 @@ from .protocol import (
     positive_timeout,
     serve,
 )
-from .shard import WorkerShard, compact_routes
+from .shard import Slice, WorkerShard, compact_routes
 
 __all__ = ["SocketBackend", "WirePlane", "serve_sessions", "serve_worker", "standalone_shard"]
 
@@ -194,10 +196,16 @@ class _Peers:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
 
-    def trade(self, outbox: Dict[int, Any], sources: Sequence[int]) -> Dict[int, Any]:
-        pickled = {dst: pickle.dumps(data, pickle.HIGHEST_PROTOCOL) for dst, data in outbox.items()}
-        frames = wire.trade_frames(self._socks, pickled, sources, self._timeout)
-        return {src: pickle.loads(frame) for src, frame in frames.items()}
+    def trade(self, outbox: Dict[int, Slice], sources: Sequence[int]) -> Dict[int, Slice]:
+        """Send ``outbox``'s slices and receive one from each of ``sources``."""
+        packed = {dst: arraytable.pack(data) for dst, data in outbox.items()}
+        inbox = {}
+        for src, frame in wire.trade_frames(self._socks, packed, sources, self._timeout).items():
+            try:
+                inbox[src] = arraytable.unpack(frame)
+            except arraytable.ArrayTableError as exc:
+                raise wire.FrameError(f"peer {src}: undecodable frame: {exc}") from None
+        return inbox
 
     def close(self) -> None:
         for sock in self._socks.values():

@@ -1,10 +1,11 @@
-"""Length-prefixed pickle framing for the socket backend.
+"""Length-prefixed framing for the socket backend.
 
 The socket backend (:mod:`repro.runtime.socket`) moves every message
 over TCP as one *frame*: a 12-byte header —
 a 4-byte magic marker plus a big-endian ``u64`` payload length —
-followed by the pickled payload.  The magic marker makes a desynced or
-foreign byte stream fail loudly on the very next frame instead of
+followed by the payload: a pickle on the coordinator link, an
+:mod:`repro.arraytable` frame between workers.  The magic marker makes a
+desynced or foreign byte stream fail loudly on the very next frame instead of
 misparsing a length, and the explicit length makes truncation (a peer
 dying mid-send) distinguishable from a clean close at a frame boundary:
 
@@ -24,18 +25,17 @@ and a mismatch raises :class:`ProtocolError` before any graph data
 moves, so a coordinator from a newer checkout fails fast against a
 stale standalone worker instead of mispickling mid-run.  Worker↔worker
 connections open with a *peer hello*: a size-capped frame holding the
-session's token, compared before anything on that connection is
-unpickled.  :func:`trade_frames` multiplexes an exchange phase's sends
-and receives, so two peers sending large frames cannot block each other.
+session's token, compared before anything else on that connection is
+read; nothing a peer sends is ever unpickled.  :func:`trade_frames`
+multiplexes an exchange phase's sends and receives, so two peers sending
+large frames cannot block each other.
 A receiver grows its buffer only as bytes arrive (:data:`RECV_CHUNK` at
 a time): a header that merely *claims* gigabytes costs nothing.
 
-Payloads are pickled with the highest protocol available to *both*
-sides of a CPython version pair on one machine class — in practice
-``pickle.HIGHEST_PROTOCOL``, because workers are expected to run the
-same interpreter and repro checkout as the coordinator (the handshake
-checks the wire version, not the pickle version; see README
-*Multi-node runtime* limitations).
+Coordinator messages are pickled with ``pickle.HIGHEST_PROTOCOL``,
+because workers are expected to run the same interpreter and repro
+checkout as the coordinator (the handshake checks the wire version, not
+the pickle version; see README *Multi-node runtime* limitations).
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ __all__ = [
 ]
 
 #: bump on any incompatible change to framing or message shapes
-#: (3: workers trade replica updates peer to peer).
-WIRE_VERSION = 3
+#: (3: workers trade replica updates peer to peer; 4: as array tables).
+WIRE_VERSION = 4
 
 #: refuse frames larger than this (a desynced stream read as a length
 #: field would otherwise ask for petabytes); generous enough for a full
@@ -276,8 +276,8 @@ def send_peer_hello(sock: _socket.socket, token: bytes, worker_id: int) -> None:
 def expect_peer_hello(sock: _socket.socket, token: bytes, timeout: float) -> int:
     """Read a peer hello and return the dialer's worker id.
 
-    The frame is capped at the hello's size and compared, never
-    unpickled; a wrong size, version or token is a :class:`ProtocolError`.
+    The frame is capped at the hello's size and compared byte for byte;
+    a wrong size, version or token is a :class:`ProtocolError`.
     """
     hello = recv_frame(sock, timeout, max_bytes=_PEER_HELLO.size)
     if len(hello) == _PEER_HELLO.size:

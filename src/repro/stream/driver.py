@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, Dict, Iterable, Iterator, List, Optional
+from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
+from ..arraytable import ArrayTableError, read_file
 from ..graph import Graph
 from ..obs import NULL_RECORDER
 from ..partition.base import VERTEX_CUT, PartitionResult
@@ -273,11 +274,6 @@ def _stream_partition(
         raise
 
     num_vertices = max(sketch.num_vertices, stream.num_vertices_hint or 0, 1)
-    bytes_spilled = sum(
-        os.path.getsize(os.path.join(spill_dir, f))
-        for f in os.listdir(spill_dir)
-        if f != _MANIFEST
-    )
     manifest = {
         "format": "repro-stream-partition",
         "version": _MANIFEST_VERSION,
@@ -296,24 +292,31 @@ def _stream_partition(
         "replication_factor": float(
             assigner.replication_factor(num_vertices if sketch.num_edges else None)
         ),
-        "bytes_spilled": int(bytes_spilled),
     }
     try:
-        # Atomic publish (tmp + fsync + rename): the manifest is what
-        # marks the spill as complete, so it must never exist half
-        # written — checkpointed pipelines reuse the spill across
-        # crashes exactly because this file is trustworthy.
-        tmp_manifest = f"{manifest_path}.tmp-{os.getpid()}"
-        with open(tmp_manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_manifest, manifest_path)
+        _publish_manifest(spill_dir, manifest)
     except BaseException:
         _remove_partial_spill(spill_dir, created_dir)
         raise
     return SpilledPartition(spill_dir)
+
+
+def _publish_manifest(spill_dir: str, manifest: Dict[str, Any]) -> None:
+    """Stamp ``bytes_spilled``, publish atomically (tmp + fsync + rename):
+    resumed pipelines reuse a spill because this file is trustworthy."""
+    manifest["bytes_spilled"] = sum(
+        os.path.getsize(os.path.join(spill_dir, f))
+        for f in os.listdir(spill_dir)
+        if f != _MANIFEST
+    )
+    manifest_path = os.path.join(spill_dir, _MANIFEST)
+    tmp_manifest = f"{manifest_path}.tmp-{os.getpid()}"
+    with open(tmp_manifest, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp_manifest, manifest_path)
 
 
 def _remove_partial_spill(spill_dir: str, created_dir: bool) -> None:
@@ -367,40 +370,37 @@ class SpilledPartition:
         self.num_vertices: int = manifest["num_vertices"]
         self.method: str = manifest["method"]
         self.edge_counts = np.asarray(manifest["edge_counts"], dtype=np.int64)
+        if self.edge_counts.shape != (self.num_parts,) or self.edge_counts.sum() != self.num_edges:
+            raise StreamError(f"{manifest_path}: edge_counts do not add up to num_edges")
         self.replication_factor: float = manifest["replication_factor"]
 
     # ------------------------------------------------------------------
     # Shard access
     # ------------------------------------------------------------------
 
+    def _read(self, name: str, dtype, shape) -> np.ndarray:
+        """A spill file at the manifest's ``shape`` (absent if empty)."""
+        path = os.path.join(self.directory, name)
+        if shape[0] == 0 and not os.path.exists(path):
+            return np.empty(shape, dtype)
+        try:
+            return read_file(path, dtype, shape)
+        except (ArrayTableError, OSError) as exc:
+            raise StreamError(f"{path}: {exc}") from exc
+
     def edge_parts(self) -> np.ndarray:
         """Per-edge part ids in input order (reads ``edge_parts.bin``)."""
-        path = os.path.join(self.directory, _EDGE_PARTS)
-        parts = np.fromfile(path, dtype=np.int64)
-        if parts.shape[0] != self.num_edges:
-            raise StreamError(
-                f"{path}: expected {self.num_edges} part ids, found {parts.shape[0]}"
-            )
-        return parts
+        return self._read(_EDGE_PARTS, np.int64, (self.num_edges,))
 
     def part_edges(self, part: int):
         """One partition's spilled edges: ``(edge_ids, src, dst, weights)``."""
         if not 0 <= part < self.num_parts:
             raise StreamError(f"part {part} out of range [0, {self.num_parts})")
-        path = os.path.join(self.directory, _shard_name(part))
-        if not os.path.exists(path):
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), None
-        rows = np.fromfile(path, dtype=np.int64)
-        if rows.shape[0] % 3:
-            raise StreamError(f"{path}: truncated shard file")
-        rows = rows.reshape(-1, 3)
+        count = int(self.edge_counts[part])
+        rows = self._read(_shard_name(part), np.int64, (count, 3))
         weights = None
         if self.manifest["weighted"]:
-            wpath = os.path.join(self.directory, _shard_weights_name(part))
-            weights = np.fromfile(wpath, dtype=np.float64)
-            if weights.shape[0] != rows.shape[0]:
-                raise StreamError(f"{wpath}: weight count does not match shard")
+            weights = self._read(_shard_weights_name(part), np.float64, (count,))
         return (
             np.ascontiguousarray(rows[:, 0]),
             np.ascontiguousarray(rows[:, 1]),
@@ -417,36 +417,44 @@ class SpilledPartition:
 
         The edges come back in their original stream order (shard rows
         carry the input-order edge id), so the result is indistinguishable
-        from partitioning the fully-loaded graph.
+        from partitioning the fully-loaded graph.  An edge id outside
+        ``[0, |E|)``, repeated, or in a shard ``edge_parts.bin`` does not
+        name, or an endpoint outside ``[0, |V|)`` (a torn patch) raises
+        :class:`StreamError`.
         """
         m = self.num_edges
+        parts = self.edge_parts()
         src = np.empty(m, dtype=np.int64)
         dst = np.empty(m, dtype=np.int64)
         weights = np.empty(m, dtype=np.float64) if self.manifest["weighted"] else None
-        filled = 0
+        seen = np.zeros(m, dtype=bool)
         for part in range(self.num_parts):
             eids, psrc, pdst, pw = self.part_edges(part)
+            if eids.size and (eids.min() < 0 or eids.max() >= m) or np.any(parts[eids] != part):
+                raise StreamError(f"shard {part} holds edge ids edge_parts.bin does not give it")
             src[eids] = psrc
             dst[eids] = pdst
-            if weights is not None and pw is not None:
+            if weights is not None:
                 weights[eids] = pw
-            filled += eids.shape[0]
-        if filled != m:
-            raise StreamError(
-                f"shards cover {filled} edges but the manifest promises {m}"
+            seen[eids] = True
+        # The manifest's row counts add up to m, so m ids seen = each once.
+        if not seen.all():
+            raise StreamError(f"shards cover {int(seen.sum())} of the manifest's {m} edge ids")
+        try:
+            graph = Graph(
+                self.num_vertices,
+                src,
+                dst,
+                weights=weights,
+                directed=self.manifest["directed"],
+                name=self.manifest["name"],
             )
-        graph = Graph(
-            self.num_vertices,
-            src,
-            dst,
-            weights=weights,
-            directed=self.manifest["directed"],
-            name=self.manifest["name"],
-        )
+        except ValueError as exc:  # e.g. an endpoint the manifest's |V| does not hold
+            raise StreamError(f"{self.directory}: {exc}") from exc
         return PartitionResult(
             graph,
             self.num_parts,
-            edge_parts=self.edge_parts(),
+            edge_parts=parts,
             kind=VERTEX_CUT,
             method=self.method,
         )

@@ -28,16 +28,19 @@ graph and **re-spills from scratch** (a full repartition) — same
 policy as :func:`repro.mutate.apply_mutations`.
 
 Crash safety: replacement shards and the new ``edge_parts.bin`` are
-written to temporaries and renamed before the manifest is republished.
-A crash mid-patch leaves the old manifest alongside partially renamed
-data files; every reader cross-checks row counts against the manifest,
-so a torn patch is *detected* (``StreamError``) rather than silently
-served — recover by re-spilling with ``overwrite=True``.
+written to temporaries and renamed before the manifest is republished
+(``driver.py``'s atomic publish).  A crash mid-patch leaves the old
+manifest alongside partially renamed data files.  Every reader checks
+each file's size against the manifest, and :meth:`SpilledPartition.assemble`
+checks that every edge id occurs once, in the shard ``edge_parts.bin``
+names — so a torn patch is *detected* (``StreamError``) even when its
+row counts still match, rather than silently served.  Recover by
+re-spilling with ``overwrite=True``; a checkpointed pipeline does so on
+resume.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -47,7 +50,7 @@ import numpy as np
 from .driver import (
     SpilledPartition,
     _EDGE_PARTS,
-    _MANIFEST,
+    _publish_manifest,
     _shard_name,
     _shard_weights_name,
     stream_partition,
@@ -60,17 +63,6 @@ __all__ = ["patch_spilled_partition"]
 
 def _write_rows(path: str, eids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
     np.stack([eids, src, dst], axis=1).tofile(path)
-
-
-def _publish_manifest(directory: str, manifest: Dict[str, Any]) -> None:
-    manifest_path = os.path.join(directory, _MANIFEST)
-    tmp = f"{manifest_path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, manifest_path)
 
 
 def patch_spilled_partition(
@@ -218,9 +210,7 @@ def patch_spilled_partition(
             src = np.concatenate([src, resolved.insert_src[sel]])
             dst = np.concatenate([dst, resolved.insert_dst[sel]])
             if weighted:
-                w = np.concatenate(
-                    [w if w is not None else np.empty(0), resolved.insert_weights[sel]]
-                )
+                w = np.concatenate([w, resolved.insert_weights[sel]])
         shard_path = os.path.join(directory, _shard_name(part))
         if eids.shape[0] == 0:
             if os.path.exists(shard_path):
@@ -276,17 +266,11 @@ def patch_spilled_partition(
 
     new_edge_counts = edge_counts + np.bincount(insert_part_ids, minlength=num_parts)
     rf_after = float(assigner.replication_factor(n_new if m_new else None))
-    bytes_spilled = sum(
-        os.path.getsize(os.path.join(directory, f))
-        for f in os.listdir(directory)
-        if f != _MANIFEST
-    )
     manifest.update(
         num_edges=int(m_new),
         num_vertices=int(n_new),
         edge_counts=new_edge_counts.tolist(),
         replication_factor=rf_after,
-        bytes_spilled=int(bytes_spilled),
     )
     _publish_manifest(directory, manifest)
     report.update(

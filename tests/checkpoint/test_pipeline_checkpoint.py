@@ -222,12 +222,26 @@ def test_checkpointing_unserializable_pipeline_warns(tmp_path):
     assert resumed.run.resumed_from == result.run.num_supersteps
 
 
-def test_resume_with_damaged_spill_manifest_respills(tmp_path, edge_file):
+def _tear_manifest(spill):
+    (spill / "manifest.json").write_text('{"format": "repro-stream-partition", ')
+
+
+def _duplicate_an_edge_id(spill):
+    """Same size, so only assembly's edge-id check sees it (a torn patch)."""
+    shard = spill / "shard_00000.bin"
+    rows = np.fromfile(shard, dtype=np.int64).reshape(-1, 3)
+    rows[1, 0] = rows[0, 0]
+    rows.tofile(shard)
+
+
+@pytest.mark.parametrize(
+    "damage", [_tear_manifest, _duplicate_an_edge_id], ids=["manifest", "shard"]
+)
+def test_resume_with_damaged_spill_manifest_respills(tmp_path, edge_file, damage):
     """A spill torn by the crash falls back to a deterministic re-spill."""
     root = tmp_path / "ck"
     golden = run_spec(_stream_spec(edge_file, root))
-    manifest = root / "spill" / "manifest.json"
-    manifest.write_text('{"format": "repro-stream-partition", ')  # torn write
+    damage(root / "spill")
     resumed = resume_pipeline(str(root))
     assert resumed.stream["spill_reused"] is False
     assert "partition.spill" in resumed.timings

@@ -319,6 +319,9 @@ BAD_TABLES = {
     "total-too-long": _set_entry(0, 2, [4]),
     "total-too-short": lambda m: m["arrays"].pop(),
     "total-huge": _set_entry(0, 2, [2**62, 2**62]),
+    # Zero bytes in total, but no numpy shape: reshape itself would fail.
+    "empty-dim-too-big": lambda m: m["arrays"].append(["extra", "<i8", [0, 10**30]]),
+    "empty-size-too-big": lambda m: m["arrays"].append(["extra", "<i8", [2**62, 0]]),
 }
 
 

@@ -1,5 +1,7 @@
 """patch_spilled_partition: out-of-core shard patching vs the in-memory path."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.mutate import MutationBatch, MutationError, apply_mutations
 from repro.partition import StreamingEBVPartitioner
 from repro.stream import (
     SpilledPartition,
+    StreamError,
     TextEdgeListStream,
     patch_spilled_partition,
     stream_partition,
@@ -112,3 +115,34 @@ class TestPatchEquivalence:
         )
         with pytest.raises(MutationError, match="directed"):
             patch_spilled_partition(sp, MutationBatch().insert(0, 1))
+
+
+class TestTornPatch:
+    def test_crash_after_the_first_rename_is_detected(self, spilled, directed_graph, monkeypatch):
+        """Delete (u, v) + insert (u, v'), killed after the first rename:
+        the old manifest sits beside one re-densified shard whose row
+        count still matches it, so only the edge-id check can tell."""
+        # Shard 0 neither loses the deleted edge nor gains the insert, so
+        # its rewrite (the first rename) keeps the old size, ids shifted.
+        eid = int(spilled.part_edges(1)[0][0])
+        u, v = int(directed_graph.src[eid]), int(directed_graph.dst[eid])
+        batch = MutationBatch().delete(u, v).insert(u, (v + 1) % directed_graph.num_vertices)
+        real_replace, calls = os.replace, []
+
+        def crash_after_first(src, dst):
+            if calls:
+                raise KeyboardInterrupt("crash injected mid-publish")
+            calls.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_after_first)
+        with pytest.raises(KeyboardInterrupt):
+            patch_spilled_partition(spilled, batch)
+        monkeypatch.undo()
+        assert [os.path.basename(path) for path in calls] == ["shard_00000.bin"]
+        torn = SpilledPartition(spilled.directory)
+        assert torn.manifest == spilled.manifest
+        for part in range(torn.num_parts):  # every file still has its size
+            torn.part_edges(part)
+        with pytest.raises(StreamError):
+            torn.assemble()

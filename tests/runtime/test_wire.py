@@ -217,13 +217,14 @@ def test_hello_round_trip(pair):
     assert msg["version"] == wire.WIRE_VERSION
 
 
-@pytest.mark.parametrize("peer_version", [1, 2, wire.WIRE_VERSION + 1])
+@pytest.mark.parametrize("peer_version", [1, 2, 3, wire.WIRE_VERSION + 1])
 def test_version_mismatch_is_protocol_error(pair, peer_version):
     """Version 1 is the pre-shard ``init`` payload and command names,
-    version 2 the coordinator-rerouted exchange: a worker (or
-    coordinator) from either checkout is refused at the hello, not
-    inside ``init`` unpacking or at the first exchange."""
-    assert wire.WIRE_VERSION == 3
+    version 2 the coordinator-rerouted exchange, version 3 the pickled
+    peer frames: a worker (or coordinator) from any of those checkouts
+    is refused at the hello, not inside ``init`` unpacking or at the
+    first exchange."""
+    assert wire.WIRE_VERSION == 4
     a, b = pair
     wire.send_msg(
         a, {"kind": "repro-wire-hello", "version": peer_version, "role": "worker"}
@@ -377,6 +378,37 @@ def test_a_closed_peer_is_named(peers):
     a.close()
     with pytest.raises(wire.ConnectionClosed, match="peer 3: connection closed by peer"):
         wire.trade_frames({3: b}, {}, [3], 5.0)
+
+
+class _Tripwire:
+    """Unpickling this sets ``repro.UNPICKLED``."""
+
+    def __reduce__(self):
+        return exec, ("import repro; repro.UNPICKLED = True",)
+
+
+def test_a_pickled_peer_frame_is_refused_unread(monkeypatch):
+    """A token-holding peer that sends a pickle instead of an array table
+    gets a typed error naming it, and its payload is never unpickled."""
+    import repro
+    from repro.runtime.socket import _Peers
+
+    monkeypatch.setattr(repro, "UNPICKLED", False, raising=False)
+    mesh = _Peers(0, "127.0.0.1")
+    port = mesh.listen()
+    with socket.create_connection(("127.0.0.1", port)) as peer:
+        wire.send_peer_hello(peer, TOKEN, 1)
+        mesh.connect(TOKEN, [("127.0.0.1", port), ("127.0.0.1", 0)], timeout=5.0)
+        payload = pickle.dumps(_Tripwire())
+        wire.send_frame(peer, payload)
+        try:
+            with pytest.raises(wire.FrameError, match="peer 1: undecodable frame"):
+                mesh.trade({}, [1])
+        finally:
+            mesh.close()
+    assert repro.UNPICKLED is False
+    pickle.loads(payload)  # the control: the tripwire does fire
+    assert repro.UNPICKLED is True
 
 
 def test_a_peer_closing_mid_frame_is_truncation(peers):

@@ -1,5 +1,6 @@
 """Unit tests for the out-of-core driver, spill format and re-buffering."""
 
+import json
 import os
 
 import numpy as np
@@ -239,6 +240,97 @@ class TestSpilledPartitionLoad:
         )
         with pytest.raises(StreamError, match="out of range"):
             spilled.part_edges(5)
+
+
+def _spill(graph, directory, parts=3):
+    return stream_partition(
+        ArrayEdgeStream.from_graph(graph, chunk_size=31),
+        StreamingEBVPartitioner(chunk_size=16), parts, str(directory),
+    )
+
+
+def _shard_rows(spill, part):
+    return np.fromfile(os.path.join(spill, f"shard_{part:05d}.bin"), dtype=np.int64).reshape(-1, 3)
+
+
+class TestDamagedSpill:
+    """Every file is read at the manifest's exact size, and assembly
+    checks every edge id, so damage raises ``StreamError`` naming it."""
+
+    def test_trailing_partial_record_in_a_shard(self, graph, tmp_path):
+        spilled = _spill(graph, tmp_path / "s")
+        shard = os.path.join(spilled.directory, "shard_00000.bin")
+        with open(shard, "ab") as fh:
+            fh.write(b"\x00" * 4)
+        with pytest.raises(StreamError, match="shard_00000.bin: holds"):
+            spilled.part_edges(0)
+        with pytest.raises(StreamError, match="shard_00000.bin"):
+            spilled.assemble()
+
+    def test_trailing_byte_in_edge_parts(self, graph, tmp_path):
+        spilled = _spill(graph, tmp_path / "s")
+        with open(os.path.join(spilled.directory, "edge_parts.bin"), "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(StreamError, match="edge_parts.bin: holds"):
+            spilled.edge_parts()
+
+    def test_weighted_spill_without_its_weight_file(self, graph, tmp_path):
+        weighted = graph.with_weights(np.arange(graph.num_edges, dtype=float))
+        spilled = _spill(weighted, tmp_path / "s")
+        assert np.array_equal(spilled.assemble().graph.weights, weighted.weights)
+        os.remove(os.path.join(spilled.directory, "shard_00001.w.bin"))
+        with pytest.raises(StreamError, match="shard_00001.w.bin"):
+            spilled.part_edges(1)
+
+    def test_missing_shard_of_a_nonempty_part(self, graph, tmp_path):
+        spilled = _spill(graph, tmp_path / "s")
+        os.remove(os.path.join(spilled.directory, "shard_00002.bin"))
+        with pytest.raises(StreamError, match="shard_00002.bin"):
+            spilled.part_edges(2)
+
+    def _rewrite(self, spilled, part, edit):
+        rows = _shard_rows(spilled.directory, part)
+        edit(rows)
+        rows.tofile(os.path.join(spilled.directory, f"shard_{part:05d}.bin"))
+
+    def test_duplicated_edge_id(self, graph, tmp_path):
+        """Same sizes, so only the id check sees it: one slot would be
+        written twice and another left as uninitialised memory."""
+        spilled = _spill(graph, tmp_path / "s")
+        self._rewrite(spilled, 0, lambda rows: rows.__setitem__((1, 0), rows[0, 0]))
+        with pytest.raises(StreamError, match="cover"):
+            spilled.assemble()
+
+    @pytest.mark.parametrize(
+        "column, value, error",
+        [(0, -1, "shard 1 holds edge ids"), (0, 10**9, "shard 1 holds edge ids"),
+         (1, 10**9, "endpoint out of range"), (2, -1, "endpoint out of range")],
+        ids=["eid-negative", "eid-too-big", "src-too-big", "dst-negative"],
+    )
+    def test_row_out_of_range(self, graph, tmp_path, column, value, error):
+        spilled = _spill(graph, tmp_path / "s")
+        self._rewrite(spilled, 1, lambda rows: rows.__setitem__((0, column), value))
+        with pytest.raises(StreamError, match=error):
+            spilled.assemble()
+
+    def test_edge_in_the_wrong_shard(self, graph, tmp_path):
+        """Two shards swap one edge id: each id still occurs once."""
+        spilled = _spill(graph, tmp_path / "s")
+        a, b = _shard_rows(spilled.directory, 0), _shard_rows(spilled.directory, 1)
+        a[0, 0], b[0, 0] = b[0, 0], a[0, 0]
+        a.tofile(os.path.join(spilled.directory, "shard_00000.bin"))
+        b.tofile(os.path.join(spilled.directory, "shard_00001.bin"))
+        with pytest.raises(StreamError, match="does not give it"):
+            spilled.assemble()
+
+    def test_edge_counts_that_do_not_add_up(self, graph, tmp_path):
+        spilled = _spill(graph, tmp_path / "s")
+        path = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["edge_counts"][0] += 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StreamError, match="edge_counts"):
+            SpilledPartition(spilled.directory)
 
 
 class TestPartialSpillCleanup:
