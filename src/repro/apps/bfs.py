@@ -1,65 +1,20 @@
 """Breadth-first search levels — an extension app beyond the paper's trio.
 
-Identical machinery to SSSP with unit edge weights; kept separate so
-examples and tests can exercise hop counts without weight handling.
+SSSP's frontier loop with every edge length 1, whatever the graph's
+weights, so examples and tests can exercise hop counts.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..bsp.distributed import LocalSubgraph
-from ..bsp.program import MINIMIZE, ComputeResult, SubgraphProgram
+from .sssp import SSSP
 
 __all__ = ["BFS"]
 
 
-class BFS(SubgraphProgram):
+class BFS(SSSP):
     """Hop-count BFS from a single source, with local convergence."""
 
-    mode = MINIMIZE
-    dtype = np.float64
     name = "BFS"
 
-    def __init__(self, source: int, local_convergence: bool = True):
-        self.source = int(source)
-        self.local_convergence = bool(local_convergence)
-        self.reactivate_changed = not self.local_convergence
-
-    def initial_values(self, local: LocalSubgraph) -> np.ndarray:
-        values = np.full(local.num_vertices, np.inf)
-        values[local.global_ids == self.source] = 0.0
-        return values
-
-    def initial_active(self, local: LocalSubgraph) -> np.ndarray:
-        return local.global_ids == self.source
-
-    def compute(
-        self, local: LocalSubgraph, values: np.ndarray, active: np.ndarray,
-        superstep: int = 0,
-    ) -> ComputeResult:
-        """Frontier expansion with unit weights (see SSSP for the scheme)."""
-        before = values.copy()
-        work = 0.0
-        src, dst = local.src, local.dst
-        if src.size == 0:
-            return ComputeResult(changed=np.zeros_like(values, dtype=bool), work_units=0.0)
-        indptr, edge_order = local.out_csr()
-        frontier = np.nonzero(active & (values < np.inf))[0]
-        while frontier.size:
-            spans = [edge_order[indptr[v] : indptr[v + 1]] for v in frontier.tolist()]
-            edges = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-            if edges.size == 0:
-                break
-            work += edges.size
-            candidates = values[src[edges]] + 1.0
-            targets = dst[edges]
-            improved = candidates < values[targets]
-            if not improved.any():
-                break
-            np.minimum.at(values, targets[improved], candidates[improved])
-            frontier = np.unique(targets[improved])
-            frontier = frontier[values[frontier] < before[frontier]]
-            if not self.local_convergence:
-                break
-        return ComputeResult(changed=values < before, work_units=work)
+    def edge_weights(self, local):
+        return None

@@ -8,6 +8,7 @@ inputs carry both directions in the edge array already.
 
 from __future__ import annotations
 
+from typing import Optional
 
 import numpy as np
 
@@ -60,6 +61,10 @@ class SSSP(SubgraphProgram):
         """Only workers hosting the source start active."""
         return local.global_ids == self.source
 
+    def edge_weights(self, local: LocalSubgraph) -> Optional[np.ndarray]:
+        """Per-edge lengths; ``None`` gives every edge length 1."""
+        return local.weights
+
     def compute(
         self, local: LocalSubgraph, values: np.ndarray, active: np.ndarray,
         superstep: int = 0,
@@ -77,7 +82,7 @@ class SSSP(SubgraphProgram):
         src, dst = local.src, local.dst
         if src.size == 0:
             return ComputeResult(changed=np.zeros_like(values, dtype=bool), work_units=0.0)
-        weights = local.weights if local.weights is not None else np.ones(src.size)
+        weights = self.edge_weights(local)
         indptr, edge_order = local.out_csr()
         frontier = np.nonzero(active & (values < np.inf))[0]
         while frontier.size:
@@ -86,7 +91,7 @@ class SSSP(SubgraphProgram):
             if edges.size == 0:
                 break
             work += edges.size
-            candidates = values[src[edges]] + weights[edges]
+            candidates = values[src[edges]] + (1.0 if weights is None else weights[edges])
             targets = dst[edges]
             improved = candidates < values[targets]
             if not improved.any():

@@ -522,7 +522,7 @@ class BSPEngine:
         Runs once per traced superstep, so it avoids per-element numpy
         scalar conversions: one ``tolist`` per tally array and
         ``count_nonzero`` (cheaper than ``.sum()`` on bool arrays) keep
-        the traced path inside the bench_runtime overhead budget.  Peak
+        the traced path inside CI's +5% tracing-overhead gate.  Peak
         RSS is *not* sampled here — it is a high-water mark, so the
         single end-of-run sample in the loop equals the max of
         per-superstep samples.

@@ -284,9 +284,9 @@ def _load_manifest(directory: str) -> Dict[str, Any]:
             manifest = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"{directory!r} is not a checkpoint snapshot: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8
         raise CheckpointError(f"corrupted checkpoint manifest {manifest_path!r}: {exc}") from exc
-    if manifest.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != SNAPSHOT_FORMAT:
         raise CheckpointError(f"{manifest_path!r} is not a {SNAPSHOT_FORMAT} manifest")
     version = manifest.get("version")
     if version != SNAPSHOT_VERSION:
@@ -372,15 +372,18 @@ def _load_snapshot_dir(path: str) -> Snapshot:
 
     meta = manifest.get("meta") or {}
     superstep = int(manifest["superstep"])
-    real_seconds = manifest.get("real_seconds", [])
     try:
         arrays = {
             kind: [items[f"{kind}_{w:05d}"] for w in range(int(meta.get("num_workers", 0)))]
             for kind in manifest.get("array_kinds", [])
         }
         steps = {f: items[f] for f in _SUPERSTEP_FIELDS}
+        walls = manifest.get("real_seconds", [])
+        real_seconds = [{k: float(v) for k, v in step.items()} for step in walls]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint payload in {path!r} lacks array {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:  # a mistyped manifest field
+        raise CheckpointError(f"checkpoint manifest in {path!r} is malformed: {exc}") from exc
     recorded = {len(real_seconds), *(arr.shape[0] if arr.ndim else -1 for arr in steps.values())}
     if recorded != {superstep}:
         raise CheckpointError(
@@ -400,7 +403,7 @@ def _load_snapshot_dir(path: str) -> Snapshot:
         supersteps=[
             SuperstepStats(
                 **{f: arr[i] for f, arr in steps.items()},
-                real_seconds={k: float(v) for k, v in real_seconds[i].items()},
+                real_seconds=real_seconds[i],
             )
             for i in range(superstep)
         ],

@@ -107,7 +107,7 @@ class TraceRecorder:
         # spans().  Appending a tuple is ~2x cheaper than constructing
         # a frozen dataclass, and add() sits inside every traced
         # superstep — this is most of the tracing-enabled overhead on
-        # sub-10ms runs (bench_runtime --trace --check-overhead).
+        # sub-10ms runs (CI's trace-smoke overhead gate, <= +5%).
         self._spans: List[tuple] = []
 
     # ------------------------------------------------------------------

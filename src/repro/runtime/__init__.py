@@ -106,7 +106,7 @@ Real time vs. modeled time
 Runs record *both* clocks.  Real wall-clock per superstep stage
 (``SuperstepStats.real_seconds``, keys ``"compute"`` / ``"exchange"`` /
 ``"converge"``) measures this machine and backend — use it for runtime
-benchmarks (``benchmarks/bench_runtime.py``, which reports compute and
+benchmarks (the perf ledger, ``benchmarks/ledger/``, reports compute and
 exchange stage walls separately).  Stage returns additionally carry the
 measured *per-worker* kernel walls
 (:class:`~repro.runtime.base.ComputeStageResult` ``.walls``,

@@ -4,7 +4,7 @@ Runs every worker's computation stage, then every worker's exchange
 phases, sequentially in the calling process — worker 0 through p-1, up
 phase before down phase.  This is the ground truth the parallel
 backends are tested against (the bit-identity oracle), and the baseline
-``benchmarks/bench_runtime.py`` measures speedups over.
+the perf ledger's ``runtime.*_speedup_vs_serial`` rows measure against.
 """
 
 from __future__ import annotations

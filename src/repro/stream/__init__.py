@@ -32,9 +32,9 @@ Everything per-edge goes to disk the moment it is produced: spill
 accumulation phase.  Each edge is appended to its partition's shard
 file as an ``(edge_id, src, dst)`` row plus the per-edge part id in
 ``edge_parts.bin``, forming a :class:`SpilledPartition`.  Peak RSS is
-therefore O(window + vertex state), not O(|E|); the benchmark
-``benchmarks/bench_stream.py`` measures exactly this against the
-in-memory build and CI enforces it.
+therefore O(window + vertex state), not O(|E|); CI's ``stream-smoke``
+peak-memory gate holds the in-memory build's tracemalloc peak to at
+least 2x every stream's.
 
 Re-materializing is explicit: :meth:`SpilledPartition.assemble` (and
 :meth:`~SpilledPartition.to_distributed`) rebuild the O(|E|) in-memory

@@ -46,6 +46,12 @@ __all__ = ["stream_partition", "SpilledPartition", "windows"]
 _MANIFEST = "manifest.json"
 _EDGE_PARTS = "edge_parts.bin"
 _MANIFEST_VERSION = 1
+#: The manifest keys readers use, with their JSON types (a bool is no int).
+_MANIFEST_TYPES = {
+    "num_parts": (int,), "num_edges": (int,), "num_vertices": (int,),
+    "method": (str,), "name": (str,), "weighted": (bool,), "directed": (bool,),
+    "edge_counts": (list,), "replication_factor": (float, int),
+}
 
 
 def _shard_name(part: int) -> str:
@@ -358,12 +364,20 @@ class SpilledPartition:
         try:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise StreamError(
                 f"{self.directory} is not a spilled partition: {exc}"
             ) from exc
-        if manifest.get("format") != "repro-stream-partition":
+        if not isinstance(manifest, dict) or manifest.get("format") != "repro-stream-partition":
             raise StreamError(f"{manifest_path} is not a spilled-partition manifest")
+        if manifest.get("version") != _MANIFEST_VERSION:
+            raise StreamError(f"{manifest_path}: unsupported version {manifest.get('version')!r}")
+        for key, types in _MANIFEST_TYPES.items():
+            value = manifest.get(key)
+            if type(value) not in types or (
+                key == "edge_counts" and any(type(c) is not int for c in value)
+            ):
+                raise StreamError(f"{manifest_path}: {key!r} is missing or mistyped: {value!r:.40}")
         self.manifest = manifest
         self.num_parts: int = manifest["num_parts"]
         self.num_edges: int = manifest["num_edges"]

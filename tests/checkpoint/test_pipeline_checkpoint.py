@@ -234,8 +234,22 @@ def _duplicate_an_edge_id(spill):
     rows.tofile(shard)
 
 
+def _edit_manifest(edit):  # valid JSON, wrong content
+    def damage(spill):
+        manifest = json.loads((spill / "manifest.json").read_text())
+        (spill / "manifest.json").write_text(json.dumps(edit(manifest)))
+    return damage
+
+
 @pytest.mark.parametrize(
-    "damage", [_tear_manifest, _duplicate_an_edge_id], ids=["manifest", "shard"]
+    "damage",
+    [_tear_manifest, _duplicate_an_edge_id,
+     _edit_manifest(lambda m: {k: v for k, v in m.items() if k != "edge_counts"}),
+     _edit_manifest(lambda m: ["not", "an", "object"]),
+     _edit_manifest(lambda m: {**m, "edge_counts": "ab"}),
+     lambda spill: (spill / "manifest.json").write_bytes(b'{"format": "\xff"}')],
+    ids=["manifest", "shard", "manifest-missing-key", "manifest-list", "manifest-bad-counts",
+         "manifest-not-utf8"],
 )
 def test_resume_with_damaged_spill_manifest_respills(tmp_path, edge_file, damage):
     """A spill torn by the crash falls back to a deterministic re-spill."""

@@ -149,10 +149,12 @@ def test_missing_payload_is_rejected(tmp_path):
         load_snapshot(snap_dir)
 
 
-def test_invalid_manifest_json_is_rejected(tmp_path):
+@pytest.mark.parametrize("content", [b'{"format": "repro-checkpoint", ', b'{"format": "\xff"}'],
+                         ids=["torn", "not-utf8"])
+def test_invalid_manifest_json_is_rejected(tmp_path, content):
     snap_dir = _write(tmp_path)
-    with open(os.path.join(snap_dir, "manifest.json"), "w") as fh:
-        fh.write('{"format": "repro-checkpoint", ')  # torn mid-write
+    with open(os.path.join(snap_dir, "manifest.json"), "wb") as fh:
+        fh.write(content)  # torn mid-write, or a flipped byte
     with pytest.raises(CheckpointError, match="corrupted checkpoint manifest"):
         load_snapshot(snap_dir)
 
@@ -260,14 +262,23 @@ def test_manifest_missing_required_key_is_checkpoint_error(tmp_path, missing_key
         load_snapshot(snap_dir)
 
 
-def test_root_load_falls_back_past_a_keyless_manifest(tmp_path):
+@pytest.mark.parametrize(
+    "edit",
+    [lambda m: {k: v for k, v in m.items() if k != "superstep"},
+     lambda m: ["not", "an", "object"],
+     lambda m: {**m, "array_kinds": 3},
+     lambda m: {**m, "real_seconds": [1, 2]},
+     lambda m: {**m, "meta": {**m["meta"], "num_workers": "x"}}],
+    ids=["keyless", "list", "int-array-kinds", "real-seconds-not-objects", "str-num-workers"],
+)
+def test_root_load_falls_back_past_a_keyless_manifest(tmp_path, edit):
     """A junk manifest must not abort the root fallback scan."""
     _write(tmp_path, superstep=1)
     newest = _write(tmp_path, superstep=2)
     path = os.path.join(newest, "manifest.json")
-    manifest = json.load(open(path))
-    del manifest["superstep"]
-    json.dump(manifest, open(path, "w"))
+    json.dump(edit(json.load(open(path))), open(path, "w"))
+    with pytest.raises(CheckpointError):
+        load_snapshot(newest)
     assert load_snapshot(str(tmp_path)).superstep == 1
 
 

@@ -10,12 +10,20 @@ from repro.mutate import (
     apply_mutations,
     mutated_graph,
 )
+from repro.graph import generate_graph
 from repro.partition import StreamingEBVPartitioner, replication_factor
 from repro.partition.base import EDGE_CUT, PartitionResult
 
 
 def base_partition(graph, parts=4):
     return StreamingEBVPartitioner().partition(graph, parts)
+
+
+@pytest.fixture(scope="module")
+def quick_partition():
+    """The drift sweep's graph: 13k-vertex directed power law, 8 parts."""
+    graph = generate_graph(kind="powerlaw", vertices=13_000, min_degree=3, seed=42, directed=True)
+    return base_partition(graph, parts=8)
 
 
 class TestMutatedGraph:
@@ -68,9 +76,15 @@ class TestApplyMutations:
         )
         assert out.reassigned_edges == out.resolved.num_inserted
 
-    def test_rf_metrics_and_measured_drift(self, directed_graph, batch_rng, mixed_batch):
-        part = base_partition(directed_graph)
-        batch = mixed_batch(directed_graph, batch_rng)
+    @pytest.mark.parametrize("churn", [None, 0.01, 0.05, 0.10], ids=str)
+    def test_rf_metrics_and_measured_drift(
+            self, churn, directed_graph, batch_rng, mixed_batch, request):
+        if churn is None:
+            part, batch = base_partition(directed_graph), mixed_batch(directed_graph, batch_rng)
+        else:  # half deletes, half inserts; v in [0, n + n // 9), so a tenth grow |V|
+            part = request.getfixturevalue("quick_partition")
+            g, n_ops = part.graph, int(part.graph.num_edges * churn)
+            batch = mixed_batch(g, batch_rng, n_ops // 2, n_ops - n_ops // 2, g.num_vertices // 9)
         out = apply_mutations(part, batch, compare_full=True)
         assert out.rf_before == pytest.approx(replication_factor(part))
         assert out.rf_after == pytest.approx(replication_factor(out.partition))

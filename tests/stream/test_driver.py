@@ -332,6 +332,22 @@ class TestDamagedSpill:
         with pytest.raises(StreamError, match="edge_counts"):
             SpilledPartition(spilled.directory)
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [(lambda m: {k: v for k, v in m.items() if k != "edge_counts"}, "'edge_counts' is missing"),
+         (lambda m: ["not", "an", "object"], "not a spilled-partition manifest"),
+         (lambda m: {**m, "edge_counts": "ab"}, "'edge_counts' is missing or mistyped"),
+         (lambda m: {**m, "num_parts": True}, "'num_parts' is missing or mistyped"),
+         (lambda m: {**m, "version": 2}, "unsupported version 2")],
+        ids=["missing-key", "list", "bad-edge-counts", "bool-for-int", "version"],
+    )
+    def test_valid_json_wrong_manifest(self, graph, tmp_path, edit, error):
+        spilled = _spill(graph, tmp_path / "s")
+        path = tmp_path / "s" / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(StreamError, match=f"manifest.json.*{error}"):
+            SpilledPartition(spilled.directory)
+
 
 class TestPartialSpillCleanup:
     """A failed spill must not leave orphan shards behind."""
