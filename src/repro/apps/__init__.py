@@ -56,6 +56,24 @@ def _source(graph: Graph, source: Optional[int]) -> int:
     return source
 
 
+def _check_lengths(graph: Graph) -> None:
+    """SSSP's lengths must be ``>= 0``: the answer it must equal is Dijkstra's.
+
+    A negative cycle has no shortest paths, and the local fixpoint loop
+    relaxes around one forever; a NaN length fails every ``<`` and its
+    edge would silently drop out.
+    """
+    if graph.weights is None:
+        return
+    bad = np.flatnonzero(~(graph.weights >= 0))
+    if bad.size:
+        e = int(bad[0])
+        raise ValueError(
+            f"SSSP needs non-negative edge weights: edge {e} "
+            f"({int(graph.src[e])} -> {int(graph.dst[e])}) has weight {graph.weights[e]}"
+        )
+
+
 def make_program(
     app: str,
     graph: Graph,
@@ -80,12 +98,14 @@ def make_program(
     parameterize FEATPROP (a seeded deterministic feature matrix is
     generated when none is supplied), and ``pagerank_tol`` is
     PageRank's convergence threshold.  An SSSP/BFS ``source`` outside
-    ``[0, |V|)`` or ``pagerank_iters < 1`` raises ``ValueError``.
+    ``[0, |V|)``, an SSSP edge weight that is negative or NaN, or
+    ``pagerank_iters < 1`` raises ``ValueError``.
     """
     name = app.upper() if isinstance(app, str) else app
     if name == "CC":
         return ConnectedComponents(local_convergence=local_convergence)
     if name == "SSSP":
+        _check_lengths(graph)
         return SSSP(_source(graph, source), local_convergence=local_convergence)
     if name == "PR":
         if pagerank_iters < 1:

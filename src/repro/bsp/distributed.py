@@ -308,7 +308,9 @@ def build_distributed_graph(result: PartitionResult) -> DistributedGraph:
         for i in range(p):
             extra = unhosted[home == i]
             if extra.size:
-                membership[i] = np.union1d(membership[i], extra)
+                # disjoint sorted sets: no np.union1d, whose np.unique
+                # imports numpy.ma on first use
+                membership[i] = np.sort(np.concatenate([membership[i], extra]))
 
     # Group edge ids by part once; the stable sort keeps each part's
     # edges in input order, matching the legacy boolean-mask scan.  Part

@@ -112,7 +112,7 @@ import numpy as np
 from .apps import default_source
 from .checkpoint import CheckpointError
 from .graph import generate_graph, graph_stats, read_edge_list, write_edge_list
-from .partition import save_partition
+from .partition import KernelBuildError, save_partition
 from .pipeline import Pipeline, PipelineSpec, RegistryError, SpecError, parse_spec, registries
 from .pipeline import resume_pipeline, run_spec
 from .runtime import BackendError
@@ -549,14 +549,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     The one error boundary: a bad input file, spec or checkpoint
     (``ValueError`` — which covers ``SpecError``, ``RegistryError`` and
-    ``StreamError`` — ``OSError`` or ``CheckpointError``) or a backend
+    ``StreamError`` — ``OSError`` or ``CheckpointError``), a backend
     that cannot run (``BackendError``: an unreachable worker, a lost
-    one) prints ``error: …`` and exits 2.
+    one) or an EBV kernel the C compiler cannot build
+    (``KernelBuildError``) prints ``error: …`` and exits 2.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, CheckpointError, BackendError) as exc:
+    except (ValueError, OSError, CheckpointError, BackendError, KernelBuildError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ drivers all share (``PARTITIONERS.create("ebv?alpha=2")``).
 from .base import EDGE_CUT, VERTEX_CUT, Partitioner, PartitionResult
 from .cvc import CVCPartitioner, grid_shape
 from .dbh import DBHPartitioner
-from .ebv import EBVPartitioner, SORT_ORDERS, edge_processing_order
+from .ebv import EBVPartitioner, KernelBuildError, SORT_ORDERS, edge_processing_order
 from .ginger import GingerPartitioner
 from .metislike import MetisLikePartitioner
 from .metrics import (
@@ -37,6 +37,7 @@ __all__ = [
     "grid_shape",
     "DBHPartitioner",
     "EBVPartitioner",
+    "KernelBuildError",
     "SORT_ORDERS",
     "edge_processing_order",
     "GingerPartitioner",

@@ -21,26 +21,45 @@ descending, random, and raw input order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import importlib.util
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from math import inf
-from typing import Dict, Optional, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
 
-__all__ = ["EBVCore", "EBVPartitioner", "SORT_ORDERS", "check_weights", "edge_processing_order"]
+__all__ = [
+    "EBVCore",
+    "EBVPartitioner",
+    "KernelBuildError",
+    "SORT_ORDERS",
+    "check_weights",
+    "edge_processing_order",
+]
 
 SORT_ORDERS = ("ascending", "descending", "random", "input")
 
-#: edges whose endpoints are packed into Python ints at once; bounds the
-#: scalar working set of :meth:`EBVCore.assign` whatever the call's length
-_BLOCK = 4096
+#: the C99 source of :meth:`EBVCore.assign`'s loop
+KERNEL_SOURCE = Path(__file__).with_name("ebv_kernel.c")
 
-#: class masks whose part ids :meth:`EBVCore.assign` keeps in a table;
-#: 4096 covers every mask at ``p <= 12``, and past it a mask's parts are
-#: peeled off its bits on every use instead of stored
-_MASK_TABLE = 4096
+#: the interpreter's configured compiler and fixed flags, part of the
+#: library's cache key; ``-ffp-contract=off`` keeps ``a * b + c`` two
+#: roundings, as in Python and numpy
+KERNEL_COMMAND = (
+    *shlex.split(sysconfig.get_config_var("CC") or "cc"),
+    "-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared", "-pipe",
+)
 
 
 def check_weights(alpha: float, beta: float) -> Tuple[float, float]:
@@ -109,31 +128,15 @@ class EBVCore:
     (streaming), :meth:`seed` and rolled-back snapshots (sharded) all
     need derived.
 
-    Candidate classes: Eq. 2 is two integer replica terms plus a balance
-    term, so with ``score(i) = balance(i) + 2`` every part of class
-    ``k = I(u ∈ keep[i]) + I(v ∈ keep[i])`` has ``eva(i) = score(i) - k``
-    — bit for bit, since ``x - 1.0`` is exact for a double ``2 ≤ x <
-    2**53``.  :meth:`assign` therefore scores only the highest non-empty
-    class (the parts holding both endpoints, else either) and takes its
-    least score when that beats a lower bound on every part's score by
-    more than one class; otherwise (:attr:`full_scans` counts these) it
-    evaluates Eq. 2 on all ``p`` parts.  The class is read off packed
-    replica masks: per block of ``_BLOCK`` edges the touched rows of
-    ``member`` become one Python int per vertex, and the counts and the
-    balance vector become Python lists for the call.  The arrays above
-    stay the canonical state between calls — rows are written back
-    after every block, counts and balance at the end of the call.
-
-    Per-edge work only: a class mask's part ids (ascending, so ties
-    still go to the lowest id) come from a table kept across calls and
-    filled on first use; it holds at most ``_MASK_TABLE`` non-empty
-    masks — every one of them at ``p <= 12`` — and a mask met past the
-    cap is peeled bit by bit on each use and not stored.  Running units
-    move only with their counts: ``(x or 1) / p`` is the same double as
-    ``max(x / p, 1.0 / p)`` for every int ``x >= 0`` (division by ``p``
-    is monotone, and ``x = 1`` gives equal operands), so the edge unit
-    is ``α / ((assigned or 1) / p)`` per edge and the vertex unit is
-    re-derived once per call and after each commit that adds a replica.
+    The loop itself is C: :data:`KERNEL_SOURCE`, compiled on first use
+    (:func:`load_kernel`).  It evaluates Eq. 2 on every part as
+    ``((score(i) - I(u ∈ keep[i])) - I(v ∈ keep[i]))`` with ``score(i)``
+    the balance term plus 2 — the operations, in the order, that
+    ``tests/partition/oracles.OracleCore`` performs in numpy — so under
+    both policies it assigns what the oracle assigns.  Running units are
+    ``α / ((assigned or 1) / p)`` and ``β / ((covered or 1) / p)``,
+    which equal the ``max(x / p, 1.0 / p)`` floor for every int ``x``.
+    The arrays above are the canonical state, updated in place.
     """
 
     def __init__(
@@ -160,10 +163,6 @@ class EBVCore:
                 self.beta / max(num_vertices / p, 1e-12),
             )
         self._balance = np.zeros(p, dtype=np.float64) if maintained else None
-        #: edges whose arg min needed Eq. 2 on every part (see :meth:`assign`)
-        self.full_scans = 0
-        #: class mask -> its part ids, ascending; at most ``_MASK_TABLE`` entries
-        self._parts_of: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def edges_assigned(self) -> int:
@@ -228,148 +227,61 @@ class EBVCore:
         """Assign edges ``(src[j], dst[j])`` for ``j`` in ``order``, in order.
 
         Writes the chosen part to ``out[j]`` and, when given,
-        ``Σ_i |V_i|`` after the ``t``-th step to ``trace[t]``.  Vertex
-        ids must lie in ``[0, member.shape[0])`` (see :meth:`grow`).
+        ``Σ_i |V_i|`` after the ``t``-th step to ``trace[t]``.  Every
+        array is a C-contiguous int64 vector; ``dst`` and ``out`` are as
+        long as ``src``, ``trace`` as ``order``, ``order`` lies in
+        ``[0, len(src))`` and the vertex ids it selects in
+        ``[0, member.shape[0])`` (see :meth:`grow`).  Anything else is a
+        ``ValueError``, raised before the kernel touches memory.
         """
-        p = self.num_parts
-        member, balance = self.member, self._balance
-        maintained = balance is not None
-        alpha, beta = self.alpha, self.beta
-        table = self._parts_of
-        running = self._units is None
-        ec, vc = self.ecount.tolist(), self.vcount.tolist()
-        bal = balance.tolist() if maintained else None
-        assigned, covered = sum(ec), sum(vc)
-        if running:
-            # re-derived below only when ``covered`` moves
-            vertex_unit = beta / ((covered or 1) / p)
-        else:
-            edge_unit, vertex_unit = self._units
-        # ``floor`` bounds every part's score from below: the score of
-        # min(bal), or of min(ec) and min(vc) together.  All three only
-        # grow inside a call, so a stale minimum stays a bound; it is
-        # refreshed when the guard below fails.
-        low_ec = low_vc = 0
-        floor = 2.0
-        for start in range(0, order.shape[0], _BLOCK):
-            block = order[start : start + _BLOCK]
-            size = block.shape[0]
-            verts, local = np.unique(
-                np.concatenate([src[block], dst[block]]), return_inverse=True
-            )
-            masks = _pack_rows(member[verts])
-            local = local.tolist()
-            chosen = [0] * size
-            gains = []  # (step, local vertex, part) of every new replica
-            covered_before = covered
-            for step, (a, b) in enumerate(zip(local[:size], local[size:])):
-                mask_u = masks[a]
-                mask_v = masks[b]
-                # score(i) = balance(i) + 2, so that eva(i) = score(i) - k
-                # for the parts of class k = I(u ∈ keep[i]) + I(v ∈ keep[i])
-                if running:
-                    edge_unit = alpha / ((assigned + step or 1) / p)
-                    floor = low_ec * edge_unit + low_vc * vertex_unit + 2.0
-                # least score in the highest non-empty class, lowest id first
-                rest = mask_u & mask_v or mask_u | mask_v
-                candidates = table.get(rest)
-                if candidates is None:
-                    # first use, or past the cap: peel the bits from the
-                    # top (cheaper than ``bits & -bits`` on wide masks)
-                    candidates = []
-                    bits = rest
-                    while bits:
-                        i = bits.bit_length() - 1
-                        candidates.append(i)
-                        bits ^= 1 << i
-                    candidates.reverse()
-                    if rest and len(table) < _MASK_TABLE:
-                        table[rest] = tuple(candidates)
-                best = inf
-                for i in candidates:
-                    score = (
-                        bal[i] + 2.0
-                        if maintained
-                        else ec[i] * edge_unit + vc[i] * vertex_unit + 2.0
-                    )
-                    if score < best:
-                        best = score
-                        w = i
-                # Every part outside the class sits at least one class lower
-                # and scores at least ``floor``: the class winner is the
-                # arg min iff it beats ``floor`` by more than that one.
-                if not best - 1.0 < floor:
-                    if maintained:
-                        floor = min(bal) + 2.0
-                    else:
-                        low_ec, low_vc = min(ec), min(vc)
-                        floor = low_ec * edge_unit + low_vc * vertex_unit + 2.0
-                    if not best - 1.0 < floor:
-                        # Eq. 2 over all parts, as Algorithm 1 writes it
-                        self.full_scans += 1
-                        if maintained:
-                            eva = [x + 2.0 for x in bal]
-                        else:
-                            eva = [
-                                e * edge_unit + v * vertex_unit + 2.0
-                                for e, v in zip(ec, vc)
-                            ]
-                        eva = [
-                            x - (mask_u >> i & 1) - (mask_v >> i & 1)
-                            for i, x in enumerate(eva)
-                        ]
-                        w = eva.index(min(eva))
-                ec[w] += 1
-                bit = 1 << w
-                gained = 0
-                if not mask_u & bit:
-                    masks[a] = mask_u | bit
-                    gains.append((step, a, w))
-                    gained = 1
-                if a != b and not mask_v & bit:
-                    masks[b] = mask_v | bit
-                    gains.append((step, b, w))
-                    gained += 1
-                chosen[step] = w
-                if maintained:
-                    # one addition per unit, in commit order: this is the
-                    # rounding the maintained policy exists to preserve
-                    bumped = bal[w] + edge_unit
-                    if gained:
-                        bumped += vertex_unit
-                        if gained == 2:
-                            bumped += vertex_unit
-                    bal[w] = bumped
-                if gained:
-                    vc[w] += gained
-                    covered += gained
-                    if running:
-                        vertex_unit = beta / ((covered or 1) / p)
-            assigned += size
-            out[block] = chosen
-            steps, rows, parts = np.array(gains, dtype=np.int64).reshape(-1, 3).T
-            member[verts[rows], parts] = True
-            if trace is not None:
-                trace[start : start + size] = covered_before + np.cumsum(
-                    np.bincount(steps, minlength=size)
+        p, balance = self.num_parts, self._balance
+        arrays = [
+            ("src", src, np.int64, 1, False), ("dst", dst, np.int64, 1, False),
+            ("order", order, np.int64, 1, False), ("out", out, np.int64, 1, True),
+            ("trace", trace, np.int64, 1, True), ("member", self.member, np.bool_, 2, True),
+            ("ecount", self.ecount, np.int64, 1, True), ("vcount", self.vcount, np.int64, 1, True),
+            ("balance", balance, np.float64, 1, True),
+        ]
+        for name, array, dtype, ndim, written in arrays:
+            if array is None:
+                continue
+            if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == ndim
+                    and array.flags.c_contiguous and (array.flags.writeable or not written)):
+                raise ValueError(
+                    f"{name} must be a {'writeable ' if written else ''}C-contiguous "
+                    f"{ndim}-D {np.dtype(dtype)} array"
                 )
-        self.ecount[:] = ec
-        self.vcount[:] = vc
-        if maintained:
-            balance[:] = bal
-
-
-def _pack_rows(rows: np.ndarray) -> list:
-    """One Python int per row of a bool matrix; bit ``i`` is column ``i``."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    count, nbytes = packed.shape
-    words = np.zeros((count, -(-nbytes // 8)), dtype="<u8")
-    words.view(np.uint8)[:, :nbytes] = packed
-    masks = words[:, 0].tolist()
-    for k in range(1, words.shape[1]):
-        high = words[:, k].tolist()
-        masks = [m | (h << 64 * k) for m, h in zip(masks, high)]
-    return masks
+        if not (self.member.shape[1] == p and self.ecount.shape == self.vcount.shape == (p,)
+                and (balance is None or balance.shape == (p,))):
+            raise ValueError(f"member, ecount, vcount and the balance vector must have {p} parts")
+        m = src.shape[0]
+        if dst.shape[0] != m or out.shape[0] != m:
+            raise ValueError(
+                f"src, dst and out must be equally long, got {m}, {dst.shape[0]}, {out.shape[0]}"
+            )
+        if trace is not None and trace.shape[0] != order.shape[0]:
+            raise ValueError(
+                f"trace must be as long as order, got {trace.shape[0]} and {order.shape[0]}"
+            )
+        if order.shape[0] == 0:
+            return
+        if order.min() < 0 or order.max() >= m:
+            raise ValueError(f"order must lie in [0, {m})")
+        rows = self.member.shape[0]
+        for name, ends in (("src", src[order]), ("dst", dst[order])):
+            if ends.min() < 0 or ends.max() >= rows:
+                raise ValueError(
+                    f"{name} vertex ids must lie in [0, {rows}), "
+                    f"got [{ends.min()}, {ends.max()}]"
+                )
+        edge_unit, vertex_unit = self._units or (0.0, 0.0)
+        _kernel()(
+            p, src.ctypes.data, dst.ctypes.data, order.ctypes.data, order.shape[0],
+            out.ctypes.data, None if trace is None else trace.ctypes.data,
+            self.member.ctypes.data, self.ecount.ctypes.data, self.vcount.ctypes.data,
+            None if balance is None else balance.ctypes.data,
+            self._units is None, self.alpha, self.beta, edge_unit, vertex_unit,
+        )
 
 
 class EBVPartitioner(Partitioner):
@@ -455,3 +367,69 @@ class EBVPartitioner(Partitioner):
         x = idx + 1
         y = self.last_trace[idx] / graph.num_vertices
         return x, y
+
+
+# ----------------------------------------------------------------------
+# The compiled loop: built on first use, cached beside the bytecode
+# ----------------------------------------------------------------------
+
+
+class KernelBuildError(RuntimeError):
+    """The C compiler is missing or rejected :data:`KERNEL_SOURCE`."""
+
+
+def kernel_build() -> Tuple[Path, List[str]]:
+    """``(library path, compile command)`` for :data:`KERNEL_SOURCE`.
+
+    The library lives where this module's bytecode does (``__pycache__``
+    beside it, or under ``sys.pycache_prefix``), named by a hash of the
+    source and :data:`KERNEL_COMMAND`, so an edit to either builds a new
+    file.
+    """
+    command = list(KERNEL_COMMAND)
+    key = hashlib.sha256(KERNEL_SOURCE.read_bytes())
+    key.update("\0".join(command).encode())
+    cache = Path(importlib.util.cache_from_source(__file__)).parent
+    return cache / f"ebv_kernel.{key.hexdigest()[:16]}.so", command
+
+
+def load_kernel() -> Callable[..., None]:
+    """The kernel's ``ebv_assign``, compiling the library if it is missing.
+
+    The build writes a temporary name in the cache directory and
+    renames it into place, so concurrent builders each load a whole
+    library.  Raises :class:`KernelBuildError` with the command and the
+    compiler's stderr when the build fails.
+    """
+    path, command = kernel_build()
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+        os.close(fd)
+        argv = command + [str(KERNEL_SOURCE), "-o", tmp]
+        try:
+            try:
+                proc = subprocess.run(argv, capture_output=True, text=True)
+            except OSError as exc:
+                raise KernelBuildError(
+                    f"cannot build the EBV kernel: `{shlex.join(argv)}`: {exc}"
+                ) from exc
+            if proc.returncode:
+                raise KernelBuildError(
+                    f"cannot build the EBV kernel: `{shlex.join(argv)}` exited "
+                    f"{proc.returncode}:\n{proc.stderr.strip()}"
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(path)).ebv_assign
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    fn.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+                   ctypes.c_int, f64, f64, f64, f64]
+    fn.restype = None
+    return fn
+
+
+#: one load per process
+_kernel = functools.lru_cache(maxsize=None)(load_kernel)

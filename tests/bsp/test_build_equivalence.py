@@ -90,6 +90,16 @@ def test_equivalence_with_isolated_vertices():
     assert_builds_identical(result)
 
 
+def test_equivalence_with_many_isolated_vertices():
+    """Every worker receives unhosted vertices next to hosted ones."""
+    base = generate_graph("powerlaw", vertices=300, seed=21)
+    g = Graph(base.num_vertices + 40, base.src, base.dst)
+    result = DBHPartitioner().partition(g, 4)
+    locals_ = build_distributed_graph(result).locals
+    assert all(np.isin(np.arange(300, 340), local.global_ids).any() for local in locals_)
+    assert_builds_identical(result)
+
+
 def test_equivalence_single_part():
     g = generate_graph("er", vertices=100, seed=5)
     result = DBHPartitioner().partition(g, 1)

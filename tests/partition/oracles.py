@@ -16,8 +16,8 @@ exact integer arithmetic: no floats, so ties always break to the lowest
 subgraph id.
 
 The fifth, :class:`OracleCore`, is ``EBVCore`` as it stood at commit
-7aeb7a2 — Eq. 2 evaluated on all ``p`` parts for every edge — kept so
-the candidate-class ``EBVCore.assign`` can be compared with it call by
+7aeb7a2 — Eq. 2 evaluated on all ``p`` parts for every edge, in numpy —
+kept so the compiled ``EBVCore.assign`` can be compared with it call by
 call, state included.
 """
 
@@ -442,8 +442,8 @@ class OracleShardedAssigner:
 class OracleCore:
     """Parent ``EBVCore`` (commit 7aeb7a2), verbatim: Eq. 2 on all parts per edge.
 
-    The loop ``EBVCore.assign`` scored every edge with before it learned
-    to score only the candidate class — one ``np.argmin`` over a
+    The loop ``EBVCore.assign`` scored every edge with before its
+    candidate-class and compiled successors — one ``np.argmin`` over a
     length-``p`` vector per edge, in all three balance modes
     (maintained; derived with exact totals; derived with running
     totals).  State layout is the core's own, so a test can compare

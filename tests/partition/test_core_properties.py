@@ -40,7 +40,7 @@ def test_counters_match_bitmap_after_every_call(steps, p, exact_totals):
     dst_so_far = np.empty(0, dtype=np.int64)
     parts_so_far = np.empty(0, dtype=np.int64)
     for is_seed, edges, entropy in steps:
-        src, dst = (np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+        src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy()
         rng = np.random.default_rng(entropy)
         if is_seed:
             parts = rng.integers(0, p, size=src.shape[0])
@@ -90,7 +90,7 @@ def test_assignment_and_state_match_the_all_parts_oracle(steps, p, alpha, beta, 
     total_edges = sum(len(edges) for _, edges, _ in steps)
     core, oracle = core_pair(mode, p, alpha, beta, total_edges, NUM_VERTICES)
     for is_seed, edges, entropy in steps:
-        src, dst = (np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+        src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy()
         rng = np.random.default_rng(entropy)
         if not is_seed:
             assert_same_assignment(core, oracle, src, dst, rng.permutation(src.shape[0]))
