@@ -400,7 +400,7 @@ def _input(text: str = "edge-list file"):
     return _arg("input", help=text)
 
 
-def _component(flag: str, registry, default: str):
+def _component(flag: str, registry, default: str, note: str = ""):
     """A component spec option (``--method`` / ``--app`` / ``--backend``).
 
     Accepts full spec strings (``"ebv?alpha=2"``); an unknown name is an
@@ -418,7 +418,7 @@ def _component(flag: str, registry, default: str):
     return _arg(
         flag, type=validate, default=default,
         help=f"{registry.kind} spec: a name plus optional kwargs "
-        f"('name?key=value,...'); available: {', '.join(registry.names())}",
+        f"('name?key=value,...'); available: {', '.join(registry.names())}{note}",
     )
 
 
@@ -482,7 +482,9 @@ _VERBS = (
         _arg("--mutations", required=True, metavar="FILE",
              help="mutation file: one op per line, '+ u v [w]' inserts and "
              "'- u v' deletes; '#' starts a comment"),
-        _component("--method", registries.PARTITIONERS, "ebv-stream"),
+        _component("--method", registries.PARTITIONERS, "ebv-stream", note="; "
+                   "any vertex-cut method; one that cannot warm-start (all but "
+                   "ebv-stream) is maintained, and its drift measured, by ebv-stream"),
         _PARTS,
         _arg("--repartition-threshold", type=float, metavar="FRAC",
              help="touched-edge fraction above which the escape hatch does a "

@@ -23,6 +23,7 @@ from .incremental import (
     DEFAULT_REPARTITION_THRESHOLD,
     MutationResult,
     apply_mutations,
+    maintainer,
     mutated_graph,
 )
 
@@ -35,6 +36,7 @@ __all__ = [
     "MutationResult",
     "ResolvedBatch",
     "apply_mutations",
+    "maintainer",
     "mutated_graph",
     "patch_spilled_partition",
 ]

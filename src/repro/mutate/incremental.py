@@ -9,9 +9,12 @@ affected edges**:
 * deleted edges surrender their balance/replica contributions, which is
   exact: the streaming state is *re-seeded* from the surviving
   assignment (:meth:`StreamingEBVAssigner.seed`), not patched;
-* inserted edges are fed through :func:`repro.stream.windows` into the
-  warm assigner, so they are scored by the same greedy EBV evaluation
-  function against the live per-part counts and replica sets.
+* inserted edges are fed in windows into the warm assigner, so they
+  are scored by the same greedy EBV evaluation function against the
+  live per-part counts and replica sets.
+
+Seeding reads the *assignment*, not the history that made it, so
+:func:`maintainer` (ebv-stream) maintains any vertex-cut partition.
 
 The incremental path trades replication factor for work: it never
 revisits old edges, so its RF can drift above what a full repartition
@@ -34,13 +37,14 @@ import numpy as np
 
 from ..graph import Graph
 from ..partition import replication_factor
-from ..partition.base import VERTEX_CUT, PartitionResult
-from ..partition.streaming import StreamingEBVPartitioner
+from ..partition.base import VERTEX_CUT, Partitioner, PartitionResult
+from ..partition.streaming import StreamingEBVPartitioner, assign_all
 from .batch import MutationBatch, MutationError, ResolvedBatch
 
 __all__ = [
     "MutationResult",
     "apply_mutations",
+    "maintainer",
     "mutated_graph",
     "DEFAULT_REPARTITION_THRESHOLD",
 ]
@@ -141,26 +145,28 @@ def mutated_graph(graph: Graph, resolved: ResolvedBatch) -> Graph:
     )
 
 
+def maintainer(partitioner: Optional[Partitioner] = None) -> StreamingEBVPartitioner:
+    """``partitioner`` if its assigner can be seeded (ebv-stream), else a
+    default :class:`StreamingEBVPartitioner`: the one that maintains."""
+    if isinstance(partitioner, StreamingEBVPartitioner):
+        return partitioner
+    return StreamingEBVPartitioner()
+
+
 def apply_mutations(
     partition: PartitionResult,
     batch: MutationBatch,
-    partitioner: Optional[StreamingEBVPartitioner] = None,
+    partitioner: Optional[Partitioner] = None,
     *,
     repartition_threshold: float = DEFAULT_REPARTITION_THRESHOLD,
     compare_full: bool = False,
 ) -> MutationResult:
     """Apply a mutation batch to a vertex-cut partition incrementally.
 
-    ``partitioner`` supplies the assigner core that scores the inserted
-    edges (and performs the full repartition when the escape hatch
-    fires); it must be warm-seedable — the streaming EBV family.  The
-    default re-assigns with a fresh :class:`StreamingEBVPartitioner`
-    regardless of which method produced ``partition``: seeding reads
-    the *assignment*, not the assigner's history, so maintaining e.g.
-    an offline-EBV partition with the streaming core is well defined.
+    :func:`maintainer` of ``partitioner`` scores the inserted edges and
+    runs the full repartitions of the escape hatch and ``compare_full``,
+    whichever method produced ``partition``.
     """
-    from ..stream.driver import windows
-
     if partition.kind != VERTEX_CUT:
         raise MutationError(
             f"apply_mutations maintains vertex-cut partitions; got kind "
@@ -170,8 +176,7 @@ def apply_mutations(
         raise MutationError(
             f"repartition_threshold must be in [0, 1], got {repartition_threshold!r}"
         )
-    if partitioner is None:
-        partitioner = StreamingEBVPartitioner()
+    partitioner = maintainer(partitioner)
     graph = partition.graph
     resolved = batch.resolve_against(graph)
     new_graph = mutated_graph(graph, resolved)
@@ -196,12 +201,6 @@ def apply_mutations(
         keep[resolved.removed_ids] = False
         surviving_parts = partition.edge_parts[keep]
         assigner = partitioner.streamer(num_parts)
-        if not hasattr(assigner, "seed"):
-            raise MutationError(
-                f"partitioner {getattr(partitioner, 'name', type(partitioner).__name__)!r} "
-                "has no warm-seedable assigner; incremental maintenance needs "
-                "the streaming EBV core (ebv-stream)"
-            )
         n_surviving = surviving_parts.shape[0]
         assigner.seed(
             new_graph.src[:n_surviving],
@@ -209,17 +208,10 @@ def apply_mutations(
             surviving_parts,
             num_vertices=new_graph.num_vertices,
         )
-        insert_parts = [
-            assigner.assign(s, d)
-            for s, d, _ in windows(
-                [(resolved.insert_src, resolved.insert_dst, None)], assigner.window
-            )
-        ]
-        edge_parts = np.concatenate(
-            [surviving_parts] + insert_parts
-            if insert_parts
-            else [surviving_parts]
-        )
+        edge_parts = np.concatenate([
+            surviving_parts,
+            assign_all(assigner, resolved.insert_src, resolved.insert_dst),
+        ])
         mode = "incremental"
         reassigned = resolved.num_inserted
 

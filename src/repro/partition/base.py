@@ -223,6 +223,9 @@ class Partitioner(abc.ABC):
     #: human-readable algorithm name (class attribute overridden by each
     #: implementation; used as the default ``method`` on results).
     name: str = "base"
+    #: the streaming contract (see :mod:`repro.partition.streaming`)
+    streams: bool = False
+    requires_totals: bool = False
 
     @abc.abstractmethod
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:

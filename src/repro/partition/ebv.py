@@ -45,6 +45,7 @@ __all__ = [
     "KernelBuildError",
     "SORT_ORDERS",
     "check_weights",
+    "degree_sum_order",
     "edge_processing_order",
 ]
 
@@ -92,12 +93,23 @@ def edge_processing_order(
     if sort_order == "random":
         rng = np.random.default_rng(seed)
         return rng.permutation(graph.num_edges).astype(np.int64)
-    degrees = graph.degrees()
-    key = degrees[graph.src] + degrees[graph.dst]
-    order = np.argsort(key, kind="stable")
+    order = degree_sum_order(graph.degrees(), graph.src, graph.dst)
     if sort_order == "descending":
-        order = order[::-1]
-    return order.astype(np.int64)
+        return order[::-1].copy()
+    return order
+
+
+def degree_sum_order(degrees: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Stable ascending permutation of the edges by end-vertex degree sum.
+
+    The key ``degrees[src] + degrees[dst]`` is sorted as ``uint16`` when
+    it fits, where numpy's stable sort is a radix sort instead of a
+    timsort; a stable sort's permutation does not depend on the dtype.
+    """
+    key = degrees[src] + degrees[dst]
+    if key.shape[0] and key.max() < 1 << 16:
+        key = key.astype(np.uint16)
+    return np.argsort(key, kind="stable").astype(np.int64, copy=False)
 
 
 class EBVCore:

@@ -48,15 +48,22 @@ driver in :mod:`repro.stream` feeds them from disk — both paths produce
 byte-identical assignments (enforced by
 ``tests/stream/test_stream_equivalence.py``).
 
-The assigner contract (what :func:`repro.stream.stream_partition`
-relies on):
+The contract every caller relies on:
 
-* ``window`` — the number of edges per :meth:`assign` call the assigner
-  expects; the driver re-buffers arbitrary reader chunks into windows
-  of exactly this size (the final window may be short), so assignment
-  results are independent of the on-disk chunking.
-* ``assign(src, dst)`` — assign one window, returning the part id of
-  every edge *in input order*.
+* ``streams`` (per partitioner instance) — whether
+  :func:`repro.stream.stream_partition` may feed it through
+  ``streamer()``: ``ebv-stream`` always, ``ebv-sharded`` when
+  ``sort_edges`` is off, no other partitioner.
+* ``requires_totals`` — ``streamer()`` needs exact |E| and |V|, so the
+  driver runs the degree-sketch pre-pass first (``ebv-sharded``).
+* ``window`` / ``assign(src, dst)`` — an assigner takes windows of
+  exactly ``window`` edges (the last may be short) and returns their
+  parts in input order; :func:`repro.stream.windows` re-buffers chunk
+  streams and :func:`assign_all` arrays into them, so assignments do
+  not depend on chunking.
+* ``seed(src, dst, parts)`` — the warm start, on
+  :class:`StreamingEBVAssigner` only; :func:`repro.mutate.maintainer`
+  picks the partitioner whose assigner maintains an assignment.
 * ``replication_factor()`` — current replication factor of the
   assignment so far, computable from the assigner's own state without
   any graph.
@@ -70,14 +77,18 @@ import numpy as np
 
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
-from .ebv import EBVCore, check_weights, edge_processing_order
+from .ebv import EBVCore, check_weights, degree_sum_order, edge_processing_order
 
 __all__ = [
     "StreamingEBVPartitioner",
     "ShardedEBVPartitioner",
     "StreamingEBVAssigner",
     "ShardedEBVAssigner",
+    "assign_all",
 ]
+
+#: what a stream source needs, for the refusals of the driver and the spec
+STREAMING_PARTITIONERS = "stream with ebv-stream, or ebv-sharded with sort_edges=false"
 
 
 def _edge_arrays(*arrays) -> tuple:
@@ -94,6 +105,19 @@ def _top_vertex(src: np.ndarray, dst: np.ndarray) -> int:
     if low < 0:
         raise ValueError(f"edge references negative vertex id {low}")
     return int(max(src.max(), dst.max()))
+
+
+def assign_all(assigner, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Feed every edge to ``assigner`` in windows of exactly
+    ``assigner.window``; returns the parts in input order."""
+    src, dst = _edge_arrays(src, dst)
+    if src.shape != dst.shape:
+        raise ValueError("src and dst must have identical shapes")
+    out = np.empty(src.shape[0], dtype=np.int64)
+    for start in range(0, src.shape[0], assigner.window):
+        stop = start + assigner.window
+        out[start:stop] = assigner.assign(src[start:stop], dst[start:stop])
+    return out
 
 
 class StreamingEBVAssigner:
@@ -172,8 +196,7 @@ class StreamingEBVAssigner:
         seen_degree = self._seen_degree
         np.add.at(seen_degree, src, 1)
         np.add.at(seen_degree, dst, 1)
-        key = seen_degree[src] + seen_degree[dst]
-        self._core.assign(src, dst, np.argsort(key, kind="stable"), out)
+        self._core.assign(src, dst, degree_sum_order(seen_degree, src, dst), out)
         return out
 
     def replication_factor(self, num_vertices: Optional[int] = None) -> float:
@@ -284,19 +307,8 @@ class StreamingEBVPartitioner(Partitioner):
     """
 
     name = "EBV-stream"
-    #: the out-of-core driver may feed this partitioner chunk-by-chunk
-    supports_stream = True
-    #: no |E|/|V| pre-pass needed — normalization uses running counts
-    requires_totals = False
-
-    @classmethod
-    def stream_capable(cls, **kwargs) -> bool:
-        """Whether a construction with ``kwargs`` could consume a stream.
-
-        Used for eager :class:`~repro.pipeline.PipelineSpec` validation;
-        every configuration of this partitioner streams.
-        """
-        return True
+    #: every configuration consumes a stream, normalizing by running counts
+    streams = True
 
     def __init__(self, chunk_size: int = 4096, alpha: float = 1.0, beta: float = 1.0):
         if chunk_size < 1:
@@ -315,13 +327,7 @@ class StreamingEBVPartitioner(Partitioner):
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:
         """Stream the edge list in input order, chunk by chunk."""
-        m = graph.num_edges
-        edge_parts = np.full(m, -1, dtype=np.int64)
-        assigner = self.streamer(num_parts)
-        src, dst = graph.src, graph.dst
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            edge_parts[start:stop] = assigner.assign(src[start:stop], dst[start:stop])
+        edge_parts = assign_all(self.streamer(num_parts), graph.src, graph.dst)
         return PartitionResult(
             graph, num_parts, edge_parts=edge_parts, kind=VERTEX_CUT,
             method=self.name,
@@ -349,15 +355,9 @@ class ShardedEBVPartitioner(Partitioner):
     """
 
     name = "EBV-sharded"
-    supports_stream = True
     #: the evaluation function divides by exact |E| and |V|, so the
     #: out-of-core driver must run a degree-sketch pre-pass first
     requires_totals = True
-
-    @classmethod
-    def stream_capable(cls, **kwargs) -> bool:
-        """Only the unsorted configuration can stream (see ``sort_edges``)."""
-        return kwargs.get("sort_edges", True) is False
 
     def __init__(
         self,
@@ -375,6 +375,11 @@ class ShardedEBVPartitioner(Partitioner):
         self.sync_interval = int(sync_interval)
         self.alpha, self.beta = check_weights(alpha, beta)
         self.sort_edges = bool(sort_edges)
+
+    @property
+    def streams(self) -> bool:
+        """Only the unsorted configuration can stream (see ``sort_edges``)."""
+        return not self.sort_edges
 
     def streamer(
         self,
@@ -401,21 +406,17 @@ class ShardedEBVPartitioner(Partitioner):
 
     def partition(self, graph: Graph, num_parts: int) -> PartitionResult:
         """Run the sharded simulation; one epoch = sync_interval edges/shard."""
-        m = graph.num_edges
-        edge_parts = np.full(m, -1, dtype=np.int64)
         order = edge_processing_order(
             graph, "ascending" if self.sort_edges else "input"
         )
         assigner = ShardedEBVAssigner(
             num_parts, self.num_shards, self.sync_interval,
-            self.alpha, self.beta, m, graph.num_vertices,
+            self.alpha, self.beta, graph.num_edges, graph.num_vertices,
         )
-        # Feed the processing order span by span; each span is exactly
-        # one epoch of the sharded simulation (see ShardedEBVAssigner).
-        src, dst = graph.src, graph.dst
-        for start in range(0, m, assigner.window):
-            span = order[start : start + assigner.window]
-            edge_parts[span] = assigner.assign(src[span], dst[span])
+        # Each window of the processing order is one epoch (see
+        # ShardedEBVAssigner); scatter the parts back to edge ids.
+        edge_parts = np.empty(graph.num_edges, dtype=np.int64)
+        edge_parts[order] = assign_all(assigner, graph.src[order], graph.dst[order])
         return PartitionResult(
             graph, num_parts, edge_parts=edge_parts, kind=VERTEX_CUT,
             method=self.name,

@@ -259,12 +259,7 @@ def _mutate(ctx) -> None:
     extra: Dict[str, Any] = {}
     if cfg.get("repartition_threshold") is not None:
         extra["repartition_threshold"] = cfg["repartition_threshold"]
-    # The configured partitioner maintains the assignment only when it
-    # exposes the warm-seedable streaming core; otherwise apply_mutations
-    # falls back to its default (a fresh ebv-stream scorer over the same
-    # assignment).
-    maintainer = ctx.partitioner if hasattr(ctx.partitioner, "streamer") else None
-    mutation = apply_mutations(ctx.result, batch, maintainer, **extra)
+    mutation = apply_mutations(ctx.result, batch, ctx.partitioner, **extra)
     ctx.result, ctx.graph = mutation.partition, mutation.graph
     ctx.mutation = mutation.report()
 

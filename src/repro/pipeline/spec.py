@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..bsp import CostModel
+from ..partition.streaming import STREAMING_PARTITIONERS
 from .registries import APPS, BACKENDS, GENERATORS, PARTITIONERS, STREAMS
 from .registry import RegistryError, format_spec, parse_spec
 
@@ -176,22 +177,14 @@ def _canonical_mutations(value: Any) -> Optional[Dict[str, Any]]:
 
 def _check_stream_partitioner(partition_spec: str) -> None:
     """Eagerly reject stream sources with non-streaming partitioners."""
-    name, kwargs = parse_spec(partition_spec)
-    factory = PARTITIONERS.get(name)
-    checker = getattr(factory, "stream_capable", None)
-    capable = (
-        checker(**kwargs) if checker is not None
-        else bool(getattr(factory, "supports_stream", False))
-    )
-    if not capable:
-        streaming = [
-            n for n, f in PARTITIONERS.items()
-            if getattr(f, "supports_stream", False)
-        ]
+    try:
+        streams = PARTITIONERS.create(partition_spec).streams
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid 'partition' spec {partition_spec!r}: {exc}") from exc
+    if not streams:
         raise SpecError(
             f"partitioner spec {partition_spec!r} cannot consume a stream "
-            f"source; streaming-capable partitioners: {', '.join(streaming)} "
-            "(ebv-sharded only with sort_edges=false)"
+            f"source; {STREAMING_PARTITIONERS}"
         )
 
 

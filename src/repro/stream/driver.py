@@ -38,6 +38,7 @@ from ..arraytable import ArrayTableError, read_file
 from ..graph import Graph
 from ..obs import NULL_RECORDER
 from ..partition.base import VERTEX_CUT, PartitionResult
+from ..partition.streaming import STREAMING_PARTITIONERS
 from .sketch import DegreeSketch
 from .sources import EdgeChunk, EdgeChunkStream, StreamError
 
@@ -142,13 +143,12 @@ def _resolve_assigner(stream: EdgeChunkStream, partitioner, num_parts: int):
 
     Returns ``(assigner, sketch, sketch_is_complete)``.
     """
-    if not getattr(partitioner, "supports_stream", False):
+    if not partitioner.streams:
         raise StreamError(
-            f"partitioner {getattr(partitioner, 'name', type(partitioner).__name__)!r} "
-            "does not support streaming; streaming-capable partitioners define "
-            "supports_stream/streamer()"
+            f"partitioner {partitioner.name!r} does not support streaming; "
+            f"{STREAMING_PARTITIONERS}"
         )
-    if getattr(partitioner, "requires_totals", False):
+    if partitioner.requires_totals:
         if not stream.reiterable:
             raise StreamError(
                 f"partitioner {partitioner.name!r} needs a degree-sketch "
@@ -176,7 +176,7 @@ def stream_partition(
 ) -> "SpilledPartition":
     """Partition an edge stream out of core, spilling shards to ``spill_dir``.
 
-    ``partitioner`` must be streaming-capable (``supports_stream``; see
+    ``partitioner`` must stream (its ``streams`` fact; see
     :mod:`repro.partition.streaming`).  Returns the
     :class:`SpilledPartition` handle over the written shards.  An
     optional :class:`repro.obs.TraceRecorder` wraps the spill in a

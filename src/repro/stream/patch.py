@@ -15,8 +15,9 @@
    additive).  With no deletes the remap is the identity and untouched
    shards are not rewritten at all — inserts become pure appends.
 3. **Assign + append** — the inserted edges run through the seeded
-   assigner via :func:`windows` exactly like a live stream; each insert
-   is appended to its target shard with a tail edge id.
+   assigner in its windows (:func:`repro.partition.streaming.assign_all`),
+   exactly like a live stream; each insert is appended to its target
+   shard with a tail edge id.
 
 Peak memory is O(largest shard + vertex state + |E| part ids) — the
 ``edge_parts.bin`` rewrite holds the id array, matching what
@@ -54,7 +55,6 @@ from .driver import (
     _shard_name,
     _shard_weights_name,
     stream_partition,
-    windows,
 )
 from .sources import ArrayEdgeStream, StreamError
 
@@ -76,11 +76,13 @@ def patch_spilled_partition(
 
     Returns the re-opened :class:`SpilledPartition` and a JSON-safe
     drift report (same keys as
-    :meth:`repro.mutate.MutationResult.report`).
+    :meth:`repro.mutate.MutationResult.report`).  The work is done by
+    :func:`repro.mutate.maintainer` of ``partitioner``, as in
+    :func:`repro.mutate.apply_mutations`.
     """
     from ..mutate.batch import DELETE, MutationError, _matching_rows
-    from ..mutate.incremental import DEFAULT_REPARTITION_THRESHOLD
-    from ..partition.streaming import StreamingEBVPartitioner
+    from ..mutate.incremental import DEFAULT_REPARTITION_THRESHOLD, maintainer
+    from ..partition.streaming import assign_all
 
     if repartition_threshold is None:
         repartition_threshold = DEFAULT_REPARTITION_THRESHOLD
@@ -88,8 +90,7 @@ def patch_spilled_partition(
         raise MutationError(
             f"repartition_threshold must be in [0, 1], got {repartition_threshold!r}"
         )
-    if partitioner is None:
-        partitioner = StreamingEBVPartitioner()
+    partitioner = maintainer(partitioner)
     manifest = dict(spilled.manifest)
     if not manifest["directed"]:
         raise MutationError(
@@ -166,12 +167,6 @@ def patch_spilled_partition(
     # ---- incremental patch -------------------------------------------
     removed = resolved.removed_ids  # sorted ascending
     assigner = partitioner.streamer(num_parts)
-    if not hasattr(assigner, "seed"):
-        raise MutationError(
-            f"partitioner {getattr(partitioner, 'name', type(partitioner).__name__)!r} "
-            "has no warm-seedable assigner; incremental maintenance needs "
-            "the streaming EBV core (ebv-stream)"
-        )
 
     edge_counts = np.zeros(num_parts, dtype=np.int64)
     # shard -> (eids, src, dst, w) of surviving rows needing a rewrite
@@ -188,15 +183,7 @@ def patch_spilled_partition(
         assigner.seed(src, dst, np.full(src.shape[0], part), num_vertices=n_new)
         edge_counts[part] = src.shape[0]
 
-    insert_parts = [
-        assigner.assign(s, d)
-        for s, d, _ in windows(
-            [(resolved.insert_src, resolved.insert_dst, None)], assigner.window
-        )
-    ]
-    insert_part_ids = (
-        np.concatenate(insert_parts) if insert_parts else np.empty(0, dtype=np.int64)
-    )
+    insert_part_ids = assign_all(assigner, resolved.insert_src, resolved.insert_dst)
     insert_eids = np.arange(m_surviving, m_new, dtype=np.int64)
 
     # Write replacement shards (deletes re-densify every shard's ids).

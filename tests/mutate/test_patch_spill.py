@@ -7,7 +7,7 @@ import pytest
 
 from repro.graph import write_edge_list
 from repro.mutate import MutationBatch, MutationError, apply_mutations
-from repro.partition import StreamingEBVPartitioner
+from repro.partition import ShardedEBVPartitioner, StreamingEBVPartitioner
 from repro.stream import (
     SpilledPartition,
     StreamError,
@@ -83,6 +83,22 @@ class TestPatchEquivalence:
         assert report["mode"] == "repartition"
         got = patched.assemble()
         np.testing.assert_array_equal(got.edge_parts, expect.partition.edge_parts)
+
+    @pytest.mark.parametrize("sort_edges", [True, False])
+    @pytest.mark.parametrize("threshold", [0.25, 0.0], ids=["incremental", "escape-hatch"])
+    def test_sharded_partitioner_is_maintained_by_ebv_stream(
+        self, spilled, directed_graph, batch_rng, mixed_batch, sort_edges, threshold
+    ):
+        """EBV-sharded cannot warm-start, so a default ebv-stream patches
+        (and re-spills) for it, as for any other method."""
+        batch = mixed_batch(directed_graph, batch_rng)
+        expect = in_memory_reference(spilled, batch, repartition_threshold=threshold)
+        patched, report = patch_spilled_partition(
+            spilled, batch, ShardedEBVPartitioner(sort_edges=sort_edges),
+            repartition_threshold=threshold,
+        )
+        assert report["mode"] == expect.mode
+        np.testing.assert_array_equal(patched.assemble().edge_parts, expect.partition.edge_parts)
 
     def test_delete_nonexistent_leaves_spill_untouched(self, spilled):
         before = dict(spilled.manifest)

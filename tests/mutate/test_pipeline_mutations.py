@@ -7,7 +7,8 @@ import pytest
 
 from repro.apps import cc_reference
 from repro.graph import write_edge_list
-from repro.mutate import MutationBatch
+from repro.mutate import MutationBatch, apply_mutations
+from repro.partition import StreamingEBVPartitioner
 from repro.pipeline import Pipeline, PipelineSpec, SpecError, run_spec
 from repro.pipeline.registries import APPS
 from repro.pipeline.registry import UnknownComponentError
@@ -123,6 +124,17 @@ class TestBuilderExecution:
         assert spec.mutations["repartition_threshold"] == 0.0
         res = pipe.execute()
         assert res.mutation["mode"] == "repartition"
+
+    @pytest.mark.parametrize(
+        "method", ["ebv-sharded", "ebv-sharded?sort_edges=false", "ebv", "dbh"]
+    )
+    def test_any_vertex_cut_method_is_maintained_by_ebv_stream(self, method):
+        ops = [["insert", 1, 899], ["insert", 5, 950], ["insert", 7, 3]]
+        res = run_spec({"source": SRC, "partition": method, "parts": 4, "mutations": ops})
+        base = Pipeline().source(SRC).partition(method, parts=4).execute().partition
+        expect = apply_mutations(base, MutationBatch.from_ops(ops), StreamingEBVPartitioner())
+        assert res.mutation["mode"] == "incremental"
+        np.testing.assert_array_equal(res.partition.edge_parts, expect.partition.edge_parts)
 
     def test_undirected_source_fails_in_mutate_stage(self):
         with pytest.raises(SpecError, match="mutate stage failed"):

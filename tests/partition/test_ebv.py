@@ -11,6 +11,7 @@ from repro.partition import (
     replication_factor,
     vertex_imbalance_factor,
 )
+from repro.partition.ebv import degree_sum_order
 
 
 class TestEdgeProcessingOrder:
@@ -36,6 +37,49 @@ class TestEdgeProcessingOrder:
     def test_unknown_order_raises(self, tiny_graph):
         with pytest.raises(ValueError):
             edge_processing_order(tiny_graph, "zigzag")
+
+
+def _int64_stable_order(degrees, src, dst):
+    return np.argsort(degrees[src] + degrees[dst], kind="stable")
+
+
+class TestDegreeSumOrder:
+    """A key below 2**16 is sorted as uint16 (numpy's radix sort); the
+    permutation must be the int64 stable sort's on either side of it."""
+
+    @pytest.mark.parametrize("top", [65_535, 65_536])
+    def test_equals_the_int64_stable_sort_at_the_boundary(self, top):
+        m = 20_000
+        rng = np.random.default_rng(top)
+        # one vertex per edge plus a zero-degree sink: key[j] == degrees[j]
+        degrees = np.append(rng.integers(0, 50, size=m), 0).astype(np.int64)
+        degrees[rng.choice(m, size=200, replace=False)] = rng.integers(0, top, size=200)
+        degrees[m // 3] = degrees[2 * m // 3] = top
+        src, dst = np.arange(m, dtype=np.int64), np.full(m, m, dtype=np.int64)
+        order = degree_sum_order(degrees, src, dst)
+        assert order.dtype == np.int64 and order.flags.c_contiguous
+        np.testing.assert_array_equal(order, _int64_stable_order(degrees, src, dst))
+
+    def test_empty_key(self):
+        empty = np.empty(0, dtype=np.int64)
+        order = degree_sum_order(np.zeros(3, dtype=np.int64), empty, empty)
+        assert order.dtype == np.int64 and order.shape == (0,)
+
+    @pytest.mark.parametrize("hub_degree", [100, 70_000])
+    def test_descending_is_the_reversed_int64_stable_sort(self, hub_degree):
+        # a star (degree sums above 2**16 for the larger hub) plus a path
+        leaves = np.arange(1, hub_degree + 1, dtype=np.int64)
+        path = np.arange(hub_degree + 1, hub_degree + 500, dtype=np.int64)
+        graph = Graph(
+            hub_degree + 501,
+            np.concatenate([np.zeros(hub_degree, dtype=np.int64), path]),
+            np.concatenate([leaves, path + 1]),
+        )
+        expect = _int64_stable_order(graph.degrees(), graph.src, graph.dst)
+        desc = edge_processing_order(graph, "descending")
+        assert desc.flags.c_contiguous
+        np.testing.assert_array_equal(desc, expect[::-1])
+        np.testing.assert_array_equal(edge_processing_order(graph, "ascending"), expect)
 
 
 class TestEBVBasics:

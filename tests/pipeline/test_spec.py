@@ -183,6 +183,14 @@ class TestStreamSources:
         )
         assert spec.source_is_stream
 
+    def test_stream_partitioner_is_built_to_ask_whether_it_streams(self):
+        """``streams`` is an instance fact, so a bad constructor kwarg is a
+        spec error here rather than a failure halfway through the run."""
+        with pytest.raises(SpecError, match="invalid 'partition' spec .*bogus"):
+            PipelineSpec(source="edgelist?path=g.txt", partition="ebv-stream?bogus=1")
+        with pytest.raises(SpecError, match="invalid 'partition' spec .*chunk_size"):
+            PipelineSpec(source="edgelist?path=g.txt", partition="ebv-stream?chunk_size=0")
+
     def test_stream_spec_round_trips(self):
         spec = PipelineSpec(
             source="edgelist?chunk_size=64,path=g.txt",

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.graph import powerlaw_graph, write_edge_list
+from repro.graph import powerlaw_graph, read_edge_list, write_edge_list
+from repro.pipeline import PARTITIONERS
 
 
 @pytest.fixture
@@ -365,6 +366,57 @@ class TestPipeline:
     def test_bad_constructor_kwarg_reports_clean_error(self, edge_file, capsys):
         assert main(["partition", edge_file, "--method", "ebv?bogus=1"]) == 2
         assert "partition stage failed" in capsys.readouterr().err
+
+
+#: the registry's edge-cut partitioners; every other name cuts vertices
+EDGE_CUT_METHODS = ("metis", "random-vertex")
+
+
+class TestMutate:
+    """Every vertex-cut method's partition is maintained (by ebv-stream
+    when the method cannot warm-start); edge cuts are refused, typed."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        g = powerlaw_graph(400, eta=2.0, min_degree=3, directed=True, seed=5, name="mut")
+        root = tmp_path_factory.mktemp("cli-mutate")
+        graph, deltas = str(root / "g.txt"), root / "deltas.txt"
+        write_edge_list(g, graph)
+        deltas.write_text(f"- {g.src[0]} {g.dst[0]}\n+ 1 2\n+ 3 405\n")
+        return graph, str(deltas)
+
+    @pytest.mark.parametrize("method", PARTITIONERS.names())
+    def test_every_registry_method(self, inputs, method, capsys):
+        graph, deltas = inputs
+        code = main([
+            "mutate", graph, "--mutations", deltas, "--method", method,
+            "--parts", "4", "--json",
+        ])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if method in EDGE_CUT_METHODS:
+            assert code == 2
+            assert err.startswith("error: ") and "maintains vertex-cut partitions" in err
+        else:
+            assert code == 0, err
+            report = json.loads(out)["mutation"]
+            assert report["mode"] == "incremental"
+            assert report["num_inserted"] == 2 and report["num_deleted"] == 1
+
+    def test_drift_is_measured_against_ebv_stream(self, inputs, capsys):
+        from repro.mutate import MutationBatch, mutated_graph
+        from repro.partition import StreamingEBVPartitioner, replication_factor
+
+        graph, deltas = inputs
+        assert main([
+            "mutate", graph, "--mutations", deltas, "--method", "ebv",
+            "--parts", "4", "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)["mutation"]
+        g = read_edge_list(graph)
+        new_graph = mutated_graph(g, MutationBatch.from_file(deltas).resolve_against(g))
+        full = StreamingEBVPartitioner().partition(new_graph, 4)
+        assert report["rf_full"] == replication_factor(full)
 
 
 class TestExperiment:
