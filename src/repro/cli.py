@@ -114,7 +114,7 @@ from .checkpoint import CheckpointError
 from .graph import generate_graph, graph_stats, read_edge_list, write_edge_list
 from .partition import KernelBuildError, save_partition
 from .pipeline import Pipeline, PipelineSpec, RegistryError, SpecError, parse_spec, registries
-from .pipeline import resume_pipeline, run_spec
+from .pipeline import resume_pipeline, run_spec, stage_errors
 from .runtime import BackendError
 from .tables import render_table
 
@@ -188,10 +188,12 @@ def _cmd_stream_partition(args) -> int:
     fmt = args.format
     if fmt == "auto":
         fmt = "npy" if args.input.endswith(".npy") else "edgelist"
+    with stage_errors("partition"):
+        partitioner = registries.PARTITIONERS.create(args.method)
     t0 = perf_counter()
     spilled = stream_partition(
         registries.STREAMS.create(fmt, path=args.input, chunk_size=args.chunk_size),
-        registries.PARTITIONERS.create(args.method),
+        partitioner,
         args.parts,
         args.spill_dir or args.input + ".spill",
         overwrite=args.overwrite,
@@ -258,7 +260,8 @@ def _cmd_mutate(args) -> int:
 
     g = read_edge_list(args.input)
     batch = MutationBatch.from_file(args.mutations)
-    partitioner = registries.PARTITIONERS.create(args.method)
+    with stage_errors("partition"):
+        partitioner = registries.PARTITIONERS.create(args.method)
     extra = {} if args.repartition_threshold is None else {
         "repartition_threshold": args.repartition_threshold}
     mutation = apply_mutations(

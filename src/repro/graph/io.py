@@ -13,31 +13,37 @@ three pieces:
 * a **block reader** (:func:`_iter_blocks`) that reads the file in binary
   reads of at most ``_BLOCK_BYTES``, cuts each after its last line end,
   carries the tail into the next block and knows every block's first
-  1-based line number;
-* a **block kernel** (:func:`_parse_regular`) for the shape the paper's
-  datasets have: every byte of the block is a digit, space, tab or
-  ``\n`` and every non-blank line is exactly two tokens.  A few numpy
-  reductions over the bytes prove that shape, then one
-  ``np.fromstring`` call converts the whole block;
+  1-based line number and its ``\n`` count;
+* a **block kernel**, the C99 ``parse_edge_block`` in ``edge_kernel.c``
+  (built on first use by :mod:`repro.ckernel`), for the shapes the
+  paper's datasets have: a block that ends with ``\n``, whose lines are
+  all ``u v`` or all ``u v w`` with unsigned decimal ids and plain
+  decimal weights, separated by spaces and tabs.  It proves that shape
+  and converts the whole block in one pass into arrays sized from the
+  ``\n`` count;
 * a **per-line parser** (:meth:`_EdgeParser._parse_lines`) that owns
-  everything else — comments and repro-graph headers, weighted
-  ``u v w`` lines, signs, ``\r``, malformed lines — and every error
-  message.
+  everything else — comments and repro-graph headers, mixed column
+  counts, signs, ``\r``, ``inf`` / ``nan`` and other ``float`` forms,
+  malformed lines — and every error message.
 
 Which of the two parses a block is decided from that block's bytes
-alone: a block the kernel cannot prove regular goes to the per-line
-parser, which returns the same arrays the kernel would have or raises.
-Leading comment lines are peeled off a block first, so a header does
-not cost the block behind it the kernel.
+alone: a block the kernel declines goes to the per-line parser, which
+returns the same arrays the kernel would have or raises.  Leading
+comment lines are peeled off a block first, so a header does not cost
+the block behind it the kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
-from typing import Iterator, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..ckernel import load_library
 from .graph import Graph
 
 __all__ = [
@@ -54,7 +60,8 @@ __all__ = [
 #: (`ebv-powerlaw`: 48.88 / 48.80 / 50.09 MB at 64 KiB / 256 KiB / 1 MiB).
 _BLOCK_BYTES = 256 * 1024
 
-_INT64_MAX = np.iinfo(np.int64).max
+#: the C99 source of the block kernel
+KERNEL_SOURCE = Path(__file__).with_name("edge_kernel.c")
 
 #: ``(src, dst, weights)`` of one block; ``weights`` is as long as the
 #: edge arrays, or shorter when some (or all) lines carry no weight.
@@ -100,9 +107,7 @@ def read_edge_list(
     naming ``path:lineno``.
     """
     parser = _EdgeParser(path, strict=False)
-    pieces = [
-        parser.parse(block, lineno) for block, lineno in _iter_blocks(path, _BLOCK_BYTES)
-    ]
+    pieces = [parser.parse(*block) for block in _iter_blocks(path, _BLOCK_BYTES)]
     src, dst, wts = _concatenate(pieces)
     header_directed, header_vertices = parser.header
     if directed is None:
@@ -182,8 +187,8 @@ def iter_edge_chunks(
 
     pending: List[_Edges] = []
     count = 0
-    for block, lineno in _iter_blocks(path, min(_BLOCK_BYTES, max(4096, 16 * chunk_size))):
-        pending.append(parser.parse(block, lineno))
+    for block in _iter_blocks(path, min(_BLOCK_BYTES, max(4096, 16 * chunk_size))):
+        pending.append(parser.parse(*block))
         count += pending[-1][0].size
         if count < chunk_size:
             continue
@@ -208,9 +213,9 @@ def _concatenate(pieces: List[_Edges]) -> _Edges:
     return src, dst, wts
 
 
-def _iter_blocks(path: str, block_bytes: int) -> Iterator[Tuple[bytes, int]]:
-    """Yield ``(block, lineno)``: whole lines of ``path`` and the 1-based
-    number of the block's first line.
+def _iter_blocks(path: str, block_bytes: int) -> Iterator[Tuple[bytes, int, int]]:
+    """Yield ``(block, lineno, newlines)``: whole lines of ``path``, the
+    1-based number of the block's first line and the block's ``\\n`` count.
 
     Every read of at most ``block_bytes`` is cut after its last line end
     and the tail carried into the next block, so only a line longer than
@@ -230,44 +235,43 @@ def _iter_blocks(path: str, block_bytes: int) -> Iterator[Tuple[bytes, int]]:
             cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
             block, tail = data[:cut], data[cut:]
             if block:
-                yield block, lineno
-                lineno += block.count(b"\n")
+                newlines = block.count(b"\n")
+                yield block, lineno, newlines
+                lineno += newlines
                 if b"\r" in block:
                     lineno += block.count(b"\r") - block.count(b"\r\n")
     if tail:
-        yield tail, lineno
+        yield tail, lineno, tail.count(b"\n")
 
 
-def _parse_regular(block: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The block kernel: ``(src, dst)`` of a regular block, else ``None``.
+@functools.lru_cache(maxsize=None)
+def _kernel() -> Callable[..., int]:
+    """The kernel's ``parse_edge_block``, loaded once per process."""
+    fn = load_library(KERNEL_SOURCE, "edge-list").parse_edge_block
+    ptr = ctypes.c_void_p
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ptr, ptr, ptr,
+                   ctypes.POINTER(ctypes.c_int32)]
+    fn.restype = ctypes.c_int64
+    return fn
 
-    Regular means every byte is a digit, space, tab or ``\\n`` and every
-    line holds no token or exactly two.  Tokens are then digit runs, so
-    ``np.fromstring`` cannot stop early; the value count is compared
-    anyway.  Ids too large for int64 saturate there, so a block with a
-    saturated value is left to the per-line parser, which reads it
-    exactly.
-    """
-    data = np.frombuffer(block, dtype=np.uint8)
-    digit = (data - np.uint8(ord("0"))) < 10  # uint8 wrap-around: one compare
-    newline = data == ord("\n")
-    if not (digit | newline | (data == ord(" ")) | (data == ord("\t"))).all():
+
+def _parse_block(
+    block: bytes, newlines: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """The block kernel: ``(src, dst, weights)`` of a block it takes, else
+    ``None``.  ``weights`` is ``None`` unless the block's lines are
+    ``u v w``; ``newlines``, the block's ``\\n`` count, sizes the arrays."""
+    src = np.empty(newlines, dtype=np.int64)
+    dst = np.empty(newlines, dtype=np.int64)
+    wts = np.empty(newlines, dtype=np.float64)
+    columns = ctypes.c_int32()
+    count = _kernel()(
+        block, len(block), newlines, src.ctypes.data, dst.ctypes.data, wts.ctypes.data,
+        columns,
+    )
+    if count < 0:
         return None
-    token_start = digit.copy()
-    token_start[1:] &= ~digit[:-1]
-    tokens = int(np.count_nonzero(token_start))
-    if tokens == 0:  # np.fromstring reads an all-blank string as [0]
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    line_starts = np.concatenate(([0], np.flatnonzero(newline) + 1))
-    if line_starts[-1] == data.size:
-        line_starts = line_starts[:-1]
-    per_line = np.add.reduceat(token_start, line_starts, dtype=np.intp)
-    if not ((per_line == 0) | (per_line == 2)).all():
-        return None
-    values = np.fromstring(block, dtype=np.int64, sep=" ")
-    if values.size != tokens or values.max() == _INT64_MAX:
-        return None
-    return np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2])
+    return src[:count], dst[:count], wts[:count] if columns.value == 3 else None
 
 
 class _EdgeParser:
@@ -288,25 +292,30 @@ class _EdgeParser:
         #: lenient mode: ``(directed, num_vertices)`` of the last header seen.
         self.header: Tuple[Optional[bool], Optional[int]] = (None, None)
 
-    def parse(self, block: bytes, lineno: int) -> _Edges:
-        """``block``'s edges, by the kernel if its bytes allow, else line by line."""
+    def parse(self, block: bytes, lineno: int, newlines: int) -> _Edges:
+        """``block``'s edges, by the kernel if its bytes allow, else line by
+        line; ``newlines`` is the block's ``\\n`` count."""
         head = 0
         while block[head : head + 1] in (b"#", b"%"):
             head = block.find(b"\n", head) + 1 or len(block)
         if head and b"\r" not in block[:head]:
             # Comment lines only: header hints, no edges.
             self._parse_lines(block[:head], lineno)
-            lineno += block.count(b"\n", 0, head)
+            skipped = block.count(b"\n", 0, head)
+            lineno += skipped
+            newlines -= skipped
             block = block[head:]
-        # After a weighted line in strict mode a regular block is an error,
-        # and the message is the per-line parser's.
-        if not (self.strict and self.weighted):
-            pair = _parse_regular(block)
-            if pair is not None:
-                if self.strict and pair[0].size:
-                    self.weighted = False
-                return pair + (np.empty(0),)
-        return self._parse_lines(block, lineno)
+        edges = _parse_block(block, newlines)
+        # In strict mode a block whose column count disagrees with the
+        # file's is an error, and the message is the per-line parser's.
+        if edges is None or (
+            self.strict and edges[0].size and self.weighted not in (None, edges[2] is not None)
+        ):
+            return self._parse_lines(block, lineno)
+        src, dst, wts = edges
+        if self.strict and src.size:
+            self.weighted = wts is not None
+        return src, dst, np.empty(0) if wts is None else wts
 
     def _parse_lines(self, block: bytes, first_lineno: int) -> _Edges:
         """The per-line parser: any ``u v [w ...]`` lines, comments, errors."""

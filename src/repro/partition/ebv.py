@@ -23,19 +23,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import importlib.util
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 from math import inf
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..ckernel import KernelBuildError, load_library
 from ..graph import Graph
 from .base import VERTEX_CUT, Partitioner, PartitionResult
 
@@ -53,14 +47,6 @@ SORT_ORDERS = ("ascending", "descending", "random", "input")
 
 #: the C99 source of :meth:`EBVCore.assign`'s loop
 KERNEL_SOURCE = Path(__file__).with_name("ebv_kernel.c")
-
-#: the interpreter's configured compiler and fixed flags, part of the
-#: library's cache key; ``-ffp-contract=off`` keeps ``a * b + c`` two
-#: roundings, as in Python and numpy
-KERNEL_COMMAND = (
-    *shlex.split(sysconfig.get_config_var("CC") or "cc"),
-    "-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared", "-pipe",
-)
 
 
 def check_weights(alpha: float, beta: float) -> Tuple[float, float]:
@@ -141,7 +127,7 @@ class EBVCore:
     need derived.
 
     The loop itself is C: :data:`KERNEL_SOURCE`, compiled on first use
-    (:func:`load_kernel`).  It evaluates Eq. 2 on every part as
+    (:func:`repro.ckernel.load_library`).  It evaluates Eq. 2 on every part as
     ``((score(i) - I(u ∈ keep[i])) - I(v ∈ keep[i]))`` with ``score(i)``
     the balance term plus 2 — the operations, in the order, that
     ``tests/partition/oracles.OracleCore`` performs in numpy — so under
@@ -382,66 +368,16 @@ class EBVPartitioner(Partitioner):
 
 
 # ----------------------------------------------------------------------
-# The compiled loop: built on first use, cached beside the bytecode
+# The compiled loop: built on first use (repro.ckernel)
 # ----------------------------------------------------------------------
 
 
-class KernelBuildError(RuntimeError):
-    """The C compiler is missing or rejected :data:`KERNEL_SOURCE`."""
-
-
-def kernel_build() -> Tuple[Path, List[str]]:
-    """``(library path, compile command)`` for :data:`KERNEL_SOURCE`.
-
-    The library lives where this module's bytecode does (``__pycache__``
-    beside it, or under ``sys.pycache_prefix``), named by a hash of the
-    source and :data:`KERNEL_COMMAND`, so an edit to either builds a new
-    file.
-    """
-    command = list(KERNEL_COMMAND)
-    key = hashlib.sha256(KERNEL_SOURCE.read_bytes())
-    key.update("\0".join(command).encode())
-    cache = Path(importlib.util.cache_from_source(__file__)).parent
-    return cache / f"ebv_kernel.{key.hexdigest()[:16]}.so", command
-
-
-def load_kernel() -> Callable[..., None]:
-    """The kernel's ``ebv_assign``, compiling the library if it is missing.
-
-    The build writes a temporary name in the cache directory and
-    renames it into place, so concurrent builders each load a whole
-    library.  Raises :class:`KernelBuildError` with the command and the
-    compiler's stderr when the build fails.
-    """
-    path, command = kernel_build()
-    if not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
-        os.close(fd)
-        argv = command + [str(KERNEL_SOURCE), "-o", tmp]
-        try:
-            try:
-                proc = subprocess.run(argv, capture_output=True, text=True)
-            except OSError as exc:
-                raise KernelBuildError(
-                    f"cannot build the EBV kernel: `{shlex.join(argv)}`: {exc}"
-                ) from exc
-            if proc.returncode:
-                raise KernelBuildError(
-                    f"cannot build the EBV kernel: `{shlex.join(argv)}` exited "
-                    f"{proc.returncode}:\n{proc.stderr.strip()}"
-                )
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    fn = ctypes.CDLL(str(path)).ebv_assign
+@functools.lru_cache(maxsize=None)
+def _kernel() -> Callable[..., None]:
+    """The kernel's ``ebv_assign``, loaded once per process."""
+    fn = load_library(KERNEL_SOURCE, "EBV").ebv_assign
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     fn.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
                    ctypes.c_int, f64, f64, f64, f64]
     fn.restype = None
     return fn
-
-
-#: one load per process
-_kernel = functools.lru_cache(maxsize=None)(load_kernel)

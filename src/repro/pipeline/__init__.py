@@ -13,12 +13,12 @@ future server):
 * :mod:`repro.pipeline.spec` — :class:`PipelineSpec`, a whole run as one
   JSON document;
 * :mod:`repro.pipeline.builder` — the fluent :class:`Pipeline` builder,
-  :class:`PipelineResult`, :func:`run_spec`, and
+  :class:`PipelineResult`, :func:`run_spec`, :func:`stage_errors`, and
   :func:`resume_pipeline`, which continues a crashed checkpointed run
   from its newest :mod:`repro.checkpoint` snapshot (``repro resume``).
 """
 
-from .builder import Pipeline, PipelineResult, resume_pipeline, run_spec
+from .builder import Pipeline, PipelineResult, resume_pipeline, run_spec, stage_errors
 from .registries import APPS, BACKENDS, EXPERIMENTS, GENERATORS, PARTITIONERS, STREAMS
 from .registry import (
     DuplicateComponentError,
@@ -35,6 +35,7 @@ __all__ = [
     "PipelineResult",
     "run_spec",
     "resume_pipeline",
+    "stage_errors",
     "APPS",
     "BACKENDS",
     "EXPERIMENTS",

@@ -45,10 +45,11 @@ import json
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import monotonic_ns
 from types import SimpleNamespace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from ..bsp import (
     BSPEngine,
@@ -281,6 +282,20 @@ def _run(ctx) -> None:
         recorder=ctx.rec,
     )
     ctx.run = engine.run(ctx.dgraph, program, resume_from=ctx.resume_from)
+
+
+@contextmanager
+def stage_errors(name: str) -> Iterator[None]:
+    """Re-raise a ``TypeError`` / ``ValueError`` / ``OSError`` from the
+    ``name`` stage as ``SpecError("<name> stage failed: ...")``."""
+    try:
+        yield
+    except (SpecError, RegistryError):
+        raise
+    except (TypeError, ValueError, OSError) as exc:
+        # Bad constructor kwargs surface deep inside a component;
+        # tagging them with the stage keeps CLI errors precise.
+        raise SpecError(f"{name} stage failed: {exc}") from exc
 
 
 #: ``(name, stage, wanted)`` in execution order: ``stage(ctx)`` runs when
@@ -576,14 +591,8 @@ class Pipeline:
             if not wanted(ctx):
                 continue
             t0 = monotonic_ns()
-            try:
+            with stage_errors(name):
                 stage(ctx)
-            except (SpecError, RegistryError):
-                raise
-            except (TypeError, ValueError, OSError) as exc:
-                # Bad constructor kwargs surface deep inside a component;
-                # tagging them with the stage keeps CLI errors precise.
-                raise SpecError(f"{name} stage failed: {exc}") from exc
             t1 = monotonic_ns()
             timings[name] = (t1 - t0) * 1e-9
             if ctx.rec.enabled:

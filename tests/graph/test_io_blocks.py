@@ -299,49 +299,51 @@ class TestParserSelection:
         return calls
 
     @pytest.mark.parametrize("header", [True, False])
-    def test_unweighted_file_never_reaches_the_per_line_parser(
-        self, tmp_path, small_powerlaw, per_line_calls, header
+    @pytest.mark.parametrize("graph", ["small_powerlaw", "small_road"])
+    def test_edge_file_never_reaches_the_per_line_parser(
+        self, tmp_path, request, per_line_calls, graph, header
     ):
+        graph = request.getfixturevalue(graph)
         p = str(tmp_path / "g.txt")
-        write_edge_list(small_powerlaw, p, header=header)
+        write_edge_list(graph, p, header=header)
         g = read_edge_list(p)
         chunks = list(iter_edge_chunks(p, 512))
-        assert g.num_edges == sum(c[0].size for c in chunks) == small_powerlaw.num_edges
+        assert g.num_edges == sum(c[0].size for c in chunks) == graph.num_edges
+        assert same_bits(g.weights, graph.weights)
+        assert same_bits(concat_chunks(chunks)[2], graph.weights)
         # Only the peeled header line, once per reader; zero data lines.
         assert [size for _, size in per_line_calls] == [0, 0] * header
         assert all(block.startswith(b"# repro-graph") for block, _ in per_line_calls)
 
-    def test_weighted_block_is_not_regular(self, tmp_path, small_road, per_line_calls):
-        p = str(tmp_path / "w.txt")
-        write_edge_list(small_road, p, header=False)
-        assert graph_io._parse_regular(Path(p).read_bytes()) is None
-        g = read_edge_list(p)
-        assert same_bits(g.weights, small_road.weights)
-        assert [size for _, size in per_line_calls] == [small_road.num_edges]
-
     @pytest.mark.parametrize(
         "block",
-        [b"1 2 3\n", b"1\n2 3\n", b"1 2\n3\n", b"1 2\r\n", b"-1 2\n", b"+1 2\n", b"# c\n",
-         b"1.0 2\n", b"1 2\n3 4.5\n", b"1 2\x0c3 4\n", b"1 2\xc3\xa9\n", b"1_0 2\n",
-         b"9223372036854775807 1\n", b"1 99999999999999999999\n"],
+        [b"1 2", b"1\n2 3\n", b"1 2\n3\n", b"1 2\r\n", b"-1 2\n", b"+1 2\n", b"# c\n",
+         b"1.0 2\n", b"1 2\n3 4.5\n", b"1 2 3\n4 5\n", b"1 2 3 4\n", b"1 2\x0c3 4\n",
+         b"1 2\xc3\xa9\n", b"1_0 2\n", b"1 2 1_0.5\n", b"1 2 inf\n", b"1 2 nan\n",
+         b"1 2 0x1p3\n", b"1 2 1.5e\n", b"1 2 .\n", b"1 2 5\x00\n",
+         b"9223372036854775808 1\n", b"1 99999999999999999999\n"],
     )
     def test_kernel_declines_without_raising(self, block):
-        assert graph_io._parse_regular(block) is None
+        assert graph_io._parse_block(block, block.count(b"\n")) is None
 
     @pytest.mark.parametrize(
-        "block, edges",
+        "block, edges, weights",
         [
-            (b"", []),
-            (b"\n \t\n", []),
-            (b"1 2", [(1, 2)]),
-            (b"\n\n 1\t\t2 \n\n007 9223372036854775806\n \n", [(1, 2), (7, 2**63 - 2)]),
+            (b"", [], None),
+            (b"\n \t\n", [], None),
+            (b"1 2\n", [(1, 2)], None),
+            (b"1 2 3\n", [(1, 2)], [3.0]),
+            (b"9223372036854775807 1\n", [(2**63 - 1, 1)], None),
+            (b"\n\n 1\t\t2 \n\n007 9223372036854775806\n \n", [(1, 2), (7, 2**63 - 2)], None),
+            (b"0 1\t-2.5e-3 \n\n4 5 +.5\n", [(0, 1), (4, 5)], [-2.5e-3, 0.5]),
         ],
     )
-    def test_kernel_takes_regular_blocks(self, block, edges):
-        src, dst = graph_io._parse_regular(block)
+    def test_kernel_takes_regular_blocks(self, block, edges, weights):
+        src, dst, wts = graph_io._parse_block(block, block.count(b"\n"))
         assert src.dtype == dst.dtype == np.int64
         assert src.flags.c_contiguous and dst.flags.c_contiguous
         assert list(zip(src.tolist(), dst.tolist())) == edges
+        assert (wts if wts is None else wts.tolist()) == weights
 
     def test_no_warning_escapes(self, tmp_path, recwarn):
         p = tmp_path / "g.txt"

@@ -363,9 +363,24 @@ class TestPipeline:
         assert main(["pipeline", path]) == 2
         assert "refine stage failed" in capsys.readouterr().err
 
-    def test_bad_constructor_kwarg_reports_clean_error(self, edge_file, capsys):
-        assert main(["partition", edge_file, "--method", "ebv?bogus=1"]) == 2
-        assert "partition stage failed" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "{graph}", "--method", "ebv?bogus=1"],
+            ["mutate", "{graph}", "--mutations", "{deltas}", "--method", "ebv?bogus=1"],
+            ["stream-partition", "{graph}", "--method", "ebv-stream?bogus=1",
+             "--spill-dir", "{spill}"],
+        ],
+        ids=["partition", "mutate", "stream-partition"],
+    )
+    def test_bad_constructor_kwarg_reports_clean_error(self, edge_file, tmp_path, argv, capsys):
+        deltas = tmp_path / "deltas.txt"
+        deltas.write_text("+ 1 2\n")
+        paths = dict(graph=edge_file, deltas=str(deltas), spill=str(tmp_path / "spill"))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: partition stage failed: ") and "bogus" in err
+        assert not (tmp_path / "spill").exists()
 
 
 #: the registry's edge-cut partitioners; every other name cuts vertices
