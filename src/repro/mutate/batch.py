@@ -22,10 +22,11 @@ semantics are:
 
 Resolution produces a :class:`ResolvedBatch`: the old edge ids to drop
 and the surviving inserts in batch order, which is all the incremental
-maintenance in :mod:`repro.mutate.incremental` needs.  Deletes are
-resolved against an id lookup built from the in-memory edge arrays
-(:meth:`MutationBatch.resolve_against`) or from spilled shards
-(:mod:`repro.mutate.spill`) — same semantics either way.
+maintenance in :mod:`repro.mutate.incremental` needs.  One resolver,
+:meth:`MutationBatch.resolve`, reads the edge multiset as
+``(edge_ids, src, dst)`` pieces: an in-memory graph is one piece
+(:meth:`MutationBatch.resolve_against`), a spilled partition one piece
+per shard (:func:`repro.stream.patch_spilled_partition`).
 """
 
 from __future__ import annotations
@@ -83,6 +84,21 @@ class ResolvedBatch:
     @property
     def num_inserted(self) -> int:
         return int(self.insert_src.shape[0])
+
+    def check_weights(self, weighted: bool) -> None:
+        """Reject explicit insert weights for an unweighted edge list."""
+        if self.has_explicit_weights and not weighted:
+            raise MutationError(
+                "batch carries edge weights but the edge list is unweighted; "
+                "drop the weights or mutate a weighted one"
+            )
+
+    def num_vertices_after(self, num_vertices: int) -> int:
+        """The vertex count grown to cover every inserted endpoint."""
+        if not self.num_inserted:
+            return int(num_vertices)
+        top = max(self.insert_src.max(), self.insert_dst.max())
+        return max(int(num_vertices), int(top) + 1)
 
 
 class MutationBatch:
@@ -188,19 +204,6 @@ class MutationBatch:
             out.append(row)
         return out
 
-    def touched_vertices(self) -> np.ndarray:
-        """Sorted distinct endpoints named by any op."""
-        if not self._ops:
-            return np.empty(0, dtype=np.int64)
-        flat = np.array(
-            [e for _, u, v, _ in self._ops for e in (u, v)], dtype=np.int64
-        )
-        return np.unique(flat)
-
-    def max_vertex(self) -> int:
-        """Largest endpoint named by any op (-1 for an empty batch)."""
-        return max((max(u, v) for _, u, v, _ in self._ops), default=-1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MutationBatch(+{self.num_insert_ops} -{self.num_delete_ops} "
@@ -212,15 +215,29 @@ class MutationBatch:
     # ------------------------------------------------------------------
 
     def resolve(
-        self, candidates: Dict[Tuple[int, int], Deque[int]]
+        self, pieces: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]], *, directed: bool
     ) -> ResolvedBatch:
-        """Resolve against pre-built delete candidates (ids ascending).
+        """Resolve against an edge multiset held as ``(edge_ids, src, dst)`` pieces.
 
-        ``candidates`` maps an edge pair to the deque of its *existing*
-        edge ids in ascending order, and only needs entries for pairs
-        this batch deletes — :meth:`resolve_against` builds exactly
-        that from in-memory arrays, the spill patcher from shards.
+        The pieces may split the edges any way and are read only when the
+        batch deletes something; a delete takes the smallest surviving
+        id of its pair across all of them.  ``directed`` is the edge
+        list's own flag: undirected lists are refused.
         """
+        if not directed:
+            raise MutationError(
+                "mutation batches apply to directed edge lists; undirected "
+                "inputs store each edge as two arcs — mutate both explicitly"
+            )
+        delete_pairs = {(u, v) for kind, u, v, _ in self._ops if kind == DELETE}
+        matches: List[Tuple[int, int, int]] = []
+        if delete_pairs:
+            for eids, src, dst in pieces:
+                rows = _matching_rows(src, dst, delete_pairs)
+                matches += zip(eids[rows].tolist(), src[rows].tolist(), dst[rows].tolist())
+        candidates: Dict[Tuple[int, int], Deque[int]] = {}
+        for eid, u, v in sorted(matches):
+            candidates.setdefault((u, v), deque()).append(eid)
         removed: List[int] = []  # edge ids
         pending: List[Tuple[int, int, Optional[float]]] = []
         cancelled: List[bool] = []
@@ -259,14 +276,9 @@ class MutationBatch:
         )
 
     def resolve_against(self, graph: Graph) -> ResolvedBatch:
-        """Resolve against an in-memory graph's edge arrays."""
-        if not graph.directed:
-            raise MutationError(
-                "mutation batches apply to directed edge lists; undirected "
-                "graphs store each edge as two arcs — mutate both explicitly"
-            )
-        delete_pairs = {(u, v) for kind, u, v, _ in self._ops if kind == DELETE}
-        return self.resolve(_candidates_from_arrays(graph.src, graph.dst, delete_pairs))
+        """Resolve against an in-memory graph's edge arrays (one piece)."""
+        pieces = [(np.arange(graph.num_edges), graph.src, graph.dst)]
+        return self.resolve(pieces, directed=graph.directed)
 
 
 def _matching_rows(src: np.ndarray, dst: np.ndarray, delete_pairs) -> np.ndarray:
@@ -292,12 +304,3 @@ def _matching_rows(src: np.ndarray, dst: np.ndarray, delete_pairs) -> np.ndarray
     )
     return np.nonzero(np.isin(src * base + dst, keys))[0]
 
-
-def _candidates_from_arrays(
-    src: np.ndarray, dst: np.ndarray, delete_pairs
-) -> Dict[Tuple[int, int], Deque[int]]:
-    """Ascending-id delete candidates for the in-memory (positional) path."""
-    out: Dict[Tuple[int, int], Deque[int]] = {}
-    for eid in _matching_rows(src, dst, delete_pairs).tolist():
-        out.setdefault((int(src[eid]), int(dst[eid])), deque()).append(eid)
-    return out

@@ -22,15 +22,17 @@ of the mutated graph would achieve.  The drift is *measured* —
 ``compare_full=True`` runs the full repartition and reports
 ``rf_after / rf_full`` — and *bounded operationally* by the
 ``repartition_threshold`` escape hatch: when the batch touches more
-than that fraction of the mutated graph's edges, the layer falls back
-to a full repartition (``mode="repartition"``).  Tier-1 holds the
+than that fraction of the mutated graph's edges and there is more than
+one part, the layer falls back to a full repartition
+(``mode="repartition"``).  :func:`plan_mutations` takes that decision
+for the spilled twin too.  Tier-1 holds the
 drift to ≤ 1.15 at 1/5/10% churn on a 13k-vertex power-law graph
 (``tests/mutate/test_incremental.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -42,10 +44,12 @@ from ..partition.streaming import StreamingEBVPartitioner, assign_all
 from .batch import MutationBatch, MutationError, ResolvedBatch
 
 __all__ = [
+    "MutationPlan",
     "MutationResult",
     "apply_mutations",
     "maintainer",
     "mutated_graph",
+    "plan_mutations",
     "DEFAULT_REPARTITION_THRESHOLD",
 ]
 
@@ -55,26 +59,22 @@ DEFAULT_REPARTITION_THRESHOLD = 0.25
 
 
 @dataclass
-class MutationResult:
-    """Outcome of :func:`apply_mutations`: new partition + drift metrics."""
+class MutationPlan:
+    """A resolved batch sized against the edge list it mutates.
 
-    graph: Graph
-    partition: PartitionResult
+    :func:`plan_mutations` builds it for both fronts —
+    :func:`apply_mutations` and
+    :func:`repro.stream.patch_spilled_partition` — and
+    :meth:`drift_report` is their one report.
+    """
+
     resolved: ResolvedBatch
-    #: "incremental" (affected edges only) or "repartition" (escape hatch)
-    mode: str
+    num_edges_before: int
+    num_vertices_after: int
     touched_fraction: float
     repartition_threshold: float
-    #: edges actually pushed through the assigner this call
-    reassigned_edges: int
-    rf_before: float
-    rf_after: float
-    #: RF of a from-scratch repartition of the mutated graph (None
-    #: unless compare_full=True or the escape hatch fired)
-    rf_full: Optional[float] = None
-    #: rf_after / rf_full (1.0 exactly when mode == "repartition")
-    drift: Optional[float] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
+    #: the escape hatch fired: a full repartition replaces the patch
+    repartition: bool
 
     @property
     def num_inserted(self) -> int:
@@ -84,30 +84,100 @@ class MutationResult:
     def num_deleted(self) -> int:
         return self.resolved.num_removed
 
-    def report(self) -> Dict[str, Any]:
-        """JSON-safe drift report (CLI/bench/CI artifact payload)."""
+    @property
+    def num_edges_after(self) -> int:
+        return self.num_edges_before - self.num_deleted + self.num_inserted
+
+    @property
+    def mode(self) -> str:
+        """"repartition" (escape hatch) or "incremental" (affected edges only)."""
+        return "repartition" if self.repartition else "incremental"
+
+    @property
+    def reassigned_edges(self) -> int:
+        """Edges pushed through the assigner."""
+        return self.num_edges_after if self.repartition else self.num_inserted
+
+    def drift_report(
+        self, rf_before: float, rf_after: float, rf_full: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """JSON-safe drift report (CLI/bench/CI artifact payload).
+
+        ``rf_full`` is the RF of a from-scratch repartition of the
+        mutated graph, when one ran; ``drift`` is ``rf_after / rf_full``,
+        exactly 1.0 when the escape hatch fired.
+        """
         out: Dict[str, Any] = {
             "mode": self.mode,
             "num_inserted": self.num_inserted,
             "num_deleted": self.num_deleted,
             "num_cancelled": self.resolved.num_cancelled,
-            "num_edges_before": int(
-                self.graph.num_edges - self.num_inserted + self.num_deleted
-            ),
-            "num_edges_after": int(self.graph.num_edges),
-            "num_vertices_after": int(self.graph.num_vertices),
+            "num_edges_before": int(self.num_edges_before),
+            "num_edges_after": int(self.num_edges_after),
+            "num_vertices_after": int(self.num_vertices_after),
             "touched_fraction": float(self.touched_fraction),
             "repartition_threshold": float(self.repartition_threshold),
             "reassigned_edges": int(self.reassigned_edges),
-            "rf_before": float(self.rf_before),
-            "rf_after": float(self.rf_after),
+            "rf_before": float(rf_before),
+            "rf_after": float(rf_after),
         }
-        if self.rf_full is not None:
-            out["rf_full"] = float(self.rf_full)
-        if self.drift is not None:
-            out["drift"] = float(self.drift)
-        out.update(self.extras)
+        if rf_full is not None:
+            out["rf_full"] = float(rf_full)
+            out["drift"] = 1.0 if self.repartition else rf_after / max(rf_full, 1e-12)
         return out
+
+
+def plan_mutations(
+    resolved: ResolvedBatch,
+    num_edges: int,
+    num_vertices: int,
+    *,
+    weighted: bool,
+    num_parts: int,
+    repartition_threshold: float,
+) -> MutationPlan:
+    """Check ``resolved`` against an edge list of ``num_edges`` edges over
+    ``num_vertices`` vertices and take the escape-hatch decision: a
+    partition into ``num_parts > 1`` parts is rebuilt when the batch
+    touches more than ``repartition_threshold`` of the mutated edges."""
+    if not 0.0 <= repartition_threshold <= 1.0:
+        raise MutationError(
+            f"repartition_threshold must be in [0, 1], got {repartition_threshold!r}"
+        )
+    resolved.check_weights(weighted)
+    touched = resolved.num_removed + resolved.num_inserted
+    touched_fraction = touched / max(num_edges - resolved.num_removed + resolved.num_inserted, 1)
+    return MutationPlan(
+        resolved=resolved,
+        num_edges_before=int(num_edges),
+        num_vertices_after=resolved.num_vertices_after(num_vertices),
+        touched_fraction=float(touched_fraction),
+        repartition_threshold=float(repartition_threshold),
+        repartition=num_parts > 1 and touched_fraction > repartition_threshold,
+    )
+
+
+@dataclass
+class MutationResult(MutationPlan):
+    """Outcome of :func:`apply_mutations`: the plan it carried out, the
+    new partition and its drift metrics."""
+
+    graph: Graph
+    partition: PartitionResult
+    rf_before: float
+    rf_after: float
+    #: RF of a from-scratch repartition of the mutated graph (None
+    #: unless compare_full=True or the escape hatch fired)
+    rf_full: Optional[float] = None
+
+    @property
+    def drift(self) -> Optional[float]:
+        """rf_after / rf_full (1.0 exactly when mode == "repartition")."""
+        return self.report().get("drift")
+
+    def report(self) -> Dict[str, Any]:
+        """JSON-safe drift report (:meth:`MutationPlan.drift_report`)."""
+        return self.drift_report(self.rf_before, self.rf_after, self.rf_full)
 
 
 def mutated_graph(graph: Graph, resolved: ResolvedBatch) -> Graph:
@@ -117,11 +187,7 @@ def mutated_graph(graph: Graph, resolved: ResolvedBatch) -> Graph:
     relative order and inserted edges take the tail ids.  The vertex
     set only grows (to the largest inserted endpoint).
     """
-    if resolved.has_explicit_weights and graph.weights is None:
-        raise MutationError(
-            "batch carries edge weights but the graph is unweighted; "
-            "drop the weights or mutate a weighted graph"
-        )
+    resolved.check_weights(graph.weights is not None)
     keep = np.ones(graph.num_edges, dtype=bool)
     keep[resolved.removed_ids] = False
     new_src = np.concatenate([graph.src[keep], resolved.insert_src])
@@ -129,14 +195,8 @@ def mutated_graph(graph: Graph, resolved: ResolvedBatch) -> Graph:
     new_w = None
     if graph.weights is not None:
         new_w = np.concatenate([graph.weights[keep], resolved.insert_weights])
-    num_vertices = int(graph.num_vertices)
-    if resolved.num_inserted:
-        num_vertices = max(
-            num_vertices,
-            int(max(resolved.insert_src.max(), resolved.insert_dst.max())) + 1,
-        )
     return Graph(
-        num_vertices,
+        resolved.num_vertices_after(graph.num_vertices),
         new_src,
         new_dst,
         weights=new_w,
@@ -172,30 +232,22 @@ def apply_mutations(
             f"apply_mutations maintains vertex-cut partitions; got kind "
             f"{partition.kind!r} (method {partition.method!r})"
         )
-    if not 0.0 <= repartition_threshold <= 1.0:
-        raise MutationError(
-            f"repartition_threshold must be in [0, 1], got {repartition_threshold!r}"
-        )
     partitioner = maintainer(partitioner)
     graph = partition.graph
-    resolved = batch.resolve_against(graph)
-    new_graph = mutated_graph(graph, resolved)
     num_parts = partition.num_parts
-    m_new = new_graph.num_edges
-    touched = (resolved.num_removed + resolved.num_inserted) / max(m_new, 1)
-    rf_before = replication_factor(partition)
-
-    rf_full: Optional[float] = None
-    drift: Optional[float] = None
-    if num_parts == 1:
-        edge_parts = np.zeros(m_new, dtype=np.int64)
-        mode = "incremental"
-        reassigned = resolved.num_inserted
-    elif touched > repartition_threshold:
-        full = partitioner.partition(new_graph, num_parts)
-        edge_parts = full.edge_parts
-        mode = "repartition"
-        reassigned = m_new
+    plan = plan_mutations(
+        batch.resolve_against(graph),
+        graph.num_edges,
+        graph.num_vertices,
+        weighted=graph.weights is not None,
+        num_parts=num_parts,
+        repartition_threshold=repartition_threshold,
+    )
+    resolved = plan.resolved
+    rf_before = float(replication_factor(partition))
+    new_graph = mutated_graph(graph, resolved)
+    if plan.repartition:
+        edge_parts = partitioner.partition(new_graph, num_parts).edge_parts
     else:
         keep = np.ones(graph.num_edges, dtype=bool)
         keep[resolved.removed_ids] = False
@@ -212,8 +264,6 @@ def apply_mutations(
             surviving_parts,
             assign_all(assigner, resolved.insert_src, resolved.insert_dst),
         ])
-        mode = "incremental"
-        reassigned = resolved.num_inserted
 
     new_partition = PartitionResult(
         new_graph,
@@ -223,22 +273,16 @@ def apply_mutations(
         method=partition.method,
     )
     rf_after = replication_factor(new_partition)
-    if mode == "repartition":
+    rf_full: Optional[float] = None
+    if plan.repartition:
         rf_full = rf_after
-        drift = 1.0
     elif compare_full:
         rf_full = replication_factor(partitioner.partition(new_graph, num_parts))
-        drift = rf_after / max(rf_full, 1e-12)
     return MutationResult(
+        **vars(plan),
         graph=new_graph,
         partition=new_partition,
-        resolved=resolved,
-        mode=mode,
-        touched_fraction=float(touched),
-        repartition_threshold=float(repartition_threshold),
-        reassigned_edges=int(reassigned),
-        rf_before=float(rf_before),
+        rf_before=rf_before,
         rf_after=float(rf_after),
         rf_full=rf_full,
-        drift=drift,
     )

@@ -164,13 +164,6 @@ class ComputeStageResult:
     work: np.ndarray
     walls: np.ndarray
 
-    # np.array_equal(result, expected) on the work tally keeps working
-    # for callers that treated the stage return as the work array.
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.work.astype(dtype)
-        return self.work
-
 
 @dataclass
 class ExchangeResult:

@@ -4,47 +4,53 @@
 :class:`~repro.mutate.MutationBatch` to an on-disk
 :class:`SpilledPartition` without ever assembling the full graph:
 
-1. **Resolve** — one pass over the shards finds the edge ids matching
-   the batch's deletes (:func:`repro.mutate.batch._matching_rows` per
-   shard), then the batch resolves with the same ordered semantics as
-   the in-memory path.
-2. **Patch** — each shard drops its removed rows and re-densifies the
-   surviving edge ids (a delete shifts every later id down); while
-   streaming the shards the pass warm-seeds a
-   :class:`StreamingEBVAssigner` one shard at a time (:meth:`seed` is
-   additive).  With no deletes the remap is the identity and untouched
-   shards are not rewritten at all — inserts become pure appends.
-3. **Assign + append** — the inserted edges run through the seeded
+1. **Resolve** — each shard is one ``(edge_ids, src, dst)`` piece of
+   :meth:`MutationBatch.resolve`, the in-memory path's resolver, and is
+   read only when the batch deletes.
+   :func:`repro.mutate.incremental.plan_mutations` checks the batch and
+   takes the escape-hatch decision, as for
+   :func:`repro.mutate.apply_mutations`.
+2. **Seed + stage** — one shard at a time, the pass drops the removed
+   rows, re-densifies the surviving edge ids (a delete shifts every
+   later id down) and warm-seeds a :class:`StreamingEBVAssigner`
+   (:meth:`seed` is additive).  A shard that lost rows or whose ids
+   shifted is written straight to its temporary file, which stays open
+   (one per changed shard, as in the spill itself).
+3. **Assign + stage** — the inserted edges run through the seeded
    assigner in its windows (:func:`repro.partition.streaming.assign_all`),
-   exactly like a live stream; each insert is appended to its target
-   shard with a tail edge id.
+   exactly like a live stream, and take the tail edge ids.  Each insert
+   goes to its target shard's temporary file after the survivors; a
+   shard no delete changed is read once more to stage it.  Shards that
+   neither change nor gain an insert are left alone.
 
 Peak memory is O(largest shard + vertex state + |E| part ids) — the
 ``edge_parts.bin`` rewrite holds the id array, matching what
-:meth:`SpilledPartition.edge_parts` already loads.
+:meth:`SpilledPartition.edge_parts` already loads — with or without
+deletes.
 
 When the batch touches more than ``repartition_threshold`` of the
 mutated edge set, the escape hatch assembles, rebuilds the mutated
-graph and **re-spills from scratch** (a full repartition) — same
-policy as :func:`repro.mutate.apply_mutations`.
+graph and **re-spills from scratch** (a full repartition).
 
-Crash safety: replacement shards and the new ``edge_parts.bin`` are
-written to temporaries and renamed before the manifest is republished
-(``driver.py``'s atomic publish).  A crash mid-patch leaves the old
-manifest alongside partially renamed data files.  Every reader checks
-each file's size against the manifest, and :meth:`SpilledPartition.assemble`
-checks that every edge id occurs once, in the shard ``edge_parts.bin``
-names — so a torn patch is *detected* (``StreamError``) even when its
-row counts still match, rather than silently served.  Recover by
-re-spilling with ``overwrite=True``; a checkpointed pipeline does so on
-resume.
+Crash safety: every changed shard, its weight file and the new
+``edge_parts.bin`` are written in full to temporaries, then renamed in
+part order before the manifest is republished (``driver.py``'s atomic
+publish); nothing is written in place, and a patch that fails removes
+the temporaries it has not renamed.  A crash mid-patch leaves the old
+manifest alongside partially renamed data files.  Every reader
+checks each file's size against the manifest, and
+:meth:`SpilledPartition.assemble` checks that every edge id occurs
+once, in the shard ``edge_parts.bin`` names — so a torn patch is
+*detected* (``StreamError``) even when its row counts still match,
+rather than silently served.  Recover by re-spilling with
+``overwrite=True``; a checkpointed pipeline does so on resume.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from contextlib import ExitStack, suppress
+from typing import IO, Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -56,13 +62,9 @@ from .driver import (
     _shard_weights_name,
     stream_partition,
 )
-from .sources import ArrayEdgeStream, StreamError
+from .sources import ArrayEdgeStream
 
 __all__ = ["patch_spilled_partition"]
-
-
-def _write_rows(path: str, eids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    np.stack([eids, src, dst], axis=1).tofile(path)
 
 
 def patch_spilled_partition(
@@ -75,78 +77,39 @@ def patch_spilled_partition(
     """Apply a mutation batch to a spilled partition in place.
 
     Returns the re-opened :class:`SpilledPartition` and a JSON-safe
-    drift report (same keys as
+    drift report (:meth:`repro.mutate.incremental.MutationPlan.drift_report`, as
     :meth:`repro.mutate.MutationResult.report`).  The work is done by
     :func:`repro.mutate.maintainer` of ``partitioner``, as in
     :func:`repro.mutate.apply_mutations`.
     """
-    from ..mutate.batch import DELETE, MutationError, _matching_rows
-    from ..mutate.incremental import DEFAULT_REPARTITION_THRESHOLD, maintainer
+    from ..mutate.incremental import (
+        DEFAULT_REPARTITION_THRESHOLD,
+        maintainer,
+        mutated_graph,
+        plan_mutations,
+    )
     from ..partition.streaming import assign_all
 
     if repartition_threshold is None:
         repartition_threshold = DEFAULT_REPARTITION_THRESHOLD
-    if not 0.0 <= repartition_threshold <= 1.0:
-        raise MutationError(
-            f"repartition_threshold must be in [0, 1], got {repartition_threshold!r}"
-        )
-    partitioner = maintainer(partitioner)
     manifest = dict(spilled.manifest)
-    if not manifest["directed"]:
-        raise MutationError(
-            "mutation batches apply to directed edge lists; undirected "
-            "spills store each edge as two arcs — mutate both explicitly"
-        )
     weighted = bool(manifest["weighted"])
     num_parts = spilled.num_parts
     directory = spilled.directory
+    pieces = (spilled.part_edges(part)[:3] for part in range(num_parts))
+    plan = plan_mutations(
+        batch.resolve(pieces, directed=manifest["directed"]),
+        spilled.num_edges,
+        spilled.num_vertices,
+        weighted=weighted,
+        num_parts=num_parts,
+        repartition_threshold=repartition_threshold,
+    )
+    partitioner = maintainer(partitioner)
+    resolved = plan.resolved
+    rf_before = spilled.replication_factor
 
-    # ---- pass 1: find delete candidates shard by shard ---------------
-    delete_pairs = {(u, v) for kind, u, v, _ in batch.ops if kind == DELETE}
-    triples: List[Tuple[int, int, int]] = []
-    for part in range(num_parts):
-        eids, src, dst, _ = spilled.part_edges(part)
-        for row in _matching_rows(src, dst, delete_pairs).tolist():
-            triples.append((int(eids[row]), int(src[row]), int(dst[row])))
-    triples.sort()
-    candidates: Dict[Tuple[int, int], Deque[int]] = {}
-    for eid, u, v in triples:
-        candidates.setdefault((u, v), deque()).append(eid)
-    resolved = batch.resolve(candidates)
-    if resolved.has_explicit_weights and not weighted:
-        raise MutationError(
-            "batch carries edge weights but the spill is unweighted; "
-            "drop the weights or mutate a weighted spill"
-        )
-
-    m_old = spilled.num_edges
-    m_surviving = m_old - resolved.num_removed
-    m_new = m_surviving + resolved.num_inserted
-    n_new = int(manifest["num_vertices"])
-    if resolved.num_inserted:
-        n_new = max(
-            n_new,
-            int(max(resolved.insert_src.max(), resolved.insert_dst.max())) + 1,
-        )
-    touched = (resolved.num_removed + resolved.num_inserted) / max(m_new, 1)
-    rf_before = float(manifest["replication_factor"])
-
-    report: Dict[str, Any] = {
-        "num_inserted": resolved.num_inserted,
-        "num_deleted": resolved.num_removed,
-        "num_cancelled": resolved.num_cancelled,
-        "num_edges_before": int(m_old),
-        "num_edges_after": int(m_new),
-        "num_vertices_after": int(n_new),
-        "touched_fraction": float(touched),
-        "repartition_threshold": float(repartition_threshold),
-        "rf_before": rf_before,
-    }
-
-    # ---- escape hatch: assemble + full re-spill ----------------------
-    if touched > repartition_threshold and num_parts > 1:
-        from ..mutate.incremental import mutated_graph
-
+    if plan.repartition:
         new_graph = mutated_graph(spilled.assemble().graph, resolved)
         patched = stream_partition(
             ArrayEdgeStream.from_graph(new_graph),
@@ -155,114 +118,71 @@ def patch_spilled_partition(
             directory,
             overwrite=True,
         )
-        report.update(
-            mode="repartition",
-            reassigned_edges=int(m_new),
-            rf_after=float(patched.replication_factor),
-            rf_full=float(patched.replication_factor),
-            drift=1.0,
-        )
-        return patched, report
+        rf = patched.replication_factor
+        return patched, plan.drift_report(rf_before, rf, rf_full=rf)
 
-    # ---- incremental patch -------------------------------------------
     removed = resolved.removed_ids  # sorted ascending
+    n_new, m_new = plan.num_vertices_after, plan.num_edges_after
     assigner = partitioner.streamer(num_parts)
-
-    edge_counts = np.zeros(num_parts, dtype=np.int64)
-    # shard -> (eids, src, dst, w) of surviving rows needing a rewrite
-    rewrites: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
-    for part in range(num_parts):
-        eids, src, dst, w = spilled.part_edges(part)
-        if removed.shape[0]:
-            keep = ~np.isin(eids, removed)
-            eids = eids[keep] - np.searchsorted(removed, eids[keep])
-            src, dst = src[keep], dst[keep]
-            if w is not None:
-                w = w[keep]
-            rewrites[part] = (eids, src, dst, w)
-        assigner.seed(src, dst, np.full(src.shape[0], part), num_vertices=n_new)
-        edge_counts[part] = src.shape[0]
-
-    insert_part_ids = assign_all(assigner, resolved.insert_src, resolved.insert_dst)
-    insert_eids = np.arange(m_surviving, m_new, dtype=np.int64)
-
-    # Write replacement shards (deletes re-densify every shard's ids).
     pid = os.getpid()
-    renames: List[Tuple[str, str]] = []
-    removals: List[str] = []
-    for part, (eids, src, dst, w) in rewrites.items():
-        sel = insert_part_ids == part
-        if sel.any():
-            eids = np.concatenate([eids, insert_eids[sel]])
-            src = np.concatenate([src, resolved.insert_src[sel]])
-            dst = np.concatenate([dst, resolved.insert_dst[sel]])
-            if weighted:
-                w = np.concatenate([w, resolved.insert_weights[sel]])
-        shard_path = os.path.join(directory, _shard_name(part))
-        if eids.shape[0] == 0:
-            if os.path.exists(shard_path):
-                removals.append(shard_path)
-                if weighted:
-                    removals.append(os.path.join(directory, _shard_weights_name(part)))
-            continue
-        tmp = f"{shard_path}.tmp-{pid}"
-        _write_rows(tmp, eids, src, dst)
-        renames.append((tmp, shard_path))
+    edge_counts = np.zeros(num_parts, dtype=np.int64)
+    staged: Dict[str, IO[bytes]] = {}  # spill file name -> open temporary
+    stack = ExitStack()  # closes every temporary, on failure too
+
+    def tmp_path(name: str) -> str:
+        return os.path.join(directory, f"{name}.tmp-{pid}")
+
+    def stage(name: str, array: np.ndarray) -> None:
+        """Write ``array`` after what ``name``'s temporary already holds."""
+        if name not in staged:
+            staged[name] = stack.enter_context(open(tmp_path(name), "wb"))
+        np.ascontiguousarray(array).tofile(staged[name])
+
+    def stage_shard(part, eids, src, dst, w) -> None:
+        stage(_shard_name(part), np.stack([eids, src, dst], axis=1))
         if weighted:
-            wpath = os.path.join(directory, _shard_weights_name(part))
-            wtmp = f"{wpath}.tmp-{pid}"
-            np.ascontiguousarray(w, dtype=np.float64).tofile(wtmp)
-            renames.append((wtmp, wpath))
+            stage(_shard_weights_name(part), w)
 
-    # Pure appends for untouched shards receiving inserts (no-delete case).
-    appends: List[Tuple[int, np.ndarray]] = []
-    if not removed.shape[0]:
-        for part in np.unique(insert_part_ids).tolist():
-            sel = insert_part_ids == part
-            appends.append((part, np.nonzero(sel)[0]))
+    try:
+        with stack:
+            for part in range(num_parts):
+                eids, src, dst, w = spilled.part_edges(part)
+                if removed.shape[0] and eids.shape[0] and eids.max() >= removed[0]:
+                    keep = ~np.isin(eids, removed)  # lost rows, shifted ids, or both
+                    eids = eids[keep] - np.searchsorted(removed, eids[keep])
+                    src, dst, w = src[keep], dst[keep], None if w is None else w[keep]
+                    stage_shard(part, eids, src, dst, w)
+                assigner.seed(src, dst, np.full(src.shape[0], part), num_vertices=n_new)
+                edge_counts[part] = src.shape[0]
 
-    # New edge_parts.bin: surviving parts in id order + insert parts.
-    old_parts = spilled.edge_parts()
-    if removed.shape[0]:
-        keep_mask = np.ones(m_old, dtype=bool)
-        keep_mask[removed] = False
-        old_parts = old_parts[keep_mask]
-    parts_path = os.path.join(directory, _EDGE_PARTS)
-    parts_tmp = f"{parts_path}.tmp-{pid}"
-    np.concatenate([old_parts, insert_part_ids]).tofile(parts_tmp)
-    renames.append((parts_tmp, parts_path))
+            insert_parts = assign_all(assigner, resolved.insert_src, resolved.insert_dst)
+            insert_eids = np.arange(m_new - resolved.num_inserted, m_new, dtype=np.int64)
+            for part in np.unique(insert_parts).tolist():
+                if _shard_name(part) not in staged:
+                    stage_shard(part, *spilled.part_edges(part))
+                sel = insert_parts == part
+                stage_shard(
+                    part, insert_eids[sel], resolved.insert_src[sel],
+                    resolved.insert_dst[sel], resolved.insert_weights[sel],
+                )
+            # Surviving parts in id order, then the inserts' parts.
+            stage(_EDGE_PARTS, np.delete(spilled.edge_parts(), removed))
+            stage(_EDGE_PARTS, insert_parts)
 
-    # Publish: renames, appends, removals, then the manifest.
-    for tmp, final in renames:
-        os.replace(tmp, final)
-    for part, rows in appends:
-        shard_path = os.path.join(directory, _shard_name(part))
-        with open(shard_path, "ab") as fh:
-            np.stack(
-                [insert_eids[rows], resolved.insert_src[rows], resolved.insert_dst[rows]],
-                axis=1,
-            ).tofile(fh)
-        if weighted:
-            with open(os.path.join(directory, _shard_weights_name(part)), "ab") as fh:
-                np.ascontiguousarray(resolved.insert_weights[rows]).tofile(fh)
-    for path in removals:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    new_edge_counts = edge_counts + np.bincount(insert_part_ids, minlength=num_parts)
+        # Publish: shards in part order, edge_parts.bin, then the manifest.
+        for name in sorted(staged, key=lambda name: (name == _EDGE_PARTS, name)):
+            os.replace(tmp_path(name), os.path.join(directory, name))
+    except BaseException:  # no temporaries left behind to count in bytes_spilled
+        for name in staged:
+            with suppress(FileNotFoundError):
+                os.remove(tmp_path(name))
+        raise
     rf_after = float(assigner.replication_factor(n_new if m_new else None))
     manifest.update(
         num_edges=int(m_new),
         num_vertices=int(n_new),
-        edge_counts=new_edge_counts.tolist(),
+        edge_counts=(edge_counts + np.bincount(insert_parts, minlength=num_parts)).tolist(),
         replication_factor=rf_after,
     )
     _publish_manifest(directory, manifest)
-    report.update(
-        mode="incremental",
-        reassigned_edges=int(resolved.num_inserted),
-        rf_after=rf_after,
-    )
-    return SpilledPartition(directory), report
+    return SpilledPartition(directory), plan.drift_report(rf_before, rf_after)

@@ -1,10 +1,15 @@
 """MutationBatch parsing and ordered-resolution semantics."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.mutate import MutationBatch, MutationError
+from repro.mutate import DELETE, INSERT, MutationBatch, MutationError
 
 
 class TestConstruction:
@@ -58,13 +63,6 @@ class TestConstruction:
         path.write_text("+ 0 1\nnonsense\n")
         with pytest.raises(MutationError, match=r"muts\.txt:2"):
             MutationBatch.from_file(str(path))
-
-    def test_introspection_helpers(self):
-        batch = MutationBatch().insert(7, 2).delete(3, 7)
-        assert batch.touched_vertices().tolist() == [2, 3, 7]
-        assert batch.max_vertex() == 7
-        assert MutationBatch().max_vertex() == -1
-        assert MutationBatch().touched_vertices().size == 0
 
 
 class TestResolution:
@@ -143,3 +141,54 @@ class TestResolution:
         np.testing.assert_allclose(resolved.insert_weights, [2.0, 1.0])
         plain = MutationBatch().insert(0, 4).resolve_against(tiny_directed)
         assert not plain.has_explicit_weights
+
+
+_PAIR = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _edges_and_ops(draw):
+    """Edges over few pairs (parallel copies are common) and a batch whose
+    deletes mostly name an existing pair, so most batches resolve."""
+    edges = draw(st.lists(_PAIR, max_size=30))
+    deleted = _PAIR
+    if edges:  # two in three deletes name an existing pair
+        deleted = st.one_of(st.sampled_from(edges), st.sampled_from(edges), _PAIR)
+    ops = draw(st.lists(st.one_of(
+        _PAIR.map(lambda pair: (INSERT, *pair)),
+        deleted.map(lambda pair: (DELETE, *pair)),
+    ), max_size=16))
+    return edges, ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edges_and_ops=_edges_and_ops(),
+    num_pieces=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Pieces [2, 0] and [1]: the delete must take id 0, not the first id it meets.
+@example(edges_and_ops=([(0, 1)] * 3, [(DELETE, 0, 1)]), num_pieces=2, seed=4)
+def test_any_split_into_pieces_resolves_as_the_whole_graph(edges_and_ops, num_pieces, seed):
+    """A spill's shards are pieces holding a shuffled subset of the ids;
+    resolving against them must match resolving against the graph."""
+    edges, ops = edges_and_ops
+    graph = Graph.from_edges(edges, num_vertices=3, directed=True)
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.integers(0, graph.num_edges + 1, size=num_pieces - 1))
+    pieces = [
+        (ids, graph.src[ids], graph.dst[ids])
+        for ids in np.split(rng.permutation(graph.num_edges), cuts)
+    ]
+    batch = MutationBatch(ops)
+    try:
+        expect = batch.resolve_against(graph)
+    except MutationError as exc:
+        with pytest.raises(MutationError, match=re.escape(str(exc))):
+            batch.resolve(pieces, directed=True)
+        return
+    got = batch.resolve(pieces, directed=True)
+    for field in dataclasses.fields(expect):
+        want = getattr(expect, field.name)
+        np.testing.assert_array_equal(getattr(got, field.name), want, err_msg=field.name)
+        assert np.asarray(getattr(got, field.name)).dtype == np.asarray(want).dtype

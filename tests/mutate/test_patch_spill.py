@@ -1,14 +1,17 @@
 """patch_spilled_partition: out-of-core shard patching vs the in-memory path."""
 
 import os
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.graph import write_edge_list
+from repro.graph import generate_graph, write_edge_list
 from repro.mutate import MutationBatch, MutationError, apply_mutations
 from repro.partition import ShardedEBVPartitioner, StreamingEBVPartitioner
 from repro.stream import (
+    ArrayEdgeStream,
     SpilledPartition,
     StreamError,
     TextEdgeListStream,
@@ -46,7 +49,7 @@ class TestPatchEquivalence:
         np.testing.assert_array_equal(got.graph.src, expect.graph.src)
         np.testing.assert_array_equal(got.graph.dst, expect.graph.dst)
         assert got.graph.num_vertices == expect.graph.num_vertices
-        assert report["rf_after"] == pytest.approx(expect.rf_after)
+        assert report == expect.report()
 
     def test_insert_only_append_fast_path(self, spilled, directed_graph):
         batch = MutationBatch().insert(0, 17).insert(5, 640).insert(0, 17)
@@ -162,3 +165,51 @@ class TestTornPatch:
             torn.part_edges(part)
         with pytest.raises(StreamError):
             torn.assemble()
+
+    def test_a_failed_patch_leaves_no_temporaries(self, spilled, directed_graph, monkeypatch):
+        """Stray temporaries would count in a later patch's bytes_spilled."""
+        before = sorted(os.listdir(spilled.directory))
+        batch = MutationBatch().insert(0, 17).delete(
+            int(directed_graph.src[3]), int(directed_graph.dst[3])
+        )
+
+        def no_space(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="no space"):
+            patch_spilled_partition(spilled, batch)
+        monkeypatch.undo()
+        assert sorted(os.listdir(spilled.directory)) == before
+        assert SpilledPartition(spilled.directory).assemble().graph.num_edges == spilled.num_edges
+
+
+class TestPatchMemory:
+    def test_a_delete_still_holds_one_shard_at_a_time(self, tmp_path):
+        """A delete shifts the ids of nearly every shard, so nearly every
+        shard is rewritten; the peak must stay that of an insert-only
+        patch, not grow with every shard's survivors."""
+        graph = generate_graph(
+            kind="powerlaw", vertices=20_000, min_degree=3, seed=42, directed=True
+        )
+        assert graph.num_edges > 95_000
+        base = stream_partition(
+            ArrayEdgeStream.from_graph(graph), StreamingEBVPartitioner(), 8,
+            str(tmp_path / "base"),
+        )
+        eid = graph.num_edges // 2
+        batches = {
+            "insert": MutationBatch().insert(1, 2),
+            "delete": MutationBatch().insert(1, 2).delete(int(graph.src[eid]), int(graph.dst[eid])),
+        }
+        peaks = {}
+        for name, batch in batches.items():
+            spilled = SpilledPartition(shutil.copytree(base.directory, tmp_path / name))
+            tracemalloc.start()
+            try:
+                _, report = patch_spilled_partition(spilled, batch)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report["mode"] == "incremental"
+        assert peaks["delete"] <= 1.25 * peaks["insert"], peaks
