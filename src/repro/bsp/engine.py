@@ -505,7 +505,7 @@ class BSPEngine:
             ckpt.finalize(run)
         with rec.span("gather"):
             run.values = dgraph.gather_master_values(
-                session.pull_state().values, default=0 if minimize else 0.0
+                session.pull_state()["values"], default=0 if minimize else 0.0
             )
         if rec.enabled:
             rss = sample_peak_rss_kb()
@@ -533,13 +533,13 @@ class BSPEngine:
         changed = metrics.counter("vertices.changed")
         sent_counts = exchange.sent.tolist()
         received_counts = exchange.received.tolist()
-        for w, arr in enumerate(state.changed):
+        for w, arr in enumerate(state["changed"]):
             sent.inc(sent_counts[w], worker=w)
             received.inc(received_counts[w], worker=w)
             changed.inc(int(np.count_nonzero(arr)), worker=w)
-        if state.active is not None:
+        if "active" in state:
             metrics.gauge("vertices.active").sample(
-                float(sum(int(np.count_nonzero(a)) for a in state.active))
+                float(sum(int(np.count_nonzero(a)) for a in state["active"]))
             )
 
     def _stats(
@@ -598,7 +598,7 @@ class _CheckpointHook:
                 "num_workers": run.num_workers,
                 "backend": run.backend,
             },
-            state=self._session.pull_state(),
+            arrays=self._session.pull_state(),
             supersteps=run.supersteps,
         )
 

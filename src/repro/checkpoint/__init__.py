@@ -21,11 +21,16 @@ package is that mechanism for :class:`~repro.bsp.engine.BSPEngine`:
   fingerprint matches bit-for-bit; resuming e.g. a different graph,
   worker count or PageRank damping fails eagerly.
 * :mod:`repro.checkpoint.writer` — the engine-facing
-  :class:`CheckpointWriter` (``every=k`` cadence, ``keep=n`` retention)
-  plus :func:`restore_state`, which loads a snapshot's per-worker
-  arrays back into any backend session *in place* — including the
-  process backend's ``multiprocessing.shared_memory`` blocks, whose
-  children observe the restored values through their existing mappings.
+  :class:`CheckpointWriter` (``every=k`` cadence, ``keep=n`` retention).
+
+A snapshot keeps the arrays a session's ``pull_state`` returns: the
+kinds :data:`repro.runtime.shard.SNAPSHOT_KINDS` names, each a
+per-worker list.  Resume is the session's ``push_state``, on every
+backend validated whole by :func:`repro.runtime.shard.check_restore`
+before any array changes — in place through the coordinator's views
+where it holds them (the process backend's children observe the
+restored values through their existing mappings), over the wire
+otherwise.
 
 The resume contract is **bit-identity**: a run resumed from any
 snapshot produces exactly the values, superstep records, message
@@ -46,7 +51,7 @@ from .store import (
     load_snapshot,
     write_snapshot,
 )
-from .writer import CheckpointWriter, restore_state, state_arrays
+from .writer import CheckpointWriter
 
 __all__ = [
     "CheckpointError",
@@ -57,8 +62,6 @@ __all__ = [
     "latest_snapshot_dir",
     "list_snapshots",
     "load_snapshot",
-    "restore_state",
-    "state_arrays",
     "verify_fingerprint",
     "write_snapshot",
 ]

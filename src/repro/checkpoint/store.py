@@ -79,9 +79,9 @@ def _step_dirname(superstep: int) -> str:
 class Snapshot:
     """One loaded, checksum-verified snapshot.
 
-    ``arrays`` maps array kind (``"values"``, ``"changed"``, and
-    ``"active"`` or ``"partials"`` depending on program mode) to the
-    per-worker list; ``supersteps`` is the reconstructed
+    ``arrays`` maps array kind (the program mode's
+    :data:`repro.runtime.shard.SNAPSHOT_KINDS`) to the per-worker list;
+    ``supersteps`` is the reconstructed
     :class:`~repro.bsp.engine.SuperstepStats` list for every superstep
     completed before the snapshot was taken.
     """

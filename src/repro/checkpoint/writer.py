@@ -1,4 +1,4 @@
-"""The engine-facing checkpoint writer and session-state restore.
+"""The engine-facing checkpoint writer.
 
 :class:`CheckpointWriter` owns the cadence (``every=k`` superstep
 boundaries) and retention (``keep=n`` snapshots, ``None`` = keep all)
@@ -8,13 +8,11 @@ policy; the :class:`~repro.bsp.engine.BSPEngine` calls
 the run terminates, so ``resume_from`` on a finished run is a cheap
 no-op that reproduces the recorded result.
 
-:func:`restore_state` is the other half: it copies a verified
-snapshot's per-worker arrays back into a live
-:class:`~repro.runtime.base.WorkerState` *in place*.  In-place is the
-whole point — the process backend's arrays are views over
-``multiprocessing.shared_memory`` blocks that the persistent children
-already map, so restoring through the parent's views rehydrates every
-worker without a single extra pickle.
+A snapshot's arrays are what the session's
+:meth:`~repro.runtime.base.BackendSession.pull_state` returns (the
+kinds :data:`repro.runtime.shard.SNAPSHOT_KINDS` names); restoring them
+is the session's :meth:`~repro.runtime.base.BackendSession.push_state`,
+validated by :func:`repro.runtime.shard.check_restore`.
 """
 
 from __future__ import annotations
@@ -22,60 +20,10 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from ..obs import NULL_RECORDER
 from .store import CheckpointError, write_snapshot
 
-__all__ = ["CheckpointWriter", "restore_state", "state_arrays"]
-
-
-def state_arrays(state) -> Dict[str, List[np.ndarray]]:
-    """The kind -> per-worker-array mapping a snapshot persists.
-
-    ``changed`` and ``partials`` are live state, not scratch: the exchange
-    stages read them, and a recovery that rewinds to a boundary needs them.
-    """
-    arrays: Dict[str, List[np.ndarray]] = {
-        "values": list(state.values),
-        "changed": list(state.changed),
-    }
-    if state.active is not None:
-        arrays["active"] = list(state.active)
-    if state.partials is not None:
-        arrays["partials"] = list(state.partials)
-    return arrays
-
-
-def restore_state(state, arrays: Dict[str, List[np.ndarray]]) -> None:
-    """Copy snapshot arrays into a live session's state, in place.
-
-    Validates the array-kind set, per-worker counts, shapes and dtypes
-    against the session before touching anything, so a mismatched
-    snapshot fails atomically instead of half-restoring.
-    """
-    session_arrays = state_arrays(state)
-    if set(session_arrays) != set(arrays):
-        raise CheckpointError(
-            f"snapshot holds array kinds {sorted(arrays)} but this run "
-            f"allocates {sorted(session_arrays)} (program mode mismatch?)"
-        )
-    for kind, live in session_arrays.items():
-        saved = arrays[kind]
-        if len(saved) != len(live):
-            raise CheckpointError(
-                f"snapshot has {len(saved)} {kind!r} arrays for "
-                f"{len(live)} workers"
-            )
-        for w, (dst, src) in enumerate(zip(live, saved)):
-            if dst.shape != src.shape or dst.dtype != src.dtype:
-                raise CheckpointError(
-                    f"snapshot array {kind}[{w}] is {src.dtype}{src.shape}, "
-                    f"session expects {dst.dtype}{dst.shape}"
-                )
-    for kind, live in session_arrays.items():
-        for dst, src in zip(live, arrays[kind]):
-            dst[...] = src
+__all__ = ["CheckpointWriter"]
 
 
 def _snapshot_bytes(snapshot_dir: Optional[str]) -> int:
@@ -129,7 +77,7 @@ class CheckpointWriter:
         done: bool,
         fingerprint: Dict[str, Any],
         meta: Dict[str, Any],
-        state,
+        arrays: Dict[str, list],
         supersteps: List,
     ) -> Optional[str]:
         """Snapshot if the boundary is due or the run just finished."""
@@ -144,7 +92,7 @@ class CheckpointWriter:
                 done=done,
                 fingerprint=fingerprint,
                 meta=meta,
-                arrays=state_arrays(state),
+                arrays=arrays,
                 supersteps=supersteps,
                 keep=self.keep,
             )

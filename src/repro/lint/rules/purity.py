@@ -1,8 +1,8 @@
 """worker-purity: runtime workers and backends stay free of shared state.
 
 The runtime package's bit-identity guarantee rests on two structural
-facts: (1) the only state a compute stage touches is the per-worker
-arrays in :class:`~repro.runtime.base.WorkerState`, and (2) nothing in
+facts: (1) the only state a stage touches is the per-worker arrays
+:func:`~repro.runtime.shard.worker_arrays` allocates, and (2) nothing in
 ``runtime/`` communicates through module-level mutable globals — a
 global that works by accident on the fork start method is a silent
 wrong-answer on spawn, and a distributed-correctness bug the moment a
@@ -16,7 +16,8 @@ Three checks over every module in ``runtime/``:
   statements are banned outright.  Module-level constants of immutable
   type are fine.
 * **session arrays are stage-local** — inside ``BackendSession``
-  subclasses, ``self.state`` and the arrays hanging off it may only be
+  subclasses, ``self.state`` (kind -> per-worker arrays) and the
+  arrays hanging off it may only be
   written in ``__init__`` (allocation), ``compute_stage`` or an
   ``exchange_stage`` (the two BSP stages).  Any other method mutating
   session arrays is bypassing the superstep contract the checkpoint
@@ -151,8 +152,8 @@ class WorkerPurityRule(LintRule):
                             f"function {fn.name}() touches module-level mutable "
                             f"global '{node.id}' (bound at line "
                             f"{mutable_globals[node.id]}); runtime workers and "
-                            "backends must keep all mutable state in WorkerState "
-                            "or on the session",
+                            "backends must keep all mutable state in the worker "
+                            "arrays (runtime.shard.worker_arrays) or on the session",
                         )
 
         yield from self._check_session_classes(ctx)

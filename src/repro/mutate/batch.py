@@ -130,8 +130,8 @@ class MutationBatch:
             u, v = int(src), int(dst)
         except (TypeError, ValueError) as exc:
             raise MutationError(f"mutation endpoints must be integers: {src!r}, {dst!r}") from exc
-        if u < 0 or v < 0:
-            raise MutationError(f"mutation endpoints must be >= 0, got ({u}, {v})")
+        if not (0 <= u < 2**63 and 0 <= v < 2**63):
+            raise MutationError(f"mutation endpoints must be >= 0 and < 2**63, got ({u}, {v})")
         if kind == DELETE and weight is not None:
             raise MutationError(f"delete ({u}, {v}) must not carry a weight")
         self._ops.append((kind, u, v, None if weight is None else float(weight)))
@@ -286,21 +286,17 @@ def _matching_rows(src: np.ndarray, dst: np.ndarray, delete_pairs) -> np.ndarray
 
     Vectorized: pairs are encoded as ``u * base + v`` and matched with
     one ``np.isin`` over the edge arrays, so a small delete set against
-    a large graph never builds a full pair index.
+    a large graph never builds a full pair index.  The keys are uint64
+    and wrap once ids pass 2**32, so a key match is only a candidate:
+    the candidates' exact pairs are checked against the set.
     """
     if not delete_pairs or src.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
-    base = int(
-        max(
-            int(src.max()),
-            int(dst.max()),
-            max(max(u, v) for u, v in delete_pairs),
-        )
-    ) + 1
-    keys = np.fromiter(
-        (u * base + v for u, v in delete_pairs), dtype=np.int64, count=len(delete_pairs)
-    )
-    return np.nonzero(np.isin(src * base + dst, keys))[0]
+    src = np.ascontiguousarray(src, dtype=np.int64).view(np.uint64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64).view(np.uint64)
+    base = max(int(src.max()), int(dst.max()), max(max(u, v) for u, v in delete_pairs)) + 1
+    keys = np.array([(u * base + v) % 2**64 for u, v in delete_pairs], dtype=np.uint64)
+    rows = np.nonzero(np.isin(src * np.uint64(base) + dst, keys))[0]
+    exact = [pair in delete_pairs for pair in zip(src[rows].tolist(), dst[rows].tolist())]
+    return rows[np.array(exact, dtype=bool)]
 

@@ -12,8 +12,8 @@ produces bit-identical results to the serial reference.
 Backend contract
 ----------------
 A :class:`Backend` opens a :class:`BackendSession` per program run.
-The session exposes the per-worker state arrays (values / active /
-changed / partials) and two operations:
+The session runs two operations and gives the engine the per-worker
+arrays through ``any_active`` / ``pull_state`` / ``push_state``:
 
 ``compute_stage(superstep)``
     Runs :meth:`WorkerShard.compute` (the
@@ -35,8 +35,11 @@ One shard, four places to put it
 --------------------------------
 Every backend executes the same object — a
 :class:`~repro.runtime.shard.WorkerShard`, which holds one worker's
-subgraph, program, inbound routes and ``p``-length lists of the state
-arrays, and is the *only* caller of the three kernels in
+subgraph, program, inbound routes and ``p``-length lists of the arrays
+:func:`~repro.runtime.shard.worker_arrays` allocates (the one
+definition of a worker's arrays per program mode; a snapshot keeps the
+:data:`~repro.runtime.shard.SNAPSHOT_KINDS`), and is the *only* caller
+of the three kernels in
 :mod:`repro.runtime.worker` (``compute`` / ``exchange_up`` /
 ``exchange_down``, each returning ``(value, t0_ns, t1_ns)``).  Backends
 differ only in where the shards live, what carries commands to them
@@ -55,10 +58,21 @@ backend      shards live in          link                  state plane          
                                                            maps every block
 ``socket``   one process each (a     framed TCP            wire: each worker owns   spawned-
              local fork of the       (:mod:`.wire`) +      its arrays; exchange     local
-             coordinator, or a       ``Process`` /         is collect → reroute →   only
-             ``repro worker`` on     external endpoint     apply; state access is
-             another machine)                              a command
+             coordinator, or a       ``Process`` /         is one command, then     only
+             ``repro worker`` on     external endpoint     peers trade directly;
+             another machine)                              state access is a
+                                                           command
 ===========  ======================  ====================  =======================  ==========
+
+Every state plane allocates with
+:func:`~repro.runtime.shard.worker_arrays`: ``serial`` and ``thread``
+are one :class:`~repro.runtime.base.LocalSession` (shard calls inline
+or on its pool) over heap arrays, ``process`` copies them into shared
+blocks, and each ``socket`` worker allocates its own.  ``pull_state``
+returns the snapshot mapping (kind → per-worker list, what
+``Snapshot.arrays`` holds) and ``push_state`` validates a snapshot with
+:func:`~repro.runtime.shard.check_restore` on the coordinator before
+any worker's array changes, on every backend.
 
 ``serial`` is the reference and bit-identity oracle.  ``process`` and
 ``socket`` are one session class
@@ -77,25 +91,12 @@ be replaced from the last checkpoint
 
 Shared-memory layout (process backend)
 --------------------------------------
-Per worker ``w``, one ``multiprocessing.shared_memory`` block per state
-or scratch array, created by the parent and mapped by *every* child
-(the exchange phases read sibling workers' arrays directly):
-
-===========  =========================  ===============================
-array        shape / dtype              written by (child ``w`` only)
-===========  =========================  ===============================
-``values``   ``initial_values`` shape   compute + both exchange phases
-``active``   ``(n_local,)`` bool        compute (activation), exchange
-``changed``  ``(n_local,)`` bool        compute; exchange reads
-``partials`` ``values``-shaped          compute; exchange up reads
-``dirty``    ``(n_local,)`` bool        exchange up; siblings read in down
-``sums``     ``values``-shaped          exchange up (owner-only scratch)
-===========  =========================  ===============================
-
-``active``/``dirty`` exist only for minimize-mode programs,
-``partials``/``sums`` only for accumulate mode; ``dirty`` and ``sums``
-are per-superstep exchange scratch outside the checkpoint state (see
-:class:`~repro.runtime.base.ExchangeScratch`).  The parent owns every
+Per worker ``w``, one ``multiprocessing.shared_memory`` block per
+array :func:`~repro.runtime.shard.worker_arrays` allocates for the
+program's mode (its docstring says what each kind holds), created by
+the parent and mapped by *every* child: the exchange phases read
+sibling workers' arrays directly.  Child ``w`` writes only worker
+``w``'s blocks.  The parent owns every
 block's lifetime and unlinks it at session close; children only ever
 ``close()`` their mappings (they share the parent's resource tracker,
 so their attach-time registration is a set-level no-op — see
@@ -132,13 +133,9 @@ from .base import (
     BackendSession,
     ComputeStageResult,
     ExchangeResult,
-    ExchangeScratch,
+    LocalSession,
     RoutePlan,
-    SharedArraySession,
     WorkerLostError,
-    WorkerState,
-    allocate_scratch,
-    allocate_state,
     assemble_exchange,
     build_route_plan,
     finish_compute_stage,
@@ -147,7 +144,7 @@ from .base import (
 from .process import ProcessBackend
 from .protocol import DEFAULT_STAGE_TIMEOUT, CommandSession, serve
 from .serial import SerialBackend
-from .shard import WorkerShard
+from .shard import SNAPSHOT_KINDS, WorkerShard, check_restore, worker_arrays
 from .socket import SocketBackend, serve_worker
 from .threads import ThreadBackend
 from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
@@ -161,15 +158,14 @@ __all__ = [
     "WorkerLostError",
     "serve",
     "serve_worker",
-    "SharedArraySession",
+    "LocalSession",
     "WorkerShard",
-    "WorkerState",
-    "ExchangeScratch",
+    "SNAPSHOT_KINDS",
+    "worker_arrays",
+    "check_restore",
     "ComputeStageResult",
     "ExchangeResult",
     "RoutePlan",
-    "allocate_state",
-    "allocate_scratch",
     "build_route_plan",
     "assemble_exchange",
     "finish_compute_stage",

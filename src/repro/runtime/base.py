@@ -1,4 +1,4 @@
-"""The backend contract: sessions, worker state, routes, and allocation.
+"""The backend contract: sessions, routes, and the in-process session.
 
 A :class:`Backend` turns a routed
 :class:`~repro.bsp.distributed.DistributedGraph` plus a
@@ -11,21 +11,23 @@ backend-agnostic: it only ever
    stage of one superstep on every worker,
 2. calls :meth:`BackendSession.exchange_stage` to run the replica
    exchange on every worker (each worker *pulls* its inbound replica
-   updates from the other workers' arrays through shared memory), and
-3. reads the per-worker arrays in :attr:`BackendSession.state` for the
-   convergence check, the final gather, and checkpoint save/restore.
+   updates from the other workers' arrays), and
+3. reads and restores the per-worker arrays through
+   :meth:`BackendSession.any_active`, :meth:`~BackendSession.pull_state`
+   and :meth:`~BackendSession.push_state` for the convergence check,
+   the final gather, and checkpoint save/restore.
 
-Both stages execute however the backend sees fit — sequentially, on a
-thread pool, on a persistent process pool over shared memory, or in TCP
-workers; what executes is always a
-:class:`~repro.runtime.shard.WorkerShard` per worker.
+Both stages execute however the backend sees fit — inline or on a
+thread pool (:class:`LocalSession`), on a persistent process pool over
+shared memory, or in TCP workers; what executes is always a
+:class:`~repro.runtime.shard.WorkerShard` per worker, over the arrays
+:func:`~repro.runtime.shard.worker_arrays` allocates.
 
-The correctness contract is: after ``compute_stage`` returns,
-``state.values``/``state.active``/``state.changed`` (and
-``state.partials`` in accumulate mode) reflect exactly what
-:func:`repro.runtime.worker.superstep_compute` would have produced for
-every worker; after ``exchange_stage`` returns, they reflect exactly
-what :func:`repro.runtime.worker.superstep_exchange_up` followed by
+The correctness contract is: after ``compute_stage`` returns, every
+worker's arrays reflect exactly what
+:func:`repro.runtime.worker.superstep_compute` would have produced;
+after ``exchange_stage`` returns, they reflect exactly what
+:func:`repro.runtime.worker.superstep_exchange_up` followed by
 :func:`repro.runtime.worker.superstep_exchange_down` would have
 produced, and the returned :class:`ExchangeResult` carries the exact
 per-worker message tallies.  Backends must produce *bit-identical*
@@ -39,44 +41,45 @@ routes, writes only its own arrays, and reads the other workers'
 arrays, which are stable during the phase that reads them (compute and
 the two exchange phases are separated by barriers).
 
-The in-place-mutation requirement on :attr:`BackendSession.state` also
-carries checkpoint *restore* for free: resuming a run
-(:mod:`repro.checkpoint`) copies snapshot arrays into the session's
-arrays through the engine-side views before the first compute stage,
-and every backend's workers — including the process backend's children,
-which map the same shared-memory blocks — observe the restored values
-exactly as they observe compute-stage writes.
+Where the coordinator holds the arrays (:attr:`BackendSession.state`),
+checkpoint *restore* is a copy through its views before the first
+compute stage, and every backend's workers — including the process
+backend's children, which map the same shared-memory blocks — observe
+the restored values exactly as they observe compute-stage writes.
 """
 
 from __future__ import annotations
 
 import abc
 import multiprocessing
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bsp.distributed import DistributedGraph, _Route
-from ..bsp.program import ACCUMULATE, MINIMIZE, SubgraphProgram
+from ..bsp.program import SubgraphProgram
 from ..obs import NULL_RECORDER
-from .shard import TimedResult, WorkerShard
+from .shard import (
+    Slots,
+    TimedResult,
+    WorkerShard,
+    by_kind,
+    check_restore,
+    snapshot_view,
+    worker_arrays,
+)
 
 __all__ = [
     "BackendError",
     "WorkerLostError",
-    "WorkerState",
-    "ExchangeScratch",
     "ComputeStageResult",
     "ExchangeResult",
     "RoutePlan",
     "BackendSession",
-    "SharedArraySession",
+    "LocalSession",
     "Backend",
-    "allocate_state",
-    "allocate_local_state",
-    "allocate_scratch",
-    "allocate_local_scratch",
     "build_route_plan",
     "assemble_exchange",
     "finish_compute_stage",
@@ -102,52 +105,6 @@ class WorkerLostError(BackendError):
     def __init__(self, worker_id: int, message: str):
         super().__init__(message)
         self.worker_id = worker_id
-
-
-@dataclass
-class WorkerState:
-    """The per-worker arrays one program execution lives in.
-
-    All lists have length ``p`` (one entry per worker).  The exchange
-    stage mutates these arrays *in place* on the workers; backends must
-    hand out arrays for which in-place mutation by one worker is visible
-    to every other worker and to the engine (trivially true for the
-    serial and thread backends, true via
-    ``multiprocessing.shared_memory`` for the process backend) — the
-    engine relies on that visibility for convergence checks, the final
-    gather, and checkpoint restore.
-
-    ``active`` is present only for minimize-mode programs, ``partials``
-    only for accumulate-mode programs; ``changed`` doubles as the
-    send mask in accumulate mode.
-    """
-
-    values: List[np.ndarray]
-    changed: List[np.ndarray]
-    active: Optional[List[np.ndarray]] = None
-    partials: Optional[List[np.ndarray]] = None
-
-
-@dataclass
-class ExchangeScratch:
-    """Per-worker exchange-stage scratch, *outside* the checkpoint state.
-
-    These arrays are recomputed from scratch at the start of every
-    exchange stage, so they are deliberately not part of
-    :class:`WorkerState`: snapshots (:mod:`repro.checkpoint`) neither
-    save nor restore them, and the snapshot format is unchanged by the
-    worker-side exchange refactor.
-
-    ``dirty`` (minimize mode) is each worker's "master improved this
-    superstep" mask — written by the owning worker in the up phase and
-    *read by other workers* in the down phase, so it must live in
-    cross-worker-visible storage just like the state arrays.  ``sums``
-    (accumulate mode) is each worker's combined-partials accumulator,
-    touched only by its owner.
-    """
-
-    dirty: Optional[List[np.ndarray]] = None
-    sums: Optional[List[np.ndarray]] = None
 
 
 @dataclass
@@ -339,12 +296,18 @@ class BackendSession(abc.ABC):
 
     Sessions are context managers; :meth:`close` must be idempotent and
     release every resource (threads, processes, shared-memory blocks)
-    even after a worker error.
+    even after a worker error.  A session whose workers are
+    :class:`~repro.runtime.shard.WorkerShard` objects implements
+    :meth:`call`, and the two stages below run over it; any other
+    session overrides both stages.
     """
 
     #: canonical backend name, stamped onto the resulting ``BSPRun``.
     backend_name: str = "?"
-    state: WorkerState
+    #: kind -> per-worker arrays (:func:`~repro.runtime.shard.by_kind`
+    #: of :func:`~repro.runtime.shard.worker_arrays`), where the
+    #: coordinator holds them.
+    state: Slots
     #: span/metric sink; the always-off singleton until a traced caller
     #: attaches a live :class:`~repro.obs.trace.TraceRecorder`.
     recorder = NULL_RECORDER
@@ -360,7 +323,11 @@ class BackendSession(abc.ABC):
         """
         self.recorder = recorder
 
-    @abc.abstractmethod
+    def call(self, method: str, payload=None) -> list:
+        """Run shard ``method`` with ``payload`` on every worker; return
+        the results in worker order once all are in (a barrier)."""
+        raise NotImplementedError
+
     def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
         """Run one computation stage on every worker.
 
@@ -372,8 +339,8 @@ class BackendSession(abc.ABC):
         returns the per-worker work units *and* measured kernel walls
         (assembled by :func:`finish_compute_stage` on every backend).
         """
+        return finish_compute_stage(self.recorder, superstep, self.call("compute", superstep))
 
-    @abc.abstractmethod
     def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
         """Run one replica-exchange stage on every worker.
 
@@ -381,19 +348,28 @@ class BackendSession(abc.ABC):
         :mod:`repro.runtime.worker` — ``superstep_exchange_up`` on every
         worker, a barrier, then ``superstep_exchange_down`` on every
         worker — over the session's precomputed :class:`RoutePlan`, and
-        blocks until all workers finish both.  The barrier between the
-        phases is mandatory: the down phase reads master values and
-        dirty masks the up phase writes on *other* workers.
+        blocks until all workers finish both.
         """
+        return finish_exchange_stage(self.recorder, superstep, *self.exchange_phases(superstep))
+
+    def exchange_phases(self, superstep: int) -> Tuple[List[TimedResult], List[TimedResult]]:
+        """Both pull phases; return the (up, down) timed results."""
+        ups = self.call("exchange_up")
+        # Every up result is in before any down phase starts: the
+        # mandatory mid-exchange barrier, since the down phase reads
+        # master values and dirty masks the up phase writes on *other*
+        # workers.
+        return ups, self.call("exchange_down")
 
     # -- engine-facing state access ------------------------------------
     #
     # The engine never dereferences ``session.state`` directly: these
     # three hooks are its whole view of worker state, with defaults that
-    # read the in-process arrays.  Backends whose state lives elsewhere
-    # (the socket backend keeps every shard worker-side) override them,
-    # which is what lets the coordinator avoid ever holding O(|V|·p)
-    # state outside checkpoint boundaries and the final gather.
+    # read the arrays the coordinator holds.  Backends whose state lives
+    # elsewhere (the socket backend keeps every shard worker-side)
+    # override them, which is what lets the coordinator avoid ever
+    # holding O(|V|·p) state outside checkpoint boundaries and the final
+    # gather.
 
     def any_active(self) -> bool:
         """Whether any worker still has an active vertex (minimize mode).
@@ -401,11 +377,10 @@ class BackendSession(abc.ABC):
         Drives the engine's quiescence pre-check and convergence check;
         only meaningful for minimize-mode programs.
         """
-        active = self.state.active
-        return active is not None and any(bool(a.any()) for a in active)
+        return any(bool(a.any()) for a in self.state.get("active", ()))
 
-    def pull_state(self) -> WorkerState:
-        """Assemble the full per-worker state for the coordinator.
+    def pull_state(self) -> Dict[str, list]:
+        """The snapshot arrays, kind -> per-worker list (``Snapshot.arrays``).
 
         Used at checkpoint boundaries, for the final gather, and for
         traced per-superstep metrics.  In-process backends return their
@@ -413,19 +388,20 @@ class BackendSession(abc.ABC):
         their workers, so callers must treat the result as a snapshot,
         not a live view.
         """
-        return self.state
+        return snapshot_view(self.state)
 
     def push_state(self, arrays) -> None:
         """Restore snapshot ``arrays`` (kind -> per-worker list) in place.
 
-        The checkpoint-resume and worker-recovery entry point: validates
-        shapes/dtypes against the session's allocation before touching
-        anything, exactly like :func:`repro.checkpoint.restore_state`
-        (which the default delegates to).
+        The checkpoint-resume and worker-recovery entry point: runs
+        :func:`~repro.runtime.shard.check_restore` before touching
+        anything, then copies through the coordinator's views.
         """
-        from ..checkpoint import restore_state
-
-        restore_state(self.state, arrays)
+        live = self.pull_state()
+        check_restore(live, arrays)
+        for kind, per_worker in live.items():
+            for dst, src in zip(per_worker, arrays[kind]):
+                dst[...] = src
 
     def close(self) -> None:
         """Release the session's resources (idempotent)."""
@@ -435,6 +411,45 @@ class BackendSession(abc.ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class LocalSession(BackendSession):
+    """Every worker's shard in the calling process, over shared heap arrays.
+
+    Allocates the state, builds the :class:`RoutePlan` once and one
+    :class:`~repro.runtime.shard.WorkerShard` per worker; :meth:`call`
+    runs the shards inline in worker order (``serial``) or on ``pool``,
+    an executor the session shuts down at :meth:`close` (``thread``).
+    *What* runs is the shard, which is what keeps every backend
+    bit-identical.
+    """
+
+    def __init__(
+        self,
+        backend_name: str,
+        dgraph: DistributedGraph,
+        program: SubgraphProgram,
+        pool: Optional[Executor] = None,
+    ):
+        self.backend_name = backend_name
+        self.state = by_kind([worker_arrays(local, program) for local in dgraph.locals])
+        plan = build_route_plan(dgraph)
+        self._shards = [
+            WorkerShard(w, local, program, plan.inbound_up[w], plan.inbound_down[w], self.state)
+            for w, local in enumerate(dgraph.locals)
+        ]
+        self._pool = pool
+
+    def call(self, method: str, payload=None) -> list:
+        if self._pool is None:
+            return [getattr(shard, method)(payload) for shard in self._shards]
+        futures = [self._pool.submit(getattr(shard, method), payload) for shard in self._shards]
+        # future.result() re-raises worker exceptions in submission order.
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
 
 
 class Backend(abc.ABC):
@@ -468,152 +483,3 @@ def worker_context(start_method: Optional[str] = None) -> multiprocessing.contex
             f"start_method {start_method!r} not available; choose from {available}"
         )
     return multiprocessing.get_context(start_method)
-
-
-#: ``alloc(worker_id, kind, template) -> array``: must return a writable
-#: array with the template's shape/dtype, initialized to its contents.
-AllocFn = Callable[[int, str, np.ndarray], np.ndarray]
-
-
-def _copy_alloc(worker_id: int, kind: str, template: np.ndarray) -> np.ndarray:
-    return np.array(template, copy=True)
-
-
-def allocate_local_state(
-    local,
-    program: SubgraphProgram,
-    worker_id: int = 0,
-    alloc: AllocFn = _copy_alloc,
-) -> dict:
-    """Allocate one worker's initial state arrays, keyed by kind.
-
-    The single definition of per-worker initialization semantics —
-    ``initial_values``/``initial_active``, zeroed partials, cleared
-    change masks.  :func:`allocate_state` loops this over every worker
-    for in-process backends; the socket backend's *workers* call it
-    directly for their own shard, which is what keeps remotely
-    initialized state bit-identical to the serial reference.
-    """
-    if program.mode not in (MINIMIZE, ACCUMULATE):
-        raise ValueError(f"unknown program mode {program.mode!r}")
-    init = np.asarray(program.initial_values(local))
-    arrays = {
-        "values": alloc(worker_id, "values", init),
-        "changed": alloc(
-            worker_id, "changed", np.zeros(local.num_vertices, dtype=bool)
-        ),
-    }
-    if program.mode == MINIMIZE:
-        arrays["active"] = alloc(
-            worker_id, "active", np.asarray(program.initial_active(local))
-        )
-    else:
-        arrays["partials"] = alloc(worker_id, "partials", np.zeros_like(init))
-    return arrays
-
-
-def allocate_state(
-    dgraph: DistributedGraph,
-    program: SubgraphProgram,
-    alloc: AllocFn = _copy_alloc,
-) -> WorkerState:
-    """Build the initial :class:`WorkerState` for one program execution.
-
-    ``alloc`` lets backends choose the storage (plain heap arrays by
-    default, shared-memory-backed arrays for the process backend) while
-    the initialization semantics stay in one place for every backend
-    (see :func:`allocate_local_state`).
-    """
-    if program.mode not in (MINIMIZE, ACCUMULATE):
-        raise ValueError(f"unknown program mode {program.mode!r}")
-    values: List[np.ndarray] = []
-    changed: List[np.ndarray] = []
-    active: List[np.ndarray] = []
-    partials: List[np.ndarray] = []
-    for w, local in enumerate(dgraph.locals):
-        arrays = allocate_local_state(local, program, w, alloc)
-        values.append(arrays["values"])
-        changed.append(arrays["changed"])
-        if program.mode == MINIMIZE:
-            active.append(arrays["active"])
-        else:
-            partials.append(arrays["partials"])
-    return WorkerState(
-        values=values,
-        changed=changed,
-        active=active if program.mode == MINIMIZE else None,
-        partials=partials if program.mode == ACCUMULATE else None,
-    )
-
-
-def allocate_scratch(
-    dgraph: DistributedGraph,
-    program: SubgraphProgram,
-    state: WorkerState,
-    alloc: AllocFn = _copy_alloc,
-) -> ExchangeScratch:
-    """Build the per-worker exchange scratch for one program execution.
-
-    Uses the already-allocated ``state`` arrays as shape/dtype
-    templates, so ``program.initial_values`` is never re-invoked.  The
-    same ``alloc`` hook as :func:`allocate_state` applies: the process
-    backend allocates scratch in shared memory because the minimize-mode
-    ``dirty`` masks are read across workers during the down phase.
-    """
-    if program.mode == MINIMIZE:
-        dirty = [
-            allocate_local_scratch(local, program, state.values[w], w, alloc)["dirty"]
-            for w, local in enumerate(dgraph.locals)
-        ]
-        return ExchangeScratch(dirty=dirty)
-    sums = [
-        allocate_local_scratch(
-            dgraph.locals[w], program, state.values[w], w, alloc
-        )["sums"]
-        for w in range(dgraph.num_workers)
-    ]
-    return ExchangeScratch(sums=sums)
-
-
-def allocate_local_scratch(
-    local,
-    program: SubgraphProgram,
-    values: np.ndarray,
-    worker_id: int = 0,
-    alloc: AllocFn = _copy_alloc,
-) -> dict:
-    """Allocate one worker's exchange scratch, keyed by kind.
-
-    ``values`` is that worker's already-allocated value array (the
-    shape/dtype template for accumulate-mode ``sums``).  Shared by
-    :func:`allocate_scratch` and the socket backend's workers.
-    """
-    if program.mode == MINIMIZE:
-        return {
-            "dirty": alloc(
-                worker_id, "dirty", np.zeros(local.num_vertices, dtype=bool)
-            )
-        }
-    return {"sums": alloc(worker_id, "sums", np.zeros_like(values))}
-
-
-class SharedArraySession(BackendSession):
-    """Base for in-process sessions whose workers share the heap arrays.
-
-    Owns the state, the exchange scratch and one
-    :class:`~repro.runtime.shard.WorkerShard` per worker over them (the
-    :class:`RoutePlan` is built once, here).  Subclasses decide only
-    *how* the shards' ``compute`` / ``exchange_up`` / ``exchange_down``
-    run — inline or on a pool; *what* they run is the shard, which is
-    what keeps every backend bit-identical.
-    """
-
-    def __init__(self, dgraph: DistributedGraph, program: SubgraphProgram):
-        self.state = allocate_state(dgraph, program)
-        scratch = allocate_scratch(dgraph, program, self.state)
-        plan = build_route_plan(dgraph)
-        slots = {**vars(self.state), **vars(scratch)}
-        self._shards = [
-            WorkerShard(w, local, program, plan.inbound_up[w], plan.inbound_down[w], slots)
-            for w, local in enumerate(dgraph.locals)
-        ]

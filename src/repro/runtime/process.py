@@ -6,11 +6,10 @@ things to the shared :class:`~repro.runtime.protocol.CommandSession`:
 *Its link* — :class:`_PipeLink`, a ``multiprocessing`` pipe to a
 long-lived daemon ``Process`` running :func:`_worker_main`.
 
-*Its state plane* — :class:`ShmPlane`.  The parent allocates every
-worker's value / active / changed / partial arrays *and* the exchange
-scratch in ``multiprocessing.shared_memory`` blocks
-(:func:`~repro.runtime.base.allocate_state` with a shared allocator);
-each child maps **every** worker's blocks and builds its
+*Its state plane* — :class:`ShmPlane`.  The parent copies every
+worker's :func:`~repro.runtime.shard.worker_arrays` into
+``multiprocessing.shared_memory`` blocks, one per array; each child
+maps **every** worker's blocks and builds its
 :class:`~repro.runtime.shard.WorkerShard` over them, so every slot is a
 sibling's real array.  Both superstep stages therefore run in the
 children with zero per-superstep pickling: an exchange is two
@@ -45,9 +44,9 @@ import numpy as np
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import Backend, BackendSession, allocate_scratch, allocate_state, worker_context
+from .base import Backend, BackendSession, worker_context
 from .protocol import CommandSession, ReplyTimeout, StatePlane, positive_timeout, serve
-from .shard import WorkerShard
+from .shard import WorkerShard, by_kind, worker_arrays
 from .shm import SharedArraySpec, attach_shared_array, create_shared_array, destroy_shared_array
 
 __all__ = ["ProcessBackend", "ShmPlane"]
@@ -122,34 +121,26 @@ def _spawn(ctx: multiprocessing.context.BaseContext, w: int) -> _PipeLink:
 
 
 class ShmPlane(StatePlane):
-    """State and exchange scratch in parent-owned shared-memory blocks."""
+    """Every worker array, scratch included, in a parent-owned shared-memory
+    block: minimize-mode dirty masks are read across children during the
+    down phase."""
 
     def __init__(self) -> None:
         self._blocks: List[SharedMemory] = []
 
     def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
-        specs: List[Dict[str, SharedArraySpec]] = [{} for _ in dgraph.locals]
-
-        def shared_alloc(worker_id: int, kind: str, template: np.ndarray) -> np.ndarray:
-            shm, array, spec = create_shared_array(template)
-            self._blocks.append(shm)
-            specs[worker_id][kind] = spec
-            return array
-
-        self.state = allocate_state(dgraph, program, shared_alloc)
-        # The scratch shares the blocks: minimize-mode dirty masks are
-        # read across children during the down phase.
-        allocate_scratch(dgraph, program, self.state, shared_alloc)
+        arrays: List[Dict[str, np.ndarray]] = []
+        specs: List[Dict[str, SharedArraySpec]] = []
+        for local in dgraph.locals:
+            own: Dict[str, np.ndarray] = {}
+            spec: Dict[str, SharedArraySpec] = {}
+            for kind, template in worker_arrays(local, program).items():
+                shm, own[kind], spec[kind] = create_shared_array(template)
+                self._blocks.append(shm)
+            arrays.append(own)
+            specs.append(spec)
+        self.state = by_kind(arrays)
         return [specs] * len(specs)
-
-    def exchange(self, session: CommandSession, superstep: int):
-        session.broadcast("exchange_up")
-        # Collecting every up reply before any down command is the
-        # mandatory mid-exchange barrier: the down phase reads master
-        # values and dirty masks the up phase writes in *other* children.
-        ups = session.results()
-        session.broadcast("exchange_down")
-        return ups, session.results()
 
     def release(self) -> None:
         while self._blocks:

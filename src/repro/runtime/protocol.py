@@ -55,22 +55,12 @@ from __future__ import annotations
 import traceback
 import weakref
 from time import monotonic
-from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import (
-    BackendError,
-    BackendSession,
-    ComputeStageResult,
-    ExchangeResult,
-    WorkerLostError,
-    WorkerState,
-    build_route_plan,
-    finish_compute_stage,
-    finish_exchange_stage,
-)
-from .shard import TimedResult, WorkerShard
+from .base import BackendError, BackendSession, WorkerLostError, build_route_plan
+from .shard import Slots, TimedResult, WorkerShard
 
 __all__ = [
     "DEFAULT_STAGE_TIMEOUT",
@@ -134,11 +124,12 @@ class StatePlane:
     """Where worker state lives and how an exchange moves it.
 
     The defaults are the shared-storage ones: :attr:`state` is the
-    coordinator's live view, read and restored in place.
+    coordinator's live view, read and restored in place, and an
+    exchange is the two pull phases, one broadcast each.
     """
 
     #: the coordinator-visible arrays, or ``None`` when workers own them.
-    state: Optional[WorkerState] = None
+    state: Optional[Slots] = None
     #: whether :meth:`recover_workers` can replace dead workers.
     supports_recovery = False
 
@@ -153,12 +144,12 @@ class StatePlane:
         self, session: "CommandSession", superstep: int
     ) -> Tuple[List[TimedResult], List[TimedResult]]:
         """Run both exchange phases; return the (up, down) timed results."""
-        raise NotImplementedError
+        return BackendSession.exchange_phases(session, superstep)
 
     def any_active(self, session: "CommandSession") -> bool:
         return BackendSession.any_active(session)
 
-    def pull_state(self, session: "CommandSession") -> WorkerState:
+    def pull_state(self, session: "CommandSession") -> Dict[str, list]:
         return BackendSession.pull_state(session)
 
     def push_state(self, session: "CommandSession", arrays) -> None:
@@ -391,18 +382,17 @@ class CommandSession(BackendSession):
 
     # -- BackendSession ----------------------------------------------------
 
-    def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
-        self.broadcast("compute", superstep)
-        return finish_compute_stage(self.recorder, superstep, self.results())
+    def call(self, method: str, payload=None) -> list:
+        self.broadcast(method, payload)
+        return self.results()
 
-    def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
-        ups, downs = self._plane.exchange(self, superstep)
-        return finish_exchange_stage(self.recorder, superstep, ups, downs)
+    def exchange_phases(self, superstep: int) -> Tuple[List[TimedResult], List[TimedResult]]:
+        return self._plane.exchange(self, superstep)
 
     def any_active(self) -> bool:
         return self._plane.any_active(self)
 
-    def pull_state(self) -> WorkerState:
+    def pull_state(self) -> Dict[str, list]:
         return self._plane.pull_state(self)
 
     def push_state(self, arrays) -> None:

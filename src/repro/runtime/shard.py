@@ -4,14 +4,17 @@ A :class:`WorkerShard` holds everything one BSP worker needs for a
 whole run — its id, its :class:`~repro.bsp.distributed.LocalSubgraph`,
 the program, its inbound slices of the route plan — plus ``p``-length
 lists of the per-worker arrays the kernels in
-:mod:`repro.runtime.worker` read across workers (``values``,
-``changed``, ``partials``, ``dirty``).  Every backend builds one shard
-per worker and differs only in *where the shard lives* and *what the
-sibling slots hold*:
+:mod:`repro.runtime.worker` read across workers.  A worker's arrays are
+defined once, here: :func:`worker_arrays` allocates them for the
+program's mode, :data:`SNAPSHOT_KINDS` names the ones a checkpoint
+keeps, and :func:`check_restore` validates a snapshot against them
+before any copy.  Every backend builds one shard per worker from
+:func:`worker_arrays` and differs only in *where the shard lives* and
+*what the sibling slots hold*:
 
 ``serial`` / ``thread``
     ``p`` shards in the calling process over the session's heap arrays;
-    ``serial`` loops over them, ``thread`` submits their bound methods.
+    ``serial`` calls them inline, ``thread`` on its pool.
 ``process``
     one shard per child over attached shared-memory blocks — every
     slot is a sibling's real array.
@@ -59,10 +62,21 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..bsp.distributed import LocalSubgraph, _Route
-from ..bsp.program import MINIMIZE, SubgraphProgram
+from ..bsp.program import ACCUMULATE, MINIMIZE, SubgraphProgram
+from ..checkpoint.store import CheckpointError
 from .worker import superstep_compute, superstep_exchange_down, superstep_exchange_up
 
-__all__ = ["WorkerShard", "compact_routes", "Slice", "TimedResult"]
+__all__ = [
+    "WorkerShard",
+    "SNAPSHOT_KINDS",
+    "worker_arrays",
+    "by_kind",
+    "snapshot_view",
+    "check_restore",
+    "compact_routes",
+    "Slice",
+    "TimedResult",
+]
 
 #: one timed phase result: ``(value, t0_ns, t1_ns)``.
 TimedResult = Tuple[object, int, int]
@@ -74,9 +88,76 @@ Window = Tuple[int, int]
 #: mask selects nothing, ``{"sel", "val"}`` when masked, ``{"val"}`` when not.
 Slice = Dict[str, np.ndarray]
 #: kind -> ``p``-length per-worker list of arrays (an entry is ``None``
-#: where a sibling's array is not held); a kind the mode lacks is absent
-#: or ``None``.
+#: where a sibling's array is not held); a kind the mode lacks is absent.
 Slots = Mapping[str, Any]
+
+#: the kinds a snapshot keeps, in payload order.  ``changed`` and
+#: ``partials`` are live state the next exchange reads; ``dirty`` and
+#: ``sums`` are exchange scratch, rewritten before anything reads them.
+SNAPSHOT_KINDS = ("values", "changed", "active", "partials")
+
+
+def worker_arrays(local: LocalSubgraph, program: SubgraphProgram) -> Dict[str, np.ndarray]:
+    """One worker's initial arrays, keyed by kind: every backend's allocation.
+
+    Both modes have ``values`` (``initial_values``) and ``changed`` (all
+    false; the send mask in accumulate mode).  Minimize mode adds
+    ``active`` (``initial_active``) and ``dirty``, the "master improved
+    this superstep" mask the up phase writes and siblings read in the
+    down phase; accumulate mode adds ``partials`` and ``sums``, the
+    owner's combined-partials accumulator.  Heap arrays: a state plane
+    that needs other storage copies them into it.
+    """
+    if program.mode not in (MINIMIZE, ACCUMULATE):
+        raise ValueError(f"unknown program mode {program.mode!r}")
+    arrays = {
+        "values": np.array(program.initial_values(local)),
+        "changed": np.zeros(local.num_vertices, dtype=bool),
+    }
+    if program.mode == MINIMIZE:
+        arrays["active"] = np.array(program.initial_active(local))
+        arrays["dirty"] = np.zeros(local.num_vertices, dtype=bool)
+    else:
+        arrays["partials"] = np.zeros_like(arrays["values"])
+        arrays["sums"] = np.zeros_like(arrays["values"])
+    return arrays
+
+
+def by_kind(per_worker: Sequence[Mapping[str, Any]]) -> Dict[str, list]:
+    """Per-worker ``kind -> array`` mappings as ``kind -> per-worker list``."""
+    return {kind: [arrays[kind] for arrays in per_worker] for kind in per_worker[0]}
+
+
+def snapshot_view(arrays: Mapping[str, Any]) -> Dict[str, Any]:
+    """The :data:`SNAPSHOT_KINDS` entries of ``arrays``, in that order."""
+    return {kind: arrays[kind] for kind in SNAPSHOT_KINDS if kind in arrays}
+
+
+def check_restore(live: Slots, arrays: Slots) -> None:
+    """Validate snapshot ``arrays`` against a run's ``live`` arrays.
+
+    Both map kind -> per-worker list.  Kinds, then each kind's worker
+    count, then every array's shape and dtype are checked before the
+    caller copies anything, so a mismatched snapshot fails whole with
+    :class:`~repro.checkpoint.CheckpointError` instead of half-restoring.
+    """
+    if set(live) != set(arrays):
+        raise CheckpointError(
+            f"snapshot holds array kinds {sorted(arrays)} but this run "
+            f"allocates {sorted(live)} (program mode mismatch?)"
+        )
+    for kind, expected in live.items():
+        saved = arrays[kind]
+        if len(saved) != len(expected):
+            raise CheckpointError(
+                f"snapshot has {len(saved)} {kind!r} arrays for {len(expected)} workers"
+            )
+        for w, (dst, src) in enumerate(zip(expected, saved)):
+            if dst.shape != src.shape or dst.dtype != src.dtype:
+                raise CheckpointError(
+                    f"snapshot array {kind}[{w}] is {src.dtype}{src.shape}, "
+                    f"session expects {dst.dtype}{dst.shape}"
+                )
 
 
 def compact_routes(inbound: Routes) -> List[Tuple[int, _Route]]:
@@ -90,9 +171,8 @@ def compact_routes(inbound: Routes) -> List[Tuple[int, _Route]]:
 class WorkerShard:
     """One worker's subgraph, program, routes and view of the state arrays.
 
-    ``slots`` maps each array kind to its ``p``-length per-worker list
-    (``values``/``changed`` always; ``active``/``dirty`` in minimize
-    mode, ``partials``/``sums`` in accumulate mode).  ``outbound_up`` /
+    ``slots`` maps each of :func:`worker_arrays`' kinds to its
+    ``p``-length per-worker list (:func:`by_kind`).  ``outbound_up`` /
     ``outbound_down`` and ``peers`` — the wire plane's mesh, with
     ``listen()``, ``connect(token, endpoints, timeout)``,
     ``trade(outbox, sources)`` and ``close()`` — serve :meth:`exchange`.
@@ -132,6 +212,7 @@ class WorkerShard:
         self.outbound_up, self.outbound_down = outbound_up, outbound_down
         self.peers = peers
         self.minimize = program.mode == MINIMIZE
+        self.slots = slots
         self.values, self.changed = slots["values"], slots["changed"]
         self.partials, self.dirty = slots.get("partials"), slots.get("dirty")
         self.active = self._own(slots.get("active"))
@@ -192,31 +273,14 @@ class WorkerShard:
 
     def owned(self, _payload=None) -> Dict[str, np.ndarray]:
         """This worker's checkpoint arrays, keyed by kind."""
-        arrays = {
-            "values": self._own(self.values),
-            "changed": self._own(self.changed),
-            "active": self.active,
-            "partials": self._own(self.partials),
-        }
-        return {kind: array for kind, array in arrays.items() if array is not None}
+        return {kind: per[self.worker_id] for kind, per in snapshot_view(self.slots).items()}
 
     def restore(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Copy snapshot ``arrays`` over :meth:`owned`, validating first."""
+        """Copy snapshot ``arrays`` over :meth:`owned`; the coordinator
+        ran :func:`check_restore` on them before sending any."""
         own = self.owned()
-        if set(arrays) != set(own):
-            raise ValueError(
-                f"snapshot shard holds {sorted(arrays)}, worker allocates "
-                f"{sorted(own)} (program mode mismatch?)"
-            )
-        for kind in sorted(own):
-            src, dst = arrays[kind], own[kind]
-            if src.shape != dst.shape or src.dtype != dst.dtype:
-                raise ValueError(
-                    f"snapshot array {kind!r} is {src.dtype}{src.shape}, "
-                    f"worker expects {dst.dtype}{dst.shape}"
-                )
-        for kind in sorted(own):
-            own[kind][...] = arrays[kind]
+        for kind, array in arrays.items():
+            own[kind][...] = array
 
     # -- exchange without shared arrays -----------------------------------
 

@@ -16,8 +16,9 @@ Cleanup is belt-and-braces: :func:`destroy_shared_array` swallows
 worker crash.
 
 Because parent and children map the *same* blocks, two things come for
-free.  Checkpoint restore (:func:`repro.checkpoint.restore_state`)
-needs no shm-specific code: the engine copies snapshot arrays through
+free.  Checkpoint restore
+(:meth:`~repro.runtime.base.BackendSession.push_state`) needs no
+shm-specific code: the engine copies snapshot arrays through
 the parent's views and every child observes the restored state exactly
 as it observes its siblings' compute-stage writes.  And the worker-side
 replica exchange needs no inter-child messaging: every child maps every

@@ -29,11 +29,11 @@ snapshot.
 
 *Its state plane* — :class:`WirePlane`.  Each worker owns the arrays of
 its :class:`~repro.runtime.shard.WorkerShard` (:func:`standalone_shard`,
-the same :func:`~repro.runtime.base.allocate_local_state` every backend
+the same :func:`~repro.runtime.shard.worker_arrays` every backend
 runs).  The coordinator never holds O(|V|·p) state: it sees full arrays
 only through the ``owned`` / ``restore`` commands when the engine
-gathers, and tracks convergence from the has-active flag every reply
-carries.  Each launch batch ends by meshing the whole pool
+gathers or restores, and tracks convergence from the has-active flag
+every reply carries.  Each launch batch ends by meshing the whole pool
 (:meth:`WirePlane.connect`): every pair of workers connects once,
 authenticated by a per-session token, and carries only
 :mod:`repro.arraytable` frames: a peer's bytes are read as validated
@@ -76,15 +76,7 @@ from .. import arraytable
 from ..bsp.distributed import DistributedGraph, _Route
 from ..bsp.program import SubgraphProgram
 from . import wire
-from .base import (
-    Backend,
-    BackendError,
-    BackendSession,
-    WorkerState,
-    allocate_local_scratch,
-    allocate_local_state,
-    worker_context,
-)
+from .base import Backend, BackendError, BackendSession, worker_context
 from .protocol import (
     DEFAULT_STAGE_TIMEOUT,
     INIT_TIMEOUT,
@@ -96,7 +88,15 @@ from .protocol import (
     positive_timeout,
     serve,
 )
-from .shard import Slice, WorkerShard, compact_routes
+from .shard import (
+    Slice,
+    WorkerShard,
+    by_kind,
+    check_restore,
+    compact_routes,
+    snapshot_view,
+    worker_arrays,
+)
 
 __all__ = ["SocketBackend", "WirePlane", "serve_sessions", "serve_worker", "standalone_shard"]
 
@@ -221,18 +221,14 @@ def standalone_shard(payload, host: str = "127.0.0.1") -> WorkerShard:
     meshes with its peers on ``host``."""
     worker_id, local, program, inbound_up, inbound_down, extra = payload
     num_workers, outbound_up, outbound_down = extra
-    own = allocate_local_state(local, program, worker_id)
-    own.update(allocate_local_scratch(local, program, own["values"], worker_id))
-    slots: dict = {kind: [None] * num_workers for kind in own}
-    for kind, array in own.items():
-        slots[kind][worker_id] = array
+    own = worker_arrays(local, program)
     return WorkerShard(
         worker_id,
         local,
         program,
         compact_routes(inbound_up),
         compact_routes(inbound_down),
-        slots,
+        by_kind([own if w == worker_id else dict.fromkeys(own) for w in range(num_workers)]),
         outbound_up,
         outbound_down,
         _Peers(worker_id, host),
@@ -410,6 +406,7 @@ class WirePlane(StatePlane):
     def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
         # Nothing to allocate here; each worker is told the pool size and
         # its per-source route slices — what it ships in an exchange.
+        self._workers = (dgraph.locals, program)
         p = dgraph.num_workers
         outbound_up: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
         outbound_down: List[List[Tuple[int, _Route]]] = [[] for _ in range(p)]
@@ -423,11 +420,9 @@ class WirePlane(StatePlane):
         """(Re)form the whole pool's peer mesh: every worker opens a
         listener and reports its port, then connects to every sibling at
         (the host we dialled for it, the port it reported)."""
-        session.broadcast("listen")
-        ports = session.results()
+        ports = session.call("listen")
         endpoints = [(link.host, port) for link, port in zip(session.links, ports)]
-        session.broadcast("mesh", (self._token, endpoints, session.stage_timeout))
-        session.results()
+        session.call("mesh", (self._token, endpoints, session.stage_timeout))
 
     def exchange(self, session: CommandSession, superstep: int):
         """One command: each worker trades both phases with its peers."""
@@ -452,21 +447,18 @@ class WirePlane(StatePlane):
     def any_active(self, session: CommandSession) -> bool:
         return any(session.active)
 
-    def pull_state(self, session: CommandSession) -> WorkerState:
+    def pull_state(self, session: CommandSession) -> Dict[str, list]:
         with session.recorder.span("wire.pull_state", cat="wire"):
-            session.broadcast("owned")
-            shards = session.results()
-        return WorkerState(**{kind: [s[kind] for s in shards] for kind in shards[0]})
+            return by_kind(session.call("owned"))
 
     def push_state(self, session: CommandSession, arrays) -> None:
-        p = len(session.links)
-        for kind, worker_arrays in arrays.items():
-            if len(worker_arrays) != p:
-                raise BackendError(
-                    f"snapshot has {len(worker_arrays)} {kind!r} arrays "
-                    f"for {p} workers"
-                )
-        shards = [{kind: arrays[kind][w] for kind in sorted(arrays)} for w in range(p)]
+        # The workers hold the arrays, so the check runs against what
+        # they allocate, rebuilt here, before any worker's array changes.
+        locals_, program = self._workers
+        check_restore(
+            snapshot_view(by_kind([worker_arrays(local, program) for local in locals_])), arrays
+        )
+        shards = [{kind: per[w] for kind, per in arrays.items()} for w in range(len(locals_))]
         with session.recorder.span("wire.push_state", cat="wire"):
             session.scatter("restore", shards)
             session.results()

@@ -20,54 +20,9 @@ from typing import Optional
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import (
-    Backend,
-    BackendSession,
-    ComputeStageResult,
-    ExchangeResult,
-    SharedArraySession,
-    finish_compute_stage,
-    finish_exchange_stage,
-)
+from .base import Backend, BackendSession, LocalSession
 
 __all__ = ["ThreadBackend"]
-
-
-class _ThreadSession(SharedArraySession):
-    backend_name = "thread"
-
-    def __init__(
-        self,
-        dgraph: DistributedGraph,
-        program: SubgraphProgram,
-        max_workers: Optional[int],
-    ):
-        super().__init__(dgraph, program)
-        pool_size = dgraph.num_workers if max_workers is None else max_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, pool_size), thread_name_prefix="repro-bsp"
-        )
-
-    def compute_stage(self, superstep: int = 0) -> ComputeStageResult:
-        futures = [self._pool.submit(shard.compute, superstep) for shard in self._shards]
-        # future.result() re-raises worker exceptions in submission order.
-        return finish_compute_stage(
-            self.recorder, superstep, [f.result() for f in futures]
-        )
-
-    def exchange_stage(self, superstep: int = 0) -> ExchangeResult:
-        up_futures = [self._pool.submit(shard.exchange_up) for shard in self._shards]
-        # Collecting every up result before submitting any down task is
-        # the mandatory mid-exchange barrier: the down phase reads
-        # master values and dirty masks the up phase writes on *other*
-        # workers.
-        ups = [f.result() for f in up_futures]
-        down_futures = [self._pool.submit(shard.exchange_down) for shard in self._shards]
-        downs = [f.result() for f in down_futures]
-        return finish_exchange_stage(self.recorder, superstep, ups, downs)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 class ThreadBackend(Backend):
@@ -91,4 +46,6 @@ class ThreadBackend(Backend):
     def session(
         self, dgraph: DistributedGraph, program: SubgraphProgram
     ) -> BackendSession:
-        return _ThreadSession(dgraph, program, self.max_workers)
+        pool_size = dgraph.num_workers if self.max_workers is None else self.max_workers
+        pool = ThreadPoolExecutor(max_workers=max(1, pool_size), thread_name_prefix="repro-bsp")
+        return LocalSession(self.name, dgraph, program, pool)

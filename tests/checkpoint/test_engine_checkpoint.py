@@ -16,7 +16,6 @@ from repro.checkpoint import (
     CheckpointError,
     list_snapshots,
     load_snapshot,
-    restore_state,
 )
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
@@ -172,21 +171,25 @@ def test_corrupted_snapshot_rejected_through_engine(
         )
 
 
+@pytest.mark.parametrize("backend", ["serial", "thread", "process", "socket"])
 def test_restore_state_validates_before_touching_anything(
-    pr_checkpoint, ckpt_graph, ckpt_dgraphs
+    backend, pr_checkpoint, ckpt_graph, ckpt_dgraphs
 ):
-    """A kind/shape mismatch fails atomically (no half-restored arrays)."""
-    from repro.runtime import SerialBackend
+    """A kind/shape mismatch fails atomically (no half-restored arrays),
+    the same way on every backend, and leaves the session usable."""
+    from repro.runtime import create_backend
 
     snap = load_snapshot(pr_checkpoint)
-    with SerialBackend().session(
+    with create_backend(backend).session(
         ckpt_dgraphs[2], APPS.create("cc", ckpt_graph)
     ) as session:
-        before = [v.copy() for v in session.state.values]
+        session.compute_stage(0)
+        before = [v.copy() for v in session.pull_state()["values"]]
         with pytest.raises(CheckpointError, match="array kinds"):
-            restore_state(session.state, snap.arrays)  # pr arrays, cc session
-        for got, want in zip(session.state.values, before):
+            session.push_state(snap.arrays)  # pr arrays, cc session
+        for got, want in zip(session.pull_state()["values"], before):
             assert np.array_equal(got, want)
+        session.exchange_stage(0)
 
 
 def test_fresh_run_clears_stale_snapshots_from_previous_run(

@@ -3,11 +3,15 @@
 A weight the kernel takes must be the double Python's ``float`` reads
 from the same token, bit for bit (``-0.0`` and subnormals included); a
 token it declines goes to the per-line parser, which reads it with
-``float`` itself, so a file's weights are ``float``'s either way.
+``float`` itself, so a file's weights are ``float``'s either way.  On
+arbitrary bytes the kernel either declines or agrees with the per-line
+parser.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graph.io as graph_io
 from repro.graph import iter_edge_chunks, read_edge_list
@@ -84,3 +88,46 @@ def test_strict_mode_raises_the_per_line_message_across_blocks(
     # Lenient mode reads the same file: weights dropped wholesale.
     graph = read_edge_list(str(path))
     assert graph.num_edges == 768 and graph.weights is None
+
+
+#: bytes an edge-list block must survive: control bytes, signs, number
+#: syntax, float words and comment markers.
+_ODD = [
+    b"9223372036854775808", b"18446744073709551616", b"1e999", b"5e-324", b"-0.0", b" ",
+    b"\t", b"\n", b"\r", b"\r\n", b"\0", b"\xff", b"+", b"-", b".", b"e", b"E", b"inf",
+    b"-inf", b"nan", b"NaN", b"i", b"n", b"f", b"a", b"#", b"%", b"# c\n", b"% c\n",
+]
+_ID = st.integers(0, 2**63 - 1).map(lambda i: str(i).encode())
+_WEIGHT = st.one_of(_ID, st.floats().map(lambda x: repr(x).encode()))
+
+
+@st.composite
+def _blocks(draw):
+    """``u v`` or ``u v w`` lines whose fields and ends are sometimes odd bytes."""
+    columns = draw(st.sampled_from([2, 3]))
+    odd = st.sampled_from(_ODD)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(_ID), draw(_ID), draw(_WEIGHT)][:columns]
+        if draw(st.integers(0, 3)) == 0:  # splice odd bytes into one field
+            at = draw(st.integers(0, columns - 1))
+            fields[at] = draw(st.sampled_from([b"", fields[at]])) + draw(odd)
+        sep = draw(st.sampled_from([b" ", b"\t", b"  ", b" \t"]))
+        lines.append(sep.join(fields) + draw(st.sampled_from([b"\n", b"\n", b" \n", b"\r\n"])))
+    return b"".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_blocks(), st.binary(max_size=64), st.lists(st.sampled_from(_ODD)).map(b"".join)))
+def test_arbitrary_bytes_are_declined_or_parsed_as_the_line_parser_does(block):
+    edges = graph_io._parse_block(block, block.count(b"\n"))
+    if edges is None:
+        return
+    src, dst, wts = edges
+    ref_src, ref_dst, ref_wts = graph_io._EdgeParser("fuzz.txt", strict=True)._parse_lines(block, 1)
+    assert src.tolist() == ref_src.tolist()
+    assert dst.tolist() == ref_dst.tolist()
+    if wts is None:
+        assert ref_wts.size == 0
+    else:
+        assert np.array_equal(wts.view(np.int64), ref_wts.view(np.int64))

@@ -38,6 +38,10 @@ class TestConstruction:
         with pytest.raises(MutationError, match=">= 0"):
             MutationBatch().insert(-1, 2)
 
+    def test_endpoint_past_int64_rejected(self):
+        with pytest.raises(MutationError, match="< 2\\*\\*63"):
+            MutationBatch().delete(2**63, 0)
+
     def test_delete_with_weight_rejected(self):
         with pytest.raises(MutationError, match="must not carry a weight"):
             MutationBatch.from_ops([("delete", 0, 1, 2.0)])
@@ -125,6 +129,18 @@ class TestResolution:
         assert resolved.removed_ids.tolist() == [3]
         assert resolved.num_inserted == 1
         assert resolved.num_cancelled == 0
+
+    def test_ids_past_2_to_the_32_match_exact_pairs(self):
+        """Pair keys ``u * base + v`` wrap modulo 2**64 here (base is
+        2**62 + 1): ``(1, 4)`` has the same key as ``(2**62, 5)``, and
+        only the exact pair may match."""
+        src = np.array([2**62, 2**32, 3], dtype=np.int64)
+        dst = np.array([5, 1, 2**33], dtype=np.int64)
+        pieces = [(np.arange(3, dtype=np.int64), src, dst)]
+        batch = MutationBatch().delete(3, 2**33).delete(2**62, 5).delete(2**32, 1)
+        assert batch.resolve(pieces, directed=True).removed_ids.tolist() == [0, 1, 2]
+        with pytest.raises(MutationError, match=r"cannot delete edge \(1, 4\)"):
+            MutationBatch().delete(1, 4).resolve(pieces, directed=True)
 
     def test_undirected_graph_rejected(self):
         g = Graph.from_undirected_edges([(0, 1), (1, 2)], num_vertices=3)

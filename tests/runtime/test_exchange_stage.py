@@ -182,14 +182,8 @@ class TestAssembleExchange:
 # ----------------------------------------------------------------------
 
 
-def _state_snapshot(state):
-    snap = {"values": [v.copy() for v in state.values],
-            "changed": [c.copy() for c in state.changed]}
-    if state.active is not None:
-        snap["active"] = [a.copy() for a in state.active]
-    if state.partials is not None:
-        snap["partials"] = [pt.copy() for pt in state.partials]
-    return snap
+def _state_snapshot(session):
+    return {kind: [a.copy() for a in per] for kind, per in session.pull_state().items()}
 
 
 def _assert_states_equal(got, want, where):
@@ -212,8 +206,8 @@ def test_per_stage_state_bit_identity(graph, dgraphs, backend_name, p, app):
     max_steps = 6
     with ref_session, par_session:
         _assert_states_equal(
-            _state_snapshot(par_session.state),
-            _state_snapshot(ref_session.state),
+            _state_snapshot(par_session),
+            _state_snapshot(ref_session),
             "initial allocation",
         )
         for step in range(max_steps):
@@ -223,8 +217,8 @@ def test_per_stage_state_bit_identity(graph, dgraphs, backend_name, p, app):
             # Per-worker walls ride every stage return, traced or not.
             assert len(par_comp.walls) == p and all(w >= 0.0 for w in par_comp.walls)
             _assert_states_equal(
-                _state_snapshot(par_session.state),
-                _state_snapshot(ref_session.state),
+                _state_snapshot(par_session),
+                _state_snapshot(ref_session),
                 f"after compute {step}",
             )
 
@@ -237,7 +231,7 @@ def test_per_stage_state_bit_identity(graph, dgraphs, backend_name, p, app):
             assert par_ex.delta == ref_ex.delta, f"delta, step {step}"
             assert len(par_ex.up_walls) == p and len(par_ex.down_walls) == p
             _assert_states_equal(
-                _state_snapshot(par_session.state),
-                _state_snapshot(ref_session.state),
+                _state_snapshot(par_session),
+                _state_snapshot(ref_session),
                 f"after exchange {step}",
             )

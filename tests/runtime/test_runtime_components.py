@@ -14,8 +14,8 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    allocate_state,
     create_backend,
+    worker_arrays,
 )
 from repro.runtime.shm import (
     attach_shared_array,
@@ -81,7 +81,7 @@ class TestValidation:
         program = CrashingProgram()
         program.mode = "gossip"
         with pytest.raises(ValueError, match="unknown program mode"):
-            allocate_state(dgraph, program)
+            worker_arrays(dgraph.locals[0], program)
 
 
 class TestWorkerFailure:

@@ -21,8 +21,7 @@ import pytest
 
 from memlink import MemoryLink, memory_session, serve_standalone
 from repro.bsp import BSPEngine, build_distributed_graph
-from repro.checkpoint import list_snapshots, load_snapshot
-from repro.checkpoint.writer import state_arrays
+from repro.checkpoint import CheckpointError, list_snapshots, load_snapshot
 from repro.graph import generate_graph, powerlaw_graph
 from repro.obs import TraceRecorder, validate_chrome_trace, write_chrome_trace
 from repro.partition import DBHPartitioner, EBVPartitioner
@@ -119,27 +118,32 @@ def test_checkpointed_run_gathers_state_only_for_a_due_snapshot(
 @pytest.mark.parametrize("app", ["cc", "pr"])
 def test_state_round_trips_through_owned_and_restore(app, graph, dgraphs):
     """``pull_state`` after ``push_state`` returns the pushed arrays, and a
-    shard of the wrong kind set or shape is refused by the worker."""
+    snapshot of the wrong worker count or shape is refused before any
+    worker's array changes."""
     dgraph = dgraphs[2]
     with memory_session(dgraph, APPS.create(app, graph)) as session:
         session.compute_stage(0)
         session.exchange_stage(0)
-        arrays = state_arrays(session.pull_state())
+        arrays = session.pull_state()
         for kind in arrays:
             arrays[kind] = [np.roll(a, 1, axis=0) for a in arrays[kind]]
         session.push_state(arrays)
-        pulled = state_arrays(session.pull_state())
+        pulled = session.pull_state()
         assert sorted(pulled) == sorted(arrays)
         for kind in arrays:
             for got, want in zip(pulled[kind], arrays[kind]):
                 assert np.array_equal(got, want, equal_nan=True)
         if "active" in arrays:
             assert session.any_active() == any(a.any() for a in arrays["active"])
-        with pytest.raises(BackendError, match="snapshot has 1 'values' arrays"):
+        with pytest.raises(CheckpointError, match="snapshot has 1 'values' arrays"):
             session.push_state({kind: per[:1] for kind, per in arrays.items()})
         arrays["values"] = [a[:-1] for a in arrays["values"]]
-        with pytest.raises(BackendError, match="snapshot array 'values' is"):
+        with pytest.raises(CheckpointError, match=r"snapshot array values\[0\] is"):
             session.push_state(arrays)
+        assert all(
+            np.array_equal(got, want, equal_nan=True)
+            for got, want in zip(session.pull_state()["values"], pulled["values"])
+        )
 
 
 def test_workers_the_session_did_not_spawn(graph, dgraphs, external_workers):
