@@ -400,7 +400,7 @@ class Pipeline:
     def backend(self, backend: str = "serial", **kwargs: Any) -> "Pipeline":
         """Choose the runtime backend executing the BSP computation stage.
 
-        Accepts full spec strings (``"process?start_method=spawn"``) or
+        Accepts full spec strings (``"process?stage_timeout=120"``) or
         a bare name plus kwargs; results are identical on every backend
         (see :mod:`repro.runtime`), only wall-clock time changes.
         """

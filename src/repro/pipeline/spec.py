@@ -219,7 +219,7 @@ class PipelineSpec:
         ``None`` the pipeline stops after partition metrics.
     backend:
         Runtime backend spec for the BSP computation stage
-        (``"serial"``, ``"thread"``, ``"process?start_method=spawn"``;
+        (``"serial"``, ``"thread"``, ``"process?stage_timeout=120"``;
         see :mod:`repro.runtime`).  Backends change wall-clock time
         only — results are identical across all of them.
     cost_model:

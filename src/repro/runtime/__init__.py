@@ -54,8 +54,8 @@ backend      shards live in          link                  state plane          
              on a persistent         the bound method
              ``ThreadPoolExecutor``
 ``process``  one daemon child each   ``multiprocessing``   shared memory: parent    no
-                                     pipe + ``Process``    allocates, every child
-                                                           maps every block
+             (forked)                pipe + ``Process``    allocates, every child
+                                                           inherits every array
 ``socket``   one process each (a     framed TCP            wire: each worker owns   spawned-
              local fork of the       (:mod:`.wire`) +      its arrays; exchange     local
              coordinator, or a       ``Process`` /         is one command, then     only
@@ -68,11 +68,11 @@ Every state plane allocates with
 :func:`~repro.runtime.shard.worker_arrays`: ``serial`` and ``thread``
 are one :class:`~repro.runtime.base.LocalSession` (shard calls inline
 or on its pool) over heap arrays, ``process`` copies them into shared
-blocks, and each ``socket`` worker allocates its own.  ``pull_state``
-returns the snapshot mapping (kind → per-worker list, what
-``Snapshot.arrays`` holds) and ``push_state`` validates a snapshot with
-:func:`~repro.runtime.shard.check_restore` on the coordinator before
-any worker's array changes, on every backend.
+pages its children inherit, and each ``socket`` worker allocates its
+own.  ``pull_state`` returns the snapshot mapping (kind → per-worker
+list, what ``Snapshot.arrays`` holds) and ``push_state`` validates a
+snapshot with :func:`~repro.runtime.shard.check_restore` on the
+coordinator before any worker's array changes, on every backend.
 
 ``serial`` is the reference and bit-identity oracle.  ``process`` and
 ``socket`` are one session class
@@ -91,16 +91,13 @@ be replaced from the last checkpoint
 
 Shared-memory layout (process backend)
 --------------------------------------
-Per worker ``w``, one ``multiprocessing.shared_memory`` block per
-array :func:`~repro.runtime.shard.worker_arrays` allocates for the
-program's mode (its docstring says what each kind holds), created by
-the parent and mapped by *every* child: the exchange phases read
-sibling workers' arrays directly.  Child ``w`` writes only worker
-``w``'s blocks.  The parent owns every
-block's lifetime and unlinks it at session close; children only ever
-``close()`` their mappings (they share the parent's resource tracker,
-so their attach-time registration is a set-level no-op — see
-:mod:`repro.runtime.shm`).
+Per worker ``w``, one anonymous shared mapping per array
+:func:`~repro.runtime.shard.worker_arrays` allocates for the program's
+mode (its docstring says what each kind holds), made by the parent
+before the pool forks and inherited by *every* child: the exchange
+phases read sibling workers' arrays directly.  Child ``w`` writes only
+worker ``w``'s arrays.  The mappings have no name — nothing is created
+in ``/dev/shm`` — and are gone with the last process that maps them.
 
 Real time vs. modeled time
 --------------------------

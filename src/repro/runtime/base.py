@@ -18,9 +18,9 @@ backend-agnostic: it only ever
    the final gather, and checkpoint save/restore.
 
 Both stages execute however the backend sees fit — inline or on a
-thread pool (:class:`LocalSession`), on a persistent process pool over
-shared memory, or in TCP workers; what executes is always a
-:class:`~repro.runtime.shard.WorkerShard` per worker, over the arrays
+thread pool (:class:`LocalSession`), on a persistent pool of forked
+processes over shared memory, or in TCP workers; what executes is
+always a :class:`~repro.runtime.shard.WorkerShard` per worker, over the arrays
 :func:`~repro.runtime.shard.worker_arrays` allocates.
 
 The correctness contract is: after ``compute_stage`` returns, every
@@ -44,7 +44,7 @@ the two exchange phases are separated by barriers).
 Where the coordinator holds the arrays (:attr:`BackendSession.state`),
 checkpoint *restore* is a copy through its views before the first
 compute stage, and every backend's workers — including the process
-backend's children, which map the same shared-memory blocks — observe
+backend's children, which share the same pages — observe
 the restored values exactly as they observe compute-stage writes.
 """
 
@@ -295,7 +295,7 @@ class BackendSession(abc.ABC):
     """One program execution bound to a backend's execution resources.
 
     Sessions are context managers; :meth:`close` must be idempotent and
-    release every resource (threads, processes, shared-memory blocks)
+    release every resource (threads, processes, sockets)
     even after a worker error.  A session whose workers are
     :class:`~repro.runtime.shard.WorkerShard` objects implements
     :meth:`call`, and the two stages below run over it; any other
@@ -468,18 +468,14 @@ class Backend(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-def worker_context(start_method: Optional[str] = None) -> multiprocessing.context.BaseContext:
-    """The ``multiprocessing`` context out-of-process backends start workers from.
+def worker_context() -> multiprocessing.context.BaseContext:
+    """The ``multiprocessing`` context the socket backend starts local workers from.
 
     ``fork`` where the platform has it — a child is a copy of the warm
     coordinator, nothing booted or re-imported — and the platform
-    default elsewhere; a ``start_method`` by name is validated and used.
+    default elsewhere.
     """
-    available = multiprocessing.get_all_start_methods()
-    if start_method is None:
-        start_method = "fork" if "fork" in available else None
-    elif start_method not in available:
-        raise ValueError(
-            f"start_method {start_method!r} not available; choose from {available}"
-        )
-    return multiprocessing.get_context(start_method)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork here
+        return multiprocessing.get_context()

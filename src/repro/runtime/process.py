@@ -1,15 +1,17 @@
-"""Process backend: pipe links, shards over shared memory.
+"""Process backend: pipe links, shards over state inherited at fork.
 
 The real-parallelism backend on one host.  It contributes exactly three
 things to the shared :class:`~repro.runtime.protocol.CommandSession`:
 
 *Its link* — :class:`_PipeLink`, a ``multiprocessing`` pipe to a
-long-lived daemon ``Process`` running :func:`_worker_main`.
+long-lived daemon ``Process`` forked to run :func:`_worker_main`.
 
-*Its state plane* — :class:`ShmPlane`.  The parent copies every
-worker's :func:`~repro.runtime.shard.worker_arrays` into
-``multiprocessing.shared_memory`` blocks, one per array; each child
-maps **every** worker's blocks and builds its
+*Its state plane* — :class:`ShmPlane`.  Before the pool forks, the
+parent copies every worker's :func:`~repro.runtime.shard.worker_arrays`
+into anonymous shared mappings, one per array.  Each child inherits
+every mapping at fork and gets the plane's kind → per-worker slots as
+its ``Process`` arguments — under fork those are passed by memory:
+nothing is pickled, named or attached — and builds its
 :class:`~repro.runtime.shard.WorkerShard` over them, so every slot is a
 sibling's real array.  Both superstep stages therefore run in the
 children with zero per-superstep pickling: an exchange is two
@@ -17,37 +19,46 @@ broadcasts (``exchange_up``, then — after every reply is in, the
 mandatory barrier — ``exchange_down``), and the only per-superstep pipe
 traffic is one small command → ``(result, t0, t1)`` round trip per
 worker per phase.  The coordinator reads convergence, the final gather
-and checkpoints straight out of its own views of the same blocks, and a
+and checkpoints straight out of its own views of the same pages, and a
 checkpoint restore written through those views is seen by every child.
+The pages have no name, so they go with the last process that maps
+them: nothing is left in ``/dev/shm``, however the run ends.
 
-*Its worker entry point* — :func:`_worker_main`: the shared
-:func:`~repro.runtime.protocol.serve` loop over the child's pipe end,
-closing the child's mappings on the way out.
+*Its worker entry point* — :func:`_worker_main`: close the coordinator's
+pipe ends the fork copied, then run the shared
+:func:`~repro.runtime.protocol.serve` loop over the child's own end.
+With no copy of the coordinator's end left open, a child reads
+end-of-file the moment the coordinator dies, however it dies.
 
 Crash containment, stage timeouts, the failed latch, typed worker loss
-and teardown are the session's (see :mod:`repro.runtime.protocol`);
-the plane's ``release`` unlinks every block after the last child is
-gone, even when only a subset of workers died or allocation failed half
-way.  Lost workers are not replaced (``supports_recovery`` is false).
+and teardown are the session's (see :mod:`repro.runtime.protocol`).
+Lost workers are not replaced (``supports_recovery`` is false).  The
+backend needs ``fork``; where the platform has none, use ``socket``.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 from functools import partial
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from multiprocessing.shared_memory import SharedMemory
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import Backend, BackendSession, worker_context
-from .protocol import CommandSession, ReplyTimeout, StatePlane, positive_timeout, serve
-from .shard import WorkerShard, by_kind, worker_arrays
-from .shm import SharedArraySpec, attach_shared_array, create_shared_array, destroy_shared_array
+from .base import Backend, BackendSession
+from .protocol import (
+    JOIN_TIMEOUT,
+    CommandSession,
+    ReplyTimeout,
+    StatePlane,
+    positive_timeout,
+    serve,
+)
+from .shard import Slots, WorkerShard, by_kind, worker_arrays
 
 __all__ = ["ProcessBackend", "ShmPlane"]
 
@@ -86,77 +97,77 @@ class _PipeLink:
         self._conn.close()
 
 
-def _attach_shard(mappings: List[SharedMemory], payload) -> WorkerShard:
-    """Map every worker's blocks and build this child's shard over them."""
-    worker_id, local, program, inbound_up, inbound_down, spec_table = payload
-    slots: Dict[str, List[np.ndarray]] = {}
-    for specs in spec_table:  # in worker order
-        for kind, spec in specs.items():
-            shm, array = attach_shared_array(spec)
-            mappings.append(shm)
-            slots.setdefault(kind, []).append(array)
-    return WorkerShard(worker_id, local, program, inbound_up, inbound_down, slots)
-
-
-def _worker_main(conn: Connection) -> None:
-    """Child entry point: serve the session's commands, then unmap."""
-    mappings: List[SharedMemory] = []
+def _worker_main(conn: Connection, coordinator_ends: Sequence[Connection], slots: Slots) -> None:
+    """Child entry point: drop the coordinator's pipe ends, serve the session."""
+    for end in coordinator_ends:
+        end.close()
     try:
-        serve(conn, partial(_attach_shard, mappings))
+        # init = (worker id, local, program, inbound up, inbound down, plane extra)
+        serve(conn, lambda init: WorkerShard(*init[:5], slots))
     except KeyboardInterrupt:  # the terminal's ^C reaches the whole group
         pass
-    finally:
-        for shm in mappings:
-            shm.close()
 
 
-def _spawn(ctx: multiprocessing.context.BaseContext, w: int) -> _PipeLink:
-    parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(
-        target=_worker_main, args=(child_conn,), name=f"repro-bsp-{w}", daemon=True
-    )
-    proc.start()
-    child_conn.close()
-    return _PipeLink(parent_conn, proc)
+def _spawn(ctx, plane: "ShmPlane", workers: Sequence[int]) -> List[_PipeLink]:
+    """Fork one child per worker over the plane's slots; a batch that
+    fails leaves no child behind."""
+    links: List[_PipeLink] = []
+    try:
+        for w in workers:
+            parent_conn, child_conn = ctx.Pipe()
+            # This child's coordinator end and those of the siblings
+            # forked before it: every one the fork copies.
+            ends = [link._conn for link in links] + [parent_conn]
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, ends, plane.state),
+                name=f"repro-bsp-{w}",
+                daemon=True,
+            )
+            links.append(_PipeLink(parent_conn, proc))
+            try:
+                proc.start()
+            finally:
+                child_conn.close()
+    except BaseException:
+        for link in links:
+            if link.alive():
+                link.kill()
+                link.wait(JOIN_TIMEOUT)
+            link.close()
+        raise
+    return links
+
+
+def _shared_copy(template: np.ndarray) -> np.ndarray:
+    """``template`` copied into anonymous shared pages (page-aligned;
+    zero-length arrays get one byte, the smallest mapping)."""
+    array = np.ndarray(template.shape, template.dtype, mmap.mmap(-1, max(1, template.nbytes)))
+    array[...] = template
+    return array
 
 
 class ShmPlane(StatePlane):
-    """Every worker array, scratch included, in a parent-owned shared-memory
-    block: minimize-mode dirty masks are read across children during the
-    down phase."""
-
-    def __init__(self) -> None:
-        self._blocks: List[SharedMemory] = []
+    """Every worker array, scratch included, in pages the pool inherits:
+    minimize-mode dirty masks are read across children during the down
+    phase."""
 
     def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
-        arrays: List[Dict[str, np.ndarray]] = []
-        specs: List[Dict[str, SharedArraySpec]] = []
-        for local in dgraph.locals:
-            own: Dict[str, np.ndarray] = {}
-            spec: Dict[str, SharedArraySpec] = {}
-            for kind, template in worker_arrays(local, program).items():
-                shm, own[kind], spec[kind] = create_shared_array(template)
-                self._blocks.append(shm)
-            arrays.append(own)
-            specs.append(spec)
-        self.state = by_kind(arrays)
-        return [specs] * len(specs)
-
-    def release(self) -> None:
-        while self._blocks:
-            destroy_shared_array(self._blocks.pop())
+        self.state = by_kind(
+            [
+                {kind: _shared_copy(array) for kind, array in worker_arrays(local, program).items()}
+                for local in dgraph.locals
+            ]
+        )
+        # A child's slots arrive as its Process arguments, not in init.
+        return [None] * dgraph.num_workers
 
 
 class ProcessBackend(Backend):
-    """Persistent ``multiprocessing`` pool with shared-memory state.
+    """Persistent pool of forked workers over shared, inherited state.
 
     Parameters
     ----------
-    start_method:
-        ``multiprocessing`` start method; defaults to ``"fork"`` where
-        available (cheap startup, Linux) and the platform default
-        elsewhere.  ``"spawn"`` works everywhere but pays interpreter
-        startup per worker.
     stage_timeout:
         Seconds to wait for each worker's stage reply before raising
         :class:`~repro.runtime.base.BackendError` (default
@@ -166,23 +177,19 @@ class ProcessBackend(Backend):
 
     name = "process"
 
-    def __init__(
-        self,
-        start_method: Optional[str] = None,
-        stage_timeout: Optional[float] = None,
-    ):
-        self.start_method = start_method
-        # Resolved here so an unknown name fails at construction, not at
-        # the first session.
-        self._context = worker_context(start_method)
+    def __init__(self, stage_timeout: Optional[float] = None):
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:
+            raise ValueError(
+                "the process backend forks its workers and this platform cannot "
+                "fork; use the socket backend"
+            ) from None
         self.stage_timeout = positive_timeout("stage_timeout", stage_timeout)
 
     def session(
         self, dgraph: DistributedGraph, program: SubgraphProgram
     ) -> BackendSession:
-        ctx = self._context
-
-        def spawn(workers: Sequence[int]) -> List[_PipeLink]:
-            return [_spawn(ctx, w) for w in workers]
-
-        return CommandSession(self.name, dgraph, program, spawn, ShmPlane(), self.stage_timeout)
+        plane = ShmPlane()
+        spawn = partial(_spawn, self._context, plane)
+        return CommandSession(self.name, dgraph, program, spawn, plane, self.stage_timeout)

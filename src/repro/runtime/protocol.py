@@ -18,10 +18,11 @@ or process handle directly.
 
 **The state plane** (:class:`StatePlane`) — where the state arrays live
 and how replica updates move between workers.  Shared memory: the
-parent allocates every array, children map them all, an exchange is two
-broadcasts and the coordinator reads state in place.  Wire: each worker
-owns its arrays, an exchange is one broadcast after which the workers
-trade replica updates peer to peer, and state access is a command.
+parent allocates every array, children inherit them all at fork, an
+exchange is two broadcasts and the coordinator reads state in place.
+Wire: each worker owns its arrays, an exchange is one broadcast after
+which the workers trade replica updates peer to peer, and state access
+is a command.
 
 Everything else is here, once:
 
@@ -46,8 +47,8 @@ resyncs against an echo nonce and clears the latch.
 
 *Teardown.*  ``stop`` to every worker, then wait → ``terminate`` → wait
 → ``kill`` → wait, each wait under one deadline shared by all
-stragglers; then links close and the plane releases its storage.  Runs
-from ``close()`` or, as a safety net, from a ``weakref.finalize``.
+stragglers; then links close.  Runs from ``close()`` or, as a safety
+net, from a ``weakref.finalize``.
 """
 
 from __future__ import annotations
@@ -159,9 +160,6 @@ class StatePlane:
         """Replace dead workers and resync survivors; return the replaced ids."""
         raise NotImplementedError
 
-    def release(self) -> None:
-        """Free what :meth:`open` allocated (idempotent)."""
-
 
 def serve(link, make_shard: Callable[[tuple], WorkerShard]) -> None:
     """Serve one coordinator session on ``link``: the worker command loop.
@@ -212,7 +210,7 @@ def _quietly(call: Callable, *args) -> None:
         pass
 
 
-def _teardown(links: List[Link], plane: StatePlane) -> None:
+def _teardown(links: List[Link]) -> None:
     """Stop every worker, escalating; safe to call twice and from a finalizer."""
     for link in links:
         _quietly(link.send, ("stop", None))
@@ -229,8 +227,6 @@ def _teardown(links: List[Link], plane: StatePlane) -> None:
     for link in links:
         _quietly(link.close)
     links.clear()
-    # Last: after every worker that could map the plane's storage is gone.
-    plane.release()
 
 
 class CommandSession(BackendSession):
@@ -266,7 +262,7 @@ class CommandSession(BackendSession):
         self._failed = False
         # Registered before any allocation or spawn so a partially
         # constructed session still tears down whatever it started.
-        self._finalizer = weakref.finalize(self, _teardown, self.links, plane)
+        self._finalizer = weakref.finalize(self, _teardown, self.links)
         try:
             plan = build_route_plan(dgraph)
             extras = plane.open(dgraph, program)

@@ -16,7 +16,7 @@ before any copy.  Every backend builds one shard per worker from
     ``p`` shards in the calling process over the session's heap arrays;
     ``serial`` calls them inline, ``thread`` on its pool.
 ``process``
-    one shard per child over attached shared-memory blocks — every
+    one shard per child over shared pages inherited at fork — every
     slot is a sibling's real array.
 ``socket``
     one shard per TCP worker over locally allocated arrays — only its

@@ -2,8 +2,8 @@
 
 Snapshots written by one backend must resume bit-identically on *any*
 backend: the snapshot captures engine-side state arrays, and every
-backend — including the process backend, whose persistent children map
-the state through ``multiprocessing.shared_memory`` — observes the
+backend — including the process backend, whose persistent children
+share the state's pages with the coordinator — observes the
 restored values exactly as it observes exchange-stage writes.  The
 sweep resumes serial-written snapshots on all three backends at crash
 points {1, mid, last}, and separately proves the reverse direction:

@@ -1,4 +1,4 @@
-"""process-safety: picklable pool targets, paired shared-memory lifecycles."""
+"""process-safety: picklable pool targets."""
 
 from lintutil import only, rule_ids
 
@@ -40,36 +40,6 @@ class TestFires:
         assert rule_ids(report) == ["process-safety"]
         assert "closure" in report.findings[0].message
 
-    def test_unpaired_shm_create(self, lint_tree):
-        report = lint_tree(
-            {
-                "runtime/leaky.py": """\
-                from multiprocessing.shared_memory import SharedMemory
-
-                def allocate(nbytes):
-                    return SharedMemory(create=True, size=nbytes)
-                """
-            },
-            rules=RULE,
-        )
-        assert rule_ids(report) == ["process-safety"]
-        assert "leak" in report.findings[0].message
-
-    def test_unpaired_helper_create(self, lint_tree):
-        report = lint_tree(
-            {
-                "runtime/leaky_helper.py": """\
-                from repro.runtime.shm import create_shared_array
-
-                def allocate(template):
-                    shm, array, spec = create_shared_array(template)
-                    return array
-                """
-            },
-            rules=RULE,
-        )
-        assert rule_ids(report) == ["process-safety"]
-
 
 class TestQuiet:
     def test_module_level_target_passes(self, lint_tree):
@@ -91,27 +61,8 @@ class TestQuiet:
         )
         assert report.findings == []
 
-    def test_paired_shm_passes(self, lint_tree):
-        report = lint_tree(
-            {
-                "runtime/tidy.py": """\
-                from multiprocessing.shared_memory import SharedMemory
-
-                def roundtrip(nbytes):
-                    shm = SharedMemory(create=True, size=nbytes)
-                    try:
-                        return bytes(shm.buf[:1])
-                    finally:
-                        shm.close()
-                        shm.unlink()
-                """
-            },
-            rules=RULE,
-        )
-        assert report.findings == []
-
     def test_real_process_backend_passes(self):
-        """runtime/process.py + shm.py obey the pairing discipline for real."""
+        """The real runtime hands only module-level targets to its processes."""
         from pathlib import Path
 
         import repro

@@ -115,8 +115,8 @@ class TestBackendField:
         assert PipelineSpec(source="powerlaw").backend == "serial"
 
     def test_backend_spec_is_canonicalized(self):
-        spec = PipelineSpec(source="powerlaw", backend="MP?start_method=fork")
-        assert spec.backend == "process?start_method=fork"
+        spec = PipelineSpec(source="powerlaw", backend="MP?stage_timeout=120")
+        assert spec.backend == "process?stage_timeout=120"
         assert PipelineSpec(source="powerlaw", backend="threads").backend == "thread"
 
     def test_unknown_backend_rejected_with_available_names(self):

@@ -21,6 +21,7 @@ from repro.bsp import BSPEngine, build_distributed_graph
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
 from repro.pipeline import APPS
+from repro.runtime import create_backend
 
 BACKEND_NAMES = ("serial", "thread", "process", "socket")
 PARTS = (2, 4)
@@ -126,3 +127,52 @@ def test_serial_default_backend_unchanged(graph, dgraphs, reference_runs):
     ref = reference_runs[("cc", 2)]
     assert run.backend == "serial"
     assert np.array_equal(run.values, ref.values)
+
+
+def _step(session, superstep):
+    """Run one superstep on ``session``; return everything it reports."""
+    work = session.compute_stage(superstep).work
+    exchange = session.exchange_stage(superstep)
+    state = session.pull_state()
+    return work, exchange.sent, exchange.received, exchange.delta, session.any_active(), state
+
+
+def _assert_same_step(got, want):
+    *got_tallies, got_state = got
+    *want_tallies, want_state = want
+    for got_value, want_value in zip(got_tallies, want_tallies):
+        assert np.array_equal(got_value, want_value)
+    assert set(got_state) == set(want_state)
+    for kind, arrays in want_state.items():
+        for got_array, want_array in zip(got_state[kind], arrays, strict=True):
+            assert np.array_equal(got_array, want_array, equal_nan=True), kind
+
+
+@pytest.mark.parametrize("backend", ["process", "socket"])
+def test_two_open_sessions_step_like_serial_ones(backend, graph, dgraphs):
+    """Two pools of one backend open at once: the second forks with the
+    first one's state and coordinator ends in its image.  Stepped
+    alternately, then the second alone after the first closes, each
+    stays bit-identical to a serial session stepped the same way."""
+    runs = [("cc", 2), ("pr", 4)]
+    pairs = []
+    try:
+        for app, p in runs:
+            pairs.append(
+                [
+                    create_backend(name).session(dgraphs[p], APPS.create(app, graph))
+                    for name in (backend, "serial")
+                ]
+            )
+        for superstep in range(3):
+            for session, serial in pairs:
+                _assert_same_step(_step(session, superstep), _step(serial, superstep))
+        for session in pairs.pop(0):
+            session.close()
+        (session, serial), = pairs
+        for superstep in range(3, 6):
+            _assert_same_step(_step(session, superstep), _step(serial, superstep))
+    finally:
+        for pair in pairs:
+            for session in pair:
+                session.close()

@@ -12,6 +12,7 @@ longer listening.  A child holds no descriptor it does not own, and
 cannot outlive its coordinator.
 """
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -78,23 +79,23 @@ class _Instrumented:
     child in place of the real target, with the same arguments.
     """
 
-    def __init__(self, monkeypatch, sabotage=None, start_method=None):
+    def __init__(self, monkeypatch, sabotage=None, start_method="fork"):
         self.procs = []
         #: the endpoint each child was to serve, read off its listening socket.
         self.endpoints = []
         #: how many children had been started each time a worker was dialled.
         self.started_at_dial = []
         sabotage = sabotage or {}
-        real_context = socket_backend.worker_context
         real_dial = socket_backend._dial
         seen = self
 
         class Context:
-            """The shared helper's context with a recording ``Process``."""
+            """A ``start_method`` context with a recording ``Process``."""
 
             def Process(self, target, args, **kwargs):
                 target = sabotage.get(len(seen.procs), target)
-                proc = real_context(start_method).Process(target=target, args=args, **kwargs)
+                ctx = multiprocessing.get_context(start_method)
+                proc = ctx.Process(target=target, args=args, **kwargs)
                 seen.procs.append(proc)
                 seen.endpoints.append(args[0].getsockname()[:2])
                 return proc

@@ -14,8 +14,9 @@ hazard, exercised against *both* out-of-process backends:
    must raise ``BackendError("session is failed")`` instead of
    exchanging mismatched frames.
 3. **Partial-death teardown** — ``close()`` after a SIGKILLed subset of
-   workers must reap every survivor and (process backend) unlink every
-   shared-memory block without resource-tracker leak warnings.
+   workers must reap every survivor, and a killed coordinator must take
+   its whole pool with it; the process backend's state lives in
+   anonymous pages, so neither leaves anything in ``/dev/shm``.
 
 Both backends run one session class
 (:class:`repro.runtime.protocol.CommandSession`), so each failure is
@@ -24,6 +25,8 @@ worker death, TCP and the in-memory link (``memlink.py``) for peers that
 misbehave.  Workers are reached only through ``session.links``.
 """
 
+import os
+import signal
 import socket
 import subprocess
 import sys
@@ -336,35 +339,50 @@ def test_close_reaps_survivors_after_partial_death(backend_cls, dgraph, program)
 
 
 _LEAK_SCRIPT = """
-import glob
+import os
 from repro.apps.cc import ConnectedComponents
 from repro.bsp import build_distributed_graph
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
 from repro.runtime import ProcessBackend
 
+
+class SecondWorkerFails(ConnectedComponents):
+    def initial_values(self, local):
+        if local.worker_id > 0:
+            raise MemoryError("no room for worker 1")
+        return super().initial_values(local)
+
+
 g = powerlaw_graph(120, eta=2.2, min_degree=2, seed=11, name="leak-pl")
 dg = build_distributed_graph(EBVPartitioner().partition(g, 4))
-before = set(glob.glob("/dev/shm/psm_*"))
+before = set(os.listdir("/dev/shm"))
+try:
+    ProcessBackend().session(dg, SecondWorkerFails())
+except MemoryError:
+    pass
+else:
+    raise AssertionError("the allocation did not fail")
 session = ProcessBackend().session(dg, ConnectedComponents())
-blocks = set(glob.glob("/dev/shm/psm_*")) - before
-assert len(blocks) == 4 * 4, blocks  # values, changed, active, dirty per worker
 session.compute_stage(0)
-# Kill half the pool, then tear down with survivors still mapped.
+assert set(os.listdir("/dev/shm")) == before, set(os.listdir("/dev/shm")) - before
+# Kill half the pool, then tear down with survivors still running.
 for link in session.links[2:]:
     link.kill()
     link.wait(30)
 session.close()
-assert not blocks & set(glob.glob("/dev/shm/psm_*"))
-print("CLEAN", len(blocks))
+assert set(os.listdir("/dev/shm")) == before, set(os.listdir("/dev/shm")) - before
+print("CLEAN")
 """
 
 
-def test_partial_death_teardown_is_resource_tracker_quiet():
-    """Full-interpreter check: no 'leaked shared_memory' warnings on exit.
+def test_process_sessions_leave_dev_shm_alone_and_tear_down_quietly():
+    """Full-interpreter check: a process session, a failed allocation and
+    a teardown after partial death create no ``/dev/shm`` entry, and
+    nothing reports a leak when the interpreter exits.
 
-    The resource tracker prints its leak report at interpreter shutdown,
-    so the assertion must run over a subprocess's stderr, not in-process.
+    Leak reports print at interpreter shutdown, so the assertion must
+    run over a subprocess's stderr, not in-process.
     """
     result = subprocess.run(
         [sys.executable, "-c", _LEAK_SCRIPT],
@@ -375,3 +393,58 @@ def test_partial_death_teardown_is_resource_tracker_quiet():
     assert result.returncode == 0, result.stderr
     assert "CLEAN" in result.stdout
     assert "leaked" not in result.stderr.lower(), result.stderr
+
+
+_COORDINATOR_SCRIPT = """
+import multiprocessing
+import sys
+import time
+from repro.apps.cc import ConnectedComponents
+from repro.bsp import build_distributed_graph
+from repro.graph import powerlaw_graph
+from repro.partition import EBVPartitioner
+from repro.pipeline import BACKENDS
+
+g = powerlaw_graph(120, eta=2.2, min_degree=2, seed=11, name="orphan-pl")
+dg = build_distributed_graph(EBVPartitioner().partition(g, 3))
+session = BACKENDS.create(sys.argv[1]).session(dg, ConnectedComponents())
+session.compute_stage(0)
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+time.sleep(300)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has already exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("backend", ["process", "socket"])
+def test_a_killed_coordinator_takes_its_workers_with_it(backend):
+    """SIGKILL runs no teardown: each worker must notice on its own that
+    the coordinator is gone, which it can only if no process — itself
+    or a sibling — still holds a copy of the coordinator's end."""
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR_SCRIPT, backend], stdout=subprocess.PIPE, text=True
+    )
+    children = []
+    try:
+        children = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(children) == 3, children
+        coordinator.kill()
+        coordinator.wait(30)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in children if _running(pid)], "workers outlived the coordinator"
+    finally:
+        coordinator.kill()
+        coordinator.wait(30)
+        coordinator.stdout.close()
+        for pid in filter(_running, children):
+            os.kill(pid, signal.SIGKILL)

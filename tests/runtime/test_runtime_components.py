@@ -1,4 +1,4 @@
-"""Unit tests for the runtime package: sessions, shm, failure paths."""
+"""Unit tests for the runtime package: sessions, validation, failure paths."""
 
 import numpy as np
 import pytest
@@ -16,11 +16,6 @@ from repro.runtime import (
     ThreadBackend,
     create_backend,
     worker_arrays,
-)
-from repro.runtime.shm import (
-    attach_shared_array,
-    create_shared_array,
-    destroy_shared_array,
 )
 
 
@@ -73,9 +68,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_workers"):
             ThreadBackend(max_workers=0)
 
-    def test_process_backend_rejects_unknown_start_method(self):
-        with pytest.raises(ValueError, match="start_method"):
-            ProcessBackend(start_method="teleport")
+    def test_process_start_method_is_an_unknown_option(self):
+        """``process`` always forks: there is no start method to choose."""
+        from repro.pipeline.registries import BACKENDS
+
+        with pytest.raises(TypeError, match="unexpected keyword argument 'start_method'"):
+            BACKENDS.create("process?start_method=fork")
+
+    def test_process_backend_without_fork_names_socket(self, monkeypatch):
+        import multiprocessing
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with pytest.raises(ValueError, match="use the socket backend"):
+            ProcessBackend()
 
     def test_allocate_state_rejects_unknown_mode(self, dgraph):
         program = CrashingProgram()
@@ -110,21 +118,6 @@ class TestWorkerFailure:
 
 
 class TestSessionLifecycle:
-    def test_failed_allocation_unlinks_partial_shared_memory(self, dgraph):
-        """Blocks created before a mid-allocation failure must not leak."""
-        import glob
-
-        class SecondWorkerFails(CrashingProgram):
-            def initial_values(self, local):
-                if local.worker_id > 0:
-                    raise MemoryError("no room for worker 1")
-                return np.zeros(local.num_vertices)
-
-        before = set(glob.glob("/dev/shm/psm_*"))
-        with pytest.raises(MemoryError):
-            ProcessBackend().session(dgraph, SecondWorkerFails())
-        assert set(glob.glob("/dev/shm/psm_*")) == before
-
     def test_session_close_is_idempotent(self, dgraph):
         from repro.apps import ConnectedComponents
 
@@ -141,31 +134,3 @@ class TestSessionLifecycle:
         with pytest.raises(BackendError, match="closed"):
             session.compute_stage()
 
-
-class TestSharedArrays:
-    def test_round_trip_and_mutation_visibility(self):
-        template = np.arange(12, dtype=np.float64).reshape(3, 4)
-        shm, parent_view, spec = create_shared_array(template)
-        try:
-            peer_shm, peer_view = attach_shared_array(spec)
-            try:
-                assert np.array_equal(peer_view, template)
-                parent_view[1, 2] = -7.5
-                assert peer_view[1, 2] == -7.5
-            finally:
-                peer_shm.close()
-        finally:
-            destroy_shared_array(shm)
-
-    def test_empty_array_is_backed_by_one_byte_block(self):
-        shm, view, spec = create_shared_array(np.empty(0, dtype=np.int64))
-        try:
-            assert view.shape == (0,)
-            assert spec.shape == (0,)
-        finally:
-            destroy_shared_array(shm)
-
-    def test_destroy_tolerates_double_free(self):
-        shm, _, _ = create_shared_array(np.zeros(4))
-        destroy_shared_array(shm)
-        destroy_shared_array(shm)

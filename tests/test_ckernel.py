@@ -115,9 +115,11 @@ def graph_file(tmp_path, small_road):
 
 
 def _child(prefix, graph_file, **env):
+    # The inherited path stays behind ours: a ``sitecustomize`` on it
+    # (the sanitized-kernel job's) must reach the child too.
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     env = dict(
-        os.environ, PYTHONPATH=SRC_DIR, PYTHONPYCACHEPREFIX=str(prefix), GRAPH_FILE=graph_file,
-        **env,
+        os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=str(prefix), GRAPH_FILE=graph_file, **env
     )
     return subprocess.Popen(
         [sys.executable, "-c", CHILD], env=env, stdout=subprocess.PIPE,
