@@ -1,4 +1,8 @@
-"""Unit tests for the runtime package: sessions, validation, failure paths."""
+"""Unit tests for the runtime package: sessions, shared pages, failure paths."""
+
+import mmap
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from repro.runtime import (
     create_backend,
     worker_arrays,
 )
+from repro.runtime.process import _shared_copy
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,23 @@ class TestWorkerFailure:
 
 
 class TestSessionLifecycle:
+    def test_failed_allocation_starts_no_workers(self, dgraph):
+        """A mid-allocation failure raises before the pool forks and
+        leaves nothing behind: no child, no ``/dev/shm`` entry."""
+
+        class SecondWorkerFails(CrashingProgram):
+            def initial_values(self, local):
+                if local.worker_id > 0:
+                    raise MemoryError("no room for worker 1")
+                return np.zeros(local.num_vertices)
+
+        children = set(multiprocessing.active_children())
+        entries = set(os.listdir("/dev/shm"))
+        with pytest.raises(MemoryError):
+            ProcessBackend().session(dgraph, SecondWorkerFails())
+        assert set(multiprocessing.active_children()) == children
+        assert set(os.listdir("/dev/shm")) == entries
+
     def test_session_close_is_idempotent(self, dgraph):
         from repro.apps import ConnectedComponents
 
@@ -134,3 +156,27 @@ class TestSessionLifecycle:
         with pytest.raises(BackendError, match="closed"):
             session.compute_stage()
 
+
+def _write_through(view: np.ndarray) -> None:
+    view[1, 2] = -7.5
+
+
+class TestSharedArrays:
+    def test_round_trip_and_mutation_visibility(self):
+        """A forked child's write lands in the coordinator's view."""
+        template = np.arange(12, dtype=np.float64).reshape(3, 4)
+        view = _shared_copy(template)
+        assert np.array_equal(view, template)
+        assert view.ctypes.data % mmap.PAGESIZE == 0
+        child = multiprocessing.get_context("fork").Process(target=_write_through, args=(view,))
+        child.start()
+        child.join(30)
+        assert child.exitcode == 0
+        assert view[1, 2] == -7.5
+        assert template[1, 2] == 6.0
+
+    def test_empty_array_is_backed_by_one_byte_block(self):
+        view = _shared_copy(np.empty(0, dtype=np.int64))
+        assert view.shape == (0,)
+        assert view.dtype == np.int64
+        assert len(view.base) == 1
