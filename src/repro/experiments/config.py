@@ -78,6 +78,7 @@ class ExperimentConfig:
         }
     )
     _graphs: Dict[str, Graph] = field(default_factory=dict, repr=False)
+    _frameworks: List[Framework] = field(default_factory=list, repr=False)
 
     def graphs(self) -> Dict[str, Graph]:
         """The four dataset stand-ins (generated once, then cached)."""
@@ -98,24 +99,17 @@ class ExperimentConfig:
         }
 
     def frameworks(self) -> List[Framework]:
-        """The eight systems of Figures 2–3 (six partitioners + 2 externals)."""
-        systems: List[Framework] = [
-            SubgraphCentricFramework(
-                p, cost_model=self.cost_model, pagerank_iters=self.pagerank_iters
-            )
-            for p in self.partitioners().values()
-        ]
-        systems.append(
-            VertexCentricFramework(
-                cost_model=self.cost_model, pagerank_iters=self.pagerank_iters
-            )
-        )
-        systems.append(
-            BlogelFramework(
-                cost_model=self.cost_model, pagerank_iters=self.pagerank_iters
-            )
-        )
-        return systems
+        """The eight systems of Figures 2–3 (six partitioners + 2 externals),
+        built once, then cached: each system caches its partition per
+        (graph, p), so every panel of a sweep shares it."""
+        if not self._frameworks:
+            options = dict(cost_model=self.cost_model, pagerank_iters=self.pagerank_iters)
+            self._frameworks = [
+                *(SubgraphCentricFramework(p, **options) for p in self.partitioners().values()),
+                VertexCentricFramework(**options),
+                BlogelFramework(**options),
+            ]
+        return self._frameworks
 
 
 def default_config() -> ExperimentConfig:

@@ -55,7 +55,7 @@ The contract every caller relies on:
   ``streamer()``: ``ebv-stream`` always, ``ebv-sharded`` when
   ``sort_edges`` is off, no other partitioner.
 * ``requires_totals`` — ``streamer()`` needs exact |E| and |V|, so the
-  driver runs the degree-sketch pre-pass first (``ebv-sharded``).
+  driver counts them in a pass over the stream first (``ebv-sharded``).
 * ``window`` / ``assign(src, dst)`` — an assigner takes windows of
   exactly ``window`` edges (the last may be short) and returns their
   parts in input order; :func:`repro.stream.windows` re-buffers chunk
@@ -203,8 +203,8 @@ class StreamingEBVAssigner:
         """Replicas per vertex so far (1.0 before any edge).
 
         Mid-stream the true |V| is unknown, so the default denominator
-        is the distinct vertices seen; pass ``num_vertices`` (e.g. from
-        the degree sketch, once the stream is exhausted) to match the
+        is the distinct vertices seen; pass ``num_vertices`` (e.g. the
+        driver's count, once the stream is exhausted) to match the
         ``Σ|V_i| / |V|`` convention of
         :func:`repro.partition.replication_factor`, which also counts
         isolated vertices.
@@ -225,8 +225,8 @@ class ShardedEBVAssigner:
     byte-for-byte.
 
     The evaluation function normalizes by the exact ``|E|``/``|V|`` of
-    the whole stream, so both must be known up front — out of core that
-    is what the :class:`repro.stream.DegreeSketch` pre-pass provides.
+    the whole stream, so both must be known up front — out of core the
+    driver counts them in a pass over the stream before this one.
     """
 
     def __init__(
@@ -356,7 +356,7 @@ class ShardedEBVPartitioner(Partitioner):
 
     name = "EBV-sharded"
     #: the evaluation function divides by exact |E| and |V|, so the
-    #: out-of-core driver must run a degree-sketch pre-pass first
+    #: out-of-core driver counts them in a pass over the stream first
     requires_totals = True
 
     def __init__(
@@ -396,8 +396,8 @@ class ShardedEBVPartitioner(Partitioner):
             )
         if num_edges is None or num_vertices is None:
             raise ValueError(
-                "EBV-sharded normalizes by exact |E| and |V|; run a "
-                "degree-sketch pass and pass num_edges/num_vertices"
+                "EBV-sharded normalizes by exact |E| and |V|; count the "
+                "stream's edges and vertices and pass num_edges/num_vertices"
             )
         return ShardedEBVAssigner(
             num_parts, self.num_shards, self.sync_interval,

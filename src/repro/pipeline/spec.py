@@ -4,9 +4,11 @@ A :class:`PipelineSpec` is one JSON document describing a complete run —
 graph source, partitioner, refinement, application and cost model — the
 substrate for batch sweeps, the ``python -m repro pipeline`` subcommand
 and any future serving layer.  Construction validates eagerly: every
-component spec must parse and resolve against its registry, so a
+component spec must parse and resolve against its registry, and its
+option names must be parameters of the component's factory, so a
 malformed document fails with a precise message instead of halfway
-through a run.
+through a run.  Generators take ``**kwargs`` and forward them, so
+their option names are checked only when the source stage runs.
 
 Component spec strings are normalized to canonical form (sorted options,
 lower-cased names) on construction, which makes
@@ -18,6 +20,7 @@ compare equal to one loaded from JSON.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -37,16 +40,32 @@ class SpecError(ValueError):
 _COST_MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(CostModel))
 
 
+def _check_options(factory, kwargs: Dict[str, Any], label: str, spec: str) -> None:
+    """Refuse an option ``factory`` has no parameter for.
+
+    A bare name has nothing to check, and building a signature can take
+    milliseconds (a class without its own ``__init__``), so it is skipped.
+    """
+    if not kwargs:
+        return
+    try:
+        inspect.signature(factory).bind_partial(**kwargs)
+    except TypeError as exc:
+        raise SpecError(f"invalid {label!r} spec {spec!r}: {exc}") from exc
+
+
 def _canonical_component(value: Any, registry, label: str) -> str:
-    """Validate one component spec string against ``registry``."""
+    """Validate one component spec string and its option names against
+    ``registry``."""
     if not isinstance(value, str):
         raise SpecError(f"{label!r} must be a spec string, got {type(value).__name__}")
     try:
         name, kwargs = parse_spec(value)
-        registry.canonical(name)
+        name = registry.canonical(name)
     except RegistryError as exc:
         raise SpecError(f"invalid {label!r} spec: {exc}") from exc
-    return format_spec(registry.canonical(name), kwargs)
+    _check_options(registry.get(name), kwargs, label, value)
+    return format_spec(name, kwargs)
 
 
 def _canonical_source(value: Any) -> tuple:
@@ -54,7 +73,9 @@ def _canonical_source(value: Any) -> tuple:
 
     Returns ``(canonical_spec, is_stream)``.  The two registries share
     no names, so the first registry that answers wins; an unknown name
-    reports the names of both families.
+    reports the names of both families.  A stream's option names are
+    checked against its reader; a generator's are not (it takes
+    ``**kwargs``).
     """
     if not isinstance(value, str):
         raise SpecError(f"'source' must be a spec string, got {type(value).__name__}")
@@ -64,6 +85,8 @@ def _canonical_source(value: Any) -> tuple:
         raise SpecError(f"invalid 'source' spec: {exc}") from exc
     for registry, is_stream in ((GENERATORS, False), (STREAMS, True)):
         if name in registry:
+            if is_stream:
+                _check_options(registry.get(name), kwargs, "source", value)
             return format_spec(registry.canonical(name), kwargs), is_stream
     raise SpecError(
         f"invalid 'source' spec: unknown source {name!r}; available "

@@ -6,8 +6,8 @@ materialized :class:`~repro.graph.Graph`; here the unit of work is an
 :class:`EdgeChunkStream` — a re-iterable source of bounded
 ``(src, dst, weights)`` array chunks over edge-list text
 (:class:`TextEdgeListStream`), memory-mapped binary ``.npy`` files
-(:class:`NpyEdgeStream`), in-memory arrays (:class:`ArrayEdgeStream`,
-for tests/benchmarks) or user generators (:class:`GeneratorEdgeStream`).
+(:class:`NpyEdgeStream`) or in-memory arrays (:class:`ArrayEdgeStream`,
+for tests, benchmarks and spill patches).
 
 Memory model
 ------------
@@ -22,10 +22,10 @@ Memory model
   O(vertices seen) state (online degree estimates and per-vertex
   replica sets for ``EBV-stream``; committed replica bitmasks for
   ``EBV-sharded``), never any per-edge structure;
-* **the degree sketch** — O(vertices seen) exact degree counts,
-  either accumulated alongside the single pass (``EBV-stream``) or as
-  a separate pre-pass when the partitioner normalizes by exact |E|/|V|
-  (``EBV-sharded``).
+* **two counters** — |E| and the highest vertex id, counted in the
+  assignment pass for the manifest; a partitioner that normalizes by
+  exact |E|/|V| (``EBV-sharded``) gets them from a counting pass over
+  the stream before it assigns.
 
 Everything per-edge goes to disk the moment it is produced: spill
 **kicks in at the first assigned window** — there is no in-memory
@@ -52,12 +52,10 @@ sources.
 
 from .driver import SpilledPartition, stream_partition, windows
 from .patch import patch_spilled_partition
-from .sketch import DegreeSketch
 from .sources import (
     ArrayEdgeStream,
     EdgeChunk,
     EdgeChunkStream,
-    GeneratorEdgeStream,
     NpyEdgeStream,
     StreamError,
     TextEdgeListStream,
@@ -66,10 +64,8 @@ from .sources import (
 
 __all__ = [
     "ArrayEdgeStream",
-    "DegreeSketch",
     "EdgeChunk",
     "EdgeChunkStream",
-    "GeneratorEdgeStream",
     "NpyEdgeStream",
     "SpilledPartition",
     "StreamError",

@@ -5,10 +5,9 @@ finished partition without ever constructing a
 :class:`~repro.graph.Graph`:
 
 1. If the partitioner normalizes by exact totals
-   (``requires_totals``, e.g. ``EBV-sharded``), run the
-   :class:`~repro.stream.DegreeSketch` pre-pass to learn |E| and |V|;
-   otherwise the sketch accumulates alongside the single assignment
-   pass.
+   (``requires_totals``, e.g. ``EBV-sharded``), a counting pass over
+   the stream learns |E| and the highest vertex id first; every other
+   partitioner reads the stream once.
 2. Re-buffer the reader's chunks into windows of exactly the
    assigner's preferred ``window`` size, so the assignment is
    byte-identical for every on-disk chunking of the same edge order.
@@ -16,6 +15,7 @@ finished partition without ever constructing a
    partition's shard file as an ``(edge_id, src, dst)`` int64 row
    (plus a parallel float64 weight file for weighted streams), and the
    per-edge part id is appended to ``edge_parts.bin`` in input order.
+   The same pass counts |E| and the highest vertex id for the manifest.
 
 Peak memory is O(window + partitioner state): one window of edges, the
 assigner's per-vertex state, and constant-size spill buffers — never
@@ -38,8 +38,7 @@ from ..arraytable import ArrayTableError, read_file
 from ..graph import Graph
 from ..obs import NULL_RECORDER
 from ..partition.base import VERTEX_CUT, PartitionResult
-from ..partition.streaming import STREAMING_PARTITIONERS
-from .sketch import DegreeSketch
+from ..partition.streaming import STREAMING_PARTITIONERS, _top_vertex
 from .sources import EdgeChunk, EdgeChunkStream, StreamError
 
 __all__ = ["stream_partition", "SpilledPartition", "windows"]
@@ -79,20 +78,12 @@ def _shard_weights_name(part: int) -> str:
     return f"shard_{part:05d}.w.bin"
 
 
-def windows(chunks: Iterable[EdgeChunk], window: int) -> Iterator[EdgeChunk]:
-    """Re-buffer arbitrary chunks into windows of exactly ``window`` edges.
+def _checked(chunks: Iterable[EdgeChunk]) -> Iterator[EdgeChunk]:
+    """The non-empty chunks as contiguous int64 ids and float64 weights.
 
-    Every yielded chunk holds exactly ``window`` edges except the final
-    one, regardless of the incoming granularity — the invariant that
-    makes out-of-core assignment independent of reader chunk size.
-    Weighted and unweighted chunks cannot be mixed.
+    Refuses ragged chunks and a stream that mixes weighted and
+    unweighted chunks: the one set of chunk checks every pass applies.
     """
-    if window < 1:
-        raise StreamError("window must be >= 1")
-    pend_src: List[np.ndarray] = []
-    pend_dst: List[np.ndarray] = []
-    pend_w: List[np.ndarray] = []
-    have = 0
     weighted: Optional[bool] = None
     for src, dst, w in chunks:
         src = np.ascontiguousarray(src, dtype=np.int64)
@@ -109,6 +100,27 @@ def windows(chunks: Iterable[EdgeChunk], window: int) -> Iterator[EdgeChunk]:
             w = np.ascontiguousarray(w, dtype=np.float64)
             if w.shape != src.shape:
                 raise StreamError("weights must parallel the edge arrays")
+        yield src, dst, w
+
+
+def windows(chunks: Iterable[EdgeChunk], window: int) -> Iterator[EdgeChunk]:
+    """Re-buffer arbitrary chunks into windows of exactly ``window`` edges.
+
+    Every yielded chunk holds exactly ``window`` edges except the final
+    one, regardless of the incoming granularity — the invariant that
+    makes out-of-core assignment independent of reader chunk size.
+    Weighted and unweighted chunks cannot be mixed.
+    """
+    if window < 1:
+        raise StreamError("window must be >= 1")
+    pend_src: List[np.ndarray] = []
+    pend_dst: List[np.ndarray] = []
+    pend_w: List[np.ndarray] = []
+    have = 0
+    weighted = False
+    for src, dst, w in _checked(chunks):
+        weighted = w is not None
+        if weighted:
             pend_w.append(w)
         pend_src.append(src)
         pend_dst.append(dst)
@@ -139,31 +151,24 @@ def windows(chunks: Iterable[EdgeChunk], window: int) -> Iterator[EdgeChunk]:
 
 
 def _resolve_assigner(stream: EdgeChunkStream, partitioner, num_parts: int):
-    """Build the partitioner's assigner, running the sketch pass if needed.
-
-    Returns ``(assigner, sketch, sketch_is_complete)``.
-    """
+    """Build the partitioner's assigner; one that ``requires_totals``
+    gets |E| and |V| from a counting pass over the stream first."""
     if not partitioner.streams:
         raise StreamError(
             f"partitioner {partitioner.name!r} does not support streaming; "
             f"{STREAMING_PARTITIONERS}"
         )
-    if partitioner.requires_totals:
-        if not stream.reiterable:
-            raise StreamError(
-                f"partitioner {partitioner.name!r} needs a degree-sketch "
-                "pre-pass (exact |E|/|V|) but the stream supports only one "
-                "pass; use a re-iterable source"
-            )
-        sketch = DegreeSketch.from_stream(stream)
-        assigner = partitioner.streamer(
-            num_parts,
-            num_edges=sketch.num_edges,
-            num_vertices=max(sketch.num_vertices, stream.num_vertices_hint or 0),
-        )
-        return assigner, sketch, True
-    assigner = partitioner.streamer(num_parts)
-    return assigner, DegreeSketch(num_vertices_hint=stream.num_vertices_hint), False
+    if not partitioner.requires_totals:
+        return partitioner.streamer(num_parts)
+    num_edges, top = 0, -1
+    for src, dst, _ in _checked(stream.chunks()):
+        num_edges += src.shape[0]
+        top = max(top, _top_vertex(src, dst))
+    return partitioner.streamer(
+        num_parts,
+        num_edges=num_edges,
+        num_vertices=max(top + 1, stream.num_vertices_hint or 0),
+    )
 
 
 def stream_partition(
@@ -228,22 +233,22 @@ def _stream_partition(
         if _is_spill_artifact(name):
             os.remove(os.path.join(spill_dir, name))
 
-    assigner, sketch, sketch_done = _resolve_assigner(stream, partitioner, num_parts)
     shard_files: Dict[int, IO[bytes]] = {}
     weight_files: Dict[int, IO[bytes]] = {}
     edge_counts = np.zeros(num_parts, dtype=np.int64)
     weighted: Optional[bool] = None
     next_edge_id = 0
+    top = -1
     try:
+        assigner = _resolve_assigner(stream, partitioner, num_parts)
         try:
             parts_file = open(os.path.join(spill_dir, _EDGE_PARTS), "wb")
             try:
                 for src, dst, w in windows(stream.chunks(), assigner.window):
-                    if not sketch_done:
-                        sketch.update(src, dst)
                     if weighted is None:
                         weighted = w is not None
                     parts = assigner.assign(src, dst)
+                    top = max(top, _top_vertex(src, dst))
                     parts.tofile(parts_file)
                     eids = np.arange(
                         next_edge_id, next_edge_id + src.shape[0], dtype=np.int64
@@ -279,14 +284,14 @@ def _stream_partition(
         _remove_partial_spill(spill_dir, created_dir)
         raise
 
-    num_vertices = max(sketch.num_vertices, stream.num_vertices_hint or 0, 1)
+    num_vertices = max(top + 1, stream.num_vertices_hint or 0, 1)
     manifest = {
         "format": "repro-stream-partition",
         "version": _MANIFEST_VERSION,
         "name": stream.name,
         "method": getattr(partitioner, "name", type(partitioner).__name__),
         "num_parts": int(num_parts),
-        "num_edges": int(sketch.num_edges),
+        "num_edges": int(next_edge_id),
         "num_vertices": int(num_vertices),
         "directed": (
             True if stream.directed_hint is None else bool(stream.directed_hint)
@@ -296,7 +301,7 @@ def _stream_partition(
         "reader_chunk_size": stream.chunk_size,
         "edge_counts": edge_counts.tolist(),
         "replication_factor": float(
-            assigner.replication_factor(num_vertices if sketch.num_edges else None)
+            assigner.replication_factor(num_vertices if next_edge_id else None)
         ),
     }
     try:

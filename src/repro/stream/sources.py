@@ -1,25 +1,23 @@
-"""Edge-chunk stream sources: text, binary ``.npy``, arrays, generators.
+"""Edge-chunk stream sources: text, binary ``.npy`` and in-memory arrays.
 
 Every source yields ``(src, dst, weights)`` numpy-array chunks through
-one :class:`EdgeChunkStream` interface, so the degree sketch, the
-out-of-core driver and the differential tests are all agnostic to where
-the edges physically live.  Sources carry optional metadata *hints*
-(``num_vertices_hint``, ``directed_hint``) when the backing format
-records them; consumers must tolerate ``None``.
+one :class:`EdgeChunkStream` interface, so the out-of-core driver and
+the differential tests are agnostic to where the edges physically live.
+Sources carry optional metadata *hints* (``num_vertices_hint``,
+``directed_hint``) when the backing format records them; consumers must
+tolerate ``None``.
 
-Streams are multi-pass by default (``reiterable`` is ``True``): every
-call to :meth:`EdgeChunkStream.chunks` restarts from the first edge.
-Partitioners that normalize by exact totals (``EBV-sharded``) need two
-passes — a degree-sketch pass and the assignment pass — so a one-shot
-:class:`GeneratorEdgeStream` built from a bare iterator can only drive
-single-pass partitioners.
+Every call to :meth:`EdgeChunkStream.chunks` restarts from the first
+edge: the driver reads a stream twice when the partitioner normalizes by
+exact totals (``EBV-sharded`` counts |E| and |V| first).  A source of
+one's own is a subclass that implements :meth:`~EdgeChunkStream.chunks`.
 """
 
 from __future__ import annotations
 
 import abc
 import os
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "TextEdgeListStream",
     "NpyEdgeStream",
     "ArrayEdgeStream",
-    "GeneratorEdgeStream",
     "save_edge_npy",
 ]
 
@@ -50,19 +47,16 @@ class EdgeChunkStream(abc.ABC):
     Attributes
     ----------
     chunk_size:
-        Upper bound on edges per yielded chunk (``None`` when the source
-        controls its own granularity, e.g. a generator).  This is the
-        *reader* granularity only; the driver re-buffers chunks into the
-        partitioner's preferred window, so results never depend on it.
-    reiterable:
-        Whether :meth:`chunks` can be called more than once.
+        Upper bound on edges per yielded chunk, recorded in the spill
+        manifest.  This is the *reader* granularity only; the driver
+        re-buffers chunks into the partitioner's preferred window, so
+        results never depend on it.
     num_vertices_hint, directed_hint:
         Metadata recovered from the backing format, or ``None``.
     """
 
     name: str = "stream"
-    chunk_size: Optional[int] = None
-    reiterable: bool = True
+    chunk_size: int = 65536
     num_vertices_hint: Optional[int] = None
     directed_hint: Optional[bool] = None
 
@@ -114,8 +108,7 @@ class NpyEdgeStream(EdgeChunkStream):
     ``directed`` should be passed explicitly when they matter: a graph
     with isolated trailing vertices (|V| larger than max id + 1) cannot
     be recovered from the edges alone, and partitioners that normalize
-    by exact |V| (``EBV-sharded``) would otherwise see the smaller
-    sketch count.
+    by exact |V| (``EBV-sharded``) would otherwise count max id + 1.
     """
 
     def __init__(
@@ -191,9 +184,9 @@ def save_edge_npy(
 class ArrayEdgeStream(EdgeChunkStream):
     """In-memory arrays (or a whole graph) exposed as a chunk stream.
 
-    Exists for tests and benchmarks: the differential harness streams a
-    graph it already holds to prove the chunked path matches the
-    in-memory one.
+    The differential harness streams a graph it already holds to prove
+    the chunked path matches the in-memory one, and a spill patch's
+    escape hatch re-spills its rebuilt graph through it.
     """
 
     def __init__(
@@ -232,60 +225,3 @@ class ArrayEdgeStream(EdgeChunkStream):
             stop = start + self.chunk_size
             w = None if self.weights is None else self.weights[start:stop]
             yield self.src[start:stop], self.dst[start:stop], w
-
-
-class GeneratorEdgeStream(EdgeChunkStream):
-    """Chunks produced by user code: a factory callable or an iterable.
-
-    ``source`` is ideally a zero-argument callable returning a fresh
-    iterable of ``(src, dst)`` or ``(src, dst, weights)`` tuples — that
-    makes the stream re-iterable.  A bare iterable/iterator is accepted
-    for convenience but supports exactly one pass; a second
-    :meth:`chunks` call raises :class:`StreamError`.
-    """
-
-    def __init__(
-        self,
-        source: Union[Callable[[], Iterable], Iterable],
-        name: str = "generator",
-    ):
-        if callable(source):
-            self._factory: Optional[Callable[[], Iterable]] = source
-            self._once: Optional[Iterable] = None
-        else:
-            self._factory = None
-            self._once = source
-            self.reiterable = False
-        self.name = name
-
-    def chunks(self) -> Iterator[EdgeChunk]:
-        if self._factory is not None:
-            items = self._factory()
-        else:
-            if self._once is None:
-                raise StreamError(
-                    "this GeneratorEdgeStream wraps a one-shot iterable that "
-                    "was already consumed; pass a factory callable for "
-                    "multi-pass streaming"
-                )
-            items, self._once = self._once, None
-        for item in items:
-            if len(item) == 2:
-                src, dst = item
-                w = None
-            elif len(item) == 3:
-                src, dst, w = item
-            else:
-                raise StreamError(
-                    f"generator chunks must be (src, dst[, weights]) tuples, "
-                    f"got a length-{len(item)} item"
-                )
-            src = np.ascontiguousarray(src, dtype=np.int64)
-            dst = np.ascontiguousarray(dst, dtype=np.int64)
-            if src.shape != dst.shape or src.ndim != 1:
-                raise StreamError("src and dst must be 1-D arrays of equal length")
-            if w is not None:
-                w = np.ascontiguousarray(w, dtype=np.float64)
-                if w.shape != src.shape:
-                    raise StreamError("weights must parallel the edge arrays")
-            yield src, dst, w

@@ -315,8 +315,8 @@ class OracleStreamingAssigner:
         """Replicas per vertex so far (1.0 before any edge).
 
         Mid-stream the true |V| is unknown, so the default denominator
-        is the distinct vertices seen; pass ``num_vertices`` (e.g. from
-        the degree sketch, once the stream is exhausted) to match the
+        is the distinct vertices seen; pass ``num_vertices`` (e.g. the
+        driver's count, once the stream is exhausted) to match the
         ``Σ|V_i| / |V|`` convention of
         :func:`repro.partition.replication_factor`, which also counts
         isolated vertices.
@@ -340,8 +340,8 @@ class OracleShardedAssigner:
     byte-for-byte.
 
     The evaluation function normalizes by the exact ``|E|``/``|V|`` of
-    the whole stream, so both must be known up front — out of core that
-    is what the :class:`repro.stream.DegreeSketch` pre-pass provides.
+    the whole stream, so both must be known up front — out of core the
+    driver counts them in a pass over the stream before this one.
     """
 
     def __init__(

@@ -145,7 +145,7 @@ class TestAssignerContract:
 
     def test_sharded_streamer_requires_totals(self):
         part = ShardedEBVPartitioner(sort_edges=False)
-        with pytest.raises(ValueError, match="degree-sketch"):
+        with pytest.raises(ValueError, match="exact \\|E\\| and \\|V\\|"):
             part.streamer(4)
         assigner = part.streamer(4, num_edges=100, num_vertices=50)
         assert assigner.window == part.num_shards * part.sync_interval

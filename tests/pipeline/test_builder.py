@@ -91,8 +91,11 @@ class TestExecute:
         # refine on an edge-cut partition is a configuration error.
         with pytest.raises(SpecError, match="refine stage failed"):
             Pipeline().source(SOURCE).partition("metis", parts=4).refine().execute()
-        # so is a bad constructor kwarg smuggled through a spec string.
+        # so is a bad constructor value smuggled through a spec string.
         with pytest.raises(SpecError, match="partition stage failed"):
+            Pipeline().source(SOURCE).partition("ebv?alpha=-1", parts=4).execute()
+        # an unknown option name is refused when the spec is built.
+        with pytest.raises(SpecError, match="invalid 'partition' spec .*'bogus'"):
             Pipeline().source(SOURCE).partition("ebv?bogus=1", parts=4).execute()
         with pytest.raises(SpecError, match="run stage failed"):
             Pipeline().source(SOURCE).partition("ebv", parts=4).run(

@@ -36,6 +36,19 @@ class TestValidation:
         with pytest.raises(SpecError, match="invalid 'app'"):
             PipelineSpec(source="powerlaw", app="triangles")
 
+    @pytest.mark.parametrize(
+        "fields, label, option",
+        [({"partition": "ebv?bogus=1"}, "partition", "bogus"),
+         ({"app": "cc?bogus=1"}, "app", "bogus"),
+         ({"backend": "process?start_method=fork"}, "backend", "start_method"),
+         ({"source": "edgelist?path=g.txt,bogus=1", "partition": "ebv-stream"},
+          "source", "bogus")],
+        ids=["partition", "app", "backend", "stream-source"],
+    )
+    def test_unknown_option_rejected_when_built(self, fields, label, option):
+        with pytest.raises(SpecError, match=f"invalid '{label}' spec .*'{option}'"):
+            PipelineSpec(**{"source": "powerlaw", **fields})
+
     def test_malformed_component_spec_rejected(self):
         with pytest.raises(SpecError, match="expected key=value"):
             PipelineSpec(source="powerlaw?vertices")

@@ -12,9 +12,10 @@ from repro.partition import (
     ShardedEBVPartitioner,
     StreamingEBVPartitioner,
 )
+from repro.pipeline import PARTITIONERS
 from repro.stream import (
     ArrayEdgeStream,
-    GeneratorEdgeStream,
+    EdgeChunkStream,
     SpilledPartition,
     StreamError,
     stream_partition,
@@ -169,6 +170,7 @@ class TestStreamPartition:
                 ArrayEdgeStream.from_graph(graph),
                 EBVPartitioner(), 2, str(tmp_path / "s"),
             )
+        assert not (tmp_path / "s").exists()
 
     def test_sorted_sharded_rejected(self, graph, tmp_path):
         with pytest.raises(ValueError, match="sort_edges"):
@@ -177,13 +179,24 @@ class TestStreamPartition:
                 ShardedEBVPartitioner(sort_edges=True), 2, str(tmp_path / "s"),
             )
 
-    def test_totals_partitioner_needs_reiterable_stream(self, graph, tmp_path):
-        one_shot = GeneratorEdgeStream(iter([(graph.src, graph.dst)]))
-        with pytest.raises(StreamError, match="one\\s*pass|only one"):
-            stream_partition(
-                one_shot,
-                ShardedEBVPartitioner(sort_edges=False), 2, str(tmp_path / "s"),
-            )
+    @pytest.mark.parametrize("reader_chunk", [1, 3, 7, "all"])
+    @pytest.mark.parametrize("method", ["ebv-stream", "ebv-sharded?sort_edges=false"])
+    def test_manifest_totals_equal_the_graphs(self, graph, tmp_path, method, reader_chunk):
+        """|E| and |V| in the manifest are the in-memory graph's for any
+        reader chunking, a hinted trailing isolated vertex included, and
+        a negative vertex id is refused before it can reach a total."""
+        padded = Graph(graph.num_vertices + 1, graph.src, graph.dst, name="padded")
+        chunk = padded.num_edges if reader_chunk == "all" else reader_chunk
+        spilled = stream_partition(
+            ArrayEdgeStream.from_graph(padded, chunk_size=chunk),
+            PARTITIONERS.create(method), 3, str(tmp_path / "s"),
+        )
+        assert (spilled.num_edges, spilled.num_vertices) == (
+            padded.num_edges, padded.num_vertices,
+        )
+        negative = ArrayEdgeStream([0, 1, 2, -1], [1, 2, 0, 0], chunk_size=chunk)
+        with pytest.raises(ValueError, match="negative vertex id -1"):
+            stream_partition(negative, PARTITIONERS.create(method), 2, str(tmp_path / "neg"))
 
     def test_empty_stream(self, tmp_path):
         spilled = stream_partition(
@@ -349,29 +362,30 @@ class TestDamagedSpill:
             SpilledPartition(spilled.directory)
 
 
+class _FailingStream(EdgeChunkStream):
+    """Yield two real chunks, then blow up mid-spill."""
+
+    name = "failing"
+    chunk_size = 16
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def chunks(self):
+        for start in (0, self.chunk_size):
+            stop = start + self.chunk_size
+            yield self.graph.src[start:stop], self.graph.dst[start:stop], None
+        raise OSError("injected source failure mid-spill")
+
+
 class TestPartialSpillCleanup:
     """A failed spill must not leave orphan shards behind."""
-
-    @staticmethod
-    def _failing_stream(graph, fail_after_chunks=2, chunk_size=16):
-        """Yield a few real chunks, then blow up mid-spill."""
-
-        def chunks():
-            count = 0
-            for start in range(0, graph.num_edges, chunk_size):
-                if count >= fail_after_chunks:
-                    raise OSError("injected source failure mid-spill")
-                stop = min(start + chunk_size, graph.num_edges)
-                yield graph.src[start:stop], graph.dst[start:stop]
-                count += 1
-
-        return GeneratorEdgeStream(chunks, name="failing")
 
     def test_failing_source_leaves_no_orphan_shards(self, graph, tmp_path):
         spill = tmp_path / "spill"
         with pytest.raises(OSError, match="injected source failure"):
             stream_partition(
-                self._failing_stream(graph),
+                _FailingStream(graph),
                 StreamingEBVPartitioner(chunk_size=8),
                 3,
                 str(spill),
@@ -388,7 +402,7 @@ class TestPartialSpillCleanup:
         # manifest is refused by default (foreign-file guard).
         with pytest.raises(OSError, match="injected source failure"):
             stream_partition(
-                self._failing_stream(graph),
+                _FailingStream(graph),
                 StreamingEBVPartitioner(chunk_size=8),
                 3,
                 str(spill),
@@ -402,7 +416,7 @@ class TestPartialSpillCleanup:
         spill.mkdir()  # preexisting, so the dir itself remains
         with pytest.raises(OSError, match="injected source failure"):
             stream_partition(
-                self._failing_stream(graph),
+                _FailingStream(graph),
                 StreamingEBVPartitioner(chunk_size=8),
                 2,
                 str(spill),
@@ -416,7 +430,7 @@ class TestPartialSpillCleanup:
         spill.mkdir()
         with pytest.raises(OSError, match="injected source failure"):
             stream_partition(
-                self._failing_stream(graph),
+                _FailingStream(graph),
                 StreamingEBVPartitioner(chunk_size=8),
                 2,
                 str(spill),

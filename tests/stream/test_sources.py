@@ -6,7 +6,6 @@ import pytest
 from repro.graph import Graph, powerlaw_graph, write_edge_list
 from repro.stream import (
     ArrayEdgeStream,
-    GeneratorEdgeStream,
     NpyEdgeStream,
     StreamError,
     TextEdgeListStream,
@@ -132,30 +131,3 @@ class TestArrayEdgeStream:
             ArrayEdgeStream([1, 2], [3])
         with pytest.raises(StreamError):
             ArrayEdgeStream([1], [2], weights=[1.0, 2.0])
-
-
-class TestGeneratorEdgeStream:
-    def test_factory_is_reiterable(self, graph):
-        def produce():
-            yield graph.src[:40], graph.dst[:40]
-            yield graph.src[40:], graph.dst[40:]
-
-        stream = GeneratorEdgeStream(produce)
-        assert stream.reiterable
-        a = _concat(stream)
-        b = _concat(stream)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[0], graph.src)
-
-    def test_one_shot_iterable_single_pass(self, graph):
-        stream = GeneratorEdgeStream(iter([(graph.src, graph.dst)]))
-        assert not stream.reiterable
-        src, _, _ = _concat(stream)
-        assert np.array_equal(src, graph.src)
-        with pytest.raises(StreamError, match="one-shot"):
-            list(stream.chunks())
-
-    def test_bad_item_arity(self):
-        stream = GeneratorEdgeStream(lambda: [(1, 2, 3, 4)])
-        with pytest.raises(StreamError, match="length-4"):
-            list(stream.chunks())

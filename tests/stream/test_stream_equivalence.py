@@ -17,7 +17,6 @@ from repro.graph import Graph, powerlaw_graph, write_edge_list
 from repro.partition import ShardedEBVPartitioner, StreamingEBVPartitioner
 from repro.stream import (
     ArrayEdgeStream,
-    GeneratorEdgeStream,
     NpyEdgeStream,
     TextEdgeListStream,
     save_edge_npy,
@@ -88,7 +87,7 @@ class TestShardedEBVDifferential:
 
 
 class TestSourceEquivalence:
-    """Text, npy and generator sources all reproduce the same bytes."""
+    """Text and npy sources both reproduce the same bytes."""
 
     def test_all_sources_identical(self, graph, tmp_path):
         partitioner = StreamingEBVPartitioner(chunk_size=32)
@@ -99,14 +98,9 @@ class TestSourceEquivalence:
         npy_path = str(tmp_path / "g.npy")
         save_edge_npy(npy_path, graph)
 
-        def produce():
-            yield graph.src[:100], graph.dst[:100]
-            yield graph.src[100:], graph.dst[100:]
-
         sources = {
             "text": TextEdgeListStream(text_path, chunk_size=23),
             "npy": NpyEdgeStream(npy_path, chunk_size=41),
-            "generator": GeneratorEdgeStream(produce, name="gen"),
         }
         for tag, stream in sources.items():
             spilled = _spill(stream, partitioner, 4, tmp_path, tag)

@@ -326,6 +326,17 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "unknown backend 'gpu'" in err and "serial" in err
 
+    def test_unknown_backend_option_fails_before_any_stage(self, tmp_path, capsys):
+        path = self.spec_path(
+            tmp_path,
+            {"source": "powerlaw?vertices=400,min_degree=2,seed=3", "partition": "ebv",
+             "parts": 2, "app": "cc", "backend": "process?start_method=fork"},
+        )
+        assert main(["pipeline", path]) == 2
+        err = capsys.readouterr().err
+        assert "invalid 'backend' spec" in err and "start_method" in err
+        assert "stage failed" not in err
+
     def test_file_source(self, edge_file, tmp_path, capsys):
         path = self.spec_path(
             tmp_path, {"source": f"file?path={edge_file}", "parts": 4}
