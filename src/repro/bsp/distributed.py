@@ -69,11 +69,12 @@ class LocalSubgraph:
         Whole-graph out-degree of each local vertex (PageRank needs the
         *global* fan-out, not the local one).
 
-    Four lazy caches hang off these fields — :meth:`cc_roots` (with
-    :meth:`cc_root_count`), :meth:`out_csr`, :meth:`out_fanout` and
-    :meth:`master_index`.  They share one rule: each is derived only
-    from fields that never change after :func:`build_distributed_graph`
-    returns, so it is computed once per run, in whichever process first
+    Five lazy caches hang off these fields — :meth:`cc_roots` (with
+    :meth:`cc_root_count`), :meth:`out_csr`, :meth:`out_fanout`,
+    :meth:`master_index` and :meth:`checked_edges`.  They share one
+    rule: each is derived only from fields that never change after
+    :func:`build_distributed_graph` returns, so it is computed (or
+    checked) once per run, in whichever process first
     asks (a forked or TCP worker fills its own copy), and a superstep
     kernel that needs one pays for it in its first superstep only.
     """
@@ -177,6 +178,25 @@ class LocalSubgraph:
         if cached is None:
             cached = np.flatnonzero(self.is_master)
             self._master_index = cached
+        return cached
+
+    def checked_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Lazy ``(src, dst)``, checked once to be C-contiguous int64
+        arrays of equal length whose entries lie in ``[0, num_vertices)``:
+        what a C kernel may index with unchecked.  ``ValueError`` if not."""
+        cached = getattr(self, "_checked_edges", None)
+        if cached is None:
+            n = self.num_vertices
+            for name in ("src", "dst"):
+                array = getattr(self, name)
+                if array.dtype != np.int64 or not array.flags.c_contiguous:
+                    raise ValueError(f"{name} must be a C-contiguous int64 array")
+                if array.shape != (self.num_edges,):
+                    raise ValueError(f"{name} must have {self.num_edges} entries")
+                if array.size and not (0 <= array.min() and array.max() < n):
+                    raise ValueError(f"{name} indexes outside [0, {n})")
+            cached = (self.src, self.dst)
+            self._checked_edges = cached
         return cached
 
 

@@ -12,12 +12,15 @@ The engine owns the superstep *orchestration* — sequencing, convergence,
 accounting, checkpointing — while both per-superstep stages execute on
 a pluggable :mod:`repro.runtime` backend (``serial``, ``thread``,
 ``process`` or ``socket``), all of which produce bit-identical results.  Each
-superstep is ``compute_stage`` → ``exchange_stage`` → convergence
-check: the computation stage runs every worker's sequential algorithm,
-and the exchange stage runs the replica exchange *in the workers* too,
+superstep is one ``session.superstep`` call → convergence check.  The
+call runs the computation stage (every worker's sequential algorithm)
+and then the exchange stage, the replica exchange *in the workers* too,
 each worker pulling its inbound replica updates over a route plan the
-session builds once per run (see :mod:`repro.runtime.base`).  One loop
-serves both program modes and both fresh and resumed runs.
+session builds once per run (see :mod:`repro.runtime.base`); whether
+that is two stage calls or, on the ``process`` backend, one command per
+worker with shared-memory barriers between the phases is the session's
+business.  One loop serves both program modes and both fresh and
+resumed runs.
 
 Two clocks are recorded per superstep: real wall-clock per stage (what
 this machine and backend actually took — see
@@ -420,7 +423,7 @@ class BSPEngine:
         resumed_done: bool,
         ckpt: "_CheckpointHook",
     ) -> BSPRun:
-        """Sequence ``compute_stage`` → ``exchange_stage`` → convergence.
+        """Sequence ``superstep`` (compute, then exchange) → convergence.
 
         The single loop all executions share: minimize (CC, SSSP, BFS)
         and accumulate (PageRank) mode, fresh and resumed runs.  A
@@ -428,7 +431,9 @@ class BSPEngine:
         pre-filled, so the range simply starts at the snapshot boundary;
         a resumed-*finished* run (``resumed_done``) replays nothing.
         Both stages execute on the backend session — the engine never
-        touches replica routes itself.
+        touches replica routes itself — and each stage's wall and
+        ``stage.*`` span come from the window the session stamps on its
+        result.
         """
         minimize = program.mode == MINIMIZE
         rec = session.recorder
@@ -445,19 +450,12 @@ class BSPEngine:
             if quiescent:
                 break  # quiescent before the step: nothing left to do
 
-            t0 = monotonic_ns()
-            comp = session.compute_stage(step)
-            t1 = monotonic_ns()
-            t_compute = (t1 - t0) * 1e-9
+            comp, exchange = session.superstep(step)
+            (c0, c1), (x0, x1) = comp.window, exchange.window
+            t_compute, t_exchange = (c1 - c0) * 1e-9, (x1 - x0) * 1e-9
             if rec.enabled:
-                rec.add("stage.compute", t0, t1, superstep=step)
-
-            t0 = monotonic_ns()
-            exchange = session.exchange_stage(step)
-            t1 = monotonic_ns()
-            t_exchange = (t1 - t0) * 1e-9
-            if rec.enabled:
-                rec.add("stage.exchange", t0, t1, superstep=step)
+                rec.add("stage.compute", c0, c1, superstep=step)
+                rec.add("stage.exchange", x0, x1, superstep=step)
 
             # The convergence check is real coordinator work; the
             # top-of-loop quiescence pre-check of the *same* superstep is

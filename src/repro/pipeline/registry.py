@@ -154,7 +154,7 @@ class Registry:
         """Register ``factory`` under ``name`` (plus optional aliases).
 
         Usable directly (``reg.register("ebv", EBVPartitioner)``) or as a
-        decorator (``@reg.register("ebv-unsort")``).  Duplicate names or
+        decorator (``@reg.register("file")``).  Duplicate names or
         aliases raise :class:`DuplicateComponentError`.
         """
         if factory is None:

@@ -12,8 +12,13 @@ produces bit-identical results to the serial reference.
 Backend contract
 ----------------
 A :class:`Backend` opens a :class:`BackendSession` per program run.
-The session runs two operations and gives the engine the per-worker
-arrays through ``any_active`` / ``pull_state`` / ``push_state``:
+The session runs two stages and gives the engine the per-worker
+arrays through ``any_active`` / ``pull_state`` / ``push_state``.  The
+engine asks for both stages at once, ``superstep(superstep)``, once per
+superstep; by default that is the two calls below in turn, and the
+``process`` backend runs it as one command per worker instead (each
+child computes, meets its siblings at a shared-memory barrier, pulls
+up, meets them again and pulls down; see :mod:`.process`):
 
 ``compute_stage(superstep)``
     Runs :meth:`WorkerShard.compute` (the
@@ -54,8 +59,10 @@ backend      shards live in          link                  state plane          
              on a persistent         the bound method
              ``ThreadPoolExecutor``
 ``process``  one daemon child each   ``multiprocessing``   shared memory: parent    no
-             (forked)                pipe + ``Process``    allocates, every child
-                                                           inherits every array
+             (forked, pinned to      pipe + ``Process``    allocates, every child
+             CPU ``w % |cpus|``)                           inherits every array;
+                                                           a superstep is one
+                                                           command
 ``socket``   one process each (a     framed TCP            wire: each worker owns   spawned-
              local fork of the       (:mod:`.wire`) +      its arrays; exchange     local
              coordinator, or a       ``Process`` /         is one command, then     only
@@ -77,7 +84,8 @@ coordinator before any worker's array changes, on every backend.
 ``serial`` is the reference and bit-identity oracle.  ``process`` and
 ``socket`` are one session class
 (:class:`~repro.runtime.protocol.CommandSession`: spawn → ``init`` →
-``ready``, one command per stage phase, collecting replies is the
+``ready``, the plane's commands per superstep — one on ``process``,
+two on ``socket`` — collecting replies is the
 barrier, stage timeouts, typed :class:`WorkerLostError`, the failed
 latch, one teardown escalation) and one worker loop
 (:func:`~repro.runtime.protocol.serve`); :mod:`~repro.runtime.process`
@@ -96,8 +104,10 @@ Per worker ``w``, one anonymous shared mapping per array
 mode (its docstring says what each kind holds), made by the parent
 before the pool forks and inherited by *every* child: the exchange
 phases read sibling workers' arrays directly.  Child ``w`` writes only
-worker ``w``'s arrays.  The mappings have no name — nothing is created
-in ``/dev/shm`` — and are gone with the last process that maps them.
+worker ``w``'s arrays.  One more mapping holds the superstep barrier:
+an abort word, then one arrival epoch per worker.  The mappings have no
+name — nothing is created in ``/dev/shm`` — and are gone with the last
+process that maps them.
 
 Real time vs. modeled time
 --------------------------

@@ -7,12 +7,12 @@ A :class:`Backend` turns a routed
 engine drives for one program execution.  The engine's orchestration is
 backend-agnostic: it only ever
 
-1. calls :meth:`BackendSession.compute_stage` to run the computation
-   stage of one superstep on every worker,
-2. calls :meth:`BackendSession.exchange_stage` to run the replica
-   exchange on every worker (each worker *pulls* its inbound replica
-   updates from the other workers' arrays), and
-3. reads and restores the per-worker arrays through
+1. calls :meth:`BackendSession.superstep` once per superstep, which runs
+   the computation stage (:meth:`BackendSession.compute_stage`) and then
+   the replica exchange (:meth:`BackendSession.exchange_stage`: each
+   worker *pulls* its inbound replica updates from the other workers'
+   arrays) on every worker, and
+2. reads and restores the per-worker arrays through
    :meth:`BackendSession.any_active`, :meth:`~BackendSession.pull_state`
    and :meth:`~BackendSession.push_state` for the convergence check,
    the final gather, and checkpoint save/restore.
@@ -21,7 +21,11 @@ Both stages execute however the backend sees fit — inline or on a
 thread pool (:class:`LocalSession`), on a persistent pool of forked
 processes over shared memory, or in TCP workers; what executes is
 always a :class:`~repro.runtime.shard.WorkerShard` per worker, over the arrays
-:func:`~repro.runtime.shard.worker_arrays` allocates.
+:func:`~repro.runtime.shard.worker_arrays` allocates.  By default a
+superstep is the two stage calls one after the other; the process
+backend runs it as one command per worker instead, its workers meeting
+at a shared-memory barrier between the phases
+(:mod:`repro.runtime.process`).
 
 The correctness contract is: after ``compute_stage`` returns, every
 worker's arrays reflect exactly what
@@ -54,6 +58,7 @@ import abc
 import multiprocessing
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from time import monotonic_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,11 +120,14 @@ class ComputeStageResult:
     (length ``p``); ``walls`` is the measured per-worker kernel
     wall-clock in seconds — the quantity every session already timed
     and used to discard, now surfaced on *every* path (traced or not)
-    so stragglers are visible without re-running.
+    so stragglers are visible without re-running.  ``window`` is the
+    stage's ``(start_ns, end_ns)`` on the coordinator's monotonic clock,
+    set by :meth:`BackendSession.superstep`.
     """
 
     work: np.ndarray
     walls: np.ndarray
+    window: Tuple[int, int] = (0, 0)
 
 
 @dataclass
@@ -132,6 +140,7 @@ class ExchangeResult:
     ``up_walls``/``down_walls`` are the measured per-worker wall-clock
     seconds of the two pull phases (populated by
     :func:`finish_exchange_stage` on every backend, traced or not).
+    ``window`` is as in :class:`ComputeStageResult`.
     """
 
     sent: np.ndarray
@@ -139,6 +148,7 @@ class ExchangeResult:
     delta: float = 0.0
     up_walls: Optional[np.ndarray] = None
     down_walls: Optional[np.ndarray] = None
+    window: Tuple[int, int] = (0, 0)
 
     @property
     def walls(self) -> Optional[np.ndarray]:
@@ -351,6 +361,23 @@ class BackendSession(abc.ABC):
         blocks until all workers finish both.
         """
         return finish_exchange_stage(self.recorder, superstep, *self.exchange_phases(superstep))
+
+    def superstep(self, superstep: int) -> Tuple[ComputeStageResult, ExchangeResult]:
+        """Run one whole superstep on every worker: compute, then exchange.
+
+        The engine's one call per superstep.  This default is
+        :meth:`compute_stage` followed by :meth:`exchange_stage`, each
+        result's ``window`` read off the coordinator's clock around its
+        call.  A session that runs the superstep as one command per
+        worker overrides it (the process backend's shared-page plane)
+        and derives the windows from its workers' kernel windows.
+        """
+        t0 = monotonic_ns()
+        comp = self.compute_stage(superstep)
+        t1 = monotonic_ns()
+        exchange = self.exchange_stage(superstep)
+        comp.window, exchange.window = (t0, t1), (t1, monotonic_ns())
+        return comp, exchange
 
     def exchange_phases(self, superstep: int) -> Tuple[List[TimedResult], List[TimedResult]]:
         """Both pull phases; return the (up, down) timed results."""

@@ -8,48 +8,78 @@ long-lived daemon ``Process`` forked to run :func:`_worker_main`.
 
 *Its state plane* — :class:`ShmPlane`.  Before the pool forks, the
 parent copies every worker's :func:`~repro.runtime.shard.worker_arrays`
-into anonymous shared mappings, one per array.  Each child inherits
-every mapping at fork and gets the plane's kind → per-worker slots as
-its ``Process`` arguments — under fork those are passed by memory:
-nothing is pickled, named or attached — and builds its
-:class:`~repro.runtime.shard.WorkerShard` over them, so every slot is a
-sibling's real array.  Both superstep stages therefore run in the
-children with zero per-superstep pickling: an exchange is two
-broadcasts (``exchange_up``, then — after every reply is in, the
-mandatory barrier — ``exchange_down``), and the only per-superstep pipe
-traffic is one small command → ``(result, t0, t1)`` round trip per
-worker per phase.  The coordinator reads convergence, the final gather
-and checkpoints straight out of its own views of the same pages, and a
-checkpoint restore written through those views is seen by every child.
-The pages have no name, so they go with the last process that maps
-them: nothing is left in ``/dev/shm``, however the run ends.
+into anonymous shared mappings, one per array, and maps one more
+anonymous page for the pool's barrier.  Each child inherits every
+mapping at fork and gets the plane's kind → per-worker slots and its
+side of the barrier as its ``Process`` arguments — under fork those are
+passed by memory: nothing is pickled, named or attached — and builds
+its :class:`~repro.runtime.shard.WorkerShard` over them, so every slot
+is a sibling's real array.  A superstep is therefore one ``superstep``
+command per worker and one reply: each child computes, meets its
+siblings at the barrier, runs the up phase, meets them again and runs
+the down phase (:meth:`~repro.runtime.shard.WorkerShard.superstep`),
+with zero pickling of state.  The coordinator reads convergence, the
+final gather and checkpoints straight out of its own views of the same
+pages, and a checkpoint restore written through those views is seen by
+every child.  The pages have no name, so they go with the last process
+that maps them: nothing is left in ``/dev/shm``, however the run ends.
 
-*Its worker entry point* — :func:`_worker_main`: close the coordinator's
-pipe ends the fork copied, then run the shared
+*The barrier* — :class:`_Barrier`, over the C99 kernel
+``barrier_kernel.c`` (built through :mod:`repro.ckernel`, loaded before
+the fork): one arrival epoch per worker and an abort word, stored with
+release and loaded with acquire ordering.  A waiting child spins,
+yielding its CPU on each pass, then backs off to short sleeps; it gives
+up once the abort word is set, ``stage_timeout`` has passed or the
+coordinator has died.  The coordinator waits on every pipe at once and
+sets the abort word on any failure (an error reply, a lost worker, a
+timeout), so a sibling waiting on a failed or dead worker replies and
+then reads ``stop`` instead of spinning until its own deadline.
+
+*Its worker entry point* — :func:`_worker_main`: bind to its CPU (child
+``w`` gets ``cpus[w % len(cpus)]`` of the coordinator's affinity set,
+where the platform has ``os.sched_setaffinity``: unpinned, the
+scheduler sometimes stacks two waiting siblings on one CPU), close the
+coordinator's pipe ends the fork copied, then run the shared
 :func:`~repro.runtime.protocol.serve` loop over the child's own end.
 With no copy of the coordinator's end left open, a child reads
 end-of-file the moment the coordinator dies, however it dies.
 
-Crash containment, stage timeouts, the failed latch, typed worker loss
-and teardown are the session's (see :mod:`repro.runtime.protocol`).
-Lost workers are not replaced (``supports_recovery`` is false).  The
-backend needs ``fork``; where the platform has none, use ``socket``.
+The per-stage commands (``compute``, ``exchange_up``,
+``exchange_down``) still serve :meth:`~BackendSession.compute_stage`
+and :meth:`~BackendSession.exchange_stage` called on their own.  Crash
+containment, stage timeouts, the failed latch, typed worker loss and
+teardown are the session's (see :mod:`repro.runtime.protocol`).  Lost
+workers are not replaced (``supports_recovery`` is false).  The backend
+needs ``fork``; where the platform has none, use ``socket``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import mmap
 import multiprocessing
-from functools import partial
-from multiprocessing.connection import Connection
+import os
+from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
-from typing import List, Optional, Sequence
+from pathlib import Path
+from time import monotonic_ns
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import Backend, BackendSession
+from ..ckernel import load_library
+from .base import (
+    Backend,
+    BackendError,
+    BackendSession,
+    ComputeStageResult,
+    ExchangeResult,
+    finish_compute_stage,
+    finish_exchange_stage,
+)
 from .protocol import (
     JOIN_TIMEOUT,
     CommandSession,
@@ -61,6 +91,58 @@ from .protocol import (
 from .shard import Slots, WorkerShard, by_kind, worker_arrays
 
 __all__ = ["ProcessBackend", "ShmPlane"]
+
+KERNEL_SOURCE = Path(__file__).with_name("barrier_kernel.c")
+
+#: ``barrier_wait``'s return codes (``barrier_kernel.c``).
+_PASSED, _ABORTED, _TIMED_OUT, _ORPHANED = 0, 1, 2, 3
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel() -> Tuple[Callable[..., int], Callable[..., None]]:
+    """The kernel's ``(barrier_wait, barrier_abort)``, loaded once per process."""
+    library = load_library(KERNEL_SOURCE, "barrier")
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    barrier_wait, barrier_abort = library.barrier_wait, library.barrier_abort
+    barrier_wait.argtypes = [ptr, i64, i64, ctypes.c_uint64, i64, i64, ctypes.POINTER(i64)]
+    barrier_wait.restype = ctypes.c_int
+    barrier_abort.argtypes = [ptr]
+    barrier_abort.restype = None
+    return barrier_wait, barrier_abort
+
+
+class _Barrier:
+    """Worker ``worker``'s side of the pool's barrier over ``words``: the
+    shared page's abort word, then one arrival epoch per worker.  The
+    wait also ends once the waiting process's parent is no longer
+    ``coordinator`` (a pid)."""
+
+    def __init__(self, words: np.ndarray, worker: int, timeout: float, coordinator: int):
+        self._words = words  # keeps the mapping alive
+        self._page = (words.ctypes.data, words.shape[0] - 1, worker)
+        self._timeout = timeout
+        self._timeout_ns = int(min(timeout, 9e9) * 1e9)  # within int64
+        self._coordinator = coordinator
+        self._epoch = 0
+        self._missing = ctypes.c_int64(-1)
+
+    def __call__(self) -> None:
+        """Return once every sibling has arrived as often; raise
+        :class:`~repro.runtime.base.BackendError` otherwise."""
+        self._epoch += 1
+        status = _kernel()[0](
+            *self._page, self._epoch, self._timeout_ns, self._coordinator,
+            ctypes.byref(self._missing),
+        )
+        if status == _ABORTED:
+            raise BackendError("superstep aborted: the coordinator saw a sibling fail")
+        if status == _ORPHANED:
+            raise BackendError("superstep abandoned: the coordinator is gone")
+        if status == _TIMED_OUT:
+            raise BackendError(
+                f"worker {self._missing.value} did not reach the superstep barrier "
+                f"within {self._timeout:.0f}s"
+            )
 
 
 class _PipeLink:
@@ -97,20 +179,31 @@ class _PipeLink:
         self._conn.close()
 
 
-def _worker_main(conn: Connection, coordinator_ends: Sequence[Connection], slots: Slots) -> None:
-    """Child entry point: drop the coordinator's pipe ends, serve the session."""
+def _worker_main(
+    conn: Connection,
+    coordinator_ends: Sequence[Connection],
+    slots: Slots,
+    barrier: _Barrier,
+    cpu: Optional[int],
+) -> None:
+    """Child entry point: bind to ``cpu``, drop the coordinator's pipe
+    ends, serve the session."""
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     for end in coordinator_ends:
         end.close()
     try:
         # init = (worker id, local, program, inbound up, inbound down, plane extra)
-        serve(conn, lambda init: WorkerShard(*init[:5], slots))
+        serve(conn, lambda init: WorkerShard(*init[:5], slots, barrier=barrier))
     except KeyboardInterrupt:  # the terminal's ^C reaches the whole group
         pass
 
 
 def _spawn(ctx, plane: "ShmPlane", workers: Sequence[int]) -> List[_PipeLink]:
-    """Fork one child per worker over the plane's slots; a batch that
-    fails leaves no child behind."""
+    """Fork one child per worker over the plane's slots and barrier,
+    child ``w`` pinned to ``cpus[w % len(cpus)]`` of this process's
+    CPUs; a batch that fails leaves no child behind."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
     links: List[_PipeLink] = []
     try:
         for w in workers:
@@ -120,7 +213,7 @@ def _spawn(ctx, plane: "ShmPlane", workers: Sequence[int]) -> List[_PipeLink]:
             ends = [link._conn for link in links] + [parent_conn]
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, ends, plane.state),
+                args=(child_conn, ends, plane.state, plane.barrier(w), cpus[w % len(cpus)]),
                 name=f"repro-bsp-{w}",
                 daemon=True,
             )
@@ -147,10 +240,21 @@ def _shared_copy(template: np.ndarray) -> np.ndarray:
     return array
 
 
+def _arrived(links: Sequence[_PipeLink], pending: List[int], timeout: float) -> List[int]:
+    """The ``pending`` workers whose reply or end of file is waiting,
+    within ``timeout`` seconds; ``[]`` if none."""
+    conns = {links[w]._conn: w for w in pending}
+    return sorted(conns[conn] for conn in wait(list(conns), timeout))
+
+
 class ShmPlane(StatePlane):
-    """Every worker array, scratch included, in pages the pool inherits:
-    minimize-mode dirty masks are read across children during the down
-    phase."""
+    """Every worker array, scratch included, in pages the pool inherits
+    (minimize-mode dirty masks are read across children during the down
+    phase), and the barrier page a fused superstep meets at."""
+
+    def __init__(self, stage_timeout: float):
+        self._stage_timeout = stage_timeout
+        self._words: Optional[np.ndarray] = None
 
     def open(self, dgraph: DistributedGraph, program: SubgraphProgram):
         self.state = by_kind(
@@ -159,8 +263,39 @@ class ShmPlane(StatePlane):
                 for local in dgraph.locals
             ]
         )
-        # A child's slots arrive as its Process arguments, not in init.
+        _kernel()  # built and loaded here, so no child compiles it
+        self._words = _shared_copy(np.zeros(dgraph.num_workers + 1, dtype=np.uint64))
+        # A child's slots and barrier arrive as its Process arguments, not in init.
         return [None] * dgraph.num_workers
+
+    def barrier(self, worker: int) -> _Barrier:
+        """Child ``worker``'s side of the barrier."""
+        return _Barrier(self._words, worker, self._stage_timeout, os.getpid())
+
+    def superstep(
+        self, session: CommandSession, superstep: int
+    ) -> Tuple[ComputeStageResult, ExchangeResult]:
+        """One ``superstep`` command per worker, one reply each.
+
+        The compute stage's window runs from the broadcast to the last
+        child's compute end (when the first barrier opened), the
+        exchange stage's from there to the last reply; the per-worker
+        walls and spans are the children's own kernel windows.
+        """
+        t0 = monotonic_ns()
+        try:
+            session.broadcast("superstep", superstep)
+            replies = session.results(ready=functools.partial(_arrived, session.links))
+        except BaseException:
+            _kernel()[1](self._words.ctypes.data)  # release every waiting sibling
+            raise
+        t1 = monotonic_ns()
+        computes, ups, downs = zip(*replies)
+        comp = finish_compute_stage(session.recorder, superstep, computes)
+        exchange = finish_exchange_stage(session.recorder, superstep, ups, downs)
+        opened = max(end for _, _, end in computes)
+        comp.window, exchange.window = (t0, opened), (opened, t1)
+        return comp, exchange
 
 
 class ProcessBackend(Backend):
@@ -190,6 +325,6 @@ class ProcessBackend(Backend):
     def session(
         self, dgraph: DistributedGraph, program: SubgraphProgram
     ) -> BackendSession:
-        plane = ShmPlane()
-        spawn = partial(_spawn, self._context, plane)
+        plane = ShmPlane(self.stage_timeout)
+        spawn = functools.partial(_spawn, self._context, plane)
         return CommandSession(self.name, dgraph, program, spawn, plane, self.stage_timeout)

@@ -2,10 +2,11 @@
 
 ``process`` and ``socket`` are the same conversation: the coordinator
 (:class:`CommandSession`) spawns one worker per shard, sends each an
-``init`` message once, then broadcasts one command per stage phase;
-every worker (:func:`serve`) answers each command with exactly one
-reply — ``("ok", payload)``, ``("error", traceback_text)``, or
-transport death — and collecting the replies *is* the stage barrier.
+``init`` message once, then broadcasts the commands of each superstep —
+how many is the state plane's choice (see below); every worker
+(:func:`serve`) answers each command with exactly one reply —
+``("ok", payload)``, ``("error", traceback_text)``, or transport death
+— and collecting the replies is the barrier the coordinator waits on.
 The two backends differ in exactly two seams, both passed to the
 session as objects:
 
@@ -18,11 +19,12 @@ or process handle directly.
 
 **The state plane** (:class:`StatePlane`) — where the state arrays live
 and how replica updates move between workers.  Shared memory: the
-parent allocates every array, children inherit them all at fork, an
-exchange is two broadcasts and the coordinator reads state in place.
-Wire: each worker owns its arrays, an exchange is one broadcast after
-which the workers trade replica updates peer to peer, and state access
-is a command.
+parent allocates every array, children inherit them all at fork, a
+whole superstep is one broadcast (the children meet at a shared-memory
+barrier between its phases) and the coordinator reads state in place.
+Wire: each worker owns its arrays, a superstep is two broadcasts
+(``compute``, then ``exchange``, after which the workers trade replica
+updates peer to peer), and state access is a command.
 
 Everything else is here, once:
 
@@ -30,7 +32,11 @@ Everything else is here, once:
 (default :data:`DEFAULT_STAGE_TIMEOUT`; spec form
 ``process?stage_timeout=120``).  A worker hung inside a kernel raises
 :class:`~repro.runtime.base.BackendError` naming the workers still
-alive — "worker 3 is wedged" versus "the whole pool is gone".
+alive — "worker 3 is wedged" versus "the whole pool is gone".  Replies
+are read in worker order, or, where the plane can wait on every link at
+once (:meth:`CommandSession.results` with ``ready``), in the order they
+arrive, so a worker that dies while its siblings wait on it is reported
+at once.
 
 *Typed worker loss.*  A link that fails on send **or** receive raises
 :class:`~repro.runtime.base.WorkerLostError` with the worker id and the
@@ -60,7 +66,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence,
 
 from ..bsp.distributed import DistributedGraph
 from ..bsp.program import SubgraphProgram
-from .base import BackendError, BackendSession, WorkerLostError, build_route_plan
+from .base import (
+    BackendError,
+    BackendSession,
+    ComputeStageResult,
+    ExchangeResult,
+    WorkerLostError,
+    build_route_plan,
+)
 from .shard import Slots, TimedResult, WorkerShard
 
 __all__ = [
@@ -125,8 +138,9 @@ class StatePlane:
     """Where worker state lives and how an exchange moves it.
 
     The defaults are the shared-storage ones: :attr:`state` is the
-    coordinator's live view, read and restored in place, and an
-    exchange is the two pull phases, one broadcast each.
+    coordinator's live view, read and restored in place, a superstep is
+    the two stage calls and an exchange is the two pull phases, one
+    broadcast each.
     """
 
     #: the coordinator-visible arrays, or ``None`` when workers own them.
@@ -140,6 +154,12 @@ class StatePlane:
 
     def connect(self, session: "CommandSession") -> None:
         """Called after every launch batch, over the whole pool."""
+
+    def superstep(
+        self, session: "CommandSession", superstep: int
+    ) -> Tuple[ComputeStageResult, ExchangeResult]:
+        """Run one whole superstep (:meth:`BackendSession.superstep`)."""
+        return BackendSession.superstep(session, superstep)
 
     def exchange(
         self, session: "CommandSession", superstep: int
@@ -310,6 +330,18 @@ class CommandSession(BackendSession):
         detail = str(exc) if code is None else f"exit code {code}"
         return self._fail(WorkerLostError(w, f"worker {w} died unexpectedly ({detail})"))
 
+    def _timed_out(self, w: int, timeout: float) -> BackendError:
+        alive = [v for v, link in enumerate(self.links) if link.alive()]
+        return self._fail(
+            BackendError(
+                f"worker {w} did not answer within {timeout:.0f}s "
+                f"(alive workers: {alive}) — "
+                "a stage kernel is hung or the host is overloaded; "
+                "raise stage_timeout (e.g. backend spec "
+                "'process?stage_timeout=1200') if the latter"
+            )
+        )
+
     def _post(self, w: int, command: str, payload) -> None:
         """Send one command to worker ``w``; a dead link is a lost worker."""
         try:
@@ -326,16 +358,7 @@ class CommandSession(BackendSession):
         except (EOFError, OSError) as exc:
             raise self._lost(w, exc) from None
         except ReplyTimeout:
-            alive = [v for v, link in enumerate(self.links) if link.alive()]
-            raise self._fail(
-                BackendError(
-                    f"worker {w} did not answer within {timeout:.0f}s "
-                    f"(alive workers: {alive}) — "
-                    "a stage kernel is hung or the host is overloaded; "
-                    "raise stage_timeout (e.g. backend spec "
-                    "'process?stage_timeout=1200') if the latter"
-                )
-            ) from None
+            raise self._timed_out(w, timeout) from None
         # A desynced or foreign peer can deliver any unpickled object;
         # treat a non-pair reply as a protocol fault, not an unpacking crash.
         if not (isinstance(reply, tuple) and len(reply) == 2):
@@ -368,12 +391,36 @@ class CommandSession(BackendSession):
         for w, payload in enumerate(payloads):
             self._post(w, command, payload)
 
-    def results(self, timeout: Optional[float] = None) -> list:
-        """Collect every worker's ``ok`` reply — the barrier — in worker order."""
-        values = []
-        for w in range(len(self.links)):
-            value, self.active[w] = self._expect(w, "ok", timeout)
-            values.append(value)
+    def results(
+        self,
+        timeout: Optional[float] = None,
+        ready: Optional[Callable[[List[int], float], List[int]]] = None,
+    ) -> list:
+        """Collect every worker's ``ok`` reply — the barrier.
+
+        Without ``ready`` the replies are read in worker order, each
+        awaited for ``timeout`` (default ``stage_timeout``).  ``ready``
+        maps the pending worker ids and a number of seconds to the ids
+        whose reply (or end of file) is waiting, ``[]`` once the seconds
+        pass; with it the replies are read as they arrive, all under one
+        ``timeout``, so the first failure to arrive is the one raised.
+        """
+        if timeout is None:
+            timeout = self.stage_timeout
+        values = [None] * len(self.links)
+        if ready is None:
+            for w in range(len(self.links)):
+                values[w], self.active[w] = self._expect(w, "ok", timeout)
+            return values
+        pending = list(range(len(self.links)))
+        deadline = monotonic() + timeout
+        while pending:
+            arrived = ready(pending, max(0.0, deadline - monotonic()))
+            if not arrived:
+                raise self._timed_out(pending[0], timeout)
+            for w in arrived:
+                values[w], self.active[w] = self._expect(w, "ok", timeout)
+                pending.remove(w)
         return values
 
     # -- BackendSession ----------------------------------------------------
@@ -381,6 +428,9 @@ class CommandSession(BackendSession):
     def call(self, method: str, payload=None) -> list:
         self.broadcast(method, payload)
         return self.results()
+
+    def superstep(self, superstep: int) -> Tuple[ComputeStageResult, ExchangeResult]:
+        return self._plane.superstep(self, superstep)
 
     def exchange_phases(self, superstep: int) -> Tuple[List[TimedResult], List[TimedResult]]:
         return self._plane.exchange(self, superstep)

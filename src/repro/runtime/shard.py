@@ -17,7 +17,9 @@ before any copy.  Every backend builds one shard per worker from
     ``serial`` calls them inline, ``thread`` on its pool.
 ``process``
     one shard per child over shared pages inherited at fork — every
-    slot is a sibling's real array.
+    slot is a sibling's real array.  A superstep is one command,
+    :meth:`WorkerShard.superstep`: the three kernels with a meeting at
+    the pool's shared-memory ``barrier`` after the first and the second.
 ``socket``
     one shard per TCP worker over locally allocated arrays — only its
     own slot is real.  The exchange is one command,
@@ -175,7 +177,9 @@ class WorkerShard:
     ``p``-length per-worker list (:func:`by_kind`).  ``outbound_up`` /
     ``outbound_down`` and ``peers`` — the wire plane's mesh, with
     ``listen()``, ``connect(token, endpoints, timeout)``,
-    ``trade(outbox, sources)`` and ``close()`` — serve :meth:`exchange`.
+    ``trade(outbox, sources)`` and ``close()`` — serve :meth:`exchange`;
+    ``barrier`` — a callable that returns once every sibling has called
+    it as often, or raises — serves :meth:`superstep`.
     """
 
     #: the methods a coordinator may invoke by name (see ``protocol.serve``);
@@ -185,6 +189,7 @@ class WorkerShard:
             "compute",
             "exchange_up",
             "exchange_down",
+            "superstep",
             "listen",
             "mesh",
             "exchange",
@@ -204,6 +209,7 @@ class WorkerShard:
         outbound_up: Routes = (),
         outbound_down: Routes = (),
         peers=None,
+        barrier=None,
     ):
         self.worker_id = worker_id
         self.local = local
@@ -211,6 +217,7 @@ class WorkerShard:
         self.inbound_up, self.inbound_down = inbound_up, inbound_down
         self.outbound_up, self.outbound_down = outbound_up, outbound_down
         self.peers = peers
+        self.barrier = barrier
         self.minimize = program.mode == MINIMIZE
         self.slots = slots
         self.values, self.changed = slots["values"], slots["changed"]
@@ -268,6 +275,20 @@ class WorkerShard:
             self.dirty,
         )
         return counts, t0, monotonic_ns()
+
+    def superstep(self, superstep: int) -> Tuple[TimedResult, TimedResult, TimedResult]:
+        """The three kernels in one command, over shared arrays.
+
+        Every sibling runs this at once: compute, meet at the barrier
+        (every ``changed`` / ``partials`` mask is written), exchange up,
+        meet again (every master and ``dirty`` mask is written), exchange
+        down.  Returns the three timed results.
+        """
+        compute = self.compute(superstep)
+        self.barrier()
+        up = self.exchange_up()
+        self.barrier()
+        return compute, up, self.exchange_down()
 
     # -- checkpoint state -------------------------------------------------
 

@@ -50,8 +50,8 @@ scatters use plain indexed ``+=`` / ``=`` instead of ``np.add.at`` /
 an approximation of it, because a route names each master at most once
 (no index repeats within one scatter) and routes are still folded in
 one after the other, in plan order.  ``PageRank.compute`` accumulates
-with ``np.bincount``, which like ``np.add.at`` on a zeroed buffer adds
-the weights in edge order starting from 0.0.
+with a C kernel (``apps/pagerank_kernel.c``) which, like ``np.add.at``
+on a zeroed buffer, adds the shares in edge order starting from 0.0.
 
 Kernels here are deliberately observability-free: they never import
 :mod:`repro.obs` or read a clock.  The *caller*

@@ -254,7 +254,10 @@ def _stream_partition(
                         next_edge_id, next_edge_id + src.shape[0], dtype=np.int64
                     )
                     next_edge_id += src.shape[0]
-                    for i in np.unique(parts).tolist():
+                    # bincount, not np.unique: numpy's first unique()
+                    # imports numpy.ma, milliseconds inside the spill.
+                    counts = np.bincount(parts, minlength=num_parts)
+                    for i in np.flatnonzero(counts).tolist():
                         sel = parts == i
                         if i not in shard_files:
                             shard_files[i] = open(
@@ -268,7 +271,7 @@ def _stream_partition(
                         rows.tofile(shard_files[i])
                         if w is not None:
                             np.ascontiguousarray(w[sel]).tofile(weight_files[i])
-                    edge_counts += np.bincount(parts, minlength=num_parts)
+                    edge_counts += counts
             finally:
                 parts_file.close()
         finally:

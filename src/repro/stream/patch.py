@@ -156,8 +156,9 @@ def patch_spilled_partition(
                 edge_counts[part] = src.shape[0]
 
             insert_parts = assign_all(assigner, resolved.insert_src, resolved.insert_dst)
+            insert_counts = np.bincount(insert_parts, minlength=num_parts)
             insert_eids = np.arange(m_new - resolved.num_inserted, m_new, dtype=np.int64)
-            for part in np.unique(insert_parts).tolist():
+            for part in np.flatnonzero(insert_counts).tolist():
                 if _shard_name(part) not in staged:
                     stage_shard(part, *spilled.part_edges(part))
                 sel = insert_parts == part
@@ -181,7 +182,7 @@ def patch_spilled_partition(
     manifest.update(
         num_edges=int(m_new),
         num_vertices=int(n_new),
-        edge_counts=(edge_counts + np.bincount(insert_parts, minlength=num_parts)).tolist(),
+        edge_counts=(edge_counts + insert_counts).tolist(),
         replication_factor=rf_after,
     )
     _publish_manifest(directory, manifest)

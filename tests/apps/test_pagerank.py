@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import PageRank, pagerank_reference
 from repro.bsp import BSPEngine, build_distributed_graph
+from repro.bsp.distributed import LocalSubgraph
 from repro.graph import Graph
 from repro.partition import (
     CVCPartitioner,
@@ -107,3 +108,43 @@ def test_reference_deterministic(small_directed_powerlaw):
     a = pagerank_reference(small_directed_powerlaw, max_iters=10)
     b = pagerank_reference(small_directed_powerlaw, max_iters=10)
     assert np.array_equal(a, b)
+
+
+
+def _shard(src, dst, n=3):
+    """A one-worker subgraph of ``n`` vertices over the given edge arrays."""
+    return LocalSubgraph(
+        worker_id=0,
+        global_ids=np.arange(n, dtype=np.int64),
+        src=src,
+        dst=dst,
+        weights=None,
+        is_master=np.ones(n, dtype=bool),
+        master_worker=np.zeros(n, dtype=np.int64),
+        global_out_degree=np.ones(n, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        (np.array([0, 1]), np.array([1, 3]), "dst indexes outside"),
+        (np.array([-1, 1]), np.array([1, 2]), "src indexes outside"),
+        (np.array([0, 1], dtype=np.int32), np.array([1, 2]), "src must be a C-contiguous int64"),
+        (np.array([0, 9, 1])[::2], np.array([1, 2]), "src must be a C-contiguous int64"),
+        (np.array([0, 1]), np.array([1]), "dst must have 2 entries"),
+    ],
+    ids=["dst-past-n", "negative-src", "int32", "strided", "ragged"],
+)
+def test_the_edge_pass_refuses_edges_it_could_not_index(src, dst, message):
+    """The C kernel indexes unchecked, so its wrapper checks the edges first."""
+    with pytest.raises(ValueError, match=message):
+        PageRank(3).compute(_shard(src, dst), np.full(3, 1 / 3), None)
+
+
+def test_the_edge_pass_checks_a_subgraph_once():
+    local = _shard(np.array([0, 1, 2]), np.array([1, 2, 0]))
+    PageRank(3).compute(local, np.full(3, 1 / 3), None)
+    first = local.checked_edges()
+    assert local.checked_edges() is first
+    assert first[0] is local.src and first[1] is local.dst

@@ -37,17 +37,22 @@ class _KillDuringExchange(Backend):
 
     def session(self, dgraph, program):
         session = self._inner.session(dgraph, program)
-        real_exchange = session.exchange_stage
+        real_superstep = session.superstep
         kill_at = self._kill_at
 
-        def exchange_with_kill(superstep: int = 0):
-            if superstep == kill_at:
-                victim = session.links[-1]
-                victim.kill()
-                victim.wait(30)
-            return real_exchange(superstep)
+        def superstep_with_kill(superstep: int):
+            if superstep != kill_at:
+                return real_superstep(superstep)
+            # The process backend runs a superstep as one command; run
+            # this one as its two stages, so the kill lands after the
+            # compute barrier and before any pull.
+            session.compute_stage(superstep)
+            victim = session.links[-1]
+            victim.kill()
+            victim.wait(30)
+            return session.exchange_stage(superstep)
 
-        session.exchange_stage = exchange_with_kill
+        session.superstep = superstep_with_kill
         return session
 
 

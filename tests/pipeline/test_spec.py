@@ -39,11 +39,12 @@ class TestValidation:
     @pytest.mark.parametrize(
         "fields, label, option",
         [({"partition": "ebv?bogus=1"}, "partition", "bogus"),
+         ({"partition": "ebv-unsort?bogus=1"}, "partition", "bogus"),
          ({"app": "cc?bogus=1"}, "app", "bogus"),
          ({"backend": "process?start_method=fork"}, "backend", "start_method"),
          ({"source": "edgelist?path=g.txt,bogus=1", "partition": "ebv-stream"},
           "source", "bogus")],
-        ids=["partition", "app", "backend", "stream-source"],
+        ids=["partition", "partition-ebv-unsort", "app", "backend", "stream-source"],
     )
     def test_unknown_option_rejected_when_built(self, fields, label, option):
         with pytest.raises(SpecError, match=f"invalid '{label}' spec .*'{option}'"):

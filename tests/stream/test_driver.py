@@ -2,11 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.graph import Graph, powerlaw_graph
+from repro.graph import Graph, powerlaw_graph, write_edge_list
 from repro.partition import (
     EBVPartitioner,
     ShardedEBVPartitioner,
@@ -443,3 +445,26 @@ class TestPartialSpillCleanup:
         )
         assert spilled.num_edges == graph.num_edges
         assert int(spilled.edge_counts.sum()) == graph.num_edges
+
+
+_SPILL_SCRIPT = """
+import sys
+from repro.partition import StreamingEBVPartitioner
+from repro.stream import TextEdgeListStream, stream_partition
+
+stream = TextEdgeListStream(sys.argv[1], chunk_size=64)
+spilled = stream_partition(stream, StreamingEBVPartitioner(chunk_size=32), 4, sys.argv[2])
+print(int(spilled.edge_counts.sum()), "numpy.ma" in sys.modules)
+"""
+
+
+def test_a_spill_does_not_import_numpy_ma(graph, tmp_path):
+    """numpy's first ``np.unique`` in a process imports ``numpy.ma``
+    (milliseconds); the spill finds each window's parts without it."""
+    path = tmp_path / "g.txt"
+    write_edge_list(graph, str(path))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPILL_SCRIPT, str(path), str(tmp_path / "spill")],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == [str(graph.num_edges), "False"]

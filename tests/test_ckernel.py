@@ -1,9 +1,10 @@
-"""The build-on-first-use cache both C kernels share (``repro.ckernel``).
+"""The build-on-first-use cache every C kernel shares (``repro.ckernel``).
 
 Each library is built on first use into the bytecode cache — here
 ``sys.pycache_prefix`` points at ``tmp_path`` — and named by the hash of
-its source and compile command.  Every case runs for both kernels: EBV's
-loop and the edge-list block parser.
+its source and compile command.  Every case runs for every kernel: EBV's
+loop, the edge-list block parser, PageRank's edge pass and the process
+backend's superstep barrier.
 """
 
 import os
@@ -16,9 +17,11 @@ import pytest
 
 import repro
 from repro import ckernel, cli
+from repro.apps import pagerank as pagerank_module
 from repro.graph import Graph, io as graph_io, write_edge_list
 from repro.partition import KernelBuildError
 from repro.partition import ebv as ebv_module
+from repro.runtime import process as process_module
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
@@ -26,6 +29,8 @@ SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 KERNELS = {
     "ebv": (ebv_module, "EBV", ["partition", "--method", "ebv", "--parts", "2"]),
     "edge-list": (graph_io, "edge-list", ["stats"]),
+    "pagerank": (pagerank_module, "PageRank", ["run", "--app", "pr"]),
+    "barrier": (process_module, "barrier", ["run", "--app", "cc", "--backend", "process"]),
 }
 
 
@@ -87,8 +92,9 @@ def test_an_empty_cache_builds_once(cache, kernel, monkeypatch):
     ]
 
 
-#: reads an edge list and partitions it with EBV, so both kernels load;
-#: with ``NO_COMPILE`` set, any subprocess fails the run
+#: reads an edge list and partitions it with EBV, then loads the other
+#: two kernels, so every kernel loads; with ``NO_COMPILE`` set, any
+#: subprocess fails the run
 CHILD = textwrap.dedent(
     """
     import os, subprocess, sys, time, zlib
@@ -102,6 +108,9 @@ CHILD = textwrap.dedent(
     from repro.graph import read_edge_list
     from repro.partition import EBVPartitioner
     parts = EBVPartitioner().partition(read_edge_list(os.environ["GRAPH_FILE"]), 4)
+    from repro.apps import pagerank
+    from repro.runtime import process
+    pagerank._kernel(), process._kernel()
     print(zlib.crc32(parts.edge_parts.tobytes()))
     """
 )
@@ -134,7 +143,7 @@ def _finish(proc):
 
 
 def _built():
-    """Both libraries' paths in the current cache."""
+    """Every library's path in the current cache."""
     return [ckernel.kernel_build(module.KERNEL_SOURCE)[0] for module, _, _ in KERNELS.values()]
 
 
