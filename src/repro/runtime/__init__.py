@@ -59,8 +59,8 @@ backend      shards live in          link                  state plane          
              on a persistent         the bound method
              ``ThreadPoolExecutor``
 ``process``  one daemon child each   ``multiprocessing``   shared memory: parent    no
-             (forked, pinned to      pipe + ``Process``    allocates, every child
-             CPU ``w % |cpus|``)                           inherits every array;
+             (forked)                pipe + ``Process``    allocates, every child
+                                                           inherits every array;
                                                            a superstep is one
                                                            command
 ``socket``   one process each (a     framed TCP            wire: each worker owns   spawned-

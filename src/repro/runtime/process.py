@@ -35,10 +35,7 @@ sets the abort word on any failure (an error reply, a lost worker, a
 timeout), so a sibling waiting on a failed or dead worker replies and
 then reads ``stop`` instead of spinning until its own deadline.
 
-*Its worker entry point* — :func:`_worker_main`: bind to its CPU (child
-``w`` gets ``cpus[w % len(cpus)]`` of the coordinator's affinity set,
-where the platform has ``os.sched_setaffinity``: unpinned, the
-scheduler sometimes stacks two waiting siblings on one CPU), close the
+*Its worker entry point* — :func:`_worker_main`: close the
 coordinator's pipe ends the fork copied, then run the shared
 :func:`~repro.runtime.protocol.serve` loop over the child's own end.
 With no copy of the coordinator's end left open, a child reads
@@ -60,7 +57,7 @@ import functools
 import mmap
 import multiprocessing
 import os
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 from time import monotonic_ns
@@ -160,6 +157,9 @@ class _PipeLink:
             raise ReplyTimeout()
         return self._conn.recv()  # EOFError once the child is gone
 
+    def fileno(self) -> int:
+        return self._conn.fileno()
+
     def alive(self) -> bool:
         return self._proc.is_alive()
 
@@ -184,12 +184,8 @@ def _worker_main(
     coordinator_ends: Sequence[Connection],
     slots: Slots,
     barrier: _Barrier,
-    cpu: Optional[int],
 ) -> None:
-    """Child entry point: bind to ``cpu``, drop the coordinator's pipe
-    ends, serve the session."""
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
+    """Child entry point: drop the coordinator's pipe ends, serve the session."""
     for end in coordinator_ends:
         end.close()
     try:
@@ -200,10 +196,8 @@ def _worker_main(
 
 
 def _spawn(ctx, plane: "ShmPlane", workers: Sequence[int]) -> List[_PipeLink]:
-    """Fork one child per worker over the plane's slots and barrier,
-    child ``w`` pinned to ``cpus[w % len(cpus)]`` of this process's
-    CPUs; a batch that fails leaves no child behind."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+    """Fork one child per worker over the plane's slots and barrier;
+    a batch that fails leaves no child behind."""
     links: List[_PipeLink] = []
     try:
         for w in workers:
@@ -213,7 +207,7 @@ def _spawn(ctx, plane: "ShmPlane", workers: Sequence[int]) -> List[_PipeLink]:
             ends = [link._conn for link in links] + [parent_conn]
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, ends, plane.state, plane.barrier(w), cpus[w % len(cpus)]),
+                args=(child_conn, ends, plane.state, plane.barrier(w)),
                 name=f"repro-bsp-{w}",
                 daemon=True,
             )
@@ -238,13 +232,6 @@ def _shared_copy(template: np.ndarray) -> np.ndarray:
     array = np.ndarray(template.shape, template.dtype, mmap.mmap(-1, max(1, template.nbytes)))
     array[...] = template
     return array
-
-
-def _arrived(links: Sequence[_PipeLink], pending: List[int], timeout: float) -> List[int]:
-    """The ``pending`` workers whose reply or end of file is waiting,
-    within ``timeout`` seconds; ``[]`` if none."""
-    conns = {links[w]._conn: w for w in pending}
-    return sorted(conns[conn] for conn in wait(list(conns), timeout))
 
 
 class ShmPlane(StatePlane):
@@ -285,7 +272,9 @@ class ShmPlane(StatePlane):
         t0 = monotonic_ns()
         try:
             session.broadcast("superstep", superstep)
-            replies = session.results(ready=functools.partial(_arrived, session.links))
+            # Three phases, each allowed stage_timeout, as each child's
+            # barrier waits are.
+            replies = session.results(3 * session.stage_timeout)
         except BaseException:
             _kernel()[1](self._words.ctypes.data)  # release every waiting sibling
             raise
@@ -304,10 +293,12 @@ class ProcessBackend(Backend):
     Parameters
     ----------
     stage_timeout:
-        Seconds to wait for each worker's stage reply before raising
+        Seconds each stage phase may take before the session raises
         :class:`~repro.runtime.base.BackendError` (default
-        :data:`~repro.runtime.protocol.DEFAULT_STAGE_TIMEOUT`); spec
-        form ``process?stage_timeout=120``.
+        :data:`~repro.runtime.protocol.DEFAULT_STAGE_TIMEOUT`): a
+        per-stage reply is awaited this long, a whole-superstep reply
+        (three phases) three times as long, and each barrier wait in a
+        child this long.  Spec form ``process?stage_timeout=120``.
     """
 
     name = "process"

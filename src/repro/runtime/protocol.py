@@ -28,15 +28,15 @@ updates peer to peer), and state access is a command.
 
 Everything else is here, once:
 
-*Stage timeouts.*  Every stage reply is awaited with ``stage_timeout``
-(default :data:`DEFAULT_STAGE_TIMEOUT`; spec form
-``process?stage_timeout=120``).  A worker hung inside a kernel raises
+*Stage timeouts.*  The coordinator waits on every link at once and
+reads the replies in the order they arrive, each awaited for
+``stage_timeout`` per stage phase the command runs (default
+:data:`DEFAULT_STAGE_TIMEOUT`; spec form ``process?stage_timeout=120``)
+— one phase for a per-stage command, three for the shared-memory
+plane's whole superstep.  A worker hung inside a kernel raises
 :class:`~repro.runtime.base.BackendError` naming the workers still
-alive — "worker 3 is wedged" versus "the whole pool is gone".  Replies
-are read in worker order, or, where the plane can wait on every link at
-once (:meth:`CommandSession.results` with ``ready``), in the order they
-arrive, so a worker that dies while its siblings wait on it is reported
-at once.
+alive — "worker 3 is wedged" versus "the whole pool is gone" — and a
+worker that dies while its siblings wait on it is reported at once.
 
 *Typed worker loss.*  A link that fails on send **or** receive raises
 :class:`~repro.runtime.base.WorkerLostError` with the worker id and the
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import traceback
 import weakref
+from multiprocessing.connection import wait
 from time import monotonic
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -119,13 +120,16 @@ class Link(Protocol):
 
     ``send``/``recv`` raise ``EOFError`` or ``OSError`` when the peer is
     gone; ``recv`` raises :class:`ReplyTimeout` when ``timeout`` seconds
-    pass without a complete message.  The process methods are no-ops
-    (``exit_code`` is ``None``) for a worker the coordinator did not
-    launch.  ``close`` is idempotent.
+    pass without a complete message.  ``fileno`` is a descriptor that
+    turns readable when a reply (or end of file) is waiting, for
+    :func:`multiprocessing.connection.wait`.  The process methods are
+    no-ops (``exit_code`` is ``None``) for a worker the coordinator did
+    not launch.  ``close`` is idempotent.
     """
 
     def send(self, message) -> None: ...
     def recv(self, timeout: Optional[float] = None): ...
+    def fileno(self) -> int: ...
     def alive(self) -> bool: ...
     def exit_code(self) -> Optional[int]: ...
     def wait(self, timeout: float) -> None: ...
@@ -391,36 +395,23 @@ class CommandSession(BackendSession):
         for w, payload in enumerate(payloads):
             self._post(w, command, payload)
 
-    def results(
-        self,
-        timeout: Optional[float] = None,
-        ready: Optional[Callable[[List[int], float], List[int]]] = None,
-    ) -> list:
+    def results(self, timeout: Optional[float] = None) -> list:
         """Collect every worker's ``ok`` reply — the barrier.
 
-        Without ``ready`` the replies are read in worker order, each
-        awaited for ``timeout`` (default ``stage_timeout``).  ``ready``
-        maps the pending worker ids and a number of seconds to the ids
-        whose reply (or end of file) is waiting, ``[]`` once the seconds
-        pass; with it the replies are read as they arrive, all under one
-        ``timeout``, so the first failure to arrive is the one raised.
+        Replies are read as they arrive, each next one awaited for
+        ``timeout`` seconds (default ``stage_timeout``), so the first
+        failure to arrive is the one raised.
         """
         if timeout is None:
             timeout = self.stage_timeout
         values = [None] * len(self.links)
-        if ready is None:
-            for w in range(len(self.links)):
-                values[w], self.active[w] = self._expect(w, "ok", timeout)
-            return values
-        pending = list(range(len(self.links)))
-        deadline = monotonic() + timeout
+        pending = {self.links[w]: w for w in range(len(self.links))}
         while pending:
-            arrived = ready(pending, max(0.0, deadline - monotonic()))
+            arrived = wait(list(pending), timeout)
             if not arrived:
-                raise self._timed_out(pending[0], timeout)
-            for w in arrived:
+                raise self._timed_out(min(pending.values()), timeout)
+            for w in sorted(pending.pop(link) for link in arrived):
                 values[w], self.active[w] = self._expect(w, "ok", timeout)
-                pending.remove(w)
         return values
 
     # -- BackendSession ----------------------------------------------------

@@ -125,6 +125,9 @@ class _TcpLink:
         except wire.WireError as exc:
             raise EOFError(str(exc)) from None
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def alive(self) -> bool:
         if self._proc is None:
             return self._sock.fileno() >= 0

@@ -12,10 +12,16 @@ uninterrupted one.
 The injection wraps the process backend so that at a chosen superstep a
 SIGKILL lands on one worker child right as the exchange stage begins —
 the in-process analogue of the ``test_sigkill_integration`` subprocess
-test, precise enough to target the exchange stage specifically.
+test, precise enough to target the exchange stage specifically.  The
+backend runs a superstep as one command per child, so the kill comes
+from inside it: the pool forks with the last child's ``exchange_up``
+wrapped, and that child kills itself on entering it at the chosen
+superstep, past the compute barrier, while its siblings pull.
 """
 
+import itertools
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from repro.bsp import BSPEngine
 from repro.checkpoint import list_snapshots
 from repro.pipeline import APPS
 from repro.runtime import Backend, BackendError, ProcessBackend
+from repro.runtime.shard import WorkerShard
 
 
 class _KillDuringExchange(Backend):
@@ -36,24 +43,19 @@ class _KillDuringExchange(Backend):
         self._kill_at = kill_at_superstep
 
     def session(self, dgraph, program):
-        session = self._inner.session(dgraph, program)
-        real_superstep = session.superstep
-        kill_at = self._kill_at
+        real_exchange_up = WorkerShard.exchange_up
+        victim, kill_at = dgraph.num_workers - 1, self._kill_at
+        calls = itertools.count()  # each child counts its own supersteps
 
-        def superstep_with_kill(superstep: int):
-            if superstep != kill_at:
-                return real_superstep(superstep)
-            # The process backend runs a superstep as one command; run
-            # this one as its two stages, so the kill lands after the
-            # compute barrier and before any pull.
-            session.compute_stage(superstep)
-            victim = session.links[-1]
-            victim.kill()
-            victim.wait(30)
-            return session.exchange_stage(superstep)
+        def exchange_up_with_kill(shard, payload=None):
+            if shard.worker_id == victim and next(calls) == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_exchange_up(shard, payload)
 
-        session.superstep = superstep_with_kill
-        return session
+        # The children fork inside the session call and keep the wrapper.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WorkerShard, "exchange_up", exchange_up_with_kill)
+            return self._inner.session(dgraph, program)
 
 
 @pytest.mark.parametrize("app", ["cc", "pr"])

@@ -1,12 +1,14 @@
-"""An in-memory :class:`repro.runtime.protocol.Link`: two queues and a thread.
+"""An in-memory :class:`repro.runtime.protocol.Link`: a queue, a pipe and a thread.
 
 The third link implementation, for tests only.  The coordinator end
-(:class:`MemoryLink`) satisfies the same eight-method contract as the
+(:class:`MemoryLink`) satisfies the same nine-method contract as the
 pipe and TCP links; the worker end runs on a daemon thread — by default
 the real worker loop, :func:`repro.runtime.protocol.serve`, over the
-wire plane's :func:`~repro.runtime.socket.standalone_shard`.  Messages
-are pickled across the queues, so the two sides share no arrays — what
-a real transport guarantees and the stand-in logic relies on.
+wire plane's :func:`~repro.runtime.socket.standalone_shard`.  Commands
+go down a queue and replies come back over a one-way pipe, whose read
+end is what the coordinator waits on.  Messages are pickled both ways,
+so the two sides share no arrays — what a real transport guarantees and
+the stand-in logic relies on.
 
 This is what makes the wire plane (the peer mesh, the one-command
 exchange, index-compacted stand-ins, ``owned``/``restore``) reachable
@@ -18,20 +20,22 @@ loopback peer connections and trade replica updates on them, as TCP
 workers do.
 """
 
+import multiprocessing
 import pickle
 import queue
 import threading
+from multiprocessing.connection import Connection
 
 from repro.runtime.protocol import CommandSession, ReplyTimeout, serve
 from repro.runtime.socket import WirePlane, standalone_shard
 
-_EOF = None  # queue sentinel: this side is gone
+_EOF = None  # command-queue sentinel: the coordinator is gone
 
 
 class _WorkerEnd:
     """What ``serve`` (or a misbehaving stand-in) sees of the link."""
 
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
+    def __init__(self, inbox: queue.Queue, outbox: Connection):
         self._inbox, self._outbox = inbox, outbox
 
     def recv(self):
@@ -41,10 +45,10 @@ class _WorkerEnd:
         return pickle.loads(data)
 
     def send(self, message) -> None:
-        self._outbox.put(pickle.dumps(message))
+        self._outbox.send_bytes(pickle.dumps(message))
 
     def close(self) -> None:
-        self._outbox.put(_EOF)
+        self._outbox.close()  # the coordinator reads end of file
 
 
 def serve_standalone(end: _WorkerEnd) -> None:
@@ -53,17 +57,17 @@ def serve_standalone(end: _WorkerEnd) -> None:
 
 
 class MemoryLink:
-    """Coordinator end of a queue pair; ``worker(end)`` runs on a thread."""
+    """Coordinator end of a queue and a pipe; ``worker(end)`` runs on a thread."""
 
     #: where the worker's peers dial it (its listener binds there too).
     host = "127.0.0.1"
 
     def __init__(self, worker=serve_standalone):
         self._to_worker: queue.Queue = queue.Queue()
-        self._from_worker: queue.Queue = queue.Queue()
+        self._from_worker, replies = multiprocessing.Pipe(duplex=False)
         self._thread = threading.Thread(
             target=worker,
-            args=(_WorkerEnd(self._to_worker, self._from_worker),),
+            args=(_WorkerEnd(self._to_worker, replies),),
             daemon=True,
         )
         self._thread.start()
@@ -74,13 +78,12 @@ class MemoryLink:
         self._to_worker.put(pickle.dumps(message))
 
     def recv(self, timeout=None):
-        try:
-            data = self._from_worker.get(timeout=timeout)
-        except queue.Empty:
-            raise ReplyTimeout() from None
-        if data is _EOF:
-            raise EOFError("worker thread exited")
-        return pickle.loads(data)
+        if timeout is not None and not self._from_worker.poll(timeout):
+            raise ReplyTimeout()
+        return pickle.loads(self._from_worker.recv_bytes())  # EOFError once closed
+
+    def fileno(self) -> int:
+        return self._from_worker.fileno()
 
     def alive(self) -> bool:
         return self._thread.is_alive()
@@ -97,7 +100,7 @@ class MemoryLink:
     kill = terminate
 
     def close(self) -> None:
-        pass
+        self._from_worker.close()
 
 
 def memory_session(dgraph, program, worker=serve_standalone, stage_timeout=60.0):

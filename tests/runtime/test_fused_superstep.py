@@ -4,9 +4,9 @@
 child computes, meets its siblings at the shared-memory barrier
 (``runtime/barrier_kernel.c``), exchanges up, meets them again and
 exchanges down.  These tests hold it to the serial session after every
-superstep, check where the children are pinned, and drive each failure
-the barrier adds: a sibling killed or failing while the others wait on
-it, a stage timeout, and a coordinator killed while they wait.
+superstep and drive each failure the barrier adds: a sibling killed or
+failing while the others wait on it, a stage timeout, and a coordinator
+killed while they wait.
 """
 
 import os
@@ -24,12 +24,8 @@ from repro.bsp import build_distributed_graph
 from repro.graph import powerlaw_graph
 from repro.partition import EBVPartitioner
 from repro.runtime import BackendError, ProcessBackend, SerialBackend, WorkerLostError
+from repro.runtime.shard import WorkerShard
 from test_command_protocol import SleepyCC
-
-pinning = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="the platform cannot pin processes"
-)
-
 
 class StuckLastCC(ConnectedComponents):
     """CC whose highest-id worker wedges in compute, so its siblings wait
@@ -51,6 +47,17 @@ class FailingLastCC(ConnectedComponents):
     def compute(self, local, values, active, superstep):
         if local.worker_id == self.last:
             raise RuntimeError("injected compute failure")
+        return super().compute(local, values, active, superstep)
+
+
+class NappingCC(ConnectedComponents):
+    """CC whose every worker sleeps ``nap`` seconds in compute."""
+
+    name = "napping-cc"
+    nap = 0.0
+
+    def compute(self, local, values, active, superstep):
+        time.sleep(self.nap)
         return super().compute(local, values, active, superstep)
 
 
@@ -106,34 +113,6 @@ def test_the_stage_windows_nest(dgraphs, graph):
     assert (comp.walls > 0).all() and (ex.up_walls > 0).all() and (ex.down_walls > 0).all()
 
 
-# -- placement ------------------------------------------------------------
-
-
-def _child_cpus(session):
-    return [os.sched_getaffinity(link._proc.pid) for link in session.links]
-
-
-@pinning
-@pytest.mark.parametrize("p", [2, 3, 4])
-def test_child_w_is_pinned_to_cpu_w_mod_the_coordinators_set(dgraphs, p):
-    cpus = sorted(os.sched_getaffinity(0))
-    with ProcessBackend().session(dgraphs[p], ConnectedComponents()) as session:
-        assert _child_cpus(session) == [{cpus[w % len(cpus)]} for w in range(p)]
-
-
-@pinning
-def test_a_coordinator_on_one_cpu_pins_every_child_there(dgraphs):
-    before = os.sched_getaffinity(0)
-    only = max(before)
-    os.sched_setaffinity(0, {only})
-    try:
-        with ProcessBackend().session(dgraphs[3], ConnectedComponents()) as session:
-            assert _child_cpus(session) == [{only}] * 3
-            session.superstep(0)
-    finally:
-        os.sched_setaffinity(0, before)
-
-
 # -- failures -------------------------------------------------------------
 
 
@@ -162,6 +141,23 @@ def test_a_worker_killed_at_the_barrier_is_lost_at_once(dgraphs):
     assert [link.exit_code() for link in survivors] == [0, 0]
 
 
+def test_a_per_stage_call_also_reports_a_lost_worker_at_once(dgraphs):
+    """Every plane reads replies as they arrive: worker 2's death is
+    seen while workers 0 and 1 are still in their 3 s compute."""
+    program = NappingCC()
+    program.nap = 3.0
+    with ProcessBackend(stage_timeout=600).session(dgraphs[3], program) as session:
+        killer = threading.Timer(0.5, session.links[2].kill)
+        killer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(WorkerLostError, match="worker 2 died unexpectedly"):
+                session.compute_stage(0)
+        finally:
+            killer.join()
+        assert time.monotonic() - started < 2.0
+
+
 def test_a_failing_compute_reports_its_traceback_and_closes_clean(dgraphs):
     backend = ProcessBackend(stage_timeout=600)
     session = backend.session(dgraphs[3], _last(FailingLastCC(), 3))
@@ -184,6 +180,26 @@ def test_a_hung_superstep_still_times_out(dgraphs):
         assert "alive workers: [0, 1]" in str(excinfo.value)
         with pytest.raises(BackendError, match="session is failed"):
             session.superstep(0)
+
+
+def test_each_phase_of_a_superstep_has_its_own_stage_timeout(dgraphs, monkeypatch):
+    """Compute and the up pull take 0.3 s each of a 0.5 s ``stage_timeout``:
+    0.6 s before the one reply, which is no hang."""
+    real_up = WorkerShard.exchange_up
+
+    def slow_up(shard, payload=None):
+        time.sleep(0.3)
+        return real_up(shard, payload)
+
+    program = NappingCC()
+    program.nap = 0.3
+    monkeypatch.setattr(WorkerShard, "exchange_up", slow_up)
+    with ProcessBackend(stage_timeout=0.5).session(dgraphs[2], program) as session:
+        monkeypatch.undo()  # the children forked with the slow pull
+        started = time.monotonic()
+        comp, ex = session.superstep(0)
+        assert time.monotonic() - started > 0.6
+    assert all((end - start) * 1e-9 > 0.3 for start, end in (comp.window, ex.window))
 
 
 _COORDINATOR_SCRIPT = """

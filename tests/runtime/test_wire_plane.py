@@ -7,12 +7,13 @@ reply flags — used to be reachable only through spawned TCP
 subprocesses (``test_backend_equivalence.py``, ~0.5 s of interpreter
 start-up per session).  Here the same :class:`~repro.runtime.protocol.CommandSession`
 and :class:`~repro.runtime.socket.WirePlane` run over the in-memory link
-(``memlink.py``: two queues, ``serve()`` on a thread, every message
-pickled, replica updates over real loopback peer sockets), so every app
+(``memlink.py``: a queue and a pipe, ``serve()`` on a thread, every
+message pickled, replica updates over real loopback peer sockets), so every app
 is checked against ``serial`` in milliseconds — and, separately, once
 over real ``serve_worker`` endpoints the session did not spawn.
 """
 
+import functools
 import threading
 from collections import Counter
 
@@ -272,11 +273,14 @@ def _swallow_exchanges(end):
     serve_standalone(Deaf())
 
 
-def _dies_at_exchange(end):
+def _dies_at_exchange(end, held=None, keep=None):
     """A real worker whose thread ends when an ``exchange`` arrives.
 
     Its peer connections drop only once the thread is gone — the order
     a killed process's do — mid-exchange for the peers already trading.
+    With ``keep``, one side of it goes to ``held`` instead of closing
+    (the caller closes it): ``"link"`` hides the death from the
+    coordinator, ``"peers"`` from the other workers.
     """
     me = threading.current_thread()
 
@@ -287,7 +291,10 @@ def _dies_at_exchange(end):
             me.join()
             shard.peers.close()
 
-        shard.close = lambda: threading.Thread(target=close_once_dead, daemon=True).start()
+        if keep == "peers":
+            shard.close = lambda: held.append(shard.peers)
+        else:
+            shard.close = lambda: threading.Thread(target=close_once_dead, daemon=True).start()
         return shard
 
     class Dying:
@@ -297,7 +304,13 @@ def _dies_at_exchange(end):
                 raise EOFError("killed")
             return message
 
-        send, close = end.send, end.close
+        send = end.send
+
+        def close(self):
+            if keep == "link":
+                held.append(end)
+            else:
+                end.close()
 
     serve(Dying(), make_shard)
 
@@ -314,19 +327,30 @@ def _pool_with(victim, worker, p, stage_timeout=60.0):
     return open_session
 
 
-def test_a_peer_killed_mid_exchange_is_a_lost_worker(graph, dgraphs):
-    """The survivors report the broken peer connection as an error reply
-    before the coordinator reads the dead link; the session still names
-    the dead worker, typed, so the engine's recovery path sees it."""
-    open_session = _pool_with(3, _dies_at_exchange, 4)
-    with open_session(dgraphs[4], APPS.create("cc", graph)) as session:
-        session.compute_stage(0)
-        with pytest.raises(WorkerLostError, match="worker 3 died unexpectedly") as excinfo:
-            session.exchange_stage(0)
-        assert excinfo.value.worker_id == 3
-        assert str(excinfo.value.__cause__).startswith("worker 0 failed")
-        with pytest.raises(BackendError, match="session is failed"):
-            session.compute_stage(1)
+@pytest.mark.parametrize("first", ["end of file", "error reply"])
+def test_a_peer_killed_mid_exchange_is_a_lost_worker(graph, dgraphs, first):
+    """The session names the dead worker, typed, so the engine's recovery
+    path sees it, whichever reaches the coordinator first: the dead
+    link's end of file, or the survivors' error replies about the
+    broken peer connection while that end of file is not yet seen."""
+    held = []
+    keep = "peers" if first == "end of file" else "link"
+    worker = functools.partial(_dies_at_exchange, held=held, keep=keep)
+    with _pool_with(3, worker, 4)(dgraphs[4], APPS.create("cc", graph)) as session:
+        try:
+            session.compute_stage(0)
+            with pytest.raises(WorkerLostError, match="worker 3 died unexpectedly") as excinfo:
+                session.exchange_stage(0)
+            assert excinfo.value.worker_id == 3
+            if first == "end of file":
+                assert excinfo.value.__cause__ is None
+            else:
+                assert str(excinfo.value.__cause__).startswith("worker 0 failed")
+            with pytest.raises(BackendError, match="session is failed"):
+                session.compute_stage(1)
+        finally:
+            for side in held:
+                side.close()
 
 
 def test_a_silent_peer_is_named_by_its_neighbours_within_the_timeout(graph, dgraphs):
